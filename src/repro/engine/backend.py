@@ -12,6 +12,16 @@ mirror :mod:`repro.gpu`'s access methods:
   software cache (Section 3.3.2);
 * :class:`ZeroCopyBackend` — EMOGI-style: 32 B sectors coalesced into
   up-to-128 B transactions (Section 3.3.1).
+
+Fast-path notes: the data a read returns is gathered at word granularity.
+``_gather`` picks the widest word (8/4/2/1 B) dividing every start, every
+length and the store size, views the store as that unsigned dtype and
+builds one index per *word* with :func:`repro.graph.csr.ragged_index` —
+the same helper as the in-memory ``gather_neighbors``.  Engine edge
+records (8 B or 16 B) and state slots (8 B) always take the 8 B path;
+unaligned byte ranges stay correct on the 1 B path.  The gather copies,
+so returned arrays never alias the store.  Accounting (``_account``) is
+independent of how the bytes are gathered.
 """
 
 from __future__ import annotations
@@ -22,6 +32,7 @@ import numpy as np
 
 from ..config import GPU_CACHE_LINE_BYTES, GPU_SECTOR_BYTES
 from ..errors import DeviceError
+from ..graph.csr import ragged_index
 from ..memsim.alignment import aligned_span, expand_to_blocks, split_by_max_transfer
 from ..memsim.cache import CacheModel, StepLocalCache
 from ..telemetry.metrics import MetricRegistry
@@ -34,6 +45,11 @@ __all__ = [
     "CachedBackend",
     "ZeroCopyBackend",
 ]
+
+#: Unsigned word dtype per gather width; the widest is the engine's
+#: record and state-slot granularity.
+_WORD_DTYPES = {8: np.uint64, 4: np.uint32, 2: np.uint16, 1: np.uint8}
+_WIDEST_WORD = max(_WORD_DTYPES)
 
 
 def _stat(name: str, doc: str, cast: type = int) -> property:
@@ -181,7 +197,8 @@ class ExternalMemoryBackend(ABC):
     """
 
     def __init__(self, data: np.ndarray | bytes) -> None:
-        self._data = np.frombuffer(bytes(data), dtype=np.uint8).copy()
+        # One copy of any contiguous buffer (bytes or an array's raw bytes).
+        self._data = np.frombuffer(data, dtype=np.uint8).copy()
         self.stats = MemoryStats()
 
     @property
@@ -217,18 +234,13 @@ class ExternalMemoryBackend(ABC):
         """Update ``stats`` for this batch under the discipline's rules."""
 
     def _gather(self, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        keep = lengths > 0
-        starts, lengths = starts[keep], lengths[keep]
-        total = int(lengths.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.uint8)
-        out_start = np.cumsum(lengths) - lengths
-        idx = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(out_start, lengths)
-            + np.repeat(starts, lengths)
-        )
-        return self._data[idx]
+        # The widest word dividing every start, every length and the store
+        # size is the lowest set bit of their OR (capped at the widest).
+        common = int(np.bitwise_or.reduce(starts | lengths)) | self._data.size
+        common |= _WIDEST_WORD
+        word = common & -common
+        words = self._data.view(_WORD_DTYPES[word])
+        return words[ragged_index(starts // word, lengths // word)].view(np.uint8)
 
 
 class DirectBackend(ExternalMemoryBackend):

@@ -62,10 +62,6 @@ class EngineRun:
     stats: MemoryStats
 
 
-#: Backwards-compatible alias (the bundle predates the public name).
-_EngineRun = EngineRun
-
-
 class ExternalGraphEngine:
     """Run graph traversals with the edge list on external memory.
 
@@ -75,7 +71,8 @@ class ExternalGraphEngine:
         The CSR graph; its ``indices`` (and ``weights`` if present) are
         serialised into the backend, its ``indptr`` stays host-side.
     backend_factory:
-        Callable building a backend from raw bytes, e.g.
+        Callable building a backend from the raw payload (one contiguous
+        ``uint8`` array), e.g.
         ``lambda data: DirectBackend(data, alignment_bytes=16)``.
     memory_mode:
         One of :data:`MEMORY_MODES`; see the module docstring.
@@ -101,16 +98,17 @@ class ExternalGraphEngine:
             records = np.empty(graph.num_edges * 2, dtype=np.int64)
             records[0::2] = graph.indices
             records[1::2] = graph.weights.view(np.int64)  # raw float64 bits
-            payload = records.tobytes()
         else:
-            payload = graph.indices.tobytes()
+            records = graph.indices
+        payload = records.view(np.uint8)
         self._state_base = graph.num_edges * self._record_bytes
         expected = self._state_base
         if memory_mode == FULLY_EXTERNAL:
             # The vertex-state region follows the edge records; its
             # initial contents are irrelevant (kernels only measure the
             # traffic of fetching the slots), so zeros suffice.
-            payload = payload + np.zeros(graph.num_vertices, dtype=np.int64).tobytes()
+            state = np.zeros(graph.num_vertices * VERTEX_ID_BYTES, dtype=np.uint8)
+            payload = np.concatenate([payload, state])
             expected += graph.num_vertices * VERTEX_ID_BYTES
         self.backend: ExternalMemoryBackend = backend_factory(payload)
         if self.backend.size_bytes != expected:
@@ -143,7 +141,7 @@ class ExternalGraphEngine:
             raise TraceError("frontier contains out-of-range vertex IDs")
         starts, lengths = self._sublist_ranges(frontier)
         raw = self.backend.read(starts, lengths)
-        records = np.frombuffer(raw.tobytes(), dtype=np.int64)
+        records = raw.view(np.int64)
         if self._weighted:
             neighbors = records[0::2]
             weights = records[1::2].view(np.float64)

@@ -17,7 +17,26 @@ import numpy as np
 from ..config import VERTEX_ID_BYTES
 from ..errors import GraphFormatError
 
-__all__ = ["CSRGraph"]
+__all__ = ["CSRGraph", "ragged_index"]
+
+
+def ragged_index(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Flat indices of back-to-back segments ``starts[i] .. starts[i]+counts[i]-1``.
+
+    The vectorised gather behind every ragged (per-segment) access: CSR
+    sublists of a frontier, byte or word ranges of a batch of reads, the
+    blocks or pieces a request splits into.  Segment ``i`` occupies output
+    positions ``out_start[i] .. out_start[i]+counts[i]-1`` with
+    ``out_start = cumsum(counts) - counts``, so its indices are
+    ``arange(total) + (starts[i] - out_start[i])`` — one ``repeat`` and no
+    Python loop.  Zero counts contribute nothing; counts must be
+    non-negative.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    out_start = np.cumsum(counts) - counts
+    total = int(out_start[-1] + counts[-1]) if counts.size else 0
+    offsets = np.asarray(starts, dtype=np.int64) - out_start
+    return np.arange(total, dtype=np.int64) + np.repeat(offsets, counts)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DeviceError
+from .csr import ragged_index
 
 __all__ = ["StripedLayout", "stripe_layout"]
 
@@ -69,16 +70,11 @@ class StripedLayout:
         first_unit = starts // self.stripe_bytes
         last_unit = (ends - 1) // self.stripe_bytes
         pieces = (last_unit - first_unit + 1).astype(np.int64)
-        total = int(pieces.sum())
 
         # Sub-request k of request i covers stripe unit first_unit[i] + k,
         # clipped to the request's [start, end) range.
         req_idx = np.repeat(np.arange(starts.size, dtype=np.int64), pieces)
-        # Piece rank within its request: 0, 1, ..., pieces[i]-1.
-        piece_rank = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(pieces) - pieces, pieces
-        )
-        unit = first_unit[req_idx] + piece_rank
+        unit = ragged_index(first_unit, pieces)
         unit_start = unit * self.stripe_bytes
         sub_start = np.maximum(unit_start, starts[req_idx])
         sub_end = np.minimum(unit_start + self.stripe_bytes, ends[req_idx])

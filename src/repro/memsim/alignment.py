@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ModelError
+from ..graph.csr import ragged_index
 
 __all__ = [
     "align_down",
@@ -90,15 +91,8 @@ def expand_to_blocks(
     starts = np.asarray(starts, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
     counts = blocks_per_request(starts, lengths, alignment)
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy()
-    first_block = starts // alignment
+    block_ids = ragged_index(starts // alignment, counts)
     request_idx = np.repeat(np.arange(starts.size, dtype=np.int64), counts)
-    block_out_start = np.cumsum(counts) - counts
-    rank = np.arange(total, dtype=np.int64) - np.repeat(block_out_start, counts)
-    block_ids = first_block[request_idx] + rank
     return block_ids, request_idx
 
 
@@ -115,14 +109,9 @@ def split_by_max_transfer(
     lengths = np.asarray(lengths, dtype=np.int64)
     keep = lengths > 0
     starts, lengths = starts[keep], lengths[keep]
-    if starts.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy()
     pieces = -(-lengths // max_transfer)
-    total = int(pieces.sum())
     request_idx = np.repeat(np.arange(starts.size, dtype=np.int64), pieces)
-    piece_out_start = np.cumsum(pieces) - pieces
-    rank = np.arange(total, dtype=np.int64) - np.repeat(piece_out_start, pieces)
+    rank = ragged_index(np.zeros_like(pieces), pieces)
     sub_starts = starts[request_idx] + rank * max_transfer
     remaining = lengths[request_idx] - rank * max_transfer
     sub_lengths = np.minimum(remaining, max_transfer)

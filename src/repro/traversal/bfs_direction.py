@@ -27,7 +27,7 @@ import numpy as np
 
 from ..config import VERTEX_ID_BYTES
 from ..errors import TraceError
-from ..graph.csr import CSRGraph
+from ..graph.csr import CSRGraph, ragged_index
 from .frontier import gather_neighbors
 from .trace import AccessTrace, TraceStep
 
@@ -93,9 +93,7 @@ def _bottom_up_step(
     # each vertex's contiguous block, take the minimum hit position.
     counts = graph.degrees[active]
     block_start = np.cumsum(counts) - counts
-    position_in_block = np.arange(neighbors.size, dtype=np.int64) - np.repeat(
-        block_start, counts
-    )
+    position_in_block = ragged_index(np.zeros(counts.size, dtype=np.int64), counts)
     sentinel = np.iinfo(np.int64).max
     candidate = np.where(hit, position_in_block, sentinel)
     first_hit = np.minimum.reduceat(candidate, block_start)

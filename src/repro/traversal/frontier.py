@@ -6,13 +6,16 @@ for membership tests; this module converts between the two and provides
 the core ``gather_neighbors`` primitive every traversal algorithm uses.
 
 Fast-path notes: ``gather_neighbors`` materialises a frontier's
-out-edges in O(E_f) with no Python loop (one ``repeat`` + one fancy
-gather).  The traversal algorithms deduplicate their next frontier with
-a *reused* boolean mark array — scatter candidate vertices into the
-mask, ``flatnonzero`` it, clear only the set bits — which is
-O(E_f + n) per round and replaces the O(E_f log E_f) ``np.unique``
-sort each round used to pay; the result is the same sorted unique
-vertex set, bit for bit.
+out-edges in O(E_f) with no Python loop: the shared
+:func:`repro.graph.csr.ragged_index` builds the edge indices with one
+``repeat``, then one fancy gather reads them.  The engine's backend
+gathers edge records through the same helper, one 8 B word per record
+(:mod:`repro.engine.backend`).  The traversal algorithms deduplicate
+their next frontier with a *reused* boolean mark array — scatter
+candidate vertices into the mask, ``flatnonzero`` it, clear only the set
+bits — which is O(E_f + n) per round and replaces the O(E_f log E_f)
+``np.unique`` sort each round used to pay; the result is the same sorted
+unique vertex set, bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import TraceError
-from ..graph.csr import CSRGraph
+from ..graph.csr import CSRGraph, ragged_index
 
 __all__ = [
     "dense_to_sparse",
@@ -68,29 +71,13 @@ def gather_neighbors(
 
     ``neighbors, sources, edge_idx = gather_neighbors(g, f, with_sources=True)``
 
-    The gather builds, without Python loops, the index array selecting every
-    frontier vertex's CSR slice: for vertex ``v`` with degree ``k`` the
-    indices ``indptr[v] .. indptr[v]+k-1``.
+    The index array selecting every frontier vertex's CSR slice — for
+    vertex ``v`` with degree ``k`` the indices ``indptr[v] .. indptr[v]+k-1``
+    — comes from :func:`~repro.graph.csr.ragged_index`.
     """
     frontier = np.asarray(frontier, dtype=np.int64)
-    if frontier.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return (empty, empty.copy(), empty.copy()) if with_sources else (empty,)
-    starts = graph.indptr[frontier]
     counts = graph.degrees[frontier]
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return (empty, empty.copy(), empty.copy()) if with_sources else (empty,)
-    # Position of each output element within its vertex's block:
-    # arange(total) minus the block's starting output offset, plus the
-    # block's starting CSR offset.
-    block_out_start = np.cumsum(counts) - counts
-    edge_idx = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(block_out_start, counts)
-        + np.repeat(starts, counts)
-    )
+    edge_idx = ragged_index(graph.indptr[frontier], counts)
     neighbors = graph.indices[edge_idx]
     if not with_sources:
         return (neighbors,)

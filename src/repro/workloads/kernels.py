@@ -23,6 +23,7 @@ import numpy as np
 
 from ..engine.engine import EngineRun, ExternalGraphEngine
 from ..errors import TraceError
+from ..graph.csr import ragged_index
 from ..telemetry.tracer import get_tracer
 from ..traversal.labelprop import mode_label_update
 
@@ -270,16 +271,7 @@ def _ragged_segments(
     position in ``pick`` whose segment produced ``values[i]``.
     """
     lengths = seg_lengths[pick]
-    total = int(lengths.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy()
-    out_start = np.cumsum(lengths) - lengths
-    idx = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(out_start, lengths)
-        + np.repeat(seg_starts[pick], lengths)
-    )
+    idx = ragged_index(seg_starts[pick], lengths)
     owner = np.repeat(np.arange(pick.size, dtype=np.int64), lengths)
     return cat[idx], owner
 

@@ -17,6 +17,8 @@ from repro.engine import (
     ZeroCopyBackend,
 )
 from repro.errors import DeviceError, TraceError
+from repro.faults import FaultPlan, FaultyBackend
+from repro.graph.csr import ragged_index
 from repro.memsim.cache import LRUCache
 from repro.memsim.coalesce import coalesce_trace
 from repro.memsim.raf import direct_access_amplification, read_amplification
@@ -174,3 +176,107 @@ class TestBackendValidation:
         neighbors, _, weights = engine.read_neighbors(np.array([0]))
         assert np.array_equal(neighbors, weighted_small.neighbors(0))
         assert np.allclose(weights, weighted_small.edge_weights(0))
+
+
+def _two_repeat_index(starts, counts):
+    """The original ragged-index formula: arange - repeat + repeat."""
+    out_start = np.cumsum(counts) - counts
+    return (
+        np.arange(int(counts.sum()), dtype=np.int64)
+        - np.repeat(out_start, counts)
+        + np.repeat(starts, counts)
+    )
+
+
+class TestRaggedIndex:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_two_repeat_formula(self, seed):
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, 6, 50)  # zeros included
+        starts = rng.integers(0, 1_000, 50)
+        got = ragged_index(starts, counts)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _two_repeat_index(starts, counts))
+
+    def test_zero_counts_contribute_nothing(self):
+        got = ragged_index(np.array([10, 50, 7]), np.array([2, 0, 3]))
+        assert got.tolist() == [10, 11, 7, 8, 9]
+        assert ragged_index(np.array([4, 9]), np.array([0, 0])).size == 0
+
+    def test_empty_input(self):
+        got = ragged_index(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        assert got.dtype == np.int64 and got.size == 0
+
+
+BACKEND_FACTORIES = {
+    "direct": lambda d: DirectBackend(d, alignment_bytes=16),
+    "cached": lambda d: CachedBackend(d, cacheline_bytes=512),
+    "zero_copy": ZeroCopyBackend,
+    "faulty": lambda d: FaultyBackend(
+        DirectBackend(d), FaultPlan(seed=3, read_error_rate=0.1, spike_rate=0.1)
+    ),
+}
+
+
+def _expected(data: bytes, starts, lengths) -> bytes:
+    return b"".join(data[s : s + n] for s, n in zip(starts, lengths))
+
+
+class TestWordGather:
+    """``read`` returns exactly the requested bytes at every gather width."""
+
+    @pytest.mark.parametrize("name", sorted(BACKEND_FACTORIES))
+    @pytest.mark.parametrize("word", [1, 2, 4, 8])
+    def test_aligned_ranges(self, name, word):
+        size = 1_024
+        rng = np.random.default_rng(word)
+        data = rng.integers(0, 256, size, dtype=np.uint8).tobytes()
+        starts = rng.integers(0, size // word, 40) * word
+        lengths = rng.integers(0, (size - starts) // word + 1) * word
+        # Zero-length, whole-store and last-word ranges ride along.
+        starts = np.append(starts, [word, 0, size - word])
+        lengths = np.append(lengths, [0, size, word])
+        out = BACKEND_FACTORIES[name](data).read(starts, lengths)
+        assert out.dtype == np.uint8
+        assert out.tobytes() == _expected(data, starts, lengths)
+
+    @pytest.mark.parametrize("name", sorted(BACKEND_FACTORIES))
+    @pytest.mark.parametrize("size", [1_024, 1_021])
+    def test_unaligned_ranges(self, name, size):
+        rng = np.random.default_rng(size)
+        data = rng.integers(0, 256, size, dtype=np.uint8).tobytes()
+        starts = rng.integers(0, size, 40)
+        lengths = rng.integers(0, size - starts + 1)
+        starts = np.append(starts, [size - 1, size, 0, 5])
+        lengths = np.append(lengths, [1, 0, size, 0])
+        out = BACKEND_FACTORIES[name](data).read(starts, lengths)
+        assert out.tobytes() == _expected(data, starts, lengths)
+
+    @pytest.mark.parametrize("name", sorted(BACKEND_FACTORIES))
+    def test_empty_batch(self, name):
+        out = BACKEND_FACTORIES[name](bytes(64)).read(np.array([]), np.array([]))
+        assert out.dtype == np.uint8 and out.size == 0
+
+    def test_array_and_bytes_payloads_store_the_same_bytes(self):
+        words = np.arange(16, dtype=np.int64)
+        from_array = DirectBackend(words)
+        from_bytes = DirectBackend(words.tobytes())
+        starts, lengths = np.array([0, 24]), np.array([128, 40])
+        assert from_array.size_bytes == from_bytes.size_bytes == 128
+        assert np.array_equal(
+            from_array.read(starts, lengths), from_bytes.read(starts, lengths)
+        )
+
+    @pytest.mark.parametrize("graph_name", ["urand_small", "weighted_small"])
+    def test_read_neighbors_does_not_alias_the_store(self, request, graph_name):
+        graph = request.getfixturevalue(graph_name)
+        engine = ExternalGraphEngine(graph, DirectBackend)
+        frontier = np.arange(8, dtype=np.int64)
+        first = engine.read_neighbors(frontier)
+        kept = [a.copy() for a in first if a is not None]
+        for array in first:
+            if array is not None:
+                array[...] = -1
+        again = [a for a in engine.read_neighbors(frontier) if a is not None]
+        assert all(np.array_equal(a, b) for a, b in zip(again, kept))
+        assert np.array_equal(again[0], graph.indices[: again[0].size])
