@@ -14,7 +14,8 @@ import sys
 from repro import load_dataset, run_algorithm
 from repro.core.report import format_table
 from repro.core.requirements import paper_gen3_requirements
-from repro.core.sweep import cxl_latency_sweep
+from repro.core.sweep import cxl_latency_grid, sweep_trace
+from repro.interconnect.pcie import PCIeLink
 from repro.units import USEC, to_usec
 
 
@@ -25,12 +26,13 @@ def main() -> None:
     print()
 
     added = [0.0, 0.5 * USEC, 1 * USEC, 1.5 * USEC, 2 * USEC, 3 * USEC]
+    gen3 = PCIeLink.from_name("gen3")
     rows = []
     for dataset in ("urand", "kron", "friendster"):
         graph = load_dataset(dataset, scale=scale, seed=0)
         for algorithm in ("bfs", "sssp"):
             trace = run_algorithm(graph, algorithm)
-            for point in cxl_latency_sweep(trace, added_latencies=added):
+            for point in sweep_trace(trace, cxl_latency_grid(added), gen3):
                 rows.append(
                     {
                         "dataset": dataset,

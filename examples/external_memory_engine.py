@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from repro import load_dataset
+from repro import load_dataset, workloads
 from repro.core.report import format_table
 from repro.engine import (
     CachedBackend,
@@ -45,7 +45,7 @@ def main() -> None:
     rows = []
     for label, factory in backends:
         engine = ExternalGraphEngine(graph, factory)
-        run = engine.bfs(0)
+        run = workloads.get("bfs").run(engine, source=0)
         assert np.array_equal(run.values, reference), f"{label}: wrong BFS!"
         rows.append(
             {

@@ -7,8 +7,7 @@ Subcommands
 ``run``
     Run one (dataset, workload, system) experiment and print metrics;
     ``--workload`` names a :mod:`repro.workloads` registry entry and
-    ``--memory-mode`` picks the engine's vertex-state placement
-    (``--algorithm`` survives as a deprecated alias).
+    ``--memory-mode`` picks the engine's vertex-state placement.
 ``figure``
     Regenerate a table/figure of the paper (``repro figure figure11``).
 ``requirements``
@@ -86,13 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one experiment")
     _add_dataset_args(run)
     run.add_argument(
-        "--workload", default=None, choices=list(KNOWN_ALGORITHMS),
-        help="workload registry name (repro.workloads); supersedes "
-        "--algorithm",
-    )
-    run.add_argument(
-        "--algorithm", default="bfs", choices=list(KNOWN_ALGORITHMS),
-        help="deprecated alias for --workload",
+        "--workload", default="bfs", choices=list(KNOWN_ALGORITHMS),
+        help="workload registry name (repro.workloads)",
     )
     run.add_argument(
         "--memory-mode", default="semi-external",
@@ -410,12 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_dataset_args(profile)
     profile.add_argument(
-        "--workload", default=None, choices=list(KNOWN_ALGORITHMS),
-        help="workload registry name; supersedes --algorithm",
-    )
-    profile.add_argument(
-        "--algorithm", default="bfs", choices=list(KNOWN_ALGORITHMS),
-        help="deprecated alias for --workload",
+        "--workload", default="bfs", choices=list(KNOWN_ALGORITHMS),
+        help="workload registry name (repro.workloads)",
     )
     profile.add_argument(
         "--memory-mode", default="semi-external",
@@ -517,9 +507,6 @@ def _cmd_run(args: argparse.Namespace) -> str:
 
 
 def _run_experiment_body(args: argparse.Namespace, graph, system) -> str:
-    workload_name = (
-        args.workload if args.workload is not None else args.algorithm
-    )
     fault_mode = (
         args.fault_seed is not None
         or args.fault_read_error_rate > 0
@@ -535,7 +522,7 @@ def _run_experiment_body(args: argparse.Namespace, graph, system) -> str:
         )
         policy = RetryPolicy(max_attempts=args.fault_max_attempts)
         result = run_fault_experiment(
-            graph, workload_name, system, plan, policy,
+            graph, args.workload, system, plan, policy,
             memory_mode=args.memory_mode,
         )
         return "\n".join(
@@ -548,12 +535,12 @@ def _run_experiment_body(args: argparse.Namespace, graph, system) -> str:
                 format_table([result.as_row()], title=system.describe()),
             ]
         )
-    result = run_experiment(graph, workload_name, system)
+    result = run_experiment(graph, args.workload, system)
     output = format_table([result.as_row()], title=system.describe())
     if args.memory_mode != "semi-external":
         from . import workloads
 
-        workload = workloads.get(workload_name)
+        workload = workloads.get(args.workload)
         graph = workload.prepare(graph)
         semi = workload.run(
             workloads.build_engine(graph, system, memory_mode="semi-external")
@@ -886,8 +873,7 @@ def _cmd_profile(args: argparse.Namespace) -> str:
         use_tracer,
     )
 
-    name = args.workload if args.workload is not None else args.algorithm
-    workload = workloads.get(name)
+    workload = workloads.get(args.workload)
     graph = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
     system = systems.get(args.system)
     graph = workload.prepare(graph)
@@ -898,7 +884,7 @@ def _cmd_profile(args: argparse.Namespace) -> str:
         )
         run = workload.run(engine, default_source(graph))
     parts = [
-        f"{name} on {graph.name} via {system.name} "
+        f"{workload.name} on {graph.name} via {system.name} "
         f"({args.memory_mode}): "
         f"{run.steps} steps, {run.stats.fetched_bytes:,} B fetched "
         f"(RAF {run.stats.read_amplification:.2f})",

@@ -48,11 +48,8 @@ from .sweep import (
     SweepPoint,
     SweepResult,
     alignment_grid,
-    alignment_sweep,
     comparison_matrix,
     cxl_latency_grid,
-    cxl_latency_sweep,
-    method_comparison,
     normalized,
     run_sweep,
     sweep_trace,
@@ -102,9 +99,6 @@ __all__ = [
     "alignment_grid",
     "cxl_latency_grid",
     "comparison_matrix",
-    "alignment_sweep",
-    "cxl_latency_sweep",
-    "method_comparison",
     "normalized",
     "format_table",
     "format_series",

@@ -14,17 +14,13 @@ points run those sweeps today:
 * :func:`sweep_trace` — the trace-sharing path: price a list of system
   configs against one already-built :class:`AccessTrace` so that every
   point prices the same workload.  :func:`alignment_grid` and
-  :func:`cxl_latency_grid` build the figures' config lists.
-
-``alignment_sweep``/``cxl_latency_sweep``/``method_comparison`` remain
-as deprecation shims: same signatures, same results, but they delegate
-to the executor path and emit :class:`DeprecationWarning`.
+  :func:`cxl_latency_grid` build the figures' config lists, and
+  :func:`comparison_matrix` runs Figure 6's (graph, algorithm) cells.
 """
 
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
@@ -40,7 +36,7 @@ from .runtime_model import SystemModel
 
 # Late binding through the registry (repro.systems) keeps every sweep in
 # lock-step with the CLI's system names; aliased because
-# ``method_comparison`` has a ``systems`` parameter.
+# ``comparison_matrix`` has a ``systems`` parameter.
 from .. import systems as systems_registry
 
 __all__ = [
@@ -52,9 +48,6 @@ __all__ = [
     "alignment_grid",
     "cxl_latency_grid",
     "comparison_matrix",
-    "alignment_sweep",
-    "cxl_latency_sweep",
-    "method_comparison",
 ]
 
 
@@ -337,84 +330,3 @@ def comparison_matrix(
     ]
     nested = executor.map(task, items)
     return [row for rows in nested for row in rows]
-
-
-# ---------------------------------------------------------------------------
-# Deprecation shims (same signatures, executor path underneath)
-# ---------------------------------------------------------------------------
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} (see docs/SCALING.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def alignment_sweep(
-    trace: AccessTrace,
-    alignments: Sequence[int] = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096),
-    link: PCIeLink | None = None,
-    *,
-    include_bam: bool = True,
-    executor: Executor | None = None,
-) -> dict[str, list[SweepPoint]]:
-    """Deprecated shim for Figure 5; see :func:`sweep_trace`.
-
-    Returns ``{"xlfdd": [...], "bam": [...]}`` (BaM is the single 4 kB
-    comparison point the figure overlays), exactly as before.
-    """
-    _deprecated("alignment_sweep", "sweep_trace(trace, alignment_grid(...))")
-    points = sweep_trace(
-        trace,
-        alignment_grid(alignments, include_bam=include_bam),
-        link or PCIeLink.from_name("gen4"),
-        executor=executor,
-    )
-    if include_bam:
-        return {"xlfdd": points[:-1], "bam": points[-1:]}
-    return {"xlfdd": points}
-
-
-def cxl_latency_sweep(
-    trace: AccessTrace,
-    added_latencies: Sequence[float] = (0.0, 1e-6, 2e-6, 3e-6),
-    link: PCIeLink | None = None,
-    *,
-    devices: int = 5,
-    executor: Executor | None = None,
-) -> list[SweepPoint]:
-    """Deprecated shim for Figure 11; see :func:`sweep_trace`.
-
-    Both systems run the identical EMOGI workload over the same link
-    (Gen 3.0 by default, as in Section 4.2.2).
-    """
-    _deprecated("cxl_latency_sweep", "sweep_trace(trace, cxl_latency_grid(...))")
-    return sweep_trace(
-        trace,
-        cxl_latency_grid(added_latencies, devices=devices),
-        link or PCIeLink.from_name("gen3"),
-        executor=executor,
-    )
-
-
-def method_comparison(
-    graphs: Sequence[CSRGraph],
-    algorithms: Sequence[str] = ("bfs", "sssp"),
-    link: PCIeLink | None = None,
-    *,
-    systems: Sequence[SystemModel] | None = None,
-    source: int | None = None,
-    executor: Executor | None = None,
-) -> list[dict[str, float | str]]:
-    """Deprecated shim for Figure 6; see :func:`comparison_matrix`."""
-    _deprecated("method_comparison", "comparison_matrix")
-    return comparison_matrix(
-        graphs,
-        algorithms,
-        link,
-        systems=systems,
-        source=source,
-        executor=executor,
-    )

@@ -6,7 +6,7 @@ list's *bytes* live behind an
 :class:`~repro.engine.backend.ExternalMemoryBackend`; every neighbor
 access goes through its ``read`` API.  Algorithms therefore produce both
 their results *and* a measured traffic profile — which the test suite
-cross-checks against the in-memory algorithms and the analytic models.
+cross-checks against the analytic models.
 
 Two :data:`MEMORY_MODES` control where per-vertex *state* (depths,
 labels, ranks, ...) lives:
@@ -19,22 +19,24 @@ labels, ranks, ...) lives:
   vertex they touch through the same ``read`` path, so RAF/cache
   accounting sees the extra fine-grained traffic.
 
-The algorithm kernels themselves live in :mod:`repro.workloads.kernels`
-and are dispatched through the :mod:`repro.workloads` registry; the
-``bfs``/``sssp``/``connected_components`` methods below remain as
-:class:`DeprecationWarning` shims.
+The engine is a *reader* (:mod:`repro.traversal.reader`): the
+algorithms in :mod:`repro.traversal` run their one step loop over it
+through the :mod:`repro.workloads` registry
+(``workloads.get("bfs").run(engine, source=...)``).
 """
 
 from __future__ import annotations
 
-import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from ..config import VERTEX_ID_BYTES
 from ..errors import ConfigError, DeviceError, TraceError
 from ..graph.csr import CSRGraph
+from ..telemetry.tracer import get_tracer
 from .backend import ExternalMemoryBackend, MemoryStats
 
 __all__ = [
@@ -111,6 +113,9 @@ class ExternalGraphEngine:
             payload = np.concatenate([payload, state])
             expected += graph.num_vertices * VERTEX_ID_BYTES
         self.backend: ExternalMemoryBackend = backend_factory(payload)
+        #: Steps closed since the last :meth:`reset_stats`.
+        self.steps = 0
+        self._frontier_size = 0
         if self.backend.size_bytes != expected:
             if memory_mode == FULLY_EXTERNAL:
                 raise DeviceError(
@@ -139,6 +144,7 @@ class ExternalGraphEngine:
             frontier.min() < 0 or frontier.max() >= self.graph.num_vertices
         ):
             raise TraceError("frontier contains out-of-range vertex IDs")
+        self._frontier_size = frontier.size
         starts, lengths = self._sublist_ranges(frontier)
         raw = self.backend.read(starts, lengths)
         records = raw.view(np.int64)
@@ -150,6 +156,32 @@ class ExternalGraphEngine:
             weights = None
         sources = np.repeat(frontier, self.graph.degrees[frontier])
         return neighbors, sources, weights
+
+    @contextmanager
+    def step(self) -> Iterator[None]:
+        """One synchronous step: an ``engine.step`` span, then ``end_step``.
+
+        The span carries the step index, the size of the frontier the
+        step read and the bytes the backend fetched during it.
+        """
+        tracer = get_tracer()
+        with tracer.span("engine.step") as span:
+            fetched = self.backend.stats.fetched_bytes
+            self._frontier_size = 0
+            yield
+            self.backend.end_step()
+            if tracer.enabled:
+                span.set(
+                    step=self.steps,
+                    frontier_size=self._frontier_size,
+                    bytes_read=self.backend.stats.fetched_bytes - fetched,
+                )
+            self.steps += 1
+
+    def reset_stats(self) -> None:
+        """Zero the backend's traffic counters and the step count."""
+        self.backend.reset_stats()
+        self.steps = 0
 
     def touch_vertex_state(self, vertices: np.ndarray) -> int:
         """Fetch the state slots of ``vertices`` in fully-external mode.
@@ -169,33 +201,3 @@ class ExternalGraphEngine:
         lengths = np.full(vertices.size, VERTEX_ID_BYTES, dtype=np.int64)
         self.backend.read(starts, lengths)
         return int(lengths.sum())
-
-    # -- deprecated per-algorithm entry points -------------------------------
-    #
-    # The kernels moved to repro.workloads (imported lazily: workloads
-    # imports this module at its top level).  These shims keep every old
-    # call site working, byte-for-byte, under a DeprecationWarning.
-
-    def _run_workload(self, name: str, source: int | None) -> EngineRun:
-        warnings.warn(
-            f"ExternalGraphEngine.{'connected_components' if name == 'cc' else name}()"
-            " is deprecated; use repro.workloads.get("
-            f"{name!r}).run(engine, source=...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        from .. import workloads
-
-        return workloads.get(name).run(self, source=source)
-
-    def bfs(self, source: int = 0) -> EngineRun:
-        """Deprecated: ``repro.workloads.get("bfs").run(engine, source=...)``."""
-        return self._run_workload("bfs", source)
-
-    def sssp(self, source: int = 0) -> EngineRun:
-        """Deprecated: ``repro.workloads.get("sssp").run(engine, source=...)``."""
-        return self._run_workload("sssp", source)
-
-    def connected_components(self) -> EngineRun:
-        """Deprecated: ``repro.workloads.get("cc").run(engine)``."""
-        return self._run_workload("cc", None)

@@ -6,9 +6,16 @@ byte ranges a GPU kernel would fetch from external memory for that step's
 frontier.  Those :class:`~repro.traversal.trace.AccessTrace` objects are
 what the memory-system models downstream consume (Section 2.1: access is
 fine-grained, random, and on-demand).
+
+Every registered algorithm's step loop (``bfs_steps``, ``sssp_steps``,
+...) is written once against a reader (:mod:`~repro.traversal.reader`):
+the public functions here run it over a :class:`TraceRecorder`, and
+:mod:`repro.workloads` runs the same loop over an
+:class:`~repro.engine.engine.ExternalGraphEngine`.
 """
 
 from .trace import AccessTrace, TraceStep, trace_from_frontiers
+from .reader import GraphReader, TraceRecorder
 from .frontier import (
     dense_to_sparse,
     sparse_to_dense,
@@ -27,14 +34,15 @@ from .labelprop import (
     label_propagation,
     label_propagation_reference,
     mode_label_update,
-    propagate_labels_once,
 )
-from .walks import RandomWalkResult, random_walks, walk_step_choices
+from .walks import RandomWalkResult, random_walks
 
 __all__ = [
     "AccessTrace",
     "TraceStep",
     "trace_from_frontiers",
+    "GraphReader",
+    "TraceRecorder",
     "dense_to_sparse",
     "sparse_to_dense",
     "frontier_union",
@@ -64,8 +72,6 @@ __all__ = [
     "label_propagation",
     "label_propagation_reference",
     "mode_label_update",
-    "propagate_labels_once",
     "RandomWalkResult",
     "random_walks",
-    "walk_step_choices",
 ]

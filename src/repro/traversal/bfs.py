@@ -15,10 +15,10 @@ import numpy as np
 
 from ..errors import TraceError
 from ..graph.csr import CSRGraph
-from .frontier import gather_neighbors
-from .trace import AccessTrace, trace_from_frontiers
+from .reader import GraphReader, TraceRecorder
+from .trace import AccessTrace
 
-__all__ = ["BFSResult", "bfs", "bfs_reference"]
+__all__ = ["BFSResult", "bfs", "bfs_steps", "bfs_reference"]
 
 
 @dataclass(frozen=True)
@@ -67,45 +67,48 @@ def bfs(graph: CSRGraph, source: int = 0) -> BFSResult:
     The trace's step *k* contains the sublist reads for frontier depth *k*
     (the source's own sublist is step 0).
     """
-    n = graph.num_vertices
+    recorder = TraceRecorder(graph)
+    depths, parents = bfs_steps(recorder, source)
+    return BFSResult(
+        source=source,
+        depths=depths,
+        parents=parents,
+        frontier_sizes=recorder.frontier_sizes,
+        trace=recorder.trace("bfs"),
+    )
+
+
+def bfs_steps(reader: GraphReader, source: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Level-synchronous BFS over ``reader``; returns ``(depths, parents)``."""
+    n = reader.graph.num_vertices
     if not 0 <= source < n:
         raise TraceError(f"source {source} out of range [0, {n})")
     depths = np.full(n, -1, dtype=np.int64)
     parents = np.full(n, -1, dtype=np.int64)
     depths[source] = 0
     frontier = np.array([source], dtype=np.int64)
-    frontiers: list[np.ndarray] = []
     # Reused discovery mask: O(n) bytes once, instead of an O(E_f log E_f)
     # np.unique sort per level to deduplicate the next frontier.
     discovered = np.zeros(n, dtype=bool)
     depth = 0
     while frontier.size:
-        frontiers.append(frontier)
-        neighbors, sources, _ = gather_neighbors(graph, frontier, with_sources=True)
-        unseen = depths[neighbors] < 0
-        neighbors, sources = neighbors[unseen], sources[unseen]
-        if neighbors.size:
+        with reader.step():
+            reader.touch_vertex_state(frontier)
+            neighbors, sources, _ = reader.read_neighbors(frontier)
+            idx = np.flatnonzero(depths[neighbors] < 0)
+            unseen = neighbors[idx]
             # A vertex may be discovered by several frontier vertices at
             # once; keep the first discoverer as parent (any is valid).
             # Fancy assignment keeps the *last* write per index, so
             # assigning reversed arrays leaves the first discoverer.
-            parents[neighbors[::-1]] = sources[::-1]
-            depths[neighbors] = depth + 1
-            discovered[neighbors] = True
-            next_frontier = np.flatnonzero(discovered)
-            discovered[next_frontier] = False
-            frontier = next_frontier
-        else:
-            frontier = np.empty(0, dtype=np.int64)
+            parents[unseen[::-1]] = sources[idx[::-1]]
+            depths[unseen] = depth + 1
+            discovered[unseen] = True
+            frontier = np.flatnonzero(discovered)
+            discovered[frontier] = False
+            reader.touch_vertex_state(frontier)
         depth += 1
-    trace = trace_from_frontiers(graph, frontiers, algorithm="bfs")
-    return BFSResult(
-        source=source,
-        depths=depths,
-        parents=parents,
-        frontier_sizes=[f.size for f in frontiers],
-        trace=trace,
-    )
+    return depths, parents
 
 
 def bfs_reference(graph: CSRGraph, source: int = 0) -> np.ndarray:

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from .frontier import gather_neighbors
-from .trace import AccessTrace, trace_from_frontiers
+from .reader import GraphReader, TraceRecorder
+from .trace import AccessTrace
 
-__all__ = ["CCResult", "connected_components", "cc_reference"]
+__all__ = ["CCResult", "connected_components", "cc_steps", "cc_reference"]
 
 
 @dataclass(frozen=True)
@@ -41,28 +41,38 @@ def connected_components(graph: CSRGraph) -> CCResult:
     *directed reachability by min-label push*, which equals weak components
     only when the edge set is symmetric — symmetrize first if needed.
     """
-    n = graph.num_vertices
-    labels = np.arange(n, dtype=np.int64)
-    frontier = np.arange(n, dtype=np.int64)
-    frontiers: list[np.ndarray] = []
-    changed = np.zeros(n, dtype=bool)
-    while frontier.size:
-        frontiers.append(frontier)
-        neighbors, sources, _ = gather_neighbors(graph, frontier, with_sources=True)
-        if neighbors.size == 0:
-            break
-        before = labels[neighbors].copy()
-        np.minimum.at(labels, neighbors, labels[sources])
-        # Mask-dedupe the improved set (no per-round np.unique sort).
-        changed[neighbors[labels[neighbors] < before]] = True
-        frontier = np.flatnonzero(changed)
-        changed[frontier] = False
-    trace = trace_from_frontiers(graph, frontiers, algorithm="cc")
+    recorder = TraceRecorder(graph)
+    (labels,) = cc_steps(recorder)
     return CCResult(
         labels=labels,
-        frontier_sizes=[f.size for f in frontiers],
-        trace=trace,
+        frontier_sizes=recorder.frontier_sizes,
+        trace=recorder.trace("cc"),
     )
+
+
+def cc_steps(reader: GraphReader, source: int = 0) -> tuple[np.ndarray]:
+    """Min-label propagation over ``reader``; returns ``(labels,)``.
+
+    ``source`` is accepted for the registry's uniform signature and unused.
+    """
+    n = reader.graph.num_vertices
+    labels = np.arange(n, dtype=np.int64)
+    frontier = np.arange(n, dtype=np.int64)
+    changed = np.zeros(n, dtype=bool)
+    while frontier.size:
+        with reader.step():
+            reader.touch_vertex_state(frontier)
+            neighbors, sources, _ = reader.read_neighbors(frontier)
+            if neighbors.size == 0:
+                break
+            before = labels[neighbors].copy()
+            np.minimum.at(labels, neighbors, labels[sources])
+            # Mask-dedupe the improved set (no per-round np.unique sort).
+            changed[neighbors[labels[neighbors] < before]] = True
+            frontier = np.flatnonzero(changed)
+            changed[frontier] = False
+            reader.touch_vertex_state(frontier)
+    return (labels,)
 
 
 def cc_reference(graph: CSRGraph) -> np.ndarray:

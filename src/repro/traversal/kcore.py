@@ -20,10 +20,10 @@ import numpy as np
 
 from ..errors import TraceError
 from ..graph.csr import CSRGraph
-from .frontier import gather_neighbors
-from .trace import AccessTrace, trace_from_frontiers
+from .reader import GraphReader, TraceRecorder
+from .trace import AccessTrace
 
-__all__ = ["KCoreResult", "kcore", "core_numbers"]
+__all__ = ["KCoreResult", "kcore", "kcore_steps", "core_numbers"]
 
 
 @dataclass(frozen=True)
@@ -43,29 +43,51 @@ class KCoreResult:
 
 def kcore(graph: CSRGraph, k: int) -> KCoreResult:
     """Peel ``graph`` down to its k-core; assumes a symmetric graph."""
+    recorder = TraceRecorder(graph)
+    (alive,) = kcore_steps(recorder, k=k)
+    return KCoreResult(
+        k=k,
+        in_core=alive,
+        rounds=len(recorder.frontiers),
+        trace=recorder.trace(f"kcore-{k}"),
+    )
+
+
+def kcore_steps(
+    reader: GraphReader, source: int = 0, *, k: int = 2
+) -> tuple[np.ndarray]:
+    """k-core peeling over ``reader``; returns ``(in_core,)``.
+
+    ``source`` is accepted for the registry's uniform signature and unused.
+    """
     if k < 1:
         raise TraceError(f"k must be >= 1, got {k}")
-    n = graph.num_vertices
-    residual = graph.degrees.astype(np.int64).copy()
+    n = reader.graph.num_vertices
+    residual = reader.graph.degrees.astype(np.int64).copy()
     alive = np.ones(n, dtype=bool)
-    frontiers: list[np.ndarray] = []
+    touched = np.zeros(n, dtype=bool)
+    rounds = 0
     while True:
         peel = np.flatnonzero(alive & (residual < k))
         if peel.size == 0:
             break
-        frontiers.append(peel)
-        alive[peel] = False
-        neighbors, _, _ = gather_neighbors(graph, peel, with_sources=True)
-        neighbors = neighbors[alive[neighbors]]
-        if neighbors.size:
-            np.subtract.at(residual, neighbors, 1)
-    if not frontiers:
-        # Nothing peeled: record one empty step so the trace is non-empty.
-        frontiers.append(np.empty(0, dtype=np.int64))
-    trace = trace_from_frontiers(graph, frontiers, algorithm=f"kcore-{k}")
-    return KCoreResult(
-        k=k, in_core=alive, rounds=len(frontiers), trace=trace
-    )
+        with reader.step():
+            reader.touch_vertex_state(peel)
+            alive[peel] = False
+            neighbors, _, _ = reader.read_neighbors(peel)
+            neighbors = neighbors[alive[neighbors]]
+            if neighbors.size:
+                np.subtract.at(residual, neighbors, 1)
+                touched[neighbors] = True
+                updated = np.flatnonzero(touched)
+                touched[updated] = False
+                reader.touch_vertex_state(updated)
+        rounds += 1
+    if rounds == 0:
+        # Nothing peeled: one empty step so the run has at least one.
+        with reader.step():
+            reader.read_neighbors(np.empty(0, dtype=np.int64))
+    return (alive,)
 
 
 def core_numbers(graph: CSRGraph, max_k: int | None = None) -> np.ndarray:

@@ -19,14 +19,14 @@ import numpy as np
 
 from ..errors import TraceError
 from ..graph.csr import CSRGraph
-from .frontier import gather_neighbors
-from .trace import AccessTrace, trace_from_frontiers
+from .reader import GraphReader, TraceRecorder
+from .trace import AccessTrace
 
 __all__ = [
     "LabelPropagationResult",
     "label_propagation",
+    "label_propagation_steps",
     "label_propagation_reference",
-    "propagate_labels_once",
     "mode_label_update",
 ]
 
@@ -51,8 +51,7 @@ def mode_label_update(
 ) -> np.ndarray:
     """Apply one mode-label round given a flat ``(sources, neighbors)`` edge view.
 
-    Shared by the in-memory and external-memory implementations so both
-    compute bit-identical labels.  Vertices that do not appear in
+    Vertices that do not appear in
     ``sources`` keep their label.  Vectorized as a run-length count over
     ``(vertex, neighbor_label)`` pairs followed by a pick of the
     (count-max, label-min) run per vertex.
@@ -82,39 +81,51 @@ def mode_label_update(
     return new_labels
 
 
-def propagate_labels_once(graph: CSRGraph, labels: np.ndarray) -> np.ndarray:
-    """One synchronous round: mode of neighbor labels, smallest-label ties."""
-    all_vertices = np.arange(graph.num_vertices, dtype=np.int64)
-    neighbors, sources, _ = gather_neighbors(graph, all_vertices, with_sources=True)
-    return mode_label_update(labels, neighbors, sources)
-
-
 def label_propagation(
     graph: CSRGraph, *, max_iterations: int = 20
 ) -> LabelPropagationResult:
     """Synchronous label propagation with one full-frontier step per round."""
-    n = graph.num_vertices
+    recorder = TraceRecorder(graph)
+    labels, iterations, converged = label_propagation_steps(
+        recorder, max_iterations=max_iterations
+    )
+    return LabelPropagationResult(
+        labels=labels,
+        iterations=iterations,
+        converged=converged,
+        trace=recorder.trace("label_propagation"),
+    )
+
+
+def label_propagation_steps(
+    reader: GraphReader, source: int = 0, *, max_iterations: int = 20
+) -> tuple[np.ndarray, int, bool]:
+    """Synchronous mode-label rounds over ``reader``.
+
+    Returns ``(labels, iterations, converged)``; ``source`` is accepted
+    for the registry's uniform signature and unused.
+    """
+    n = reader.graph.num_vertices
     if n == 0:
         raise TraceError("label propagation needs a non-empty graph")
     if max_iterations < 1:
         raise TraceError(f"max_iterations must be >= 1, got {max_iterations}")
     labels = np.arange(n, dtype=np.int64)
     all_vertices = np.arange(n, dtype=np.int64)
-    frontiers: list[np.ndarray] = []
     converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        frontiers.append(all_vertices)
-        new_labels = propagate_labels_once(graph, labels)
+        with reader.step():
+            reader.touch_vertex_state(all_vertices)
+            neighbors, sources, _ = reader.read_neighbors(all_vertices)
+            new_labels = mode_label_update(labels, neighbors, sources)
+            reader.touch_vertex_state(all_vertices)
         if np.array_equal(new_labels, labels):
             converged = True
             labels = new_labels
             break
         labels = new_labels
-    trace = trace_from_frontiers(graph, frontiers, algorithm="label_propagation")
-    return LabelPropagationResult(
-        labels=labels, iterations=iterations, converged=converged, trace=trace
-    )
+    return labels, iterations, converged
 
 
 def label_propagation_reference(

@@ -16,10 +16,10 @@ import numpy as np
 
 from ..errors import TraceError
 from ..graph.csr import CSRGraph
-from .frontier import gather_neighbors
-from .trace import AccessTrace, trace_from_frontiers
+from .reader import GraphReader, TraceRecorder
+from .trace import AccessTrace
 
-__all__ = ["PageRankResult", "pagerank", "pagerank_reference"]
+__all__ = ["PageRankResult", "pagerank", "pagerank_steps", "pagerank_reference"]
 
 
 @dataclass(frozen=True)
@@ -44,37 +44,57 @@ def pagerank(
     Dangling (0 out-degree) mass is redistributed uniformly, the standard
     correction, so ranks always sum to 1.
     """
+    recorder = TraceRecorder(graph)
+    ranks, iterations, converged = pagerank_steps(
+        recorder, damping=damping, tol=tol, max_iterations=max_iterations
+    )
+    return PageRankResult(
+        ranks=ranks,
+        iterations=iterations,
+        converged=converged,
+        trace=recorder.trace("pagerank"),
+    )
+
+
+def pagerank_steps(
+    reader: GraphReader,
+    source: int = 0,
+    *,
+    damping: float = 0.85,
+    tol: float = 1e-6,
+    max_iterations: int = 100,
+) -> tuple[np.ndarray, int, bool]:
+    """Push-style PageRank over ``reader``; returns ``(ranks, iterations, converged)``.
+
+    ``source`` is accepted for the registry's uniform signature and unused.
+    """
     if not 0 < damping < 1:
         raise TraceError(f"damping must be in (0, 1), got {damping}")
-    n = graph.num_vertices
+    n = reader.graph.num_vertices
     if n == 0:
         raise TraceError("PageRank needs a non-empty graph")
     ranks = np.full(n, 1.0 / n, dtype=np.float64)
-    degrees = graph.degrees.astype(np.float64)
+    degrees = reader.graph.degrees.astype(np.float64)
     dangling = degrees == 0
     all_vertices = np.arange(n, dtype=np.int64)
-    frontiers: list[np.ndarray] = []
     converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        frontiers.append(all_vertices)
-        contrib = np.where(dangling, 0.0, ranks / np.maximum(degrees, 1.0))
-        neighbors, sources, _ = gather_neighbors(
-            graph, all_vertices, with_sources=True
-        )
-        incoming = np.zeros(n, dtype=np.float64)
-        np.add.at(incoming, neighbors, contrib[sources])
-        dangling_mass = ranks[dangling].sum() / n
-        new_ranks = (1.0 - damping) / n + damping * (incoming + dangling_mass)
-        delta = np.abs(new_ranks - ranks).sum()
-        ranks = new_ranks
+        with reader.step():
+            reader.touch_vertex_state(all_vertices)
+            contrib = np.where(dangling, 0.0, ranks / np.maximum(degrees, 1.0))
+            neighbors, sources, _ = reader.read_neighbors(all_vertices)
+            incoming = np.zeros(n, dtype=np.float64)
+            np.add.at(incoming, neighbors, contrib[sources])
+            dangling_mass = ranks[dangling].sum() / n
+            new_ranks = (1.0 - damping) / n + damping * (incoming + dangling_mass)
+            delta = np.abs(new_ranks - ranks).sum()
+            ranks = new_ranks
+            reader.touch_vertex_state(all_vertices)
         if delta < tol:
             converged = True
             break
-    trace = trace_from_frontiers(graph, frontiers, algorithm="pagerank")
-    return PageRankResult(
-        ranks=ranks, iterations=iterations, converged=converged, trace=trace
-    )
+    return ranks, iterations, converged
 
 
 def pagerank_reference(

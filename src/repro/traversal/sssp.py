@@ -24,9 +24,16 @@ import numpy as np
 from ..errors import TraceError
 from ..graph.csr import CSRGraph
 from .frontier import gather_neighbors
+from .reader import GraphReader, TraceRecorder
 from .trace import AccessTrace, trace_from_frontiers
 
-__all__ = ["SSSPResult", "sssp_bellman_ford", "sssp_delta_stepping", "sssp_reference"]
+__all__ = [
+    "SSSPResult",
+    "sssp_bellman_ford",
+    "sssp_steps",
+    "sssp_delta_stepping",
+    "sssp_reference",
+]
 
 
 @dataclass(frozen=True)
@@ -65,36 +72,41 @@ def sssp_bellman_ford(graph: CSRGraph, source: int = 0) -> SSSPResult:
     Terminates after at most ``n`` rounds on any non-negative-weight input;
     rounds after convergence never run because the frontier empties.
     """
-    weights = _require_weighted(graph)
-    _check_source(graph, source)
-    n = graph.num_vertices
-    dist = np.full(n, np.inf, dtype=np.float64)
-    dist[source] = 0.0
-    frontier = np.array([source], dtype=np.int64)
-    frontiers: list[np.ndarray] = []
-    changed = np.zeros(n, dtype=bool)
-    while frontier.size:
-        frontiers.append(frontier)
-        neighbors, sources, edge_idx = gather_neighbors(
-            graph, frontier, with_sources=True
-        )
-        if neighbors.size == 0:
-            break
-        candidate = dist[sources] + weights[edge_idx]
-        before = dist[neighbors].copy()
-        np.minimum.at(dist, neighbors, candidate)
-        # Mask-dedupe the improved set: O(E_f + n) against the
-        # O(E_f log E_f) sort np.unique would pay per round.
-        changed[neighbors[dist[neighbors] < before]] = True
-        frontier = np.flatnonzero(changed)
-        changed[frontier] = False
-    trace = trace_from_frontiers(graph, frontiers, algorithm="sssp")
+    recorder = TraceRecorder(graph)
+    (dist,) = sssp_steps(recorder, source)
     return SSSPResult(
         source=source,
         distances=dist,
-        frontier_sizes=[f.size for f in frontiers],
-        trace=trace,
+        frontier_sizes=recorder.frontier_sizes,
+        trace=recorder.trace("sssp"),
     )
+
+
+def sssp_steps(reader: GraphReader, source: int = 0) -> tuple[np.ndarray]:
+    """Frontier Bellman-Ford over ``reader``; returns ``(distances,)``."""
+    _require_weighted(reader.graph)
+    _check_source(reader.graph, source)
+    n = reader.graph.num_vertices
+    dist = np.full(n, np.inf, dtype=np.float64)
+    dist[source] = 0.0
+    frontier = np.array([source], dtype=np.int64)
+    changed = np.zeros(n, dtype=bool)
+    while frontier.size:
+        with reader.step():
+            reader.touch_vertex_state(frontier)
+            neighbors, sources, weights = reader.read_neighbors(frontier)
+            if neighbors.size == 0:
+                break
+            candidate = dist[sources] + weights
+            before = dist[neighbors].copy()
+            np.minimum.at(dist, neighbors, candidate)
+            # Mask-dedupe the improved set: O(E_f + n) against the
+            # O(E_f log E_f) sort np.unique would pay per round.
+            changed[neighbors[dist[neighbors] < before]] = True
+            frontier = np.flatnonzero(changed)
+            changed[frontier] = False
+            reader.touch_vertex_state(frontier)
+    return (dist,)
 
 
 def sssp_delta_stepping(

@@ -21,11 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import TraceError
-from ..graph.csr import CSRGraph
-from .frontier import gather_neighbors
-from .trace import AccessTrace, trace_from_frontiers
+from ..graph.csr import CSRGraph, ragged_index
+from .reader import GraphReader, TraceRecorder
+from .trace import AccessTrace
 
-__all__ = ["TriangleCountResult", "triangle_count", "triangle_count_reference"]
+__all__ = [
+    "TriangleCountResult",
+    "triangle_count",
+    "triangle_count_steps",
+    "triangle_count_reference",
+]
 
 #: Vertices processed per trace step (phase-1 batch size).
 TRIANGLE_BATCH = 1024
@@ -44,19 +49,6 @@ class TriangleCountResult:
         return int(self.per_vertex.sum())
 
 
-def _count_at(graph: CSRGraph, u: int) -> int:
-    """Triangles whose minimum vertex is ``u`` (forward counting)."""
-    nbrs = graph.neighbors(u)
-    higher = nbrs[nbrs > u]
-    if higher.size < 2:
-        return 0
-    # For each v in higher, every w in N(v) with w > v and w in higher
-    # closes the triangle (u, v, w).
-    cat, src, _ = gather_neighbors(graph, higher, with_sources=True)
-    forward = cat > src
-    return int(np.isin(cat[forward], higher).sum())
-
-
 def triangle_count(graph: CSRGraph) -> TriangleCountResult:
     """Count triangles with a two-phase per-batch access trace.
 
@@ -64,26 +56,60 @@ def triangle_count(graph: CSRGraph) -> TriangleCountResult:
     mostly-sequential step); phase 2 reads the sublists of the batch's
     higher neighbors (one random-burst step).  Assumes a symmetric graph.
     """
-    n = graph.num_vertices
+    recorder = TraceRecorder(graph)
+    (per_vertex,) = triangle_count_steps(recorder)
+    return TriangleCountResult(
+        per_vertex=per_vertex, trace=recorder.trace("triangle_count")
+    )
+
+
+def triangle_count_steps(
+    reader: GraphReader, source: int = 0, *, batch: int = TRIANGLE_BATCH
+) -> tuple[np.ndarray]:
+    """Two-phase forward triangle counting over ``reader``.
+
+    Counts come from the fetched phase-2 sublists, never from host-side
+    adjacency.  Returns ``(per_vertex,)``, each triangle counted at its
+    minimum vertex; ``source`` is accepted for the registry's uniform
+    signature and unused.
+    """
+    n = reader.graph.num_vertices
     if n == 0:
         raise TraceError("triangle counting needs a non-empty graph")
     per_vertex = np.zeros(n, dtype=np.int64)
-    frontiers: list[np.ndarray] = []
     seen = np.zeros(n, dtype=bool)
-    for lo in range(0, n, TRIANGLE_BATCH):
-        batch = np.arange(lo, min(lo + TRIANGLE_BATCH, n), dtype=np.int64)
-        frontiers.append(batch)
-        for u in batch:
-            per_vertex[u] = _count_at(graph, int(u))
+    degrees = reader.graph.degrees
+    for lo in range(0, n, batch):
+        chunk = np.arange(lo, min(lo + batch, n), dtype=np.int64)
+        with reader.step():
+            reader.touch_vertex_state(chunk)
+            cat1, src1, _ = reader.read_neighbors(chunk)
         # Phase 2: the batch's higher-neighbor set, mask-deduped.
-        cat, src, _ = gather_neighbors(graph, batch, with_sources=True)
-        join = cat[cat > src]
-        seen[join] = True
+        seen[cat1[cat1 > src1]] = True
         joined = np.flatnonzero(seen).astype(np.int64)
         seen[joined] = False
-        frontiers.append(joined)
-    trace = trace_from_frontiers(graph, frontiers, algorithm="triangle_count")
-    return TriangleCountResult(per_vertex=per_vertex, trace=trace)
+        with reader.step():
+            reader.touch_vertex_state(joined)
+            cat2, _, _ = reader.read_neighbors(joined)
+        # Segment cat1 by chunk vertex and cat2 by joined vertex (both
+        # are concatenated sublists).
+        deg1 = degrees[chunk]
+        starts1 = np.cumsum(deg1) - deg1
+        deg2 = degrees[joined]
+        starts2 = np.cumsum(deg2) - deg2
+        for i, u in enumerate(chunk):
+            seg = cat1[starts1[i] : starts1[i] + deg1[i]]
+            higher = seg[seg > u]
+            if higher.size < 2:
+                continue
+            # For each v in higher, every w in N(v) with w > v and w in
+            # higher closes the triangle (u, v, w).
+            pick = np.searchsorted(joined, higher)
+            lengths = deg2[pick]
+            cat = cat2[ragged_index(starts2[pick], lengths)]
+            src = np.repeat(higher, lengths)
+            per_vertex[u] = int(np.isin(cat[cat > src], higher).sum())
+    return (per_vertex,)
 
 
 def triangle_count_reference(graph: CSRGraph) -> int:

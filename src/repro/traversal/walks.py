@@ -7,8 +7,7 @@ sublists of the vertices currently occupied — frontiers of at most
 pattern is the pure fine-grained pointer chase of Appendix B: very small
 random reads, no spatial locality, latency-bound rather than
 bandwidth-bound.  All randomness comes from one seeded generator, so a
-run is exactly reproducible (and the external-memory engine kernel
-replays the identical hop sequence).
+run is exactly reproducible.
 """
 
 from __future__ import annotations
@@ -19,9 +18,10 @@ import numpy as np
 
 from ..errors import TraceError
 from ..graph.csr import CSRGraph
-from .trace import AccessTrace, trace_from_frontiers
+from .reader import GraphReader, TraceRecorder
+from .trace import AccessTrace
 
-__all__ = ["RandomWalkResult", "random_walks", "walk_step_choices"]
+__all__ = ["RandomWalkResult", "random_walks", "random_walk_steps"]
 
 
 @dataclass(frozen=True)
@@ -39,23 +39,6 @@ class RandomWalkResult:
         return int(self.visits.sum())
 
 
-def walk_step_choices(
-    graph: CSRGraph, positions: np.ndarray, draws: np.ndarray
-) -> np.ndarray:
-    """Next position of each active walker given uniform draws in [0, 1).
-
-    ``positions`` must all have non-zero out-degree; walker *i* moves to
-    the ``floor(draws[i] * degree)``-th out-neighbor of ``positions[i]``.
-    Shared by the in-memory and external-memory implementations so both
-    consume the RNG stream identically.
-    """
-    degrees = graph.degrees[positions]
-    offsets = (draws * degrees).astype(np.int64)
-    # Guard the draws == 1.0-epsilon edge: offset must stay < degree.
-    offsets = np.minimum(offsets, degrees - 1)
-    return graph.indices[graph.indptr[positions] + offsets]
-
-
 def random_walks(
     graph: CSRGraph,
     source: int = 0,
@@ -70,30 +53,64 @@ def random_walks(
     trace step reads the sublists of the distinct occupied non-sink
     vertices.  Visit counts include the starting positions.
     """
-    n = graph.num_vertices
+    recorder = TraceRecorder(graph)
+    visits, hops = random_walk_steps(
+        recorder, source, num_walkers=num_walkers, walk_length=walk_length, seed=seed
+    )
+    return RandomWalkResult(
+        source=source, visits=visits, hops=hops, trace=recorder.trace("random_walk")
+    )
+
+
+def random_walk_steps(
+    reader: GraphReader,
+    source: int = 0,
+    *,
+    num_walkers: int = 64,
+    walk_length: int = 8,
+    seed: int = 0,
+) -> tuple[np.ndarray, int]:
+    """Seeded uniform random walks over ``reader``; returns ``(visits, hops)``.
+
+    Each hop picks walker *i*'s next vertex as the
+    ``floor(draw * degree)``-th entry of its fetched sublist, one
+    ``rng.random`` draw per active walker.
+    """
+    n = reader.graph.num_vertices
     if not 0 <= source < n:
         raise TraceError(f"source {source} out of range [0, {n})")
     if num_walkers < 1 or walk_length < 1:
         raise TraceError("num_walkers and walk_length must be >= 1")
     rng = np.random.default_rng(seed)
+    degrees = reader.graph.degrees
     positions = np.full(num_walkers, source, dtype=np.int64)
     visits = np.zeros(n, dtype=np.int64)
     visits[source] = num_walkers
-    frontiers: list[np.ndarray] = []
     hops = 0
     for _ in range(walk_length):
-        active = graph.degrees[positions] > 0
+        active = degrees[positions] > 0
         if not active.any():
             break
         frontier = np.unique(positions[active])
-        frontiers.append(frontier)
-        draws = rng.random(int(active.sum()))
-        positions = positions.copy()
-        positions[active] = walk_step_choices(graph, positions[active], draws)
-        np.add.at(visits, positions[active], 1)
+        with reader.step():
+            reader.touch_vertex_state(frontier)
+            cat, _, _ = reader.read_neighbors(frontier)
+            counts = degrees[frontier]
+            block = np.cumsum(counts) - counts
+            at = positions[active]
+            draws = rng.random(int(active.sum()))
+            # Guard the draws == 1.0-epsilon edge: offset must stay < degree.
+            offsets = np.minimum(
+                (draws * degrees[at]).astype(np.int64), degrees[at] - 1
+            )
+            moved = cat[block[np.searchsorted(frontier, at)] + offsets]
+            positions = positions.copy()
+            positions[active] = moved
+            np.add.at(visits, moved, 1)
+            reader.touch_vertex_state(np.unique(moved))
         hops += 1
-    if not frontiers:
-        # Source is a sink: record one empty step so the trace is non-empty.
-        frontiers.append(np.empty(0, dtype=np.int64))
-    trace = trace_from_frontiers(graph, frontiers, algorithm="random_walk")
-    return RandomWalkResult(source=source, visits=visits, hops=hops, trace=trace)
+    if hops == 0:
+        # Source is a sink: one empty step so the run has at least one.
+        with reader.step():
+            reader.read_neighbors(np.empty(0, dtype=np.int64))
+    return visits, hops

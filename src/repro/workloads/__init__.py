@@ -1,13 +1,13 @@
 """Named registry of graph workloads (the analogue of ``repro.systems``).
 
-A *workload* bundles three things under one name: an external-memory
-kernel (:mod:`repro.workloads.kernels`), an in-memory trace function
-(:mod:`repro.traversal`), and an :class:`AccessSignature` describing how
-the algorithm touches memory — sequential/random read ratio, write
-fraction, frontier-density profile.  ``repro run/profile/serve/sweep/
-bench`` all resolve workload names here, so adding an algorithm means
-one :func:`register` call and an unknown name fails identically
-everywhere, with the valid choices spelled out.
+A *workload* bundles two things under one name: the algorithm's step
+loop (written once in :mod:`repro.traversal` against a reader, so the
+same code runs over the external-memory engine and in memory), and an
+:class:`AccessSignature` describing how the algorithm touches memory —
+sequential/random read ratio, write fraction, frontier-density profile.
+``repro run/profile/serve/sweep/bench`` all resolve workload names here,
+so adding an algorithm means one :func:`register` call and an unknown
+name fails identically everywhere, with the valid choices spelled out.
 
 Eight workloads ship built in: the original five traversals (``bfs``,
 ``sssp``, ``cc``, ``pagerank``, ``kcore``) plus three new signature
@@ -33,25 +33,14 @@ from ..engine.engine import (
     ExternalGraphEngine,
 )
 from ..graph.csr import CSRGraph
-from ..traversal.bfs import bfs as _bfs
-from ..traversal.cc import connected_components as _connected_components
-from ..traversal.kcore import kcore as _kcore
-from ..traversal.labelprop import label_propagation as _label_propagation
-from ..traversal.pagerank import pagerank as _pagerank
-from ..traversal.sssp import sssp_bellman_ford as _sssp_bellman_ford
-from ..traversal.trace import AccessTrace
-from ..traversal.triangles import triangle_count as _triangle_count
-from ..traversal.walks import random_walks as _random_walks
-from .kernels import (
-    bfs_kernel,
-    cc_kernel,
-    kcore_kernel,
-    label_propagation_kernel,
-    pagerank_kernel,
-    random_walk_kernel,
-    sssp_kernel,
-    triangle_count_kernel,
-)
+from ..traversal.bfs import bfs_steps
+from ..traversal.cc import cc_steps
+from ..traversal.kcore import kcore_steps
+from ..traversal.labelprop import label_propagation_steps
+from ..traversal.pagerank import pagerank_steps
+from ..traversal.sssp import sssp_steps
+from ..traversal.triangles import triangle_count_steps
+from ..traversal.walks import random_walk_steps
 from .registry import Workload, available, describe, get, register
 from .signature import FRONTIER_PROFILES, REUSE_CLASSES, AccessSignature
 from .streaming import (
@@ -122,63 +111,12 @@ def build_engine(
     )
 
 
-# -- trace adapters (uniform ``(graph, source, **options)`` shape) -----------
-
-
-def _bfs_trace(graph: CSRGraph, source: int) -> AccessTrace:
-    return _bfs(graph, source).trace
-
-
-def _sssp_trace(graph: CSRGraph, source: int) -> AccessTrace:
-    return _sssp_bellman_ford(graph, source).trace
-
-
-def _cc_trace(graph: CSRGraph, source: int) -> AccessTrace:
-    return _connected_components(graph).trace
-
-
-def _pagerank_trace(graph: CSRGraph, source: int) -> AccessTrace:
-    return _pagerank(graph).trace
-
-
-def _kcore_trace(graph: CSRGraph, source: int, *, k: int = 2) -> AccessTrace:
-    return _kcore(graph, k).trace
-
-
-def _triangle_trace(graph: CSRGraph, source: int) -> AccessTrace:
-    return _triangle_count(graph).trace
-
-
-def _labelprop_trace(
-    graph: CSRGraph, source: int, *, max_iterations: int = 20
-) -> AccessTrace:
-    return _label_propagation(graph, max_iterations=max_iterations).trace
-
-
-def _walk_trace(
-    graph: CSRGraph,
-    source: int,
-    *,
-    num_walkers: int = 64,
-    walk_length: int = 8,
-    seed: int = 0,
-) -> AccessTrace:
-    return _random_walks(
-        graph,
-        source,
-        num_walkers=num_walkers,
-        walk_length=walk_length,
-        seed=seed,
-    ).trace
-
-
 register(
     Workload(
         name="bfs",
         description="Level-synchronous BFS (the paper's primary workload).",
         signature=AccessSignature(0.05, 0.06, "wavefront", reuse="low"),
-        kernel=bfs_kernel,
-        trace_fn=_bfs_trace,
+        algorithm=bfs_steps,
     )
 )
 register(
@@ -186,8 +124,7 @@ register(
         name="sssp",
         description="Frontier Bellman-Ford on uniform random weights.",
         signature=AccessSignature(0.05, 0.10, "wavefront", reuse="medium"),
-        kernel=sssp_kernel,
-        trace_fn=_sssp_trace,
+        algorithm=sssp_steps,
         requires_weights=True,
     )
 )
@@ -196,8 +133,7 @@ register(
         name="cc",
         description="Connected components by min-label propagation.",
         signature=AccessSignature(0.10, 0.10, "shrinking", reuse="medium"),
-        kernel=cc_kernel,
-        trace_fn=_cc_trace,
+        algorithm=cc_steps,
         needs_source=False,
     )
 )
@@ -206,8 +142,7 @@ register(
         name="pagerank",
         description="Push-style PageRank (dense sequential sweeps).",
         signature=AccessSignature(0.90, 0.06, "dense", reuse="high"),
-        kernel=pagerank_kernel,
-        trace_fn=_pagerank_trace,
+        algorithm=pagerank_steps,
         needs_source=False,
     )
 )
@@ -216,8 +151,7 @@ register(
         name="kcore",
         description="k-core peeling (shrinking residual-degree rounds).",
         signature=AccessSignature(0.10, 0.05, "shrinking", reuse="medium"),
-        kernel=kcore_kernel,
-        trace_fn=_kcore_trace,
+        algorithm=kcore_steps,
         needs_source=False,
         options={"k": 2},
     )
@@ -227,8 +161,7 @@ register(
         name="triangle_count",
         description="Forward triangle counting (two-phase neighborhood join).",
         signature=AccessSignature(0.50, 0.0, "dense", reuse="medium"),
-        kernel=triangle_count_kernel,
-        trace_fn=_triangle_trace,
+        algorithm=triangle_count_steps,
         needs_source=False,
     )
 )
@@ -237,8 +170,7 @@ register(
         name="label_propagation",
         description="Synchronous mode-label community detection.",
         signature=AccessSignature(0.90, 0.06, "dense", reuse="high"),
-        kernel=label_propagation_kernel,
-        trace_fn=_labelprop_trace,
+        algorithm=label_propagation_steps,
         needs_source=False,
     )
 )
@@ -247,7 +179,6 @@ register(
         name="random_walk",
         description="Seeded uniform random walks (tiny-frontier pointer chase).",
         signature=AccessSignature(0.0, 0.02, "sparse", reuse="low"),
-        kernel=random_walk_kernel,
-        trace_fn=_walk_trace,
+        algorithm=random_walk_steps,
     )
 )

@@ -2,19 +2,19 @@
 
 Mirrors :mod:`repro.systems`: one place maps the short names users type
 (``"bfs"``, ``"triangle_count"``, ``"label_propagation"``, ...) to a
-bundle of (external-memory kernel, in-memory trace function, access
-signature).  The CLI, the experiment runner, the fault harness, the
-sweeps, and the bench scenarios all resolve workload names here, so an
-unknown name fails the same way everywhere — with the valid choices
-spelled out in a typed :class:`~repro.errors.WorkloadError`.
+bundle of (algorithm step loop, access signature).  The CLI, the
+experiment runner, the fault harness, the sweeps, and the bench
+scenarios all resolve workload names here, so an unknown name fails the
+same way everywhere — with the valid choices spelled out in a typed
+:class:`~repro.errors.WorkloadError`.
 
 Usage::
 
     from repro import workloads
 
     wl = workloads.get("label_propagation")
-    run = wl.run(engine)                  # external-memory kernel
-    trace = wl.trace(graph)               # in-memory run -> AccessTrace
+    run = wl.run(engine)                  # over the external-memory engine
+    trace = wl.trace(graph)               # in memory -> AccessTrace
     print(workloads.available())
 """
 
@@ -28,6 +28,8 @@ import numpy as np
 from ..engine.engine import EngineRun, ExternalGraphEngine
 from ..errors import WorkloadError
 from ..graph.csr import CSRGraph
+from ..telemetry.tracer import get_tracer
+from ..traversal.reader import TraceRecorder
 from ..traversal.trace import AccessTrace
 from .signature import AccessSignature
 
@@ -39,10 +41,10 @@ __all__ = [
     "describe",
 ]
 
-#: Kernel signature: ``kernel(engine, source, **options) -> EngineRun``.
-KernelFn = Callable[..., EngineRun]
-#: Trace signature: ``trace_fn(graph, source, **options) -> AccessTrace``.
-TraceFn = Callable[..., AccessTrace]
+#: Step-loop signature: ``algorithm(reader, source, **options) -> tuple``
+#: whose first item is the per-vertex values array (see
+#: :mod:`repro.traversal.reader`).
+AlgorithmFn = Callable[..., tuple]
 
 
 def _default_source(graph: CSRGraph) -> int:
@@ -54,7 +56,7 @@ def _default_source(graph: CSRGraph) -> int:
 
 @dataclass(frozen=True)
 class Workload:
-    """One registered workload: kernel + trace function + signature.
+    """One registered workload: algorithm step loop + signature.
 
     Attributes
     ----------
@@ -62,11 +64,10 @@ class Workload:
         Registry key and the one-liner :func:`describe` prints.
     signature:
         The workload's :class:`~repro.workloads.AccessSignature`.
-    kernel:
-        External-memory kernel ``(engine, source, **options)``.
-    trace_fn:
-        In-memory runner returning an
-        :class:`~repro.traversal.AccessTrace` for the model stack.
+    algorithm:
+        The step loop ``(reader, source, **options)``; :meth:`run` passes
+        the engine as the reader, :meth:`trace` an in-memory
+        :class:`~repro.traversal.reader.TraceRecorder`.
     requires_weights:
         Whether the graph needs edge weights (:meth:`prepare` attaches
         uniform random ones, the standard benchmark setup).
@@ -74,15 +75,14 @@ class Workload:
         Whether the algorithm consumes a source vertex at all (BFS does,
         CC does not); purely informational for docs and CLIs.
     options:
-        Default keyword options forwarded to both callables (e.g. the
+        Default keyword options forwarded to ``algorithm`` (e.g. the
         ``k`` of k-core); call-site options override them.
     """
 
     name: str
     description: str
     signature: AccessSignature
-    kernel: KernelFn
-    trace_fn: TraceFn
+    algorithm: AlgorithmFn
     requires_weights: bool = False
     needs_source: bool = True
     options: dict[str, Any] = field(default_factory=dict)
@@ -104,10 +104,22 @@ class Workload:
         source: Optional[int] = None,
         **options: Any,
     ) -> EngineRun:
-        """Run the external-memory kernel on an existing engine."""
+        """Run the algorithm over an existing engine, from zeroed stats."""
         if source is None:
             source = _default_source(engine.graph)
-        return self.kernel(engine, source, **self._merged(options))
+        options = self._merged(options)
+        attrs = {"source": source} if self.needs_source else {}
+        engine.reset_stats()
+        with get_tracer().span(
+            f"engine.{self.name}",
+            **attrs,
+            vertices=engine.graph.num_vertices,
+            **options,
+        ):
+            values = self.algorithm(engine, source, **options)[0]
+        return EngineRun(
+            values=values, steps=engine.steps, stats=engine.backend.stats
+        )
 
     def trace(
         self,
@@ -119,7 +131,9 @@ class Workload:
         graph = self.prepare(graph)
         if source is None:
             source = _default_source(graph)
-        return self.trace_fn(graph, source, **self._merged(options))
+        recorder = TraceRecorder(graph)
+        self.algorithm(recorder, source, **self._merged(options))
+        return recorder.trace(self.name)
 
 
 _REGISTRY: dict[str, Workload] = {}

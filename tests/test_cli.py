@@ -177,7 +177,7 @@ def test_profile_prints_top_spans(capsys):
     code, out, _ = run_cli(
         capsys,
         "profile", "--dataset", "urand", "--scale", "10",
-        "--algorithm", "bfs", "--system", "xlfdd", "--top", "3",
+        "--workload", "bfs", "--system", "xlfdd", "--top", "3",
     )
     assert code == 0
     assert "span" in out and "inclusive" in out
@@ -190,7 +190,7 @@ def test_profile_flamegraph_and_trace(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys,
         "profile", "--dataset", "urand", "--scale", "10",
-        "--algorithm", "cc", "--system", "bam",
+        "--workload", "cc", "--system", "bam",
         "--flamegraph", "--trace", str(target), "--trace-format", "jsonl",
     )
     assert code == 0

@@ -4,13 +4,17 @@ import pytest
 
 from repro.core.report import geometric_mean
 from repro.core.sweep import (
-    alignment_sweep,
-    cxl_latency_sweep,
-    method_comparison,
+    alignment_grid,
+    comparison_matrix,
+    cxl_latency_grid,
     normalized,
+    sweep_trace,
 )
 from repro.errors import ModelError
-from repro.units import USEC
+from repro.interconnect.pcie import PCIeLink
+
+#: Figure 11's link (Section 4.2.2); the alignment sweep keeps Gen4.
+GEN3 = PCIeLink.from_name("gen3")
 
 
 class TestNormalized:
@@ -25,7 +29,9 @@ class TestNormalized:
 class TestAlignmentSweep:
     @pytest.fixture(scope="class")
     def sweep(self, paper_bfs_trace):
-        return alignment_sweep(paper_bfs_trace, alignments=(16, 64, 512, 4096))
+        points = sweep_trace(paper_bfs_trace, alignment_grid((16, 64, 512, 4096)))
+        # The grid appends BaM's single 4 kB comparison point last.
+        return {"xlfdd": points[:-1], "bam": points[-1:]}
 
     def test_keys(self, sweep):
         assert set(sweep) == {"xlfdd", "bam"}
@@ -46,14 +52,15 @@ class TestAlignmentSweep:
         assert sweep["bam"][0].normalized_runtime > 1.3
 
     def test_no_bam_option(self, bfs_trace):
-        sweep = alignment_sweep(bfs_trace, alignments=(16,), include_bam=False)
-        assert "bam" not in sweep
+        sweep = sweep_trace(bfs_trace, alignment_grid((16,), include_bam=False))
+        assert len(sweep) == 1
+        assert not sweep[0].system.startswith("bam")
 
 
 class TestCxlLatencySweep:
     @pytest.fixture(scope="class")
     def sweep(self, bfs_trace):
-        return cxl_latency_sweep(bfs_trace)
+        return sweep_trace(bfs_trace, cxl_latency_grid(), GEN3)
 
     def test_four_points(self, sweep):
         assert [p.x for p in sweep] == [0.0, 1e-6, 2e-6, 3e-6]
@@ -74,15 +81,15 @@ class TestCxlLatencySweep:
     def test_more_devices_dont_help_past_pcie(self, bfs_trace):
         """With the PCIe link binding, doubling CXL devices changes little
         at zero added latency (the bottleneck is N_max, not the pool)."""
-        five = cxl_latency_sweep(bfs_trace, added_latencies=(0.0,), devices=5)
-        ten = cxl_latency_sweep(bfs_trace, added_latencies=(0.0,), devices=10)
+        five = sweep_trace(bfs_trace, cxl_latency_grid((0.0,), devices=5), GEN3)
+        ten = sweep_trace(bfs_trace, cxl_latency_grid((0.0,), devices=10), GEN3)
         assert ten[0].runtime == pytest.approx(five[0].runtime, rel=0.05)
 
 
 class TestMethodComparison:
     @pytest.fixture(scope="class")
     def rows(self, urand_small, kron_small):
-        return method_comparison([urand_small, kron_small], algorithms=("bfs",))
+        return comparison_matrix([urand_small, kron_small], algorithms=("bfs",))
 
     def test_row_count(self, rows):
         # 2 graphs x 1 algorithm x 2 systems.
@@ -100,50 +107,6 @@ class TestMethodComparison:
             r["normalized_runtime"] for r in rows if str(r["system"]).startswith("bam")
         ]
         assert geometric_mean(xlfdd) < geometric_mean(bam)
-
-
-class TestDeprecationShims:
-    """The legacy entry points still work but announce the executor path."""
-
-    def test_alignment_sweep_warns(self, bfs_trace):
-        with pytest.warns(DeprecationWarning, match="sweep_trace"):
-            alignment_sweep(bfs_trace, alignments=(16,))
-
-    def test_cxl_latency_sweep_warns(self, bfs_trace):
-        with pytest.warns(DeprecationWarning, match="sweep_trace"):
-            cxl_latency_sweep(bfs_trace, added_latencies=(0.0,))
-
-    def test_method_comparison_warns(self, urand_small):
-        with pytest.warns(DeprecationWarning, match="comparison_matrix"):
-            method_comparison([urand_small], algorithms=("bfs",))
-
-    def test_alignment_shim_matches_grid_path(self, bfs_trace):
-        import warnings
-
-        from repro.core.sweep import alignment_grid, sweep_trace
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old = alignment_sweep(bfs_trace, alignments=(16, 64))
-        new = sweep_trace(bfs_trace, alignment_grid((16, 64)))
-        assert new[:-1] == old["xlfdd"]
-        assert new[-1:] == old["bam"]
-
-    def test_cxl_shim_matches_grid_path(self, bfs_trace):
-        import warnings
-
-        from repro.core.sweep import cxl_latency_grid, sweep_trace
-        from repro.interconnect.pcie import PCIeLink
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old = cxl_latency_sweep(bfs_trace, added_latencies=(0.0, 2 * USEC))
-        new = sweep_trace(
-            bfs_trace,
-            cxl_latency_grid((0.0, 2 * USEC)),
-            PCIeLink.from_name("gen3"),
-        )
-        assert new == old
 
 
 class TestRunSweep:

@@ -1,14 +1,15 @@
 """Functional engine: correct results AND traffic matching the models.
 
 The engine executes traversals through byte-level backends; these tests
-are the repository's strongest cross-validation — three independently
-written layers (in-memory algorithms, analytic traffic models, and the
-functional engine) must agree exactly.
+are the repository's strongest cross-validation — the engine's results
+must match the oracles and in-memory runs, and its measured traffic the
+independently written analytic traffic models, exactly.
 """
 
 import numpy as np
 import pytest
 
+from repro import workloads
 from repro.core.experiment import run_algorithm
 from repro.engine import (
     CachedBackend,
@@ -36,33 +37,35 @@ def direct_engine(urand_small):
 
 class TestCorrectness:
     def test_bfs_matches_in_memory(self, urand_small, direct_engine):
-        run = direct_engine.bfs(0)
+        run = workloads.get("bfs").run(direct_engine, source=0)
         assert np.array_equal(run.values, bfs(urand_small, 0).depths)
 
     def test_bfs_different_sources(self, urand_small, direct_engine):
         for source in (5, 100):
-            run = direct_engine.bfs(source)
+            run = workloads.get("bfs").run(direct_engine, source=source)
             assert np.array_equal(run.values, bfs(urand_small, source).depths)
 
     def test_sssp_matches_dijkstra(self, weighted_small):
         engine = ExternalGraphEngine(
             weighted_small, lambda data: DirectBackend(data, alignment_bytes=16)
         )
-        run = engine.sssp(0)
+        run = workloads.get("sssp").run(engine, source=0)
         assert np.allclose(run.values, sssp_reference(weighted_small, 0))
 
     def test_cc_matches_in_memory(self, urand_small):
         engine = ExternalGraphEngine(
             urand_small, lambda data: CachedBackend(data, cacheline_bytes=512)
         )
-        run = engine.connected_components()
+        run = workloads.get("cc").run(engine)
         assert np.array_equal(
             run.values, connected_components(urand_small).labels
         )
 
     def test_results_identical_across_backends(self, urand_small):
         runs = [
-            ExternalGraphEngine(urand_small, factory).bfs(0).values
+            workloads.get("bfs")
+            .run(ExternalGraphEngine(urand_small, factory), source=0)
+            .values
             for factory in (
                 lambda d: DirectBackend(d),
                 lambda d: CachedBackend(d),
@@ -74,11 +77,11 @@ class TestCorrectness:
 
     def test_sssp_requires_weights(self, urand_small, direct_engine):
         with pytest.raises(TraceError, match="weighted"):
-            direct_engine.sssp(0)
+            workloads.get("sssp").run(direct_engine, source=0)
 
     def test_bad_source(self, direct_engine):
         with pytest.raises(TraceError):
-            direct_engine.bfs(10**9)
+            workloads.get("bfs").run(direct_engine, source=10**9)
 
 
 class TestTrafficCrossValidation:
@@ -89,7 +92,7 @@ class TestTrafficCrossValidation:
             urand_small,
             lambda d: DirectBackend(d, alignment_bytes=16, max_transfer_bytes=2048),
         )
-        run = engine.bfs(0)
+        run = workloads.get("bfs").run(engine, source=0)
         trace = run_algorithm(urand_small, "bfs", source=0)
         model = direct_access_amplification(trace, 16, max_transfer=2048)
         assert run.stats.fetched_bytes == model.fetched_bytes
@@ -100,7 +103,7 @@ class TestTrafficCrossValidation:
         engine = ExternalGraphEngine(
             urand_small, lambda d: CachedBackend(d, cacheline_bytes=4096)
         )
-        run = engine.bfs(0)
+        run = workloads.get("bfs").run(engine, source=0)
         trace = run_algorithm(urand_small, "bfs", source=0)
         model = read_amplification(trace, 4096)
         assert run.stats.fetched_bytes == model.fetched_bytes
@@ -108,7 +111,7 @@ class TestTrafficCrossValidation:
 
     def test_zero_copy_backend_matches_model(self, urand_small):
         engine = ExternalGraphEngine(urand_small, ZeroCopyBackend)
-        run = engine.bfs(0)
+        run = workloads.get("bfs").run(engine, source=0)
         trace = run_algorithm(urand_small, "bfs", source=0)
         model = coalesce_trace(trace)
         assert run.stats.fetched_bytes == model.total_bytes
@@ -124,7 +127,8 @@ class TestTrafficCrossValidation:
                     d, alignment_bytes=a, max_transfer_bytes=None
                 ),
             )
-            rafs[alignment] = engine.bfs(0).stats.read_amplification
+            run = workloads.get("bfs").run(engine, source=0)
+            rafs[alignment] = run.stats.read_amplification
         assert rafs[16] < rafs[512] < rafs[4096]
 
     def test_lru_cache_backend(self, urand_small):
@@ -133,13 +137,13 @@ class TestTrafficCrossValidation:
             urand_small,
             lambda d: CachedBackend(d, cacheline_bytes=512, cache=cache),
         )
-        run = engine.bfs(0)
+        run = workloads.get("bfs").run(engine, source=0)
         assert run.stats.fetched_bytes >= run.stats.useful_bytes
 
     def test_stats_reset_between_runs(self, urand_small):
         engine = ExternalGraphEngine(urand_small, DirectBackend)
-        first = engine.bfs(0).stats.fetched_bytes
-        second = engine.bfs(0).stats.fetched_bytes
+        first = workloads.get("bfs").run(engine, source=0).stats.fetched_bytes
+        second = workloads.get("bfs").run(engine, source=0).stats.fetched_bytes
         assert first == second
 
 

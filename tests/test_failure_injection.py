@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import workloads
 from repro.devices.base import AccessKind, DevicePool, DeviceProfile
 from repro.engine import DirectBackend, ExternalGraphEngine, ZeroCopyBackend
 from repro.engine.backend import ExternalMemoryBackend
@@ -259,7 +260,9 @@ class TestTransientFaultsAreSurvivable:
     def test_bfs_bit_identical_under_any_transient_plan(
         self, urand_small, seed, rate
     ):
-        clean = ExternalGraphEngine(urand_small, ZeroCopyBackend).bfs(0)
+        clean = workloads.get("bfs").run(
+            ExternalGraphEngine(urand_small, ZeroCopyBackend), source=0
+        )
         plan = FaultPlan(seed=seed, read_error_rate=rate)
         engine = ExternalGraphEngine(
             urand_small,
@@ -270,13 +273,15 @@ class TestTransientFaultsAreSurvivable:
                 num_devices=16,
             ),
         )
-        faulty = engine.bfs(0)
+        faulty = workloads.get("bfs").run(engine, source=0)
         assert np.array_equal(faulty.values, clean.values)
         assert faulty.stats.retries > 0
         assert faulty.stats.evictions == 0
 
     def test_sssp_bit_identical_with_retries_visible(self, weighted_small):
-        clean = ExternalGraphEngine(weighted_small, ZeroCopyBackend).sssp(0)
+        clean = workloads.get("sssp").run(
+            ExternalGraphEngine(weighted_small, ZeroCopyBackend), source=0
+        )
         engine = ExternalGraphEngine(
             weighted_small,
             faulty_factory(
@@ -286,7 +291,7 @@ class TestTransientFaultsAreSurvivable:
                 num_devices=16,
             ),
         )
-        faulty = engine.sssp(0)
+        faulty = workloads.get("sssp").run(engine, source=0)
         assert np.array_equal(faulty.values, clean.values)
         assert faulty.stats.retries > 0
         assert faulty.stats.retry_factor > 1.0
@@ -302,7 +307,7 @@ class TestTransientFaultsAreSurvivable:
                     num_devices=16,
                 ),
             )
-            return engine.bfs(0)
+            return workloads.get("bfs").run(engine, source=0)
 
         a, b = run(), run()
         assert a.stats.retries == b.stats.retries
@@ -319,12 +324,14 @@ class TestTransientFaultsAreSurvivable:
                 num_devices=16,
             ),
         )
-        stats = engine.bfs(0).stats
+        stats = workloads.get("bfs").run(engine, source=0).stats
         assert 0.0 < stats.latency_p50 <= stats.latency_p99 <= stats.latency_p999
 
     def test_timeouts_are_counted_and_survived(self, urand_small):
         """Spiked attempts that blow the deadline retry and still finish."""
-        clean = ExternalGraphEngine(urand_small, ZeroCopyBackend).bfs(0)
+        clean = workloads.get("bfs").run(
+            ExternalGraphEngine(urand_small, ZeroCopyBackend), source=0
+        )
         engine = ExternalGraphEngine(
             urand_small,
             faulty_factory(
@@ -335,7 +342,7 @@ class TestTransientFaultsAreSurvivable:
                 base_latency=10 * USEC,
             ),
         )
-        faulty = engine.bfs(0)
+        faulty = workloads.get("bfs").run(engine, source=0)
         assert np.array_equal(faulty.values, clean.values)
         assert faulty.stats.timeouts > 0
 
@@ -344,7 +351,7 @@ class TestTransientFaultsAreSurvivable:
             urand_small,
             faulty_factory(ZeroCopyBackend, FaultPlan(seed=0), num_devices=16),
         )
-        stats = engine.bfs(0).stats
+        stats = workloads.get("bfs").run(engine, source=0).stats
         assert stats.retries == 0
         assert stats.faults_injected == 0
         assert stats.retry_factor == 1.0
@@ -361,7 +368,7 @@ class TestRetryExhaustion:
             ),
         )
         with pytest.raises(FaultExhaustedError) as excinfo:
-            engine.bfs(0)
+            workloads.get("bfs").run(engine, source=0)
         assert excinfo.value.attempts == 3
         assert issubclass(FaultExhaustedError, FaultError)
         assert issubclass(FaultError, ReproError)
@@ -445,7 +452,7 @@ class TestBackoffJitter:
                     num_devices=16,
                 ),
             )
-            return engine.bfs(0).stats
+            return workloads.get("bfs").run(engine, source=0).stats
 
         crisp, jittered, again = run(0.0), run(1.0), run(1.0)
         assert jittered.retries == crisp.retries
@@ -456,7 +463,9 @@ class TestBackoffJitter:
 
 class TestDeviceDropoutDegradesGracefully:
     def test_mid_run_dropout_completes_with_eviction(self, urand_small):
-        clean = ExternalGraphEngine(urand_small, ZeroCopyBackend).bfs(0)
+        clean = workloads.get("bfs").run(
+            ExternalGraphEngine(urand_small, ZeroCopyBackend), source=0
+        )
         plan = FaultPlan(seed=0, drop_device_at=100, drop_device_index=0)
         engine = ExternalGraphEngine(
             urand_small,
@@ -468,7 +477,7 @@ class TestDeviceDropoutDegradesGracefully:
                 pool=_pool(16),
             ),
         )
-        run = engine.bfs(0)
+        run = workloads.get("bfs").run(engine, source=0)
         backend = engine.backend
         assert np.array_equal(run.values, clean.values)
         assert run.stats.evictions == 1

@@ -18,12 +18,14 @@ from repro.core.experiment import (
 )
 from repro.core.report import geometric_mean
 from repro.core.runtime_model import predict_runtime
-from repro.core.sweep import cxl_latency_sweep, method_comparison
+from repro.core.sweep import comparison_matrix, cxl_latency_grid, sweep_trace
 from repro.graph.datasets import load_dataset
 from repro.interconnect.pcie import PCIeLink
 from repro.units import USEC
 
 SCALE = 13
+#: Figure 11's link (Section 4.2.2).
+GEN3 = PCIeLink.from_name("gen3")
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +64,7 @@ class TestObservation1:
     def test_bam_gap_larger_than_xlfdd_gap(self, graphs):
         """Figure 6: geomean normalized runtime ~1.13x (XLFDD) vs ~2.76x
         (BaM); we assert XLFDD < 1.5x, BaM > 1.7x, and the ordering."""
-        rows = method_comparison(graphs, algorithms=("bfs", "sssp"))
+        rows = comparison_matrix(graphs, algorithms=("bfs", "sssp"))
         xlfdd = geometric_mean(
             [r["normalized_runtime"] for r in rows if "xlfdd" in str(r["system"])]
         )
@@ -82,20 +84,20 @@ class TestObservation2:
 
     def test_cxl_flat_below_the_gen3_bound(self, urand_bfs):
         """GPU-observed latency under 1.91 us: runtime within 5% of DRAM."""
-        points = cxl_latency_sweep(urand_bfs, added_latencies=(0.0,))
+        points = sweep_trace(urand_bfs, cxl_latency_grid((0.0,)), GEN3)
         assert points[0].normalized_runtime == pytest.approx(1.0, abs=0.05)
 
     def test_cxl_degrades_past_the_bound(self, urand_bfs):
         """+2 us added (≈3.8 us observed) is clearly past the 1.91 us
         allowance: runtime grows markedly."""
-        points = cxl_latency_sweep(urand_bfs, added_latencies=(2e-6, 3e-6))
+        points = sweep_trace(urand_bfs, cxl_latency_grid((2e-6, 3e-6)), GEN3)
         assert points[0].normalized_runtime > 1.4
         assert points[1].normalized_runtime > points[0].normalized_runtime
 
     def test_knee_position_tracks_littles_law(self, urand_bfs):
         """Past the knee, runtime grows linearly with latency at slope
         ~L/1.91us (the Little's-law regime)."""
-        points = cxl_latency_sweep(urand_bfs, added_latencies=(2e-6, 3e-6, 4e-6))
+        points = sweep_trace(urand_bfs, cxl_latency_grid((2e-6, 3e-6, 4e-6)), GEN3)
         norms = [p.normalized_runtime for p in points]
         growth1 = norms[1] - norms[0]
         growth2 = norms[2] - norms[1]
@@ -156,7 +158,7 @@ class TestWorkloadBreadth:
     @pytest.mark.parametrize("algorithm", ["bfs", "sssp", "cc"])
     def test_cxl_knee_holds_across_algorithms(self, urand, algorithm):
         trace = run_algorithm(urand, algorithm)
-        points = cxl_latency_sweep(trace, added_latencies=(0.0, 3e-6))
+        points = sweep_trace(trace, cxl_latency_grid((0.0, 3e-6)), GEN3)
         assert points[0].normalized_runtime == pytest.approx(1.0, abs=0.1)
         assert points[1].normalized_runtime > 1.5
 

@@ -3,6 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro import workloads
 from repro.engine import CachedBackend, DirectBackend, ExternalGraphEngine, ZeroCopyBackend
 from repro.graph.builder import build_csr
 from repro.traversal.bfs import bfs_reference
@@ -37,7 +38,7 @@ def test_engine_bfs_matches_reference(graph, factory, source_seed):
         return
     source = source_seed % graph.num_vertices
     engine = ExternalGraphEngine(graph, factory)
-    run = engine.bfs(source)
+    run = workloads.get("bfs").run(engine, source=source)
     assert np.array_equal(run.values, bfs_reference(graph, source))
 
 
@@ -48,7 +49,7 @@ def test_engine_traffic_invariants(graph, factory, source_seed):
         return
     source = source_seed % graph.num_vertices
     engine = ExternalGraphEngine(graph, factory)
-    run = engine.bfs(source)
+    run = workloads.get("bfs").run(engine, source=source)
     stats = run.stats
     # Fetched always covers the useful bytes; request count is positive
     # whenever anything was read.
@@ -67,5 +68,5 @@ def test_engine_sssp_matches_dijkstra(graph, weight_seed):
     engine = ExternalGraphEngine(
         weighted, lambda d: DirectBackend(d, alignment_bytes=16)
     )
-    run = engine.sssp(0)
+    run = workloads.get("sssp").run(engine, source=0)
     assert np.allclose(run.values, sssp_reference(weighted, 0))

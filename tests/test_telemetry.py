@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro import workloads
 from repro.engine.backend import DirectBackend, MemoryStats
 from repro.engine.engine import ExternalGraphEngine
 from repro.errors import TelemetryError
@@ -161,7 +162,7 @@ class TestNullTracer:
         engine = ExternalGraphEngine(
             urand_small, lambda data: DirectBackend(data, alignment_bytes=16)
         )
-        engine.bfs(0)
+        workloads.get("bfs").run(engine, source=0)
         assert len(NULL_TRACER.records) == baseline == 0
 
 
@@ -270,7 +271,7 @@ class TestMemoryStatsRegistry:
         engine = ExternalGraphEngine(
             tiny_graph, lambda data: DirectBackend(data, alignment_bytes=16)
         )
-        run = engine.bfs(0)
+        run = workloads.get("bfs").run(engine, source=0)
         registry = run.stats.registry
         assert registry.counter("memory.requests").value == run.stats.requests
         assert (
@@ -452,7 +453,7 @@ class TestInstrumentation:
             urand_small, lambda data: DirectBackend(data, alignment_bytes=16)
         )
         with use_tracer(tracer):
-            run = engine.bfs(0)
+            run = workloads.get("bfs").run(engine, source=0)
         steps = tracer.spans("engine.step")
         assert len(steps) == run.steps
         assert sum(s.attrs["bytes_read"] for s in steps) == run.stats.fetched_bytes
@@ -468,8 +469,8 @@ class TestInstrumentation:
             weighted_small, lambda data: DirectBackend(data, alignment_bytes=16)
         )
         with use_tracer(tracer):
-            engine.sssp(0)
-            engine.connected_components()
+            workloads.get("sssp").run(engine, source=0)
+            workloads.get("cc").run(engine)
         assert tracer.spans("engine.sssp")
         assert tracer.spans("engine.cc")
 
@@ -525,7 +526,7 @@ class TestInstrumentation:
             ),
         )
         with use_tracer(tracer):
-            run = engine.bfs(0)
+            run = workloads.get("bfs").run(engine, source=0)
         retries = tracer.events("fault.retry")
         assert retries
         assert sum(e.attrs["requests"] for e in retries) == run.stats.retries
@@ -534,14 +535,17 @@ class TestInstrumentation:
 
     def test_experiment_and_sweep_spans(self, urand_small, bfs_trace):
         from repro.core.experiment import run_experiment
-        from repro.core.sweep import alignment_sweep, cxl_latency_sweep
+        from repro.core.sweep import alignment_grid, cxl_latency_grid, sweep_trace
+        from repro.interconnect.pcie import PCIeLink
         from repro import systems
 
         tracer = Tracer()
         with use_tracer(tracer):
             run_experiment(urand_small, "bfs", systems.get("emogi"), trace=bfs_trace)
-            alignment_sweep(bfs_trace, alignments=(16, 512))
-            cxl_latency_sweep(bfs_trace, added_latencies=(0.0, 1e-6))
+            sweep_trace(bfs_trace, alignment_grid((16, 512)))
+            sweep_trace(
+                bfs_trace, cxl_latency_grid((0.0, 1e-6)), PCIeLink.from_name("gen3")
+            )
         [experiment] = tracer.spans("experiment.run")
         assert experiment.attrs["algorithm"] == "bfs"
         assert len(tracer.spans("sweep.alignment.point")) == 2

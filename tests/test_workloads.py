@@ -1,9 +1,10 @@
-"""The workload registry: kernels, memory modes, streaming, tenancy.
+"""The workload registry: algorithms, memory modes, streaming, tenancy.
 
-Pins the PR-10 surface: ``repro.workloads`` as the single dispatch
-point (typed errors, deprecation shims over the old engine entry
-points), the semi-/fully-external engine memory modes, incremental
-streaming maintenance equivalence, multi-tenant determinism, the
+Pins the registry surface: ``repro.workloads`` as the single dispatch
+point (typed errors, one step loop per algorithm run over both the
+engine and the in-memory recorder, engine bytes equal to model bytes),
+the semi-/fully-external engine memory modes, incremental streaming
+maintenance equivalence, multi-tenant determinism, the
 ``workload:`` spec section, tenant-tagged traffic, and the bench gate's
 missing-baseline behaviour.
 """
@@ -11,19 +12,20 @@ missing-baseline behaviour.
 from __future__ import annotations
 
 import json
-import warnings
 
 import numpy as np
 import pytest
 
 from repro import workloads
-from repro.engine.backend import ZeroCopyBackend
+from repro.engine.backend import CachedBackend, DirectBackend, ZeroCopyBackend
 from repro.engine.engine import (
     FULLY_EXTERNAL,
+    MEMORY_MODES,
     SEMI_EXTERNAL,
     ExternalGraphEngine,
 )
 from repro.errors import ConfigError, ModelError, WorkloadError
+from repro.gpu import BaMMethod, XLFDDMethod, ZeroCopyMethod
 from repro.graph.generators import uniform_random_graph
 from repro.traversal import bfs, connected_components, pagerank
 from repro.traversal.kcore import kcore
@@ -86,10 +88,17 @@ class TestRegistry:
                 name="bfs",
                 description=wl.description,
                 signature=wl.signature,
-                kernel=wl.kernel,
-                trace_fn=wl.trace_fn,
+                algorithm=wl.algorithm,
             ))
         workloads.register(wl, replace=True)  # idempotent re-register
+
+    def test_spec_name_lists_match_registry(self):
+        # exec.spec keeps its own copies so the spec layer stays
+        # import-light; they must not drift from the registry.
+        from repro.exec import spec
+
+        assert set(spec.KNOWN_ALGORITHMS) == set(workloads.available())
+        assert spec.KNOWN_MEMORY_MODES == MEMORY_MODES
 
     def test_signature_validation(self):
         with pytest.raises(WorkloadError, match="frontier profile"):
@@ -115,7 +124,7 @@ class TestRegistry:
 
 
 class TestKernelGolden:
-    """Engine kernels must equal their pure-numpy references."""
+    """Engine runs must equal the in-memory runs of the same step loop."""
 
     def test_bfs(self, urand_small):
         run = workloads.get("bfs").run(make_engine(urand_small), source=0)
@@ -172,25 +181,43 @@ class TestKernelGolden:
         assert np.isfinite(run.values[0])
 
 
-class TestDeprecationShims:
-    def test_engine_bfs_warns_and_matches_registry(self, urand_small):
-        engine = make_engine(urand_small)
-        with pytest.warns(DeprecationWarning, match="workloads.get"):
-            legacy = engine.bfs(0)
-        fresh = workloads.get("bfs").run(make_engine(urand_small), source=0)
-        np.testing.assert_array_equal(legacy.values, fresh.values)
+#: Each engine backend with the access method that prices the same reads.
+DISCIPLINES = {
+    "xlfdd": (
+        lambda d: DirectBackend(d, alignment_bytes=16, max_transfer_bytes=2048),
+        lambda: XLFDDMethod(alignment_bytes=16, max_transfer_bytes=2048),
+    ),
+    "bam": (
+        lambda d: CachedBackend(d, cacheline_bytes=4096),
+        lambda: BaMMethod(cacheline_bytes=4096),
+    ),
+    "emogi": (ZeroCopyBackend, ZeroCopyMethod),
+}
 
-    def test_engine_sssp_warns(self, weighted_small):
-        with pytest.warns(DeprecationWarning):
-            run = make_engine(weighted_small).sssp(0)
-        assert np.isfinite(run.values[0])
 
-    def test_engine_cc_warns(self, urand_small):
-        with pytest.warns(DeprecationWarning):
-            run = make_engine(urand_small).connected_components()
-        np.testing.assert_array_equal(
-            run.values, connected_components(urand_small).labels
-        )
+class TestEngineBytesEqualModelBytes:
+    """Every workload's measured engine traffic equals the model's."""
+
+    @pytest.mark.parametrize("discipline", sorted(DISCIPLINES))
+    @pytest.mark.parametrize("name", workloads.available())
+    def test_engine_matches_physical_trace(self, urand_small, name, discipline):
+        backend, method = DISCIPLINES[discipline]
+        wl = workloads.get(name)
+        graph = wl.prepare(urand_small)
+        engine = ExternalGraphEngine(graph, backend)
+        run = wl.run(engine)
+        trace = wl.trace(graph)
+        assert run.steps == trace.num_steps
+        # The trace prices 8 B vertex IDs; weighted engine records are
+        # 16 B (ID + weight).
+        record_bytes = 16 if graph.is_weighted else 8
+        assert run.stats.useful_bytes == trace.useful_bytes * record_bytes // 8
+        if not graph.is_weighted:
+            pt = method().physical_trace(trace)
+            assert (run.stats.fetched_bytes, run.stats.requests) == (
+                pt.fetched_bytes,
+                pt.total_requests,
+            )
 
 
 class TestMemoryModes:
@@ -471,14 +498,6 @@ class TestCli:
         assert code == 0
         assert "memory mode fully-external" in out
         assert "semi-external" in out
-
-    def test_run_deprecated_algorithm_flag_still_works(self, capsys):
-        code, out, _ = self.run_cli(
-            capsys, "run", "--dataset", "urand", "--scale", "8",
-            "--algorithm", "cc",
-        )
-        assert code == 0
-        assert "cc" in out
 
     def test_profile_workload(self, capsys):
         code, out, _ = self.run_cli(
