@@ -3,6 +3,9 @@
 * Equation 1: ``t = D / T`` — runtime is total fetched data over throughput.
 * Equation 2: ``T = min{S d, (N_max / L) d, W}`` — device IOPS, Little's
   law on outstanding PCIe requests, and link bandwidth.
+* Equation 3: Little's law ``N d = T L`` — conversions between
+  concurrency, transfer size, throughput and latency, used in Figure 10's
+  derivation of the prototype's outstanding request count.
 * Equation 5: the slope ``s = min{S, N_max / L}`` of the linear region.
 * The optimal transfer size of Section 3.3.2: the smallest ``d`` that
   saturates the link, ``d_opt = W / s``.
@@ -28,6 +31,10 @@ __all__ = [
     "throughput_slope",
     "optimal_transfer_size",
     "example_throughput_model",
+    "throughput_cap",
+    "concurrency_for",
+    "latency_for",
+    "little_throughput_profile",
 ]
 
 
@@ -143,3 +150,53 @@ def example_throughput_model(link: PCIeLink | None = None) -> ThroughputModel:
         bandwidth=link.effective_bandwidth,
         outstanding=link.max_outstanding_reads,
     )
+
+
+def _positive(**values: float) -> None:
+    for name, value in values.items():
+        if not value > 0:
+            raise ModelError(f"{name} must be positive, got {value}")
+
+
+def throughput_cap(outstanding: int, transfer_bytes: float, latency: float) -> float:
+    """Max throughput with ``outstanding`` in-flight requests: ``N d / L``."""
+    _positive(outstanding=outstanding, transfer_bytes=transfer_bytes, latency=latency)
+    return outstanding * transfer_bytes / latency
+
+
+def concurrency_for(
+    throughput: float, transfer_bytes: float, latency: float
+) -> float:
+    """Concurrency implied by an observed throughput: ``N = T L / d``.
+
+    This is how Figure 10 infers the Agilex prototype's 128-request limit
+    from its measured bandwidth.
+    """
+    _positive(throughput=throughput, transfer_bytes=transfer_bytes, latency=latency)
+    return throughput * latency / transfer_bytes
+
+
+def latency_for(throughput: float, transfer_bytes: float, outstanding: int) -> float:
+    """Largest latency that still sustains ``throughput``: ``L = N d / T``.
+
+    Section 4.2.2 computes the Gen 3.0 allowance this way:
+    ``256 * 89.6 / 12,000 MB/s = 1.91 us``.
+    """
+    _positive(throughput=throughput, transfer_bytes=transfer_bytes,
+              outstanding=outstanding)
+    return outstanding * transfer_bytes / throughput
+
+
+def little_throughput_profile(
+    latencies: np.ndarray,
+    outstanding: int,
+    transfer_bytes: float,
+    bandwidth_cap: float,
+) -> np.ndarray:
+    """Throughput vs latency: ``min(cap, N d / L)`` (Figure 10's shape)."""
+    latencies = np.asarray(latencies, dtype=np.float64)
+    if latencies.size and latencies.min() <= 0:
+        raise ModelError("latencies must be positive")
+    _positive(outstanding=outstanding, transfer_bytes=transfer_bytes,
+              bandwidth_cap=bandwidth_cap)
+    return np.minimum(bandwidth_cap, outstanding * transfer_bytes / latencies)

@@ -1,4 +1,4 @@
-"""Config-hash-keyed memoization of per-(trace, method) model evaluations.
+"""The process's memo type and its config-hash-keyed evaluation caches.
 
 The expensive half of :func:`repro.core.runtime_model.predict_runtime` is
 ``method.physical_trace(trace)`` — turning a logical access trace into
@@ -16,10 +16,13 @@ cache keyed by two content fingerprints:
   ``AccessMethod`` configurations share an entry even when they are
   distinct objects.
 
-The cache is bounded (FIFO eviction) and can be cleared with
-:func:`clear_evaluation_cache` — the benchmark harness does so at the
-start of every timed repeat so memoization only gets credit for
-*within-run* duplicate pricing, never for state left by a warmup.
+Every memo in the process is a :class:`Memo` (bounded, FIFO eviction).
+Three live here: physical traces (:func:`cached_physical_trace`),
+deterministic RAF results (:mod:`repro.memsim.raf`) and rebuilt sweep
+workloads (:mod:`repro.exec.tasks`).  :func:`clear_evaluation_cache`
+flushes every memo — the benchmark harness does so at the start of every
+timed repeat so memoization only gets credit for *within-run* duplicate
+pricing, never for state left by a warmup.
 """
 
 from __future__ import annotations
@@ -27,42 +30,80 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-from typing import Any
+import weakref
+from typing import Any, Callable, Hashable
 
 import numpy as np
 
 from ..errors import ModelError
 
 __all__ = [
+    "Memo",
+    "physical_trace_memo",
+    "raf_memo",
+    "workload_memo",
     "config_fingerprint",
     "trace_fingerprint",
     "cached_physical_trace",
-    "register_cache",
     "clear_evaluation_cache",
     "evaluation_cache_stats",
 ]
 
-#: Bounded cache size; sweeps touch a handful of (trace, method) pairs, so
-#: this is generous while still capping memory for long-lived processes.
-_CACHE_CAPACITY = 256
-
-_cache: dict[tuple[str, str], Any] = {}
-_stats = {"hits": 0, "misses": 0}
-
-#: Memo dicts of other modules (e.g. the RAF memo in repro.memsim.raf)
-#: that clear_evaluation_cache must also flush.
-_registered_caches: list[dict] = []
+#: Every live memo, so clear_evaluation_cache can flush them all.
+_memos: weakref.WeakSet[Memo] = weakref.WeakSet()
 
 
-def register_cache(mapping: dict) -> None:
-    """Register another module's memo dict for coordinated clearing.
+class Memo:
+    """Bounded memo: FIFO eviction at ``capacity``, hit/miss counters.
 
-    Registering the same dict twice is a no-op; the benchmark harness and
-    tests rely on :func:`clear_evaluation_cache` flushing *every* model
-    memo in the process, not just this module's.
+    Registers itself on construction, so :func:`clear_evaluation_cache`
+    flushes it together with every other memo in the process.
     """
-    if not any(existing is mapping for existing in _registered_caches):
-        _registered_caches.append(mapping)
+
+    def __init__(self, capacity: int) -> None:
+        if capacity < 1:
+            raise ModelError(f"memo capacity must be >= 1, got {capacity}")
+        self.capacity = capacity
+        self._entries: dict[Hashable, Any] = {}
+        self.hits = 0
+        self.misses = 0
+        _memos.add(self)
+
+    def get_or_compute(self, key: Hashable, compute: Callable[[], Any]) -> Any:
+        """The value stored under ``key``, computing and storing it on a miss."""
+        if key in self._entries:
+            self.hits += 1
+            return self._entries[key]
+        self.misses += 1
+        value = compute()
+        if len(self._entries) >= self.capacity:
+            self._entries.pop(next(iter(self._entries)))
+        self._entries[key] = value
+        return value
+
+    def clear(self) -> None:
+        """Drop every entry and zero the counters."""
+        self._entries.clear()
+        self.hits = 0
+        self.misses = 0
+
+    def stats(self) -> dict[str, int]:
+        """``hits`` / ``misses`` / ``entries`` counters."""
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "entries": len(self._entries),
+        }
+
+
+#: (trace, method) -> PhysicalTrace; sweeps touch a handful of pairs, so
+#: this is generous while still capping memory for long-lived processes.
+physical_trace_memo = Memo(capacity=256)
+#: Deterministic RAF evaluations, keyed by trace and alignment parameters.
+raf_memo = Memo(capacity=128)
+#: (dataset, scale, seed, algorithm, source) -> (graph, trace) rebuilt by
+#: sweep tasks; shared across the points of one executor chunk.
+workload_memo = Memo(capacity=8)
 
 
 def _update_hash(h: "hashlib._Hash", obj: Any) -> None:
@@ -144,45 +185,31 @@ def trace_fingerprint(trace: Any) -> str:
 
 
 def cached_physical_trace(method: Any, trace: Any) -> Any:
-    """``method.physical_trace(trace)`` through the process-wide cache.
+    """``method.physical_trace(trace)`` through :data:`physical_trace_memo`.
 
     The key is (trace content, method configuration); the cached value is
     the :class:`~repro.gpu.base.PhysicalTrace`, which callers treat as
-    immutable.  Falls back to an uncached call when the method is not
-    fingerprintable (e.g. an ad-hoc test double that is not a dataclass).
+    immutable.  Falls back to an uncached call, counted neither as a hit
+    nor a miss, when the method is not fingerprintable: every
+    ``BaMMethod`` and ``UVMMethod`` takes this path, because their
+    ``CacheModel`` field is a stateful object :func:`config_fingerprint`
+    rejects.
     """
     try:
         key = (trace_fingerprint(trace), config_fingerprint(method))
     except ModelError:
         return method.physical_trace(trace)
-    hit = _cache.get(key)
-    if hit is not None:
-        _stats["hits"] += 1
-        return hit
-    _stats["misses"] += 1
-    physical = method.physical_trace(trace)
-    if len(_cache) >= _CACHE_CAPACITY:
-        _cache.pop(next(iter(_cache)))
-    _cache[key] = physical
-    return physical
+    return physical_trace_memo.get_or_compute(
+        key, lambda: method.physical_trace(trace)
+    )
 
 
 def clear_evaluation_cache() -> None:
-    """Drop all cached model evaluations and zero the hit/miss counters.
-
-    Also flushes every memo registered via :func:`register_cache`.
-    """
-    _cache.clear()
-    _stats["hits"] = 0
-    _stats["misses"] = 0
-    for mapping in _registered_caches:
-        mapping.clear()
+    """Flush every :class:`Memo` in the process and zero its counters."""
+    for memo in list(_memos):
+        memo.clear()
 
 
 def evaluation_cache_stats() -> dict[str, int]:
-    """Current cache statistics: ``hits``, ``misses``, ``entries``."""
-    return {
-        "hits": _stats["hits"],
-        "misses": _stats["misses"],
-        "entries": len(_cache),
-    }
+    """Physical-trace memo statistics: ``hits``, ``misses``, ``entries``."""
+    return physical_trace_memo.stats()

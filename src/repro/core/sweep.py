@@ -174,15 +174,12 @@ def run_sweep(
     The baseline point (``config.baseline`` overrides, typically EMOGI
     on host DRAM) is priced parent-side with the identical task
     function, then every grid point is dispatched through ``executor``
-    with its spec fingerprint as the memo key — results are
-    bit-identical for any executor and memo hits are executor-
-    independent.
+    — results are bit-identical for any executor.
     """
     executor = executor or SerialExecutor()
     spec_dict = spec.to_dict()
     grid = list(config.points())
     payloads = [{"spec": spec_dict, "overrides": o} for o in grid]
-    keys = [spec.with_overrides(o).fingerprint() for o in grid]
     with get_tracer().span(
         "sweep.run", points=len(grid), executor=executor.name
     ):
@@ -191,7 +188,7 @@ def run_sweep(
             baseline_runtime = evaluate_sweep_point(
                 {"spec": spec_dict, "overrides": dict(config.baseline)}
             )["runtime"]
-        results = executor.map(evaluate_sweep_point, payloads, keys=keys)
+        results = executor.map(evaluate_sweep_point, payloads)
         rows = []
         for result in results:
             row = dict(result)

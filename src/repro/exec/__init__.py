@@ -10,8 +10,7 @@
 * :func:`load_spec` reads specs from YAML with ``extend:`` chaining and
   dotted-key overrides.
 * :class:`SerialExecutor` / :class:`ProcessPoolExecutor` run pure
-  sweep tasks with bit-identical results regardless of executor, with
-  optional parent-side result memoization (:class:`TaskMemo`).
+  sweep tasks with bit-identical results regardless of executor.
 
 Submodules defer their :mod:`repro.core` imports to call time, so this
 package imports before (and is imported by) ``repro.core.sweep``.
@@ -23,7 +22,6 @@ from .executor import (
     Executor,
     ProcessPoolExecutor,
     SerialExecutor,
-    TaskMemo,
     default_chunk_size,
     make_executor,
 )
@@ -55,7 +53,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ProcessPoolExecutor",
-    "TaskMemo",
     "default_chunk_size",
     "make_executor",
 ]

@@ -17,12 +17,6 @@ Determinism is the contract, not an accident: tasks must be pure
 functions of their payload, so ``map`` output is independent of the
 executor, the worker count, and the chunking.  A tier-1 property test
 pins serial and 4-worker results byte-identical.
-
-Result memoization is parent-side and executor-independent: give an
-executor a :class:`TaskMemo` and pass canonical task ``keys`` (config
-fingerprints from :mod:`repro.core.evalcache`) to ``map`` — memoized
-payloads never reach the workers, and hit/miss counts are identical for
-every executor because the memo sits above the transport.
 """
 
 from __future__ import annotations
@@ -36,7 +30,6 @@ from ..errors import ExecError
 from ..telemetry.tracer import get_tracer
 
 __all__ = [
-    "TaskMemo",
     "Executor",
     "SerialExecutor",
     "ProcessPoolExecutor",
@@ -45,108 +38,22 @@ __all__ = [
 ]
 
 
-class TaskMemo:
-    """Bounded FIFO memo of task results keyed by canonical fingerprints.
-
-    Registered with :func:`repro.core.evalcache.register_cache` on
-    construction, so :func:`~repro.core.evalcache.clear_evaluation_cache`
-    flushes executor memos together with every other model memo in the
-    process (the benchmark harness relies on that single flush point).
-    """
-
-    def __init__(self, capacity: int = 4096) -> None:
-        if capacity < 1:
-            raise ExecError(f"memo capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._entries: dict[str, Any] = {}
-        self.hits = 0
-        self.misses = 0
-        from ..core.evalcache import register_cache
-
-        register_cache(self._entries)
-
-    def get(self, key: str) -> tuple[bool, Any]:
-        """``(found, value)`` — counts a hit or a miss."""
-        if key in self._entries:
-            self.hits += 1
-            return True, self._entries[key]
-        self.misses += 1
-        return False, None
-
-    def put(self, key: str, value: Any) -> None:
-        """Insert, evicting the oldest entry at capacity."""
-        if key not in self._entries and len(self._entries) >= self.capacity:
-            self._entries.pop(next(iter(self._entries)))
-        self._entries[key] = value
-
-    def stats(self) -> dict[str, int]:
-        """``hits`` / ``misses`` / ``entries`` counters."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "entries": len(self._entries),
-        }
-
-
 class Executor:
-    """Base class: memo handling and telemetry around :meth:`_run`."""
+    """Base class: telemetry around :meth:`_run`."""
 
     #: Short name recorded in telemetry spans and bench params.
     name = "base"
 
-    def __init__(self, *, memo: TaskMemo | None = None) -> None:
-        self.memo = memo
-
-    def map(
-        self,
-        fn: Callable[[Any], Any],
-        payloads: Sequence[Any],
-        *,
-        keys: Sequence[str] | None = None,
-    ) -> list[Any]:
-        """Run ``fn`` over ``payloads``; results in payload order.
-
-        ``keys`` are optional canonical memo keys (one per payload);
-        with a memo attached, hit payloads are answered parent-side and
-        only misses are dispatched.  The memo is consulted *before* any
-        transport, so hit/miss counts do not depend on the executor.
-        """
+    def map(self, fn: Callable[[Any], Any], payloads: Sequence[Any]) -> list[Any]:
+        """Run ``fn`` over ``payloads``; results in payload order."""
         payloads = list(payloads)
-        if keys is not None and len(keys) != len(payloads):
-            raise ExecError(
-                f"got {len(keys)} memo keys for {len(payloads)} payloads"
-            )
-        results: list[Any] = [None] * len(payloads)
-        pending: list[int] = []
-        memo_hits = 0
-        if self.memo is not None and keys is not None:
-            for i, key in enumerate(keys):
-                found, value = self.memo.get(key)
-                if found:
-                    results[i] = value
-                    memo_hits += 1
-                else:
-                    pending.append(i)
-        else:
-            pending = list(range(len(payloads)))
-        with get_tracer().span(
-            "exec.map",
-            executor=self.name,
-            tasks=len(payloads),
-            dispatched=len(pending),
-            memo_hits=memo_hits,
-        ):
-            if pending:
-                computed = self._run(fn, [payloads[i] for i in pending])
-                if len(computed) != len(pending):
-                    raise ExecError(
-                        f"{self.name} executor returned {len(computed)} "
-                        f"results for {len(pending)} tasks"
-                    )
-                for i, value in zip(pending, computed):
-                    results[i] = value
-                    if self.memo is not None and keys is not None:
-                        self.memo.put(keys[i], value)
+        with get_tracer().span("exec.map", executor=self.name, tasks=len(payloads)):
+            results = self._run(fn, payloads) if payloads else []
+            if len(results) != len(payloads):
+                raise ExecError(
+                    f"{self.name} executor returned {len(results)} "
+                    f"results for {len(payloads)} tasks"
+                )
         return results
 
     def _run(self, fn: Callable[[Any], Any], payloads: list[Any]) -> list[Any]:
@@ -209,9 +116,7 @@ class ProcessPoolExecutor(Executor):
         workers: int | None = None,
         *,
         chunk_size: int | None = None,
-        memo: TaskMemo | None = None,
     ) -> None:
-        super().__init__(memo=memo)
         if workers is None:
             workers = min(8, os.cpu_count() or 1)
         if workers < 1:
@@ -267,13 +172,12 @@ def make_executor(
     *,
     workers: int | None = None,
     chunk_size: int | None = None,
-    memo: TaskMemo | None = None,
 ) -> Executor:
     """Build an executor from a CLI-style name (``serial``/``process``)."""
     if kind == "serial":
-        return SerialExecutor(memo=memo)
+        return SerialExecutor()
     if kind == "process":
-        return ProcessPoolExecutor(workers, chunk_size=chunk_size, memo=memo)
+        return ProcessPoolExecutor(workers, chunk_size=chunk_size)
     raise ExecError(
         f"unknown executor {kind!r}; available: process, serial"
     )

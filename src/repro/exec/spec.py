@@ -6,8 +6,8 @@ registry name plus factory options), the algorithm, and optional fault
 and traffic sections — and every consumer (sweeps, the evaluation
 suite, bench scenarios, the capacity planner) takes it as *the* input
 type.  Because a spec is plain data it round-trips through
-``to_dict``/``from_dict`` (canonical JSON), pickles across process
-boundaries, and fingerprints canonically for result memoization.
+``to_dict``/``from_dict`` (canonical JSON) and pickles across process
+boundaries.
 
 ``from_dict`` is strict: unknown keys raise a typed
 :class:`~repro.errors.SpecError` listing the valid fields, because
@@ -272,7 +272,7 @@ class ExperimentSpec:
 
         The ``workload:`` section supersedes the flat ``algorithm``
         field; pre-existing specs (no section) keep their exact
-        behaviour and fingerprint.
+        behaviour, and ``to_dict`` omits the section.
         """
         return self.workload.name if self.workload is not None else self.algorithm
 
@@ -334,12 +334,6 @@ class ExperimentSpec:
         return ExperimentSpec.from_dict(data)
 
     # -- identity ---------------------------------------------------------
-
-    def fingerprint(self) -> str:
-        """Canonical content hash (see :mod:`repro.core.evalcache`)."""
-        from ..core.evalcache import config_fingerprint
-
-        return config_fingerprint(self.to_dict())
 
     # -- resolution -------------------------------------------------------
 

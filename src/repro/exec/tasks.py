@@ -8,13 +8,13 @@ these functions can, which is how callers bind a shared
 point (the partial ships once per chunk).
 
 Workers rebuild graphs and traces deterministically from
-``(dataset, scale, seed, algorithm, source)`` through a small
-per-process memo, so a chunk of sweep points over one workload pays the
-traversal once — the worker-side analogue of the parent passing a
-shared trace.  All heavy imports (:mod:`repro.core`, :mod:`repro.systems`)
-stay inside function bodies: this module is imported by
-``repro.core.sweep`` during package init, and a top-level back-import
-would cycle.
+``(dataset, scale, seed, algorithm, source)`` through the per-process
+:data:`repro.core.evalcache.workload_memo`, so a chunk of sweep points
+over one workload pays the traversal once — the worker-side analogue of
+the parent passing a shared trace.  All heavy imports (:mod:`repro.core`,
+:mod:`repro.systems`) stay inside function bodies: this module is
+imported by ``repro.core.sweep`` during package init, and a top-level
+back-import would cycle.
 
 Determinism note: results carry built-in floats produced by the same
 numpy expressions regardless of the process they ran in, so serial and
@@ -33,13 +33,6 @@ __all__ = [
     "evaluate_workload",
 ]
 
-#: Per-process workload memo: rebuilt graphs/traces are deterministic in
-#: their key, so sharing them across the points of a chunk is safe.
-_WORKLOAD_MEMO: dict[tuple[Any, ...], Any] = {}
-_WORKLOAD_MEMO_CAPACITY = 8
-_MEMO_REGISTERED = False
-
-
 def _workload_for(
     dataset: str,
     scale: int,
@@ -47,25 +40,22 @@ def _workload_for(
     algorithm: str,
     source: int | None = None,
 ) -> tuple[Any, Any]:
-    """``(graph, trace)`` for a workload key, memoized per process."""
-    global _MEMO_REGISTERED
-    if not _MEMO_REGISTERED:
-        from ..core.evalcache import register_cache
+    """``(graph, trace)`` for a workload key, memoized per process.
 
-        register_cache(_WORKLOAD_MEMO)
-        _MEMO_REGISTERED = True
-    key = (dataset, scale, seed, algorithm, source)
-    if key in _WORKLOAD_MEMO:
-        return _WORKLOAD_MEMO[key]
+    Rebuilt graphs and traces are deterministic in their key, so sharing
+    them across the points of a chunk is safe.
+    """
+    from ..core.evalcache import workload_memo
     from ..core.experiment import run_algorithm
     from ..graph.datasets import load_dataset
 
-    graph = load_dataset(dataset, scale=scale, seed=seed)
-    trace = run_algorithm(graph, algorithm, source)
-    if len(_WORKLOAD_MEMO) >= _WORKLOAD_MEMO_CAPACITY:
-        _WORKLOAD_MEMO.pop(next(iter(_WORKLOAD_MEMO)))
-    _WORKLOAD_MEMO[key] = (graph, trace)
-    return graph, trace
+    def build() -> tuple[Any, Any]:
+        graph = load_dataset(dataset, scale=scale, seed=seed)
+        return graph, run_algorithm(graph, algorithm, source)
+
+    return workload_memo.get_or_compute(
+        (dataset, scale, seed, algorithm, source), build
+    )
 
 
 def evaluate_sweep_point(item: Mapping[str, Any]) -> dict[str, Any]:

@@ -18,8 +18,8 @@ step-local cache, and direct access always — keyed by the trace's content
 fingerprint plus the alignment parameters.  Sweeps price the same trace
 at the same alignment through several systems, so the O(trace bytes)
 block expansion runs once per distinct key and is an O(1) dict hit after.
-The memo is bounded and is flushed by
-:func:`repro.core.evalcache.clear_evaluation_cache`.
+The memo is :data:`repro.core.evalcache.raf_memo`, which
+:func:`repro.core.evalcache.clear_evaluation_cache` flushes.
 """
 
 from __future__ import annotations
@@ -75,30 +75,17 @@ def _check_trace(trace: AccessTrace) -> None:
         raise TraceError("cannot compute amplification of an empty trace")
 
 
-#: Bounded memo of deterministic RAF evaluations (see module docstring).
-_MEMO_CAPACITY = 128
-_raf_memo: dict[tuple, RAFResult] = {}
-
-
-def _memo_key(kind: str, trace: AccessTrace, *params: object) -> tuple | None:
-    """Memo key for a deterministic evaluation, or None if unfingerprintable."""
-    from ..core.evalcache import trace_fingerprint
+def _memoized(
+    compute: Callable[[], RAFResult], kind: str, trace: AccessTrace, *params: object
+) -> RAFResult:
+    """``compute()`` through the RAF memo; uncached if unfingerprintable."""
+    from ..core.evalcache import raf_memo, trace_fingerprint
 
     try:
-        return (kind, trace_fingerprint(trace), *params)
+        key = (kind, trace_fingerprint(trace), *params)
     except (ModelError, AttributeError, TypeError):
-        return None
-
-
-def _remember(key: tuple, result: RAFResult) -> RAFResult:
-    if not _raf_memo:
-        from ..core.evalcache import register_cache
-
-        register_cache(_raf_memo)
-    if len(_raf_memo) >= _MEMO_CAPACITY:
-        _raf_memo.pop(next(iter(_raf_memo)))
-    _raf_memo[key] = result
-    return result
+        return compute()
+    return raf_memo.get_or_compute(key, compute)
 
 
 def read_amplification(
@@ -115,14 +102,21 @@ def read_amplification(
     ``alignment``-sized fetch, so ``d = a`` exactly as in Section 3.3.2.
     """
     _check_trace(trace)
-    key = None
-    if cache is None:
-        # Pure function of (trace, alignment): the default step-local cache
-        # carries no state across calls and nobody observes its stats.
-        key = _memo_key("steplocal", trace, alignment)
-        if key is not None and key in _raf_memo:
-            return _raf_memo[key]
-        cache = StepLocalCache()
+    if cache is not None:
+        return _cache_line_raf(trace, alignment, cache)
+    # Pure function of (trace, alignment): the default step-local cache
+    # carries no state across calls and nobody observes its stats.
+    return _memoized(
+        lambda: _cache_line_raf(trace, alignment, StepLocalCache()),
+        "steplocal",
+        trace,
+        alignment,
+    )
+
+
+def _cache_line_raf(
+    trace: AccessTrace, alignment: int, cache: CacheModel
+) -> RAFResult:
     cache.reset()
     per_step_fetched = np.zeros(trace.num_steps, dtype=np.int64)
     per_step_requests = np.zeros(trace.num_steps, dtype=np.int64)
@@ -131,7 +125,7 @@ def read_amplification(
         misses = cache.access(block_ids)
         per_step_requests[i] = misses
         per_step_fetched[i] = misses * alignment
-    result = RAFResult(
+    return RAFResult(
         alignment=alignment,
         useful_bytes=trace.useful_bytes,
         fetched_bytes=int(per_step_fetched.sum()),
@@ -139,9 +133,6 @@ def read_amplification(
         per_step_fetched=per_step_fetched,
         per_step_requests=per_step_requests,
     )
-    if key is not None:
-        return _remember(key, result)
-    return result
 
 
 def direct_access_amplification(
@@ -158,9 +149,18 @@ def direct_access_amplification(
         raise ModelError(
             f"max_transfer {max_transfer} must be a multiple of alignment {alignment}"
         )
-    key = _memo_key("direct", trace, alignment, max_transfer)
-    if key is not None and key in _raf_memo:
-        return _raf_memo[key]
+    return _memoized(
+        lambda: _direct_raf(trace, alignment, max_transfer),
+        "direct",
+        trace,
+        alignment,
+        max_transfer,
+    )
+
+
+def _direct_raf(
+    trace: AccessTrace, alignment: int, max_transfer: int | None
+) -> RAFResult:
     per_step_fetched = np.zeros(trace.num_steps, dtype=np.int64)
     per_step_requests = np.zeros(trace.num_steps, dtype=np.int64)
     for i, step in enumerate(trace):
@@ -169,7 +169,7 @@ def direct_access_amplification(
             a_starts, a_lengths = split_by_max_transfer(a_starts, a_lengths, max_transfer)
         per_step_fetched[i] = a_lengths.sum()
         per_step_requests[i] = int((a_lengths > 0).sum())
-    result = RAFResult(
+    return RAFResult(
         alignment=alignment,
         useful_bytes=trace.useful_bytes,
         fetched_bytes=int(per_step_fetched.sum()),
@@ -177,9 +177,6 @@ def direct_access_amplification(
         per_step_fetched=per_step_fetched,
         per_step_requests=per_step_requests,
     )
-    if key is not None:
-        return _remember(key, result)
-    return result
 
 
 def raf_curve(

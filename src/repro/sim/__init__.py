@@ -16,12 +16,6 @@ microbenchmark on the DES.
 
 from .events import EventQueue, Simulator
 from .resources import FifoServer, Semaphore, RateServer
-from .littles_law import (
-    concurrency_for,
-    latency_for,
-    throughput_cap,
-    little_throughput_profile,
-)
 from .fluid import FluidParams, StepInput, StepTiming, TraceTiming, step_time, trace_time
 from .des import DESConfig, DESResult, simulate_step, simulate_trace
 from .pointer_chase import PointerChaseResult, pointer_chase_latency
@@ -39,10 +33,6 @@ __all__ = [
     "FifoServer",
     "Semaphore",
     "RateServer",
-    "concurrency_for",
-    "latency_for",
-    "throughput_cap",
-    "little_throughput_profile",
     "FluidParams",
     "StepInput",
     "StepTiming",

@@ -90,12 +90,6 @@ class TestExperimentSpec:
         with pytest.raises(SpecError, match="non-mapping"):
             ExperimentSpec().with_overrides({"algorithm.x": 1})
 
-    def test_fingerprint_tracks_content(self):
-        a = ExperimentSpec()
-        b = ExperimentSpec().with_overrides({"graph.scale": 11})
-        assert a.fingerprint() == ExperimentSpec().fingerprint()
-        assert a.fingerprint() != b.fingerprint()
-
     def test_resolve_system_builds_registry_model(self):
         spec = ExperimentSpec(system=SystemSpec(name="emogi", link="gen4"))
         system = spec.resolve_system()

@@ -8,15 +8,15 @@ model can be trusted for the figures.
 import numpy as np
 import pytest
 
-from repro.errors import ModelError, SimulationError
-from repro.sim.des import DESConfig, simulate_step
-from repro.sim.fluid import FluidParams, StepInput, step_time
-from repro.sim.littles_law import (
+from repro.core.equations import (
     concurrency_for,
     latency_for,
     little_throughput_profile,
     throughput_cap,
 )
+from repro.errors import ModelError, SimulationError
+from repro.sim.des import DESConfig, simulate_step
+from repro.sim.fluid import FluidParams, StepInput, step_time
 from repro.sim.pointer_chase import pointer_chase_latency
 from repro.units import MB_PER_S, MIOPS, USEC
 
