@@ -15,6 +15,10 @@ from .csr import CSRGraph
 
 __all__ = ["build_csr", "symmetrize_edges", "dedupe_edges", "remove_self_loops"]
 
+#: Largest vertex count ``n`` whose packed keys ``src * n + dst`` (at most
+#: ``n * n - 1``) fit in int64: ``floor(sqrt(2**63))``.
+_MAX_PACKED_VERTICES = 3_037_000_499
+
 
 def _as_edge_arrays(
     src: np.ndarray, dst: np.ndarray, weights: np.ndarray | None
@@ -50,18 +54,37 @@ def dedupe_edges(
 
     Input order is otherwise not preserved: edges come back sorted by
     ``(src, dst)``, which is the order CSR construction wants anyway.
+    Each edge is packed into one int64 key ``src * n + dst`` (``n`` one
+    past the largest endpoint) and sorted once; a stable sort keeps the
+    first weight of each duplicate run.  Raises
+    :class:`~repro.errors.GraphFormatError` for negative endpoints and
+    for endpoints too large to pack (``n * n`` overflowing int64).
     """
     src, dst, weights = _as_edge_arrays(src, dst, weights)
     if src.size == 0:
         return src, dst, weights
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    if weights is not None:
-        weights = weights[order]
-    keep = np.empty(src.size, dtype=bool)
+    if min(src.min(), dst.min()) < 0:
+        raise GraphFormatError("edge endpoints must be non-negative")
+    n = int(max(src.max(), dst.max())) + 1
+    if n > _MAX_PACKED_VERTICES:
+        raise GraphFormatError(
+            f"edge endpoints up to {n - 1} cannot be packed into int64 keys "
+            f"(at most {_MAX_PACKED_VERTICES - 1})"
+        )
+    keys = src * n
+    keys += dst
+    if weights is None:
+        keys.sort()
+    else:
+        order = np.argsort(keys, kind="stable")
+        keys, weights = keys[order], weights[order]
+    keep = np.empty(keys.size, dtype=bool)
     keep[0] = True
-    np.logical_or(src[1:] != src[:-1], dst[1:] != dst[:-1], out=keep[1:])
-    return src[keep], dst[keep], (weights[keep] if weights is not None else None)
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    keys = keys[keep]
+    dst = keys % n
+    keys //= n  # in place: the key buffer becomes the source column
+    return keys, dst, (weights[keep] if weights is not None else None)
 
 
 def symmetrize_edges(
@@ -123,9 +146,10 @@ def build_csr(
             f"max src {src.max()}, max dst {dst.max()}"
         )
 
-    order = np.argsort(src, kind="stable")
-    dst_sorted = dst[order]
-    weights_sorted = weights[order] if weights is not None else None
+    if not dedupe:  # dedupe_edges already returns edges sorted by source
+        order = np.argsort(src, kind="stable")
+        dst = dst[order]
+        weights = weights[order] if weights is not None else None
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return CSRGraph(indptr, dst_sorted, weights_sorted, name=name)
+    return CSRGraph(indptr, dst, weights, name=name)

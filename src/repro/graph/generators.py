@@ -37,6 +37,9 @@ __all__ = [
 
 #: Graph500 R-MAT initiator probabilities (a, b, c; d is the remainder).
 RMAT_A, RMAT_B, RMAT_C = 0.57, 0.19, 0.19
+#: Edges per chunk of Kronecker quadrant draws (bounds the per-chunk
+#: ``(chunk, scale)`` draw array to 16 MB at scale 30).
+_KRONECKER_CHUNK_EDGES = 1 << 16
 
 
 def _check_scale(scale: int) -> int:
@@ -99,41 +102,66 @@ def kronecker_graph(
 
     Each edge's endpoints are built bit by bit: at every one of the
     ``scale`` levels, the edge recurses into one of four quadrants of the
-    adjacency matrix with probabilities ``(a, b, c, 1-a-b-c)``.  This is a
-    fully vectorized implementation: one ``(num_edges, scale)`` batch of
-    quadrant draws instead of per-edge recursion.
+    adjacency matrix with probabilities ``(a, b, c, 1-a-b-c)``.  Quadrant
+    draws are made in chunks of :data:`_KRONECKER_CHUNK_EDGES` edges and
+    folded into per-chunk row/column accumulators, so memory stays
+    O(num_edges) whatever the scale.  The draws consume the generator
+    exactly as ``rng.choice(4, size=(num_edges, scale), p=...)`` would,
+    so every edge is that of the one-batch formulation.
     """
     scale = _check_scale(scale)
     edge_factor = _check_degree(edge_factor)
     d = 1.0 - (a + b + c)
-    if min(a, b, c, d) < 0 or max(a, b, c, d) > 1:
+    if not all(0 <= p <= 1 for p in (a, b, c, d)):
         raise GraphGenerationError(
             f"R-MAT probabilities must form a distribution, got {(a, b, c, d)}"
         )
     n = 1 << scale
     num_edges = int(round(n * edge_factor))
     rng = np.random.default_rng(seed)
-    # Quadrant choice per (edge, bit): 0 -> (0,0), 1 -> (0,1), 2 -> (1,0), 3 -> (1,1).
-    quadrants = rng.choice(4, size=(num_edges, scale), p=[a, b, c, d])
-    row_bits = (quadrants >> 1) & 1
-    col_bits = quadrants & 1
-    powers = (1 << np.arange(scale - 1, -1, -1, dtype=np.int64))
-    src = (row_bits * powers).sum(axis=1)
-    dst = (col_bits * powers).sum(axis=1)
-    # Graph500 permutes vertex labels so that high-degree vertices are not
-    # clustered at low IDs; this also randomises edge-list placement, which
-    # matters for the alignment study.
-    perm = rng.permutation(n).astype(np.int64)
-    src, dst = perm[src], perm[dst]
+    # Drawing in a helper frees the last chunk's draw and bit arrays
+    # before build_csr runs.
     return build_csr(
-        src,
-        dst,
+        *_rmat_edges(rng, scale, num_edges, (a, b, c, d)),
         num_vertices=n,
         symmetrize=symmetrize,
         dedupe=True,
         drop_self_loops=True,
         name=name or f"kron{scale}",
     )
+
+
+def _rmat_edges(
+    rng: np.random.Generator,
+    scale: int,
+    num_edges: int,
+    probs: tuple[float, float, float, float],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Permuted R-MAT endpoints ``(src, dst)`` of :func:`kronecker_graph`."""
+    # Generator.choice(p=...) maps a uniform draw u to quadrant
+    # searchsorted(cdf, u, side="right"), i.e. the count of cdf entries
+    # <= u: 0 -> (0,0), 1 -> (0,1), 2 -> (1,0), 3 -> (1,1).  The row bit
+    # is (quadrant >= 2); the column bit is the count's parity.
+    cdf = np.cumsum(np.array(probs, dtype=np.float64))
+    cdf /= cdf[-1]
+    src = np.zeros(num_edges, dtype=np.int64)
+    dst = np.zeros(num_edges, dtype=np.int64)
+    for lo in range(0, num_edges, _KRONECKER_CHUNK_EDGES):
+        hi = min(lo + _KRONECKER_CHUNK_EDGES, num_edges)
+        u = rng.random((hi - lo, scale))
+        row_bits = u >= cdf[1]
+        col_bits = (u >= cdf[0]) ^ row_bits ^ (u >= cdf[2])
+        rows, cols = src[lo:hi], dst[lo:hi]
+        for level in range(scale):
+            rows <<= 1
+            rows |= row_bits[:, level]
+            cols <<= 1
+            cols |= col_bits[:, level]
+    # Graph500 permutes vertex labels so that high-degree vertices are not
+    # clustered at low IDs; this also randomises edge-list placement, which
+    # matters for the alignment study.
+    perm = rng.permutation(1 << scale).astype(np.int64)
+    return perm[src], perm[dst]
 
 
 def chung_lu_graph(

@@ -25,6 +25,98 @@ class TestRemoveSelfLoops:
         assert w.tolist() == [7.0]
 
 
+#: One past the largest vertex id dedupe_edges can pack: floor(sqrt(2**63)).
+PACK_LIMIT = 3_037_000_499
+
+
+def lexsort_dedupe(src, dst, weights=None):
+    """Reference: the two-key ``np.lexsort`` dedupe that packed keys replaced."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    if src.size == 0:
+        return src, dst, weights
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)[order]
+    keep = np.empty(src.size, dtype=bool)
+    keep[0] = True
+    np.logical_or(src[1:] != src[:-1], dst[1:] != dst[:-1], out=keep[1:])
+    return src[keep], dst[keep], (weights[keep] if weights is not None else None)
+
+
+def assert_same_edges(got, want):
+    for g, w in zip(got, want):
+        if w is None:
+            assert g is None
+        else:
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
+
+
+class TestDedupeMatchesLexsort:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("num_vertices", [2, 37, 1 << 16])
+    def test_random_edges_with_duplicates(self, seed, num_vertices):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(1, 3000))
+        src = rng.integers(0, num_vertices, size)
+        dst = rng.integers(0, num_vertices, size)
+        # Repeat a slice so every input has duplicates.
+        src = np.concatenate([src, src[: size // 3]])
+        dst = np.concatenate([dst, dst[: size // 3]])
+        assert_same_edges(dedupe_edges(src, dst), lexsort_dedupe(src, dst))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_weighted_keeps_first_weight_of_repeated_keys(self, seed):
+        rng = np.random.default_rng(seed)
+        src = rng.integers(0, 8, 400)
+        dst = rng.integers(0, 8, 400)
+        weights = rng.random(400)
+        assert_same_edges(
+            dedupe_edges(src, dst, weights), lexsort_dedupe(src, dst, weights)
+        )
+
+    def test_empty(self):
+        empty = np.array([], dtype=np.int64)
+        assert_same_edges(dedupe_edges(empty, empty), lexsort_dedupe(empty, empty))
+
+    def test_single_edge(self):
+        got = dedupe_edges(np.array([4]), np.array([2]), np.array([1.5]))
+        assert_same_edges(got, lexsort_dedupe([4], [2], [1.5]))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ids_near_the_packing_limit(self, seed):
+        rng = np.random.default_rng(seed)
+        ids = np.array([0, 1, PACK_LIMIT - 3, PACK_LIMIT - 2, PACK_LIMIT - 1])
+        src, dst = rng.choice(ids, 200), rng.choice(ids, 200)
+        assert_same_edges(dedupe_edges(src, dst), lexsort_dedupe(src, dst))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_deduped_build_matches_reference_build(self, seed):
+        rng = np.random.default_rng(seed)
+        src = rng.integers(0, 30, 500)
+        dst = rng.integers(0, 30, 500)
+        weights = rng.random(500)
+        got = build_csr(src, dst, 30, weights, dedupe=True)
+        ref_src, ref_dst, ref_weights = lexsort_dedupe(src, dst, weights)
+        want = build_csr(ref_src, ref_dst, 30, ref_weights)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.weights, want.weights)
+
+
+class TestDedupeRejectsUnpackableIds:
+    def test_negative_endpoint(self):
+        # Packed, (1, -1) would silently become (0, n - 1).
+        with pytest.raises(GraphFormatError, match="non-negative"):
+            dedupe_edges(np.array([0, 1]), np.array([1, -1]))
+
+    def test_ids_whose_square_overflows_int64(self):
+        with pytest.raises(GraphFormatError, match="packed"):
+            dedupe_edges(np.array([0]), np.array([PACK_LIMIT]))
+
+
 class TestDedupe:
     def test_removes_duplicates(self):
         src, dst, _ = dedupe_edges(np.array([1, 0, 1, 0]), np.array([2, 3, 2, 3]))
@@ -33,8 +125,8 @@ class TestDedupe:
     def test_keeps_first_weight(self):
         src = np.array([0, 0])
         dst = np.array([1, 1])
-        # After the lexsort the first occurrence in sorted order wins; both
-        # entries have the same key so stability keeps input order.
+        # Both entries pack to the same key; the stable sort keeps input
+        # order, so the first occurrence wins.
         _, _, w = dedupe_edges(src, dst, np.array([5.0, 9.0]))
         assert w.tolist() == [5.0]
 

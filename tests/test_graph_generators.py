@@ -1,9 +1,13 @@
 """Synthetic graph generators: structure, determinism, parameter checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.errors import GraphGenerationError
+from repro.graph import generators
+from repro.graph.builder import build_csr
 from repro.graph.generators import (
     chung_lu_graph,
     complete_graph,
@@ -72,10 +76,80 @@ class TestKronecker:
         with pytest.raises(GraphGenerationError, match="distribution"):
             kronecker_graph(8, 8.0, a=0.9, b=0.9, c=0.9)
 
+    def test_nan_probability_rejected(self):
+        with pytest.raises(GraphGenerationError, match="distribution"):
+            kronecker_graph(8, 8.0, a=float("nan"))
+
     def test_deterministic_per_seed(self):
         a = kronecker_graph(8, 8.0, seed=3)
         b = kronecker_graph(8, 8.0, seed=3)
         assert np.array_equal(a.indptr, b.indptr)
+
+
+def choice_kronecker_graph(scale, edge_factor, *, a, b, c, seed, symmetrize=True):
+    """Reference: the one-batch ``rng.choice((num_edges, scale))`` formulation."""
+    d = 1.0 - (a + b + c)
+    n = 1 << scale
+    num_edges = int(round(n * edge_factor))
+    rng = np.random.default_rng(seed)
+    quadrants = rng.choice(4, size=(num_edges, scale), p=[a, b, c, d])
+    powers = 1 << np.arange(scale - 1, -1, -1, dtype=np.int64)
+    src = (((quadrants >> 1) & 1) * powers).sum(axis=1)
+    dst = ((quadrants & 1) * powers).sum(axis=1)
+    perm = rng.permutation(n).astype(np.int64)
+    return build_csr(
+        perm[src],
+        perm[dst],
+        num_vertices=n,
+        symmetrize=symmetrize,
+        dedupe=True,
+        drop_self_loops=True,
+    )
+
+
+class TestKroneckerMatchesChoiceFormula:
+    """The chunked draws reproduce the one-batch formula bit for bit."""
+
+    @pytest.mark.parametrize(
+        "scale,edge_factor", [(1, 16.0), (2, 16.0), (9, 16.0), (12, 40.0)]
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize(
+        "abc",
+        [(0.57, 0.19, 0.19), (0.45, 0.15, 0.15), (0.25, 0.25, 0.25), (0.7, 0.0, 0.3)],
+    )
+    def test_equal_to_reference(self, scale, edge_factor, seed, abc):
+        a, b, c = abc
+        got = kronecker_graph(scale, edge_factor, a=a, b=b, c=c, seed=seed)
+        want = choice_kronecker_graph(scale, edge_factor, a=a, b=b, c=c, seed=seed)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+
+    @pytest.mark.parametrize(
+        "chunk,scale,edge_factor",
+        [(1, 2, 5.25), (7, 2, 5.5), (7, 9, 16.0), (1000, 9, 16.0), (1000, 12, 3.3)],
+    )
+    def test_edge_count_not_a_multiple_of_the_chunk(
+        self, monkeypatch, chunk, scale, edge_factor
+    ):
+        monkeypatch.setattr(generators, "_KRONECKER_CHUNK_EDGES", chunk)
+        abc = dict(a=0.57, b=0.19, c=0.19)
+        got = kronecker_graph(scale, edge_factor, seed=3, symmetrize=False, **abc)
+        want = choice_kronecker_graph(
+            scale, edge_factor, seed=3, symmetrize=False, **abc
+        )
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+
+    def test_memory_stays_bounded(self):
+        kronecker_graph(10, 40.0)  # warm imports and allocator pools
+        tracemalloc.start()
+        try:
+            kronecker_graph(14, 40.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
 
 
 class TestChungLu:
