@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Sequence
 
+import numpy as np
+
 from ..devices.base import DevicePool
 from ..errors import ModelError
 from ..sim.fluid import FluidParams, StepInput, TraceTiming, trace_time
@@ -133,18 +135,27 @@ def faulty_trace_time(
     """Fluid runtime of a traversal under a transient-fault plan.
 
     Each step's traffic is inflated by the expected retry factor and
-    priced on the (possibly degraded) parameters.  Backoff waits are added
-    per step when retries are expected at all: in a parallel batch the
-    slowest request sets the pace, and with thousands of requests per bulk
-    step some request almost surely pays the first backoff.
+    priced on the (possibly degraded) parameters.  A bulk step then ends
+    with its *worst* request's retry chain, so each step also pays the
+    expected maximum of ``n`` chains: with ``n`` the step's (uninflated)
+    requests, ``p`` the error rate and ``m`` the attempt budget,
+
+        tail = sum_{k=1}^{m-1} [1 - (1 - p^k)^n] * (backoff(k) + L)
+
+    — the ``k``-th backoff and reissue latency are paid when at least one
+    of the ``n`` requests fails ``k`` times in a row.
     """
     policy = policy if policy is not None else RetryPolicy()
-    factor = expected_attempts(plan.read_error_rate, policy.max_attempts)
+    p = plan.read_error_rate
+    factor = expected_attempts(p, policy.max_attempts)
     degraded = degraded_fluid_params(params, surviving_fraction)
     inflated = [retry_inflated_step(s, factor) for s in steps]
     timing = trace_time(inflated, degraded)
-    if plan.read_error_rate > 0 and policy.backoff_base > 0:
-        tail = policy.backoff(1) + degraded.latency
+    if p > 0:
+        n = np.array([s.requests for s in steps], dtype=np.float64)
+        tail = np.zeros_like(n)
+        for k in range(1, policy.max_attempts):
+            tail += (1.0 - (1.0 - p**k) ** n) * (policy.backoff(k) + degraded.latency)
         step_times = timing.step_times + tail
         timing = TraceTiming(
             total_time=float(step_times.sum()),

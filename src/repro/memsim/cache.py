@@ -119,10 +119,10 @@ class IdealCache(CacheModel):
 
     The seen set is a dense boolean mask indexed by block ID (block IDs
     are byte offsets over alignment, so they are small non-negative
-    integers): membership is one fancy gather, marking is one fancy
-    scatter, and the mask grows geometrically — O(batch) amortised per
-    access with no per-block Python loop and no re-sorting of the
-    ever-growing seen set.
+    integers): each batch is deduplicated with ``np.unique`` (a sort,
+    O(batch log batch)), then membership is one fancy gather, marking is
+    one fancy scatter, and the mask grows geometrically — no per-block
+    Python loop and no re-sorting of the ever-growing seen set.
     """
 
     def __init__(self) -> None:
@@ -252,4 +252,4 @@ def make_cache(
         if block_bytes < 1:
             raise ModelError(f"block_bytes must be >= 1, got {block_bytes}")
         return LRUCache(max(1, capacity_bytes // block_bytes))
-    raise ModelError(f"unknown cache kind {kind!r} (expected none/ideal/lru)")
+    raise ModelError(f"unknown cache kind {kind!r} (expected none/step/ideal/lru)")

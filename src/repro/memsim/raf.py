@@ -188,7 +188,8 @@ def raf_curve(
 
     ``cache_factory(alignment)`` supplies the cache per point — capacity is
     usually fixed in bytes, so the block count varies with alignment.
-    ``None`` (default) uses a fresh ideal cache per point.
+    ``None`` (default) uses a fresh :class:`StepLocalCache` per point,
+    as :func:`read_amplification` does.
     """
     results = []
     for alignment in alignments:

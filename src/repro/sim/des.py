@@ -8,15 +8,20 @@ moves its data across the shared PCIe link.  Completion of the last
 request ends the step.
 
 The DES exists to *validate* the fluid model (they must agree within a
-small tolerance — property-tested) and to run serialized microbenchmarks
-like Appendix B's pointer chase where a fluid model has nothing to say.
+small tolerance — property-tested), healthy and under faults, and to run
+serialized microbenchmarks like Appendix B's pointer chase where a fluid
+model has nothing to say.  :func:`simulate_step` is the one step-level
+simulator: an optional fault plan and retry policy swap in the two
+stages that differ under faults (the device-tag grant and the
+after-latency stage), so retries run through the same resources, the
+same booking and the same event loop as the fault-free step.
 
 Fast-path notes (benchmarked by the ``des`` family, docs/PERFORMANCE.md):
 per-request state travels as event arguments — one shared callback per
 stage for the whole step, no closure allocation per request — and the
 three FIFO stages between the device-tag grant and the shared link
-(IOPS admission, internal media channel, fixed access latency) are
-*fused*: their completion times are booked analytically with
+(IOPS admission, internal media channel, access latency) are *fused*:
+their completion times are booked analytically with
 :meth:`repro.sim.resources.FifoServer.book` and one event is scheduled
 at the link-entry time, replacing three chained heap events.  A request
 therefore costs O(log n) for ~2 heap events rather than ~5, with float
@@ -32,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..config import GPU_ACTIVE_WARPS_BFS, KERNEL_STEP_OVERHEAD
-from ..errors import SimulationError
+from ..errors import FaultExhaustedError, SimulationError
 from ..telemetry.clock import SimClock
 from ..telemetry.tracer import get_tracer
 from .events import Simulator
@@ -43,7 +48,6 @@ __all__ = [
     "DESConfig",
     "DESResult",
     "simulate_step",
-    "simulate_step_faulty",
     "simulate_trace",
 ]
 
@@ -103,8 +107,9 @@ class DESConfig:
 class DESResult:
     """Outcome of one simulated step (or trace).
 
-    ``retries``/``timeouts``/``faults_injected`` stay zero for fault-free
-    simulations; :func:`simulate_step_faulty` populates them.
+    ``retries``/``timeouts``/``faults_injected`` count the failed
+    attempts :func:`simulate_step` replayed under a fault plan; they stay
+    zero for fault-free simulations.
     """
 
     time: float
@@ -128,6 +133,8 @@ def simulate_step(
     config: DESConfig,
     devices: np.ndarray | None = None,
     *,
+    plan=None,
+    policy=None,
     include_overhead: bool = False,
     max_events: int | None = None,
 ) -> DESResult:
@@ -135,7 +142,25 @@ def simulate_step(
 
     ``devices`` maps each request to a device index (round-robin by
     default).  Returns the completion time of the last request.
+
+    ``plan`` is a :class:`~repro.faults.plan.FaultPlan` and ``policy`` a
+    :class:`~repro.faults.retry.RetryPolicy` (duck-typed here to keep
+    :mod:`repro.sim` import-independent of :mod:`repro.faults`); they
+    come as a pair.  With them, faults replay as real extra events: a
+    failed attempt holds its warp and link tag, pays the (possibly
+    stuck-slow, spiked, cut-off-at-timeout) latency, releases its device
+    queue slot for the backoff wait, then reissues through device
+    admission, media and latency again — no link data moves until an
+    attempt succeeds.  Requests against a permanently dropped device fail
+    every attempt; exhausting the retry budget raises
+    :class:`~repro.errors.FaultExhaustedError` (pool-level eviction lives
+    a layer up, in :mod:`repro.faults.backend`).  The plan's
+    counter-based draws make this bit-reproducible and consistent with
+    :class:`~repro.faults.backend.FaultyBackend` for the same request ids,
+    and an empty plan reproduces the fault-free step bit for bit.
     """
+    if (plan is None) != (policy is None):
+        raise SimulationError("a fault plan and a retry policy go together")
     sizes = np.asarray(sizes, dtype=np.int64)
     sizes = sizes[sizes > 0]
     n = sizes.size
@@ -173,6 +198,7 @@ def simulate_step(
     ]
     link = FifoServer(sim, "link-data")
     completion = np.zeros(n, dtype=np.float64)
+    retries = timeouts = faults = 0
     tracer = get_tracer()
     traced = tracer.enabled
     # Sim-time view: queue-depth samples land on the virtual timeline.
@@ -204,159 +230,59 @@ def simulate_step(
     def with_link_tag(i: int) -> None:
         device_tags[devices_list[i]].acquire(with_device_tag, i)
 
-    def with_device_tag(i: int) -> None:
-        dev = devices_list[i]
-        if traced:
-            sample_depth(dev)
-        # Admission at the device's op rate, then the device's internal
-        # channel, then the access latency — all booked analytically.
-        admitted = device_ops[dev].book_op(sim.now)
-        media_done = device_bw[dev].book(admitted, sizes_list[i] / media_bw)
-        sim.schedule_at(media_done + latency, after_latency, i, dev)
+    if plan is None:
 
-    def after_latency(i: int, dev: int) -> None:
-        # The response data serialises onto the shared link.
-        link.submit(sizes_list[i] / link_bw, finish, i, dev)
-
-    def finish(i: int, dev: int) -> None:
-        completion[i] = sim.now
-        device_tags[dev].release()
-        link_tags.release()
-        warps.release()
-        if traced:
-            sample_depth(dev)
-
-    with tracer.span("des.step", requests=n, devices=config.num_devices):
-        for i in range(n):
-            warps.acquire(with_warp, i)
-        end = sim.run(max_events=max_events)
-    return DESResult(
-        time=end + (config.step_overhead if include_overhead else 0.0),
-        requests=n,
-        link_busy_time=link.busy_time,
-        max_link_tags=link_tags.max_in_use,
-        max_warps=warps.max_in_use,
-        completion_times=completion,
-    )
-
-
-def simulate_step_faulty(
-    sizes: np.ndarray,
-    config: DESConfig,
-    plan,
-    policy,
-    devices: np.ndarray | None = None,
-    *,
-    include_overhead: bool = False,
-    max_events: int | None = None,
-) -> DESResult:
-    """Simulate one step with faults replayed as real extra events.
-
-    ``plan`` is a :class:`~repro.faults.plan.FaultPlan`, ``policy`` a
-    :class:`~repro.faults.retry.RetryPolicy` (duck-typed here to keep
-    :mod:`repro.sim` import-independent of :mod:`repro.faults`).  A failed
-    attempt holds its warp and link tag, pays the (possibly spiked,
-    possibly cut-off-at-timeout) latency, releases its device queue slot
-    for the backoff wait, then reissues through device admission, media
-    and latency again — extra tags held longer, extra latency paid, and
-    no link data moved until an attempt succeeds.  Requests against a
-    permanently dropped device fail every attempt; exhausting the retry
-    budget raises :class:`~repro.errors.FaultExhaustedError` (pool-level
-    eviction lives a layer up, in :mod:`repro.faults.backend`).
-
-    The plan's counter-based draws make this bit-reproducible and
-    consistent with :class:`~repro.faults.backend.FaultyBackend` for the
-    same request ids.
-    """
-    from ..errors import FaultExhaustedError
-
-    sizes = np.asarray(sizes, dtype=np.int64)
-    sizes = sizes[sizes > 0]
-    n = sizes.size
-    if n == 0:
-        return DESResult(
-            time=config.step_overhead if include_overhead else 0.0,
-            requests=0,
-            link_busy_time=0.0,
-            max_link_tags=0,
-            max_warps=0,
-            completion_times=np.empty(0, dtype=np.float64),
-        )
-    if devices is None:
-        devices = np.arange(n, dtype=np.int64) % config.num_devices
-    else:
-        devices = np.asarray(devices, dtype=np.int64)
-        if devices.shape != sizes.shape:
-            raise SimulationError("devices must match sizes in shape")
-        if devices.min() < 0 or devices.max() >= config.num_devices:
-            raise SimulationError("device index out of range")
-
-    sim = Simulator()
-    warps = Semaphore(sim, config.gpu_concurrency, "warps")
-    link_tags = Semaphore(sim, config.link_outstanding, "link-tags")
-    device_tags = [
-        Semaphore(sim, config.device_outstanding, f"dev{i}-tags")
-        for i in range(config.num_devices)
-    ]
-    device_ops = [
-        RateServer(sim, config.device_iops, f"dev{i}-ops")
-        for i in range(config.num_devices)
-    ]
-    device_bw = [
-        FifoServer(sim, f"dev{i}-bw") for i in range(config.num_devices)
-    ]
-    link = FifoServer(sim, "link-data")
-    completion = np.zeros(n, dtype=np.float64)
-    counters = {"retries": 0, "timeouts": 0, "faults": 0}
-    tracer = get_tracer()
-    traced = tracer.enabled
-    sim_tracer = tracer.with_clock(SimClock(sim)) if traced else tracer
-
-    def sample_depth(dev: int) -> None:
-        sim_tracer.counter_sample(
-            f"des.dev{dev}.queue_depth", device_tags[dev].depth
-        )
-
-    def start_request(i: int) -> None:
-        size = int(sizes[i])
-        dev = int(devices[i])
-        state = {"attempt": 1}
-
-        def with_warp() -> None:
-            link_tags.acquire(with_link_tag)
-
-        def with_link_tag() -> None:
-            device_tags[dev].acquire(with_device_tag)
-
-        def with_device_tag() -> None:
+        def with_device_tag(i: int) -> None:
+            dev = devices_list[i]
             if traced:
                 sample_depth(dev)
-            device_ops[dev].submit_op(after_admission)
+            # Admission at the device's op rate, then the device's internal
+            # channel, then the access latency — all booked analytically.
+            admitted = device_ops[dev].book_op(sim.now)
+            media_done = device_bw[dev].book(admitted, sizes_list[i] / media_bw)
+            sim.schedule_at(media_done + latency, after_latency, i, dev)
 
-        def after_admission() -> None:
-            device_bw[dev].submit(size / config.device_internal_bandwidth, after_media)
+        def after_latency(i: int, dev: int) -> None:
+            # The response data serialises onto the shared link.
+            link.submit(sizes_list[i] / link_bw, finish, i, dev)
 
-        def after_media() -> None:
-            attempt = state["attempt"]
-            latency = config.latency * plan.latency_multiplier(dev)
-            latency += plan.spike_latency(i, attempt)
-            timed_out = policy.timeout is not None and latency > policy.timeout
-            wait = policy.timeout if timed_out else latency
-            sim.schedule(wait, lambda: after_latency(timed_out))
+    else:
+        # Faulty step: only the grant and the after-latency stage differ.
+        # Per-request state is the attempt number, indexed by request id.
+        attempts = [1] * n
+        device_latency = (
+            latency
+            * plan.latency_multipliers(np.arange(config.num_devices, dtype=np.int64))
+        ).tolist()
+        timeout = policy.timeout
 
-        def after_latency(timed_out: bool) -> None:
-            attempt = state["attempt"]
-            failed = (
+        def with_device_tag(i: int) -> None:
+            dev = devices_list[i]
+            if traced:
+                sample_depth(dev)
+            admitted = device_ops[dev].book_op(sim.now)
+            media_done = device_bw[dev].book(admitted, sizes_list[i] / media_bw)
+            # This attempt's latency: stuck-device multiplier plus any
+            # spike, abandoned at the policy's timeout.
+            wait = device_latency[dev] + plan.spike_latency(i, attempts[i])
+            timed_out = timeout is not None and wait > timeout
+            if timed_out:
+                wait = timeout
+            sim.schedule_at(media_done + wait, after_latency, i, dev, timed_out)
+
+        def after_latency(i: int, dev: int, timed_out: bool) -> None:
+            nonlocal retries, timeouts, faults
+            attempt = attempts[i]
+            if not (
                 timed_out
                 or plan.device_dropped(dev, i, sim.now)
                 or plan.transient_failure(i, attempt)
-            )
-            if not failed:
-                link.submit(size / config.link_bandwidth, lambda: finish(i, dev))
+            ):
+                link.submit(sizes_list[i] / link_bw, finish, i, dev)
                 return
-            counters["faults"] += 1
+            faults += 1
             if timed_out:
-                counters["timeouts"] += 1
+                timeouts += 1
                 if traced:
                     sim_tracer.event(
                         "fault.timeout", request=i, attempt=attempt, device=dev
@@ -369,30 +295,23 @@ def simulate_step_faulty(
                     device=dev,
                     attempts=attempt,
                 )
-            counters["retries"] += 1
+            retries += 1
             if traced:
                 sim_tracer.event(
                     "fault.retry", request=i, attempt=attempt, device=dev
                 )
-            state["attempt"] = attempt + 1
+            attempts[i] = attempt + 1
             # Free the device queue slot during the backoff, then reissue
-            # through admission, media and latency — real extra events.
-            # Jittered policies draw their uniform from the plan's seeded
-            # stream, so the DES replays the backend's exact waits.
+            # through admission, media and latency.  The jitter draw comes
+            # from the plan's seeded stream (a crisp policy ignores it), so
+            # the DES replays the backend's exact waits.
             device_tags[dev].release()
-            jittered = getattr(policy, "jitter", 0.0) > 0
-            jitter_u = plan.backoff_jitter(i, attempt) if jittered else None
-            wait_time = (
-                policy.backoff(attempt, u=jitter_u)
-                if jittered
-                else policy.backoff(attempt)
-            )
             sim.schedule(
-                wait_time,
-                lambda: device_tags[dev].acquire(with_device_tag),
+                policy.backoff(attempt, plan.backoff_jitter(i, attempt)),
+                device_tags[dev].acquire,
+                with_device_tag,
+                i,
             )
-
-        warps.acquire(with_warp)
 
     def finish(i: int, dev: int) -> None:
         completion[i] = sim.now
@@ -402,11 +321,12 @@ def simulate_step_faulty(
         if traced:
             sample_depth(dev)
 
-    with tracer.span(
-        "des.step", requests=n, devices=config.num_devices, faulty=True
-    ):
+    span_attrs = {"requests": n, "devices": config.num_devices}
+    if plan is not None:
+        span_attrs["faulty"] = True
+    with tracer.span("des.step", **span_attrs):
         for i in range(n):
-            start_request(i)
+            warps.acquire(with_warp, i)
         end = sim.run(max_events=max_events)
     return DESResult(
         time=end + (config.step_overhead if include_overhead else 0.0),
@@ -415,9 +335,9 @@ def simulate_step_faulty(
         max_link_tags=link_tags.max_in_use,
         max_warps=warps.max_in_use,
         completion_times=completion,
-        retries=counters["retries"],
-        timeouts=counters["timeouts"],
-        faults_injected=counters["faults"],
+        retries=retries,
+        timeouts=timeouts,
+        faults_injected=faults,
     )
 
 

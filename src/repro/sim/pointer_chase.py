@@ -15,13 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..config import GPU_CACHE_LINE_BYTES
 from ..errors import SimulationError
 from .des import DESConfig, simulate_step
 
 __all__ = ["PointerChaseResult", "pointer_chase_latency"]
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,6 @@ def pointer_chase_latency(
         raise SimulationError(f"need >= 1 hop, got {hops}")
     if pointer_bytes < 1:
         raise SimulationError(f"pointer size must be >= 1 byte, got {pointer_bytes}")
-    total = 0.0
     sizes = np.array([pointer_bytes], dtype=np.int64)
     # All hops are statistically identical on an idle system; simulate one
     # and multiply, after verifying a couple of hops agree.

@@ -139,10 +139,6 @@ class RateServer(FifoServer):
         super().__init__(sim, name=name)
         self.rate = rate
 
-    def submit_op(self, callback: Callable[..., None], *args: Any) -> None:
-        """Enqueue one op (service time ``1/rate``)."""
-        self.submit(1.0 / self.rate, callback, *args)
-
     def book_op(self, ready_time: float) -> float:
         """Account for one op ready at ``ready_time``; return its finish time."""
         return self.book(ready_time, 1.0 / self.rate)

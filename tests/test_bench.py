@@ -14,7 +14,9 @@ Three guarantees ride on these tests:
   change.
 """
 
+import functools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,16 +186,38 @@ class TestDeterminism:
             run_scenario(prepared, warmup=0, repeats=0)
 
 
+BASELINE_DIR = Path(__file__).resolve().parent.parent / "benchmarks" / "baseline"
+
+
+def _baseline_verify_blocks():
+    """``(family, scenario, verify)`` of every committed quick baseline."""
+    rows = []
+    for family in KNOWN_FAMILIES:
+        payload = json.loads((BASELINE_DIR / f"BENCH_{family}.json").read_text())
+        rows.extend(
+            pytest.param(family, b["name"], b["verify"], id=f"{family}-{b['name']}")
+            for b in payload["benchmarks"]
+        )
+    return rows
+
+
+@functools.lru_cache(maxsize=None)
+def _quick_scenarios(family):
+    return {p.name: p for p in prepare_family(family, quick=True)}
+
+
 class TestGoldenOutputs:
     """Optimized kernels == pre-optimization kernels, bit for bit."""
 
     @pytest.mark.parametrize("name", ["bfs", "sssp", "cc"])
     def test_traversal_digest_matches_pre_optimization_build(self, name):
-        prepared = {
-            p.name: p for p in prepare_family("traversal", quick=True)
-        }[name]
-        verify = dict(prepared.run())
+        verify = dict(_quick_scenarios("traversal")[name].run())
         assert verify["digest"] == GOLDEN_QUICK_DIGESTS[name]
+
+    @pytest.mark.parametrize("family,name,expected", _baseline_verify_blocks())
+    def test_quick_verify_block_matches_baseline(self, family, name, expected):
+        """Every ``repro bench --quick`` output equals the committed baseline."""
+        assert dict(_quick_scenarios(family)[name].run()) == expected
 
 
 class TestCompare:
@@ -332,15 +356,7 @@ class TestCommittedBaseline:
 
     @pytest.mark.parametrize("family", KNOWN_FAMILIES)
     def test_baseline_artifact_validates(self, family):
-        from pathlib import Path
-
-        path = (
-            Path(__file__).resolve().parent.parent
-            / "benchmarks"
-            / "baseline"
-            / f"BENCH_{family}.json"
-        )
-        payload = load_result(path)
+        payload = load_result(BASELINE_DIR / f"BENCH_{family}.json")
         assert payload["config"]["quick"] is True
         names = {b["name"] for b in payload["benchmarks"]}
         catalog = {

@@ -101,13 +101,12 @@ class TestFifoServer:
 
 class TestRateServer:
     def test_rate_spacing(self):
-        sim = Simulator()
-        server = RateServer(sim, rate=10.0)
-        done = []
-        for _ in range(3):
-            server.submit_op(lambda: done.append(sim.now))
-        sim.run()
+        server = RateServer(Simulator(), rate=10.0)
+        done = [server.book_op(0.0) for _ in range(3)]
         assert done == pytest.approx([0.1, 0.2, 0.3])
+        # An op ready after the server idles starts when it is ready.
+        assert server.book_op(1.0) == pytest.approx(1.1)
+        assert server.jobs == 4
 
     def test_rate_validation(self):
         with pytest.raises(SimulationError, match="rate"):

@@ -501,6 +501,33 @@ class TestInstrumentation:
         assert 0 <= min(depths) and max(depths) <= 64 // config.num_devices
         assert max(depths) > config.device_outstanding  # queueing visible
 
+    def test_faulty_des_emits_fault_events_on_sim_time(self):
+        from repro.faults import FaultPlan, RetryPolicy
+
+        config = DESConfig(
+            link_bandwidth=24_000 * MB_PER_S,
+            latency=5 * USEC,
+            device_iops=1e6,
+            device_internal_bandwidth=6_000 * MB_PER_S,
+            num_devices=2,
+        )
+        plan = FaultPlan(
+            seed=13, read_error_rate=0.05, spike_rate=0.2, spike_scale=20 * USEC
+        )
+        policy = RetryPolicy(max_attempts=10, timeout=15 * USEC)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            result = simulate_step(
+                np.full(64, 512, dtype=np.int64), config, plan=plan, policy=policy
+            )
+        [span] = tracer.spans("des.step")
+        assert span.attrs == {"requests": 64, "devices": 2, "faulty": True}
+        retries = tracer.events("fault.retry")
+        timeouts = tracer.events("fault.timeout")
+        assert len(retries) == result.retries > 0
+        assert len(timeouts) == result.timeouts > 0
+        assert all(e.timeline == "sim" for e in retries + timeouts)
+
     def test_des_untraced_emits_nothing(self):
         config = DESConfig(
             link_bandwidth=24_000 * MB_PER_S,
