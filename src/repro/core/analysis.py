@@ -17,6 +17,7 @@ import numpy as np
 
 from ..config import EMOGI_AVG_TRANSFER_BYTES, GPU_SECTOR_BYTES, HOST_DRAM_GPU_LATENCY
 from ..errors import ModelError
+from ..graph.csr import sorted_unique
 from ..interconnect.pcie import PCIeLink, PCIE_GEN4
 from ..memsim.raf import RAFResult
 from ..units import MIOPS
@@ -118,7 +119,7 @@ def interpolate_fetched_bytes(
     pairs = sorted((r.alignment, r.fetched_bytes) for r in raf_results)
     alignments = np.array([p[0] for p in pairs], dtype=np.float64)
     fetched = np.array([p[1] for p in pairs], dtype=np.float64)
-    if np.unique(alignments).size != alignments.size:
+    if sorted_unique(alignments).size != alignments.size:
         raise ModelError("duplicate alignments in RAF results")
     return alignments, fetched
 

@@ -29,6 +29,7 @@ import numpy as np
 from ..devices.base import DevicePool
 from ..engine.backend import ExternalMemoryBackend, MemoryStats
 from ..errors import DeviceError, FaultExhaustedError
+from ..graph.csr import sorted_unique
 from ..telemetry.tracer import get_tracer
 from ..units import USEC
 from .health import PoolHealthTracker
@@ -193,7 +194,7 @@ class FaultyBackend:
             failed = dropped | transient | timed_out
             elapsed[pending] += lat
 
-            ok_devices = set(np.unique(devs[~failed]).tolist())
+            ok_devices = set(sorted_unique(devs[~failed]).tolist())
             for dev in ok_devices:
                 self.health.record_success(int(dev))
             ok = pending[~failed]
@@ -214,7 +215,7 @@ class FaultyBackend:
             # Health evidence per round: a member that answered *nothing*
             # this round is suspect; one that served some requests while
             # dropping others is merely erroring transiently.
-            for dev in np.unique(devs[failed]):
+            for dev in sorted_unique(devs[failed]):
                 if int(dev) in ok_devices:
                     continue
                 on_dev = devs[failed] == dev

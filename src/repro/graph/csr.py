@@ -17,7 +17,7 @@ import numpy as np
 from ..config import VERTEX_ID_BYTES
 from ..errors import GraphFormatError
 
-__all__ = ["CSRGraph", "ragged_index"]
+__all__ = ["CSRGraph", "ragged_index", "sorted_unique"]
 
 
 def ragged_index(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -37,6 +37,23 @@ def ragged_index(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     total = int(out_start[-1] + counts[-1]) if counts.size else 0
     offsets = np.asarray(starts, dtype=np.int64) - out_start
     return np.arange(total, dtype=np.int64) + np.repeat(offsets, counts)
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct values of ``values``, ascending — ``np.unique`` without options.
+
+    One ``np.sort`` of a flattened copy, then an adjacent-difference mask
+    keeps the first of each run.  Since NumPy 2.3, ``np.unique`` hashes
+    before it sorts, which is many times slower for integer ids; for any
+    NaN-free input the output (values and dtype) is the same.
+    """
+    ordered = np.sort(np.asarray(values), axis=None)
+    if ordered.size < 2:
+        return ordered
+    keep = np.empty(ordered.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..config import VERTEX_ID_BYTES
 from ..units import GB
-from .csr import CSRGraph
+from .csr import CSRGraph, sorted_unique
 
 __all__ = ["GraphStats", "graph_stats", "table1_row", "degree_histogram"]
 
@@ -95,7 +95,7 @@ def degree_histogram(graph: CSRGraph, bins: int = 32) -> tuple[np.ndarray, np.nd
     deg = graph.degrees[graph.degrees > 0]
     if deg.size == 0:
         return np.array([1.0]), np.array([], dtype=np.int64)
-    edges = np.unique(
+    edges = sorted_unique(
         np.geomspace(1, max(2, deg.max() + 1), num=bins + 1).astype(np.int64)
     )
     counts, _ = np.histogram(deg, bins=edges)

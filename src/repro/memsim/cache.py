@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ModelError
+from ..graph.csr import sorted_unique
 
 __all__ = [
     "CacheStats",
@@ -104,10 +105,14 @@ class StepLocalCache(CacheModel):
     """
 
     def access(self, block_ids: np.ndarray) -> int:
-        block_ids = np.asarray(block_ids, dtype=np.int64)
-        misses = int(np.unique(block_ids).size)
+        # Distinct count from the sorted copy: one plus the number of
+        # adjacent changes, without compressing out the distinct values.
+        ordered = np.sort(np.asarray(block_ids, dtype=np.int64), axis=None)
+        misses = 0
+        if ordered.size:
+            misses = 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
         self.stats.misses += misses
-        self.stats.hits += block_ids.size - misses
+        self.stats.hits += ordered.size - misses
         return misses
 
     def reset(self) -> None:
@@ -119,10 +124,12 @@ class IdealCache(CacheModel):
 
     The seen set is a dense boolean mask indexed by block ID (block IDs
     are byte offsets over alignment, so they are small non-negative
-    integers): each batch is deduplicated with ``np.unique`` (a sort,
-    O(batch log batch)), then membership is one fancy gather, marking is
-    one fancy scatter, and the mask grows geometrically — no per-block
-    Python loop and no re-sorting of the ever-growing seen set.
+    integers): each batch is deduplicated with
+    :func:`~repro.graph.csr.sorted_unique` (one sort and an
+    adjacent-difference mask, O(batch log batch)), then membership is one
+    fancy gather, marking is one fancy scatter, and the mask grows
+    geometrically — no per-block Python loop and no re-sorting of the
+    ever-growing seen set.
     """
 
     def __init__(self) -> None:
@@ -134,7 +141,7 @@ class IdealCache(CacheModel):
         if block_ids.size == 0:
             return 0
         # First occurrence within this batch, then filter already-seen.
-        unique = np.unique(block_ids)
+        unique = sorted_unique(block_ids)
         if unique[0] < 0:
             raise ModelError(f"negative block id {unique[0]} in cache access")
         top = int(unique[-1]) + 1

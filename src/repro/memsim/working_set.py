@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..graph.csr import sorted_unique
 from ..traversal.trace import AccessTrace
 from .alignment import expand_to_blocks
 
@@ -71,7 +72,7 @@ def step_working_sets(trace: AccessTrace, alignment: int) -> np.ndarray:
     sizes = np.zeros(trace.num_steps, dtype=np.int64)
     for i, step in enumerate(trace):
         block_ids, _ = expand_to_blocks(step.starts, step.lengths, alignment)
-        sizes[i] = np.unique(block_ids).size
+        sizes[i] = sorted_unique(block_ids).size
     return sizes
 
 
@@ -97,7 +98,7 @@ def working_set_summary(trace: AccessTrace, alignment: int) -> WorkingSetSummary
         expand_to_blocks(step.starts, step.lengths, alignment)[0] for step in trace
     ]
     stream = np.concatenate(streams) if streams else np.empty(0, dtype=np.int64)
-    distinct = int(np.unique(stream).size) if stream.size else 0
+    distinct = int(sorted_unique(stream).size)
     per_step = step_working_sets(trace, alignment)
     reuses = stream.size - distinct
     distances = reuse_distances(trace, alignment)

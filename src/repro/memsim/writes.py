@@ -28,6 +28,7 @@ import numpy as np
 
 from ..config import CXL_FLIT_BYTES, VERTEX_ID_BYTES
 from ..errors import ModelError, TraceError
+from ..graph.csr import sorted_unique
 from ..traversal.trace import AccessTrace, TraceStep
 from .alignment import expand_to_blocks
 
@@ -175,7 +176,7 @@ def flash_write_traffic(
         if starts.size == 0:
             continue
         block_ids, _ = expand_to_blocks(starts, lengths, page_bytes)
-        pages_touched += int(np.unique(block_ids).size)
+        pages_touched += int(sorted_unique(block_ids).size)
     page_writes = pages_touched * page_bytes
     return WriteTraffic(
         user_bytes=user,

@@ -17,17 +17,24 @@ after-latency stage), so retries run through the same resources, the
 same booking and the same event loop as the fault-free step.
 
 Fast-path notes (benchmarked by the ``des`` family, docs/PERFORMANCE.md):
-per-request state travels as event arguments — one shared callback per
-stage for the whole step, no closure allocation per request — and the
-three FIFO stages between the device-tag grant and the shared link
-(IOPS admission, internal media channel, access latency) are *fused*:
-their completion times are booked analytically with
-:meth:`repro.sim.resources.FifoServer.book` and one event is scheduled
-at the link-entry time, replacing three chained heap events.  A request
-therefore costs O(log n) for ~2 heap events rather than ~5, with float
-arithmetic identical to the chained version (FIFO completion times are
-computable at submission, and per-device admission times strictly
-increase, so booking order equals event order).
+a fault-free step first runs :func:`_index_order_step`, a heap-free
+recurrence that is exact while requests complete in index order; it
+checks that order as it goes and hands the step to the event loop on
+the first break.
+
+The event loop is the general path: it runs every fault plan, every step
+whose order breaks, every step with an event budget (``max_events``) and
+every step while tracing is on (the per-device queue-depth samples are
+sim-time events).  Run with an empty plan it is also the oracle the
+recurrence is tested against.  Per-request state travels as event
+arguments — one shared callback per stage for the whole step, no closure
+allocation per request — and the three FIFO stages between the
+device-tag grant and the shared link (IOPS admission, internal media
+channel, access latency) are *fused*: their completion times are booked
+analytically with :meth:`repro.sim.resources.FifoServer.book` and one
+event is scheduled at the link-entry time, replacing three chained heap
+events (per-device admission times strictly increase, so booking order
+equals event order).
 """
 
 from __future__ import annotations
@@ -128,6 +135,77 @@ class DESResult:
         return self.link_busy_time / self.time if self.time > 0 else 0.0
 
 
+def _index_order_step(
+    sizes: np.ndarray, config: DESConfig, devices: np.ndarray
+) -> DESResult | None:
+    """The fault-free step as a recurrence, or ``None`` if order breaks.
+
+    ``sizes`` are positive and ``devices`` validated, one per request.
+    Valid while requests complete in index order: then every semaphore's
+    waiters arrive and leave in index order, so request ``i``'s device
+    tag is granted at ``max(completion[i - min(G, L)], completion of the
+    request D earlier on its device)`` (a ``None`` capacity drops its
+    term), and it books admission, media and the link exactly as the
+    event loop would.  Two conditions make the event loop book the link
+    in index order too, and both are checked per request: link arrivals
+    never decrease, and equal arrivals come with non-decreasing grants
+    (same-time events fire in scheduling order, which is grant order).
+    Completions must strictly increase.  The first violation returns
+    ``None`` and the caller runs the event loop from scratch.
+    """
+    n = sizes.size
+    window = config.gpu_concurrency
+    if config.link_outstanding is not None:
+        window = min(window, config.link_outstanding)
+    device_window = config.device_outstanding
+    op_time = 1.0 / config.device_iops
+    media_bw = config.device_internal_bandwidth
+    latency = config.latency
+    link_bw = config.link_bandwidth
+    admit_free = [0.0] * config.num_devices
+    media_free = [0.0] * config.num_devices
+    # Completion times of each device's requests so far, in index order.
+    device_done: list[list[float]] = [[] for _ in range(config.num_devices)]
+    completion = [0.0] * n
+    link_free = link_busy = 0.0
+    last_arrival = last_grant = 0.0
+    for i, (size, dev) in enumerate(zip(sizes.tolist(), devices.tolist())):
+        grant = completion[i - window] if i >= window else 0.0
+        done_on_dev = device_done[dev]
+        if device_window is not None and len(done_on_dev) >= device_window:
+            earlier = done_on_dev[-device_window]
+            if earlier > grant:
+                grant = earlier
+        # Admission at the op rate, then the media channel: FifoServer.book.
+        free = admit_free[dev]
+        admitted = (grant if grant > free else free) + op_time
+        admit_free[dev] = admitted
+        free = media_free[dev]
+        media_done = (admitted if admitted > free else free) + size / media_bw
+        media_free[dev] = media_done
+        arrival = media_done + latency
+        if arrival < last_arrival or (arrival == last_arrival and grant < last_grant):
+            return None
+        last_arrival = arrival
+        last_grant = grant
+        service = size / link_bw
+        done = (arrival if arrival > link_free else link_free) + service
+        if done <= link_free:
+            return None
+        link_free = done
+        link_busy += service
+        completion[i] = done
+        done_on_dev.append(done)
+    return DESResult(
+        time=link_free,
+        requests=n,
+        link_busy_time=link_busy,
+        max_link_tags=min(n, window),
+        max_warps=min(n, config.gpu_concurrency),
+        completion_times=np.array(completion, dtype=np.float64),
+    )
+
+
 def simulate_step(
     sizes: np.ndarray,
     config: DESConfig,
@@ -142,6 +220,11 @@ def simulate_step(
 
     ``devices`` maps each request to a device index (round-robin by
     default).  Returns the completion time of the last request.
+    Zero-size requests are dropped, with their ``devices`` entries.
+
+    Without a plan, event budget or enabled tracer the step is priced by
+    :func:`_index_order_step` whenever its index-order check holds; its
+    result equals the event loop's bit for bit.
 
     ``plan`` is a :class:`~repro.faults.plan.FaultPlan` and ``policy`` a
     :class:`~repro.faults.retry.RetryPolicy` (duck-typed here to keep
@@ -162,7 +245,13 @@ def simulate_step(
     if (plan is None) != (policy is None):
         raise SimulationError("a fault plan and a retry policy go together")
     sizes = np.asarray(sizes, dtype=np.int64)
-    sizes = sizes[sizes > 0]
+    keep = sizes > 0
+    if devices is not None:
+        devices = np.asarray(devices, dtype=np.int64)
+        if devices.shape != sizes.shape:
+            raise SimulationError("devices must match sizes in shape")
+        devices = devices[keep]
+    sizes = sizes[keep]
     n = sizes.size
     if n == 0:
         return DESResult(
@@ -175,12 +264,16 @@ def simulate_step(
         )
     if devices is None:
         devices = np.arange(n, dtype=np.int64) % config.num_devices
-    else:
-        devices = np.asarray(devices, dtype=np.int64)
-        if devices.shape != sizes.shape:
-            raise SimulationError("devices must match sizes in shape")
-        if devices.min() < 0 or devices.max() >= config.num_devices:
-            raise SimulationError("device index out of range")
+    elif devices.min() < 0 or devices.max() >= config.num_devices:
+        raise SimulationError("device index out of range")
+    tracer = get_tracer()
+    traced = tracer.enabled
+    overhead = config.step_overhead if include_overhead else 0.0
+    if plan is None and max_events is None and not traced:
+        result = _index_order_step(sizes, config, devices)
+        if result is not None:
+            result.time += overhead
+            return result
 
     sim = Simulator()
     warps = Semaphore(sim, config.gpu_concurrency, "warps")
@@ -199,8 +292,6 @@ def simulate_step(
     link = FifoServer(sim, "link-data")
     completion = np.zeros(n, dtype=np.float64)
     retries = timeouts = faults = 0
-    tracer = get_tracer()
-    traced = tracer.enabled
     # Sim-time view: queue-depth samples land on the virtual timeline.
     sim_tracer = tracer.with_clock(SimClock(sim)) if traced else tracer
 
@@ -329,7 +420,7 @@ def simulate_step(
             warps.acquire(with_warp, i)
         end = sim.run(max_events=max_events)
     return DESResult(
-        time=end + (config.step_overhead if include_overhead else 0.0),
+        time=end + overhead,
         requests=n,
         link_busy_time=link.busy_time,
         max_link_tags=link_tags.max_in_use,

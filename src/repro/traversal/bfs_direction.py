@@ -27,7 +27,7 @@ import numpy as np
 
 from ..config import VERTEX_ID_BYTES
 from ..errors import TraceError
-from ..graph.csr import CSRGraph, ragged_index
+from ..graph.csr import CSRGraph, ragged_index, sorted_unique
 from .frontier import gather_neighbors
 from .trace import AccessTrace, TraceStep
 
@@ -158,7 +158,7 @@ def bfs_direction_optimizing(
             trace.append(TraceStep(frontier, starts, lengths))
             neighbors, _, _ = gather_neighbors(graph, frontier, with_sources=True)
             unseen = neighbors[depths[neighbors] < 0]
-            next_frontier = np.unique(unseen)
+            next_frontier = sorted_unique(unseen)
             depths[next_frontier] = depth
             frontier = next_frontier
     return BFSDirectionResult(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graph.csr import CSRGraph
+from ..graph.csr import CSRGraph, sorted_unique
 from .reader import GraphReader, TraceRecorder
 from .trace import AccessTrace
 
@@ -31,7 +31,7 @@ class CCResult:
     @property
     def num_components(self) -> int:
         """Number of (weakly) connected components."""
-        return int(np.unique(self.labels).size)
+        return int(sorted_unique(self.labels).size)
 
 
 def connected_components(graph: CSRGraph) -> CCResult:

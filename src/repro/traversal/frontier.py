@@ -15,7 +15,12 @@ their next frontier with a *reused* boolean mark array — scatter
 candidate vertices into the mask, ``flatnonzero`` it, clear only the set
 bits — which is O(E_f + n) per round and replaces the O(E_f log E_f)
 ``np.unique`` sort each round used to pay; the result is the same sorted
-unique vertex set, bit for bit.
+unique vertex set, bit for bit.  Where a sort is still the right tool
+(``frontier_union`` of a few sparse frontiers, the direction-optimising
+BFS's top-down step, random-walk positions), the shared
+:func:`repro.graph.csr.sorted_unique` does it: one ``np.sort`` and an
+adjacent-difference mask, without the hash pass ``np.unique`` makes
+before its sort since NumPy 2.3.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import TraceError
-from ..graph.csr import CSRGraph, ragged_index
+from ..graph.csr import CSRGraph, ragged_index, sorted_unique
 
 __all__ = [
     "dense_to_sparse",
@@ -56,7 +61,7 @@ def frontier_union(*frontiers: np.ndarray) -> np.ndarray:
     non_empty = [np.asarray(f, dtype=np.int64) for f in frontiers if len(f)]
     if not non_empty:
         return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(non_empty))
+    return sorted_unique(np.concatenate(non_empty))
 
 
 def gather_neighbors(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import TraceError
-from ..graph.csr import CSRGraph
+from ..graph.csr import CSRGraph, sorted_unique
 from .reader import GraphReader, TraceRecorder
 from .trace import AccessTrace
 
@@ -43,7 +43,7 @@ class LabelPropagationResult:
     @property
     def num_communities(self) -> int:
         """Number of distinct community labels."""
-        return int(np.unique(self.labels).size)
+        return int(sorted_unique(self.labels).size)
 
 
 def mode_label_update(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import TraceError
-from ..graph.csr import CSRGraph
+from ..graph.csr import CSRGraph, sorted_unique
 from .frontier import gather_neighbors
 from .reader import GraphReader, TraceRecorder
 from .trace import AccessTrace, trace_from_frontiers
@@ -171,7 +171,7 @@ def sssp_delta_stepping(
             bucket = in_bucket
         # Heavy edges of everything settled in this bucket, in one phase.
         if settled:
-            all_settled = np.unique(np.concatenate(settled))
+            all_settled = sorted_unique(np.concatenate(settled))
             frontiers.append(all_settled)
             improved = relax(all_settled, light_only=False)
             remainder = np.union1d(remainder, improved)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import TraceError
-from ..graph.csr import CSRGraph
+from ..graph.csr import CSRGraph, sorted_unique
 from .reader import GraphReader, TraceRecorder
 from .trace import AccessTrace
 
@@ -91,7 +91,7 @@ def random_walk_steps(
         active = degrees[positions] > 0
         if not active.any():
             break
-        frontier = np.unique(positions[active])
+        frontier = sorted_unique(positions[active])
         with reader.step():
             reader.touch_vertex_state(frontier)
             cat, _, _ = reader.read_neighbors(frontier)
@@ -107,7 +107,7 @@ def random_walk_steps(
             positions = positions.copy()
             positions[active] = moved
             np.add.at(visits, moved, 1)
-            reader.touch_vertex_state(np.unique(moved))
+            reader.touch_vertex_state(sorted_unique(moved))
         hops += 1
     if hops == 0:
         # Source is a sink: one empty step so the run has at least one.

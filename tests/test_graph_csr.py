@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import VERTEX_ID_BYTES
 from repro.errors import GraphFormatError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, sorted_unique
 
 
 def make_graph(weighted=False):
@@ -152,3 +152,36 @@ class TestTransforms:
         # Edge (0->1, w=1.0) becomes (1->0, w=1.0).
         idx = list(g.iter_edges()).index((1, 0))
         assert g.weights[idx] == 1.0
+
+
+class TestSortedUnique:
+    """``sorted_unique`` is ``np.unique`` (no options) in values and dtype."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            pytest.param(np.empty(0, dtype=np.int64), id="empty"),
+            pytest.param(np.array([7]), id="single"),
+            pytest.param(np.full(9, 3), id="all_equal"),
+            pytest.param(np.array([-5, 2, -5, 0, -1, 2]), id="negative"),
+            pytest.param(np.array([9, 1, 9, 4, 1], dtype=np.int32), id="int32"),
+            pytest.param(np.array([200, 3, 3, 255, 0], dtype=np.uint8), id="uint8"),
+            pytest.param(np.array([1, 2, 2, 5, 8, 8, 8]), id="sorted"),
+            pytest.param(np.arange(50)[::-1] // 3, id="reversed"),
+            pytest.param(np.array([[4, 1, 4], [0, 1, 9]]), id="2d"),
+            pytest.param(
+                np.random.default_rng(0).integers(0, 1_000, 5_000), id="random"
+            ),
+        ],
+    )
+    def test_matches_np_unique(self, values):
+        got = sorted_unique(values)
+        expected = np.unique(values)
+        assert got.dtype == expected.dtype
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+
+    def test_input_not_modified(self):
+        values = np.array([3, 1, 2, 1])
+        sorted_unique(values)
+        assert values.tolist() == [3, 1, 2, 1]

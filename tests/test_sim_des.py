@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.des import DESConfig, simulate_step, simulate_trace
+from repro.faults.plan import FaultPlan
+from repro.faults.retry import RetryPolicy
+from repro.sim.des import DESConfig, _index_order_step, simulate_step, simulate_trace
 from repro.sim.fluid import FluidParams
 from repro.units import MB_PER_S, MIOPS, USEC
 
@@ -104,6 +106,16 @@ class TestValidation:
         with pytest.raises(SimulationError, match="shape"):
             simulate_step(np.array([64, 64]), make_config(), devices=np.array([0]))
 
+    def test_zero_sizes_dropped_with_their_devices(self):
+        # Shapes are checked before zero-size requests are dropped, and the
+        # same positions leave both arrays.
+        config = make_config(num_devices=2)
+        got = simulate_step(np.array([64, 0, 64]), config, np.array([0, 1, 1]))
+        expected = simulate_step(np.array([64, 64]), config, np.array([0, 1]))
+        assert got.requests == 2
+        assert got.time == expected.time
+        assert np.array_equal(got.completion_times, expected.completion_times)
+
     def test_device_index_range_checked(self):
         with pytest.raises(SimulationError, match="range"):
             simulate_step(np.array([64]), make_config(), devices=np.array([5]))
@@ -133,3 +145,102 @@ class TestTrace:
     def test_empty_trace_rejected(self):
         with pytest.raises(SimulationError, match="at least one"):
             simulate_trace([], make_config())
+
+
+def oracle(sizes, config, devices=None, **kwargs):
+    """The event loop: an empty fault plan forces it on a fault-free step."""
+    return simulate_step(
+        sizes, config, devices, plan=FaultPlan(), policy=RetryPolicy(), **kwargs
+    )
+
+
+def assert_same_result(got, expected):
+    assert got.time == expected.time
+    assert got.requests == expected.requests
+    assert got.link_busy_time == expected.link_busy_time
+    assert got.max_link_tags == expected.max_link_tags
+    assert got.max_warps == expected.max_warps
+    assert np.array_equal(got.completion_times, expected.completion_times)
+    assert got.retries == got.timeouts == got.faults_injected == 0
+
+
+def round_robin(n, num_devices):
+    return np.arange(n, dtype=np.int64) % num_devices
+
+
+class TestIndexOrderStep:
+    """The event-free recurrence equals the event loop bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_event_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 300))
+        num_devices = int(rng.integers(1, 5))
+        if seed % 2:
+            sizes = rng.choice(np.array([32, 64, 128, 512, 4096]), size=n)
+        else:
+            sizes = np.full(n, int(rng.choice([32, 512, 4096])))
+        devices = rng.integers(0, num_devices, size=n) if seed % 3 == 0 else None
+        config = make_config(
+            link_bandwidth=float(rng.choice([8e9, 24e9])),
+            latency=float(rng.choice([1.0, 5.0, 10.0])) * USEC,
+            device_iops=float(rng.choice([1, 4, 8])) * MIOPS,
+            device_internal_bandwidth=float(rng.choice([6e9, 24e9])),
+            num_devices=num_devices,
+            link_outstanding=rng.choice([None, 1, 4, 16, 768]),
+            device_outstanding=rng.choice([None, 1, 2, 8, 64]),
+            gpu_concurrency=int(rng.choice([1, 3, 64, 2048])),
+            step_overhead=10 * USEC,
+        )
+        overhead = seed % 4 == 1
+        assert_same_result(
+            simulate_step(sizes, config, devices, include_overhead=overhead),
+            oracle(sizes, config, devices, include_overhead=overhead),
+        )
+
+    @pytest.mark.parametrize("num_devices", [1, 5])
+    @pytest.mark.parametrize("device_outstanding", [None, 64])
+    def test_uniform_round_robin_runs_the_recurrence(
+        self, num_devices, device_outstanding
+    ):
+        # The Fig 11 shape: one request size, devices assigned round-robin.
+        n = 2_000
+        sizes = np.full(n, 4_096, dtype=np.int64)
+        config = make_config(
+            num_devices=num_devices, device_outstanding=device_outstanding
+        )
+        devices = round_robin(n, num_devices)
+        fast = _index_order_step(sizes, config, devices)
+        assert fast is not None
+        assert fast.max_warps == min(n, config.gpu_concurrency)
+        assert fast.max_link_tags == min(n, config.link_outstanding)
+        assert_same_result(fast, oracle(sizes, config))
+
+    def test_mixed_sizes_on_two_devices_hand_off(self):
+        # A small read on device 1 reaches the link before the large read
+        # ahead of it on device 0, so completions leave index order.
+        sizes = np.array([4_096, 32, 4_096, 32], dtype=np.int64)
+        config = make_config(num_devices=2, device_internal_bandwidth=6e9)
+        assert _index_order_step(sizes, config, round_robin(4, 2)) is None
+        got = simulate_step(sizes, config)
+        assert got.completion_times[1] < got.completion_times[0]
+        assert_same_result(got, oracle(sizes, config))
+
+    def test_equal_arrivals_out_of_grant_order_hand_off(self):
+        # Requests 1 and 2 reach the link at the same instant, but request 2
+        # was granted first, so the event loop serves it first.
+        config = DESConfig(
+            link_bandwidth=4.0,
+            latency=1.0,
+            device_iops=2.0,
+            device_internal_bandwidth=2.0,
+            num_devices=2,
+            device_outstanding=1,
+            gpu_concurrency=3,
+        )
+        sizes = np.array([2, 2, 8], dtype=np.int64)
+        devices = np.array([1, 1, 0], dtype=np.int64)
+        assert _index_order_step(sizes, config, devices) is None
+        got = simulate_step(sizes, config, devices)
+        assert got.completion_times.tolist() == [3.0, 8.0, 7.5]
+        assert_same_result(got, oracle(sizes, config, devices))
