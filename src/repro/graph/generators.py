@@ -178,7 +178,10 @@ def chung_lu_graph(
     given ``exponent``; edge endpoints are then sampled proportionally to
     weight, which yields an expected degree sequence proportional to the
     weights.  The weight scale is chosen so the expected average degree
-    matches ``avg_degree``.
+    matches ``avg_degree``.  Endpoints are drawn exactly as
+    ``rng.choice(n, size, p=probs)`` would draw them, one uniform per
+    endpoint, but located in the cdf through a bucket guide table
+    (:func:`_guided_searchsorted`) instead of a binary search per draw.
     """
     scale = _check_scale(scale)
     avg_degree = _check_degree(avg_degree)
@@ -193,9 +196,12 @@ def chung_lu_graph(
     alpha = exponent - 1.0
     weights = (1.0 - u * (1.0 - w_max ** -alpha)) ** (-1.0 / alpha)
     probs = weights / weights.sum()
+    # Generator.choice(n, p=probs)'s cdf, normalised the same way.
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
     num_edges = int(round(n * avg_degree / 2))
-    src = rng.choice(n, size=num_edges, p=probs).astype(np.int64)
-    dst = rng.choice(n, size=num_edges, p=probs).astype(np.int64)
+    src = _guided_searchsorted(cdf, rng.random(num_edges))
+    dst = _guided_searchsorted(cdf, rng.random(num_edges))
     return build_csr(
         src,
         dst,
@@ -205,6 +211,29 @@ def chung_lu_graph(
         drop_self_loops=True,
         name=name or f"friendster-like{scale}",
     )
+
+
+def _guided_searchsorted(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``cdf.searchsorted(u, side="right")`` for ``u`` in ``[0, 1)``, as int64.
+
+    ``Generator.choice(p=...)`` binary-searches every unsorted uniform,
+    a cache miss per level.  Here ``k`` (a power of two, at least twice
+    ``cdf.size``) equal-width buckets each start at the answer for their
+    left edge ``j / k``; scaling ``u`` by ``k`` is exact, so a draw's
+    bucket start never overshoots it, and a short linear scan (a few
+    vector passes, each over the draws still short of it) finishes the
+    count.  ``cdf`` must be non-decreasing with ``cdf[-1] == 1.0``.
+    """
+    k = 1 << ((cdf.size - 1).bit_length() + 1)
+    start = cdf.searchsorted(np.arange(k) / k, side="right")
+    idx = np.empty(u.size, dtype=np.int64)
+    np.multiply(u, k, out=idx, casting="unsafe")  # floor(u * k), u >= 0
+    idx = start[idx]
+    pos = np.flatnonzero(cdf[idx] <= u)
+    while pos.size:
+        idx[pos] += 1
+        pos = pos[cdf[idx[pos]] <= u[pos]]
+    return idx
 
 
 # --------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph.csr import CSRGraph, sorted_unique
+from .frontier import min_relax
 from .reader import GraphReader, TraceRecorder
 from .trace import AccessTrace
 
@@ -65,12 +66,7 @@ def cc_steps(reader: GraphReader, source: int = 0) -> tuple[np.ndarray]:
             neighbors, sources, _ = reader.read_neighbors(frontier)
             if neighbors.size == 0:
                 break
-            before = labels[neighbors].copy()
-            np.minimum.at(labels, neighbors, labels[sources])
-            # Mask-dedupe the improved set (no per-round np.unique sort).
-            changed[neighbors[labels[neighbors] < before]] = True
-            frontier = np.flatnonzero(changed)
-            changed[frontier] = False
+            frontier = min_relax(labels, neighbors, labels[sources], changed)
             reader.touch_vertex_state(frontier)
     return (labels,)
 

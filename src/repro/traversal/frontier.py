@@ -15,9 +15,15 @@ their next frontier with a *reused* boolean mark array — scatter
 candidate vertices into the mask, ``flatnonzero`` it, clear only the set
 bits — which is O(E_f + n) per round and replaces the O(E_f log E_f)
 ``np.unique`` sort each round used to pay; the result is the same sorted
-unique vertex set, bit for bit.  Where a sort is still the right tool
-(``frontier_union`` of a few sparse frontiers, the direction-optimising
-BFS's top-down step, random-walk positions), the shared
+unique vertex set, bit for bit.  The min-relaxing kernels (SSSP, CC,
+streaming) share :func:`min_relax`, which compares every candidate with
+its target's old value once and scatters only the improving ones through
+``np.minimum.at``: most edges of a late round improve nothing, so the
+unbuffered scatter and the mark array see a fraction of E_f, and the
+"what improved" re-gather of the whole edge set is gone.  Where a sort
+is still the right tool (``frontier_union`` of a few sparse frontiers,
+the direction-optimising BFS's top-down step, random-walk positions,
+delta-stepping's bucket remainders), the shared
 :func:`repro.graph.csr.sorted_unique` does it: one ``np.sort`` and an
 adjacent-difference mask, without the hash pass ``np.unique`` makes
 before its sort since NumPy 2.3.
@@ -35,6 +41,7 @@ __all__ = [
     "sparse_to_dense",
     "frontier_union",
     "gather_neighbors",
+    "min_relax",
 ]
 
 
@@ -88,3 +95,28 @@ def gather_neighbors(
         return (neighbors,)
     sources = np.repeat(frontier, counts)
     return neighbors, sources, edge_idx
+
+
+def min_relax(
+    values: np.ndarray,
+    targets: np.ndarray,
+    candidate: np.ndarray,
+    changed: np.ndarray,
+) -> np.ndarray:
+    """Lower ``values[targets]`` to ``candidate``; return the improved targets.
+
+    Only candidates below their target's old value reach the
+    ``np.minimum.at`` scatter: a target's new value is the minimum of
+    its improving candidates, and it improved exactly when it has one,
+    so values and the returned set (sorted, unique) equal those of an
+    unfiltered scatter over every edge for any NaN-free input.
+    ``changed`` is an all-False scratch mask of ``values``' length and
+    is all-False again on return.
+    """
+    better = candidate < values[targets]
+    improved = targets[better]
+    np.minimum.at(values, improved, candidate[better])
+    changed[improved] = True
+    improved = np.flatnonzero(changed)
+    changed[improved] = False
+    return improved

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import TraceError
-from ..graph.csr import CSRGraph, sorted_unique
-from .frontier import gather_neighbors
+from ..graph.csr import CSRGraph
+from .frontier import frontier_union, gather_neighbors, min_relax
 from .reader import GraphReader, TraceRecorder
 from .trace import AccessTrace, trace_from_frontiers
 
@@ -54,8 +54,9 @@ class SSSPResult:
 def _require_weighted(graph: CSRGraph) -> np.ndarray:
     if graph.weights is None:
         raise TraceError("SSSP requires a weighted graph (use with_weights)")
-    if graph.weights.size and graph.weights.min() < 0:
-        raise TraceError("SSSP requires non-negative edge weights")
+    # NaN fails ``>= 0`` (and would hide a negative weight from min()).
+    if not (graph.weights >= 0).all():
+        raise TraceError("SSSP requires non-negative, non-NaN edge weights")
     return graph.weights
 
 
@@ -97,14 +98,7 @@ def sssp_steps(reader: GraphReader, source: int = 0) -> tuple[np.ndarray]:
             neighbors, sources, weights = reader.read_neighbors(frontier)
             if neighbors.size == 0:
                 break
-            candidate = dist[sources] + weights
-            before = dist[neighbors].copy()
-            np.minimum.at(dist, neighbors, candidate)
-            # Mask-dedupe the improved set: O(E_f + n) against the
-            # O(E_f log E_f) sort np.unique would pay per round.
-            changed[neighbors[dist[neighbors] < before]] = True
-            frontier = np.flatnonzero(changed)
-            changed[frontier] = False
+            frontier = min_relax(dist, neighbors, dist[sources] + weights, changed)
             reader.touch_vertex_state(frontier)
     return (dist,)
 
@@ -144,13 +138,7 @@ def sssp_delta_stepping(
         neighbors, sources, w = neighbors[sel], sources[sel], w[sel]
         if neighbors.size == 0:
             return np.empty(0, dtype=np.int64)
-        candidate = dist[sources] + w
-        before = dist[neighbors].copy()
-        np.minimum.at(dist, neighbors, candidate)
-        changed[neighbors[dist[neighbors] < before]] = True
-        improved = np.flatnonzero(changed)
-        changed[improved] = False
-        return improved
+        return min_relax(dist, neighbors, dist[sources] + w, changed)
 
     bucket_of = lambda v: dist[v] // delta  # noqa: E731
     current_bucket = 0.0
@@ -167,14 +155,14 @@ def sssp_delta_stepping(
             improved = relax(bucket, light_only=True)
             in_bucket = improved[bucket_of(improved) == current_bucket]
             out_bucket = improved[bucket_of(improved) > current_bucket]
-            remainder = np.union1d(remainder, out_bucket)
+            remainder = frontier_union(remainder, out_bucket)
             bucket = in_bucket
         # Heavy edges of everything settled in this bucket, in one phase.
         if settled:
-            all_settled = sorted_unique(np.concatenate(settled))
+            all_settled = frontier_union(*settled)
             frontiers.append(all_settled)
             improved = relax(all_settled, light_only=False)
-            remainder = np.union1d(remainder, improved)
+            remainder = frontier_union(remainder, improved)
         active = remainder
         if active.size:
             current_bucket = float(bucket_of(active).min())

@@ -39,7 +39,7 @@ from ..memsim.writes import (
 from ..sim.des import DESConfig, simulate_step
 from ..traversal.bfs import bfs
 from ..traversal.cc import connected_components
-from ..traversal.frontier import gather_neighbors
+from ..traversal.frontier import gather_neighbors, min_relax
 from ..units import MB_PER_S, MIOPS, USEC
 
 __all__ = [
@@ -166,11 +166,7 @@ def _propagate(
         if neighbors.size == 0:
             break
         candidate = dist[sources] + (1 if add_one else 0)
-        before = dist[neighbors].copy()
-        np.minimum.at(dist, neighbors, candidate)
-        changed[neighbors[dist[neighbors] < before]] = True
-        frontier = np.flatnonzero(changed)
-        changed[frontier] = False
+        frontier = min_relax(dist, neighbors, candidate, changed)
     return touched
 
 
@@ -206,11 +202,7 @@ def _stream_incremental(
         u = np.concatenate([batch.src, batch.dst])
         v = np.concatenate([batch.dst, batch.src])
         candidate = dist[u] + (1 if add_one else 0)
-        before = dist[v].copy()
-        np.minimum.at(dist, v, candidate)
-        changed[v[dist[v] < before]] = True
-        seed_frontier = np.flatnonzero(changed)
-        changed[seed_frontier] = False
+        seed_frontier = min_relax(dist, v, candidate, changed)
         batch_delta.append(
             _propagate(
                 g,

@@ -92,3 +92,42 @@ def sssp_trace(urand_small):
 def emogi_gen4():
     """The EMOGI/host-DRAM baseline system on Gen 4."""
     return emogi_system()
+
+
+def _unfiltered_min_relax(values, targets, candidate, changed):
+    """Oracle relax: scatter every candidate, then re-gather what improved."""
+    before = values[targets].copy()
+    np.minimum.at(values, targets, candidate)
+    changed[targets[values[targets] < before]] = True
+    improved = np.flatnonzero(changed)
+    changed[improved] = False
+    return improved
+
+
+@pytest.fixture
+def unfiltered_min_relax():
+    """The unfiltered ``before`` / ``minimum.at`` / ``after`` relax."""
+    return _unfiltered_min_relax
+
+
+def _relax_stress_graph(seed: int, *, symmetrize: bool, n: int = 300):
+    """Seeded multigraph with zero weights, repeated targets and ties.
+
+    Weights come from a few small integers (half of them zero), so many
+    candidates for one target are equal; edges are not deduplicated, so
+    a target repeats within a frontier's gather.
+    """
+    rng = np.random.default_rng(seed)
+    m = 4 * n
+    src = rng.integers(0, n, size=m)
+    dst = rng.integers(0, n // 3, size=m)  # few, popular targets
+    weights = rng.choice([0.0, 0.0, 0.5, 1.0, 2.0], size=m)
+    return build_csr(
+        src, dst, num_vertices=n, weights=weights, symmetrize=symmetrize
+    )
+
+
+@pytest.fixture
+def relax_stress_graph():
+    """Factory of seeded weighted multigraphs that stress the min-relax."""
+    return _relax_stress_graph

@@ -152,7 +152,116 @@ class TestKroneckerMatchesChoiceFormula:
         assert peak <= 64 * 2**20
 
 
+def choice_chung_lu_graph(scale, avg_degree, *, exponent, seed):
+    """Reference: endpoints drawn with ``rng.choice(n, size, p=probs)``."""
+    n = 1 << scale
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0.0, 1.0, size=n)
+    w_max = float(np.sqrt(n))
+    alpha = exponent - 1.0
+    weights = (1.0 - u * (1.0 - w_max ** -alpha)) ** (-1.0 / alpha)
+    probs = weights / weights.sum()
+    num_edges = int(round(n * avg_degree / 2))
+    src = rng.choice(n, size=num_edges, p=probs).astype(np.int64)
+    dst = rng.choice(n, size=num_edges, p=probs).astype(np.int64)
+    return build_csr(
+        src,
+        dst,
+        num_vertices=n,
+        symmetrize=True,
+        dedupe=True,
+        drop_self_loops=True,
+    )
+
+
+class TestGuidedSearchsorted:
+    """The guide-table search equals ``searchsorted(side="right")``."""
+
+    @staticmethod
+    def adversarial_u(cdf):
+        k = 1 << ((cdf.size - 1).bit_length() + 1)
+        below_one = np.nextafter(1.0, 0.0)
+        u = np.concatenate(
+            [
+                [0.0, below_one],
+                np.arange(k) / k,
+                cdf,
+                np.nextafter(cdf, 0.0),
+                np.nextafter(cdf, 2.0),
+            ]
+        )
+        return u[(u >= 0.0) & (u < 1.0)]
+
+    @staticmethod
+    def normalised_cdf(probs):
+        cdf = np.asarray(probs, dtype=np.float64).cumsum()
+        return cdf / cdf[-1]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 1000])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_cdf(self, n, seed):
+        rng = np.random.default_rng(seed)
+        cdf = self.normalised_cdf(rng.pareto(1.5, size=n) + 1e-3)
+        u = np.concatenate([self.adversarial_u(cdf), rng.random(5000)])
+        got = generators._guided_searchsorted(cdf, u)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, cdf.searchsorted(u, side="right"))
+
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            [0.0, 0.0, 1.0],
+            [1.0, 0.0, 0.0],
+            [0.0, 0.5, 0.0, 0.0, 0.5, 0.0],
+            [0.25, 0.0, 0.25, 0.0, 0.0, 0.25, 0.25, 0.0],
+            [1e-300, 1.0, 1e-300, 0.0],
+            np.r_[np.zeros(500), np.ones(3), np.zeros(500), [1e-12] * 40],
+        ],
+    )
+    def test_plateaus(self, probs):
+        cdf = self.normalised_cdf(probs)
+        u = self.adversarial_u(cdf)
+        got = generators._guided_searchsorted(cdf, u)
+        assert np.array_equal(got, cdf.searchsorted(u, side="right"))
+
+    def test_empty_draw(self):
+        cdf = self.normalised_cdf([0.5, 0.5])
+        got = generators._guided_searchsorted(cdf, np.empty(0))
+        assert got.dtype == np.int64 and got.size == 0
+
+    @pytest.mark.parametrize("scale", [1, 6, 12])
+    def test_matches_choice_and_leaves_the_generator_in_step(self, scale):
+        n = 1 << scale
+        probs = np.random.default_rng(scale).pareto(1.5, size=n) + 1.0
+        probs /= probs.sum()
+        ref_rng, rng = np.random.default_rng(5), np.random.default_rng(5)
+        want = ref_rng.choice(n, size=3000, p=probs)
+        got = generators._guided_searchsorted(
+            self.normalised_cdf(probs), rng.random(3000)
+        )
+        assert np.array_equal(got, want)
+        assert rng.random() == ref_rng.random()
+
+
+_CHUNG_LU_CASES = [
+    (scale, seed, avg_degree, exponent)
+    for scale in (1, 2, 3, 6, 10)
+    for seed in (0, 1, 17)
+    for avg_degree, exponent in ((55.0, 2.5), (8.0, 2.1), (3.3, 3.5))
+] + [(14, 0, 55.0, 2.5), (14, 2, 8.0, 2.1)]
+
+
 class TestChungLu:
+    @pytest.mark.parametrize("scale,seed,avg_degree,exponent", _CHUNG_LU_CASES)
+    def test_equal_to_reference(self, scale, seed, avg_degree, exponent):
+        """Endpoints are drawn exactly as ``rng.choice(p=...)`` draws them."""
+        got = chung_lu_graph(scale, avg_degree, exponent=exponent, seed=seed)
+        want = choice_chung_lu_graph(
+            scale, avg_degree, exponent=exponent, seed=seed
+        )
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+
     def test_average_degree_near_target(self):
         g = chung_lu_graph(12, 32.0, seed=0)
         assert g.average_degree(exclude_isolated=False) == pytest.approx(32.0, rel=0.15)

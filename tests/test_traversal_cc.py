@@ -5,7 +5,9 @@ import pytest
 
 from repro.graph.builder import build_csr
 from repro.graph.generators import path_graph, uniform_random_graph
-from repro.traversal.cc import cc_reference, connected_components
+from repro.traversal import cc as cc_module
+from repro.traversal.cc import cc_reference, cc_steps, connected_components
+from repro.traversal.reader import TraceRecorder
 
 
 def two_triangles():
@@ -70,3 +72,24 @@ def test_path_takes_many_rounds():
     """Min-label propagation on a path needs ~n rounds: worst case."""
     result = connected_components(path_graph(32))
     assert result.trace.num_steps >= 16
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_filtered_relax_matches_unfiltered(
+    monkeypatch, relax_stress_graph, unfiltered_min_relax, seed
+):
+    """``cc_steps``' filtered relax equals the unfiltered one, bit for bit."""
+    g = relax_stress_graph(seed, symmetrize=True, n=400)
+    got = TraceRecorder(g)
+    (got_labels,) = cc_steps(got)
+    monkeypatch.setattr(cc_module, "min_relax", unfiltered_min_relax)
+    want = TraceRecorder(g)
+    (want_labels,) = cc_steps(want)
+    assert np.array_equal(got_labels, want_labels)
+    assert got.frontier_sizes == want.frontier_sizes
+    got_trace, want_trace = got.trace("cc"), want.trace("cc")
+    assert got_trace.num_steps == want_trace.num_steps
+    for a, b in zip(got_trace.steps, want_trace.steps):
+        assert np.array_equal(a.vertices, b.vertices)
+        assert np.array_equal(a.lengths, b.lengths)
+    assert np.array_equal(got_labels, cc_reference(g))

@@ -8,6 +8,7 @@ from repro.traversal.frontier import (
     dense_to_sparse,
     frontier_union,
     gather_neighbors,
+    min_relax,
     sparse_to_dense,
 )
 
@@ -78,3 +79,35 @@ class TestGatherNeighbors:
     def test_duplicated_frontier_vertices_gather_twice(self, tiny_graph):
         (neighbors,) = gather_neighbors(tiny_graph, np.array([0, 0]))
         assert neighbors.tolist() == [1, 2, 1, 2]
+
+
+class TestMinRelax:
+    """The filtered relax equals the unfiltered scatter-then-compare one."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_equals_unfiltered(self, seed, dtype, unfiltered_min_relax):
+        rng = np.random.default_rng(seed)
+        n = 50
+        values = rng.integers(0, 8, size=n).astype(dtype)
+        if dtype is np.float64:
+            values[rng.random(n) < 0.3] = np.inf
+        targets = rng.integers(0, n, size=400)  # heavy repetition
+        candidate = rng.integers(0, 8, size=400).astype(dtype)  # ties
+        got_values, want_values = values.copy(), values.copy()
+        changed = np.zeros(n, dtype=bool)
+        got = min_relax(got_values, targets, candidate, changed)
+        assert not changed.any()
+        want = unfiltered_min_relax(
+            want_values, targets, candidate, np.zeros(n, dtype=bool)
+        )
+        assert np.array_equal(got_values, want_values)
+        assert np.array_equal(got, want)
+        assert got.dtype == want.dtype
+
+    def test_nothing_improves(self):
+        values = np.array([0.0, 1.0, 2.0])
+        changed = np.zeros(3, dtype=bool)
+        got = min_relax(values, np.array([1, 2, 2]), np.array([1.0, 2.0, 5.0]), changed)
+        assert got.size == 0
+        assert values.tolist() == [0.0, 1.0, 2.0]

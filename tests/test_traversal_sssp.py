@@ -1,14 +1,20 @@
 """SSSP: both variants against Dijkstra, traces, input validation."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from repro.errors import TraceError
 from repro.graph.builder import build_csr
+from repro.graph.generators import path_graph
+from repro.traversal import sssp as sssp_module
+from repro.traversal.reader import TraceRecorder
 from repro.traversal.sssp import (
     sssp_bellman_ford,
     sssp_delta_stepping,
     sssp_reference,
+    sssp_steps,
 )
 
 
@@ -69,6 +75,22 @@ class TestValidation:
         with pytest.raises(TraceError, match="non-negative"):
             sssp_bellman_ford(g, 0)
 
+    def test_nan_weight_rejected(self):
+        g = path_graph(4).with_weights(np.array([1.0, 1.0, np.nan, 1.0, 1.0, 1.0]))
+        for run in (sssp_bellman_ford, sssp_delta_stepping, sssp_reference):
+            with pytest.raises(TraceError, match="NaN"):
+                run(g, 0)
+
+    def test_nan_does_not_hide_a_negative_weight(self):
+        g = build_csr(
+            np.array([0, 1]),
+            np.array([1, 2]),
+            num_vertices=3,
+            weights=np.array([-1.0, np.nan]),
+        )
+        with pytest.raises(TraceError, match="non-negative"):
+            sssp_bellman_ford(g, 0)
+
     def test_bad_source_rejected(self, weighted_small):
         with pytest.raises(TraceError, match="out of range"):
             sssp_bellman_ford(weighted_small, 10**6)
@@ -102,3 +124,51 @@ class TestTraces:
         result = sssp_bellman_ford(weighted_small, 0)
         assert result.frontier_sizes[0] == 1
         assert len(result.frontier_sizes) == result.trace.num_steps
+
+
+def assert_same_trace(got, want):
+    assert got.num_steps == want.num_steps
+    for a, b in zip(got.steps, want.steps):
+        assert np.array_equal(a.vertices, b.vertices)
+        assert np.array_equal(a.starts, b.starts)
+        assert np.array_equal(a.lengths, b.lengths)
+
+
+class TestFilteredRelax:
+    """``sssp_steps``' filtered relax equals the unfiltered one, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("symmetrize", [False, True])
+    def test_matches_unfiltered_relax(
+        self, monkeypatch, relax_stress_graph, unfiltered_min_relax, seed, symmetrize
+    ):
+        g = relax_stress_graph(seed, symmetrize=symmetrize)
+        got = TraceRecorder(g)
+        (got_dist,) = sssp_steps(got, seed)
+        monkeypatch.setattr(sssp_module, "min_relax", unfiltered_min_relax)
+        want = TraceRecorder(g)
+        (want_dist,) = sssp_steps(want, seed)
+        assert np.array_equal(got_dist, want_dist)
+        assert got.frontier_sizes == want.frontier_sizes
+        assert_same_trace(got.trace("sssp"), want.trace("sssp"))
+        assert np.array_equal(got_dist, sssp_reference(g, seed))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_delta_stepping_unchanged(
+        self, monkeypatch, relax_stress_graph, unfiltered_min_relax, seed
+    ):
+        """Filtered relax and ``frontier_union`` leave delta-stepping as it was
+        with the unfiltered relax and ``np.union1d``."""
+        g = relax_stress_graph(seed, symmetrize=True)
+        got = sssp_delta_stepping(g, seed)
+        monkeypatch.setattr(sssp_module, "min_relax", unfiltered_min_relax)
+        monkeypatch.setattr(
+            sssp_module,
+            "frontier_union",
+            lambda *fs: functools.reduce(np.union1d, fs),
+        )
+        want = sssp_delta_stepping(g, seed)
+        assert np.array_equal(got.distances, want.distances)
+        assert got.frontier_sizes == want.frontier_sizes
+        assert_same_trace(got.trace, want.trace)
+        assert np.array_equal(got.distances, sssp_reference(g, seed))
