@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import ModelError
 from ..graph.partition import StripedLayout
-from ..memsim.alignment import aligned_span, split_by_max_transfer
+from ..memsim.alignment import direct_requests
 from ..traversal.trace import AccessTrace
 
 __all__ = ["PlacementReport", "placement_report", "stripe_size_sweep"]
@@ -63,12 +63,11 @@ def placement_report(
     weighted_imbalance = 0.0
     weight = 0
     for step in trace:
-        a_starts, a_lengths = aligned_span(step.starts, step.lengths, alignment_bytes)
-        if max_transfer_bytes is not None:
-            a_starts, a_lengths = split_by_max_transfer(
-                a_starts, a_lengths, max_transfer_bytes
+        counts, _ = layout.per_device_load(
+            *direct_requests(
+                step.starts, step.lengths, alignment_bytes, max_transfer_bytes
             )
-        counts, _ = layout.per_device_load(a_starts, a_lengths)
+        )
         totals += counts
         step_total = int(counts.sum())
         if step_total == 0:

@@ -1,17 +1,16 @@
 """External-memory backends: byte stores with device access disciplines.
 
 A backend holds the raw bytes of the edge list and serves byte-range
-reads the way a real device would: rounding to its alignment, splitting
-at its transfer ceiling, optionally deduplicating through a cache — and
-keeping exact counts of what crossed the "link".  The three disciplines
-mirror :mod:`repro.gpu`'s access methods:
+reads the way a real device would, keeping exact counts of what crossed
+the "link".  Each backend prices a read batch with the same
+:mod:`repro.memsim` kernel as its :mod:`repro.gpu` access method, so
+engine bytes equal model bytes by construction:
 
-* :class:`DirectBackend` — XLFDD-style: one aligned read per request,
-  no cache (Section 4.1.1);
-* :class:`CachedBackend` — BaM-style: cache-line reads through a
-  software cache (Section 3.3.2);
-* :class:`ZeroCopyBackend` — EMOGI-style: 32 B sectors coalesced into
-  up-to-128 B transactions (Section 3.3.1).
+* :class:`DirectBackend` — XLFDD (Section 4.1.1): ``direct_requests``;
+* :class:`CachedBackend` — BaM and UVM (Section 3.3.2): the batch's
+  ``expand_to_blocks`` lines through a cache, one step of
+  ``cache_line_misses``;
+* :class:`ZeroCopyBackend` — EMOGI (Section 3.3.1): ``coalesced_sizes``.
 
 Fast-path notes: the data a read returns is gathered at word granularity.
 ``_gather`` picks the widest word (8/4/2/1 B) dividing every start, every
@@ -33,8 +32,13 @@ import numpy as np
 from ..config import GPU_CACHE_LINE_BYTES, GPU_SECTOR_BYTES
 from ..errors import DeviceError
 from ..graph.csr import ragged_index
-from ..memsim.alignment import aligned_span, expand_to_blocks, split_by_max_transfer
+from ..memsim.alignment import direct_requests, expand_to_blocks
+
+# Unused here, but ``perfbench/tracing.py`` wraps both by name on this
+# module and cannot install without them.
+from ..memsim.alignment import aligned_span, split_by_max_transfer  # noqa: F401
 from ..memsim.cache import CacheModel, StepLocalCache
+from ..memsim.coalesce import coalesced_sizes
 from ..telemetry.metrics import MetricRegistry
 from ..units import to_usec
 
@@ -257,20 +261,18 @@ class DirectBackend(ExternalMemoryBackend):
         if alignment_bytes < 1:
             raise DeviceError("alignment must be >= 1")
         if max_transfer_bytes is not None and (
-            max_transfer_bytes % alignment_bytes != 0
+            max_transfer_bytes < 1 or max_transfer_bytes % alignment_bytes
         ):
-            raise DeviceError("max transfer must be a multiple of the alignment")
+            raise DeviceError("max transfer must be a positive multiple of alignment")
         self.alignment_bytes = alignment_bytes
         self.max_transfer_bytes = max_transfer_bytes
 
     def _account(self, starts: np.ndarray, lengths: np.ndarray) -> None:
-        a_starts, a_lengths = aligned_span(starts, lengths, self.alignment_bytes)
-        if self.max_transfer_bytes is not None:
-            a_starts, a_lengths = split_by_max_transfer(
-                a_starts, a_lengths, self.max_transfer_bytes
-            )
-        self.stats.requests += int((a_lengths > 0).sum())
-        self.stats.fetched_bytes += int(a_lengths.sum())
+        _, sizes = direct_requests(
+            starts, lengths, self.alignment_bytes, self.max_transfer_bytes
+        )
+        self.stats.requests += int(sizes.size)
+        self.stats.fetched_bytes += int(sizes.sum())
 
 
 class CachedBackend(ExternalMemoryBackend):
@@ -302,11 +304,7 @@ class CachedBackend(ExternalMemoryBackend):
 
 
 class ZeroCopyBackend(ExternalMemoryBackend):
-    """Sector-coalesced load/store access (EMOGI).
-
-    Each request's 32 B-aligned span is chopped at 128 B line boundaries;
-    every piece is one transaction.
-    """
+    """Sector-coalesced load/store access (EMOGI)."""
 
     def __init__(
         self,
@@ -316,23 +314,12 @@ class ZeroCopyBackend(ExternalMemoryBackend):
         line_bytes: int = GPU_CACHE_LINE_BYTES,
     ) -> None:
         super().__init__(data)
-        if line_bytes % sector_bytes != 0:
-            raise DeviceError("line must be a multiple of the sector")
+        if sector_bytes < 1 or line_bytes < 1 or line_bytes % sector_bytes != 0:
+            raise DeviceError("line must be a positive multiple of the sector")
         self.sector_bytes = sector_bytes
         self.line_bytes = line_bytes
 
     def _account(self, starts: np.ndarray, lengths: np.ndarray) -> None:
-        a_starts, a_lengths = aligned_span(starts, lengths, self.sector_bytes)
-        keep = a_lengths > 0
-        a_starts, a_lengths = a_starts[keep], a_lengths[keep]
-        if a_starts.size == 0:
-            return
-        line_ids, request_idx = expand_to_blocks(a_starts, a_lengths, self.line_bytes)
-        line_start = line_ids * self.line_bytes
-        req_start = a_starts[request_idx]
-        req_end = req_start + a_lengths[request_idx]
-        overlap = np.minimum(req_end, line_start + self.line_bytes) - np.maximum(
-            req_start, line_start
-        )
-        self.stats.requests += int(overlap.size)
-        self.stats.fetched_bytes += int(overlap.sum())
+        sizes = coalesced_sizes(starts, lengths, self.sector_bytes, self.line_bytes)
+        self.stats.requests += int(sizes.size)
+        self.stats.fetched_bytes += int(sizes.sum())

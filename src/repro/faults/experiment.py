@@ -24,10 +24,13 @@ from ..engine.backend import (
     ZeroCopyBackend,
 )
 from ..engine.engine import SEMI_EXTERNAL, ExternalGraphEngine
-from ..errors import ModelError
+from ..errors import ConfigError, ModelError
 from ..gpu.bam import BaMMethod
+from ..gpu.uvm import UVMMethod
 from ..gpu.xlfdd_driver import XLFDDMethod
+from ..gpu.zerocopy import ZeroCopyMethod
 from ..graph.csr import CSRGraph
+from ..memsim.cache import LRUCache
 from ..units import to_usec
 from .backend import FaultyBackend
 from .model import faulty_trace_time
@@ -50,7 +53,17 @@ def backend_factory_for(system: SystemModel):
         return lambda data: CachedBackend(
             data, cacheline_bytes=method.cacheline_bytes
         )
-    return ZeroCopyBackend
+    if isinstance(method, UVMMethod):
+        return lambda data: CachedBackend(
+            data,
+            cacheline_bytes=method.page_bytes,
+            cache=LRUCache(capacity_blocks=method.pool_pages),
+        )
+    if isinstance(method, ZeroCopyMethod):
+        return lambda data: ZeroCopyBackend(
+            data, sector_bytes=method.sector_bytes, line_bytes=method.line_bytes
+        )
+    raise ConfigError(f"no engine backend for access method {method.name!r}")
 
 
 @dataclass(frozen=True)

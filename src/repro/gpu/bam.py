@@ -12,10 +12,9 @@ from dataclasses import dataclass, field
 
 from ..config import BAM_CACHELINE_BYTES
 from ..errors import ModelError
-from ..memsim.alignment import expand_to_blocks
 from ..memsim.cache import CacheModel, StepLocalCache
 from ..traversal.trace import AccessTrace
-from .base import AccessMethod, PhysicalStep, PhysicalTrace
+from .base import AccessMethod, PhysicalTrace
 
 __all__ = ["BaMMethod"]
 
@@ -45,21 +44,4 @@ class BaMMethod(AccessMethod):
         self.name = f"bam-{self.cacheline_bytes}B"
 
     def physical_trace(self, trace: AccessTrace) -> PhysicalTrace:
-        self.cache.reset()
-        steps: list[PhysicalStep] = []
-        for step in trace:
-            block_ids, _ = expand_to_blocks(
-                step.starts, step.lengths, self.cacheline_bytes
-            )
-            misses = self.cache.access(block_ids)
-            steps.append(
-                PhysicalStep(
-                    requests=misses,
-                    link_bytes=misses * self.cacheline_bytes,
-                    device_ops=misses,
-                    device_bytes=misses * self.cacheline_bytes,
-                )
-            )
-        return PhysicalTrace(
-            method_name=self.name, useful_bytes=trace.useful_bytes, steps=steps
-        )
+        return self._cache_line_trace(trace, self.cacheline_bytes, self.cache)

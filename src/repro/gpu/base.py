@@ -16,6 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ModelError
+from ..interconnect.cxl_proto import flits_per_request
+from ..memsim.cache import CacheModel
+from ..memsim.raf import cache_line_misses
 from ..sim.fluid import StepInput
 from ..traversal.trace import AccessTrace
 
@@ -95,6 +98,18 @@ class AccessMethod(ABC):
     def physical_trace(self, trace: AccessTrace) -> PhysicalTrace:
         """Convert a logical trace into its physical request stream."""
 
+    def _cache_line_trace(
+        self, trace: AccessTrace, line_bytes: int, cache: CacheModel
+    ) -> PhysicalTrace:
+        """One ``line_bytes`` request per cache miss (BaM lines, UVM pages)."""
+        steps = [
+            PhysicalStep(misses, misses * line_bytes, misses, misses * line_bytes)
+            for misses in cache_line_misses(trace, line_bytes, cache).tolist()
+        ]
+        return PhysicalTrace(
+            method_name=self.name, useful_bytes=trace.useful_bytes, steps=steps
+        )
+
     @staticmethod
     def _sizes_to_step(
         sizes: np.ndarray, *, device_flit_bytes: int | None = None
@@ -106,19 +121,9 @@ class AccessMethod(ABC):
         """
         sizes = np.asarray(sizes, dtype=np.int64)
         sizes = sizes[sizes > 0]
-        link_bytes = int(sizes.sum())
-        requests = int(sizes.size)
-        if device_flit_bytes is None:
-            return PhysicalStep(
-                requests=requests,
-                link_bytes=link_bytes,
-                device_ops=requests,
-                device_bytes=link_bytes,
-            )
-        flits = -(-sizes // device_flit_bytes)
-        return PhysicalStep(
-            requests=requests,
-            link_bytes=link_bytes,
-            device_ops=int(flits.sum()),
-            device_bytes=int(flits.sum()) * device_flit_bytes,
-        )
+        requests, link_bytes = int(sizes.size), int(sizes.sum())
+        device_ops, device_bytes = requests, link_bytes
+        if device_flit_bytes is not None:
+            device_ops = int(flits_per_request(sizes, device_flit_bytes).sum())
+            device_bytes = device_ops * device_flit_bytes
+        return PhysicalStep(requests, link_bytes, device_ops, device_bytes)

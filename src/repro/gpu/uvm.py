@@ -20,11 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import ModelError
-from ..memsim.alignment import expand_to_blocks
 from ..memsim.cache import CacheModel, LRUCache
 from ..traversal.trace import AccessTrace
 from ..units import KIB
-from .base import AccessMethod, PhysicalStep, PhysicalTrace
+from .base import AccessMethod, PhysicalTrace
 
 __all__ = ["UVMMethod", "UVM_PAGE_BYTES", "UVM_FAULT_LATENCY"]
 
@@ -60,29 +59,15 @@ class UVMMethod(AccessMethod):
             raise ModelError("page_bytes must be >= 1")
         if self.pool_bytes is not None and self.pool_bytes < self.page_bytes:
             raise ModelError("pool must hold at least one page")
-        if self.pool_bytes is None:
-            # Effectively infinite residency: model with a huge LRU.
-            self._cache = LRUCache(capacity_blocks=2**40)
-        else:
-            self._cache = LRUCache(
-                capacity_blocks=max(1, self.pool_bytes // self.page_bytes)
-            )
+        self._cache = LRUCache(capacity_blocks=self.pool_pages)
         self.name = f"uvm-{self.page_bytes}B"
 
+    @property
+    def pool_pages(self) -> int:
+        """Pages the pool holds; a huge LRU models ``pool_bytes=None``."""
+        if self.pool_bytes is None:
+            return 2**40
+        return max(1, self.pool_bytes // self.page_bytes)
+
     def physical_trace(self, trace: AccessTrace) -> PhysicalTrace:
-        self._cache.reset()
-        steps: list[PhysicalStep] = []
-        for step in trace:
-            page_ids, _ = expand_to_blocks(step.starts, step.lengths, self.page_bytes)
-            faults = self._cache.access(page_ids)
-            steps.append(
-                PhysicalStep(
-                    requests=faults,
-                    link_bytes=faults * self.page_bytes,
-                    device_ops=faults,
-                    device_bytes=faults * self.page_bytes,
-                )
-            )
-        return PhysicalTrace(
-            method_name=self.name, useful_bytes=trace.useful_bytes, steps=steps
-        )
+        return self._cache_line_trace(trace, self.page_bytes, self._cache)

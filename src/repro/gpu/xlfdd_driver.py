@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 from ..config import XLFDD_ALIGNMENT_BYTES, XLFDD_MAX_TRANSFER_BYTES
 from ..errors import ModelError
-from ..memsim.alignment import aligned_span, split_by_max_transfer
+from ..memsim.alignment import direct_requests
 from ..traversal.trace import AccessTrace
-from .base import AccessMethod, PhysicalStep, PhysicalTrace
+from .base import AccessMethod, PhysicalTrace
 
 __all__ = ["XLFDDMethod"]
 
@@ -51,13 +51,13 @@ class XLFDDMethod(AccessMethod):
         self.name = f"xlfdd-{self.alignment_bytes}B"
 
     def physical_trace(self, trace: AccessTrace) -> PhysicalTrace:
-        steps: list[PhysicalStep] = []
+        steps = []
         for step in trace:
-            a_starts, a_lengths = aligned_span(
-                step.starts, step.lengths, self.alignment_bytes
-            )
-            _, sizes = split_by_max_transfer(
-                a_starts, a_lengths, self.effective_max_transfer
+            _, sizes = direct_requests(
+                step.starts,
+                step.lengths,
+                self.alignment_bytes,
+                self.effective_max_transfer,
             )
             steps.append(self._sizes_to_step(sizes))
         return PhysicalTrace(

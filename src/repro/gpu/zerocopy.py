@@ -17,13 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..config import CXL_FLIT_BYTES, GPU_CACHE_LINE_BYTES, GPU_SECTOR_BYTES
 from ..errors import ModelError
-from ..memsim.coalesce import coalesce_step
+from ..memsim.coalesce import coalesced_sizes
 from ..traversal.trace import AccessTrace
-from .base import AccessMethod, PhysicalStep, PhysicalTrace
+from .base import AccessMethod, PhysicalTrace
 
 __all__ = ["ZeroCopyMethod"]
 
@@ -46,8 +44,9 @@ class ZeroCopyMethod(AccessMethod):
     line_bytes: int = GPU_CACHE_LINE_BYTES
 
     def __post_init__(self) -> None:
-        if self.line_bytes % self.sector_bytes != 0:
-            raise ModelError("line size must be a multiple of the sector size")
+        sector, line = self.sector_bytes, self.line_bytes
+        if min(sector, line) < 1 or line % sector:
+            raise ModelError("line size must be a positive multiple of the sector size")
         if self.device_flit_bytes is not None and self.device_flit_bytes < 1:
             raise ModelError("device_flit_bytes must be >= 1 or None")
         self.name = "emogi-cxl" if self.device_flit_bytes else "emogi"
@@ -58,20 +57,15 @@ class ZeroCopyMethod(AccessMethod):
         return cls(device_flit_bytes=CXL_FLIT_BYTES)
 
     def physical_trace(self, trace: AccessTrace) -> PhysicalTrace:
-        steps: list[PhysicalStep] = []
-        for step in trace:
-            result = coalesce_step(
-                step, sector_bytes=self.sector_bytes, line_bytes=self.line_bytes
+        steps = [
+            self._sizes_to_step(
+                coalesced_sizes(
+                    step.starts, step.lengths, self.sector_bytes, self.line_bytes
+                ),
+                device_flit_bytes=self.device_flit_bytes,
             )
-            sizes = np.repeat(
-                np.fromiter(result.size_counts.keys(), dtype=np.int64,
-                            count=len(result.size_counts)),
-                np.fromiter(result.size_counts.values(), dtype=np.int64,
-                            count=len(result.size_counts)),
-            )
-            steps.append(
-                self._sizes_to_step(sizes, device_flit_bytes=self.device_flit_bytes)
-            )
+            for step in trace
+        ]
         return PhysicalTrace(
             method_name=self.name, useful_bytes=trace.useful_bytes, steps=steps
         )

@@ -12,6 +12,7 @@ import numpy as np
 
 from ..config import CXL_FLIT_BYTES, CXL_SPEC_MAX_TAGS
 from ..errors import ModelError
+from ..memsim.alignment import direct_requests
 
 __all__ = [
     "flits_per_request",
@@ -46,10 +47,7 @@ def split_into_flits(
     Returns ``(flit_starts, flit_lengths)`` — every output read is one
     whole flit (CXL moves full 64 B lines even for partial requests).
     """
-    from ..memsim.alignment import aligned_span, split_by_max_transfer
-
-    a_starts, a_lengths = aligned_span(starts, lengths, flit_bytes)
-    return split_by_max_transfer(a_starts, a_lengths, flit_bytes)
+    return direct_requests(starts, lengths, flit_bytes, flit_bytes)
 
 
 def device_side_bytes(

@@ -18,6 +18,7 @@ __all__ = [
     "align_up",
     "aligned_span",
     "blocks_per_request",
+    "direct_requests",
     "expand_to_blocks",
     "split_by_max_transfer",
 ]
@@ -116,3 +117,28 @@ def split_by_max_transfer(
     remaining = lengths[request_idx] - rank * max_transfer
     sub_lengths = np.minimum(remaining, max_transfer)
     return sub_starts, sub_lengths
+
+
+def direct_requests(
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    alignment: int,
+    max_transfer: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The direct-access discipline: ``(starts, sizes)`` of the device requests.
+
+    Each read's aligned span, split at ``max_transfer`` (``None``: no
+    ceiling), with empty reads dropped — XLFDD sublist reads, GPU sector
+    spans and CXL flits alike.
+    """
+    alignment = _check_alignment(alignment)
+    if max_transfer is not None and (max_transfer < 1 or max_transfer % alignment):
+        raise ModelError(
+            f"max_transfer {max_transfer} must be a positive multiple of "
+            f"alignment {alignment}"
+        )
+    a_starts, a_lengths = aligned_span(starts, lengths, alignment)
+    if max_transfer is None:
+        keep = a_lengths > 0
+        return a_starts[keep], a_lengths[keep]
+    return split_by_max_transfer(a_starts, a_lengths, max_transfer)

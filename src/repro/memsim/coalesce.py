@@ -14,19 +14,21 @@ us *measure* that distribution for our workloads instead of assuming it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from ..config import GPU_CACHE_LINE_BYTES, GPU_SECTOR_BYTES
 from ..errors import ModelError
-from ..traversal.trace import AccessTrace, TraceStep
-from .alignment import aligned_span, expand_to_blocks
+from ..traversal.trace import TraceStep
+from .alignment import direct_requests, expand_to_blocks
 
 __all__ = [
     "CoalesceResult",
     "coalesce_step",
+    "coalesced_sizes",
     "coalesce_trace",
     "transfer_size_distribution",
 ]
@@ -64,56 +66,60 @@ class CoalesceResult:
         return {size: count / total for size, count in sorted(self.size_counts.items())}
 
 
+def coalesced_sizes(
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    sector_bytes: int = GPU_SECTOR_BYTES,
+    line_bytes: int = GPU_CACHE_LINE_BYTES,
+) -> np.ndarray:
+    """The zero-copy discipline: one transaction size per (read, line) piece.
+
+    Each read's sector-aligned span is chopped at cache-line boundaries;
+    the piece inside each line is one transaction (its size is the number
+    of touched sectors times ``sector_bytes``).  Reads are independent —
+    coalescing happens within a warp's access, not across frontier
+    vertices.  Empty reads yield no transaction.
+    """
+    if sector_bytes < 1 or line_bytes < 1 or line_bytes % sector_bytes != 0:
+        raise ModelError(
+            f"cache line {line_bytes} must be a positive multiple of "
+            f"sector {sector_bytes}"
+        )
+    a_starts, a_lengths = direct_requests(starts, lengths, sector_bytes)
+    line_ids, request_idx = expand_to_blocks(a_starts, a_lengths, line_bytes)
+    line_start = line_ids * line_bytes
+    req_start = a_starts[request_idx]
+    req_end = req_start + a_lengths[request_idx]
+    return np.minimum(req_end, line_start + line_bytes) - np.maximum(
+        req_start, line_start
+    )
+
+
 def coalesce_step(
     step: TraceStep,
     *,
     sector_bytes: int = GPU_SECTOR_BYTES,
     line_bytes: int = GPU_CACHE_LINE_BYTES,
 ) -> CoalesceResult:
-    """Coalesce one step's sublist reads into per-line transactions.
-
-    Each request's 32 B-aligned span is chopped at 128 B line boundaries;
-    the piece inside each line is one transaction (its size is the number
-    of touched sectors times 32 B).  Requests are independent — coalescing
-    happens within a warp's access, not across frontier vertices.
-    """
-    if line_bytes % sector_bytes != 0:
-        raise ModelError(
-            f"cache line {line_bytes} must be a multiple of sector {sector_bytes}"
-        )
-    a_starts, a_lengths = aligned_span(step.starts, step.lengths, sector_bytes)
-    nonempty = a_lengths > 0
-    a_starts, a_lengths = a_starts[nonempty], a_lengths[nonempty]
-    counts: dict[int, int] = {}
-    if a_starts.size:
-        # Per request, per overlapped line: transaction size = overlap of
-        # the aligned span with the line.  Expand to line IDs, then compute
-        # the overlap of each (request, line) pair.
-        line_ids, request_idx = expand_to_blocks(a_starts, a_lengths, line_bytes)
-        line_start = line_ids * line_bytes
-        req_start = a_starts[request_idx]
-        req_end = req_start + a_lengths[request_idx]
-        overlap = np.minimum(req_end, line_start + line_bytes) - np.maximum(
-            req_start, line_start
-        )
-        sizes, size_counts = np.unique(overlap, return_counts=True)
-        counts = {int(s): int(c) for s, c in zip(sizes, size_counts)}
-    return CoalesceResult(size_counts=counts)
+    """Histogram of one step's :func:`coalesced_sizes`."""
+    return coalesce_trace((step,), sector_bytes=sector_bytes, line_bytes=line_bytes)
 
 
 def coalesce_trace(
-    trace: AccessTrace,
+    trace: Iterable[TraceStep],
     *,
     sector_bytes: int = GPU_SECTOR_BYTES,
     line_bytes: int = GPU_CACHE_LINE_BYTES,
 ) -> CoalesceResult:
-    """Coalesce every step of ``trace`` and merge the size histograms."""
-    merged: dict[int, int] = {}
+    """Histogram of :func:`coalesced_sizes` over every step of ``trace``."""
+    merged: Counter[int] = Counter()
     for step in trace:
-        result = coalesce_step(step, sector_bytes=sector_bytes, line_bytes=line_bytes)
-        for size, count in result.size_counts.items():
-            merged[size] = merged.get(size, 0) + count
-    return CoalesceResult(size_counts=merged)
+        sizes, counts = np.unique(
+            coalesced_sizes(step.starts, step.lengths, sector_bytes, line_bytes),
+            return_counts=True,
+        )
+        merged.update(dict(zip(sizes.tolist(), counts.tolist())))
+    return CoalesceResult(size_counts=dict(merged))
 
 
 def transfer_size_distribution(distribution: Mapping[int, float]) -> float:

@@ -31,11 +31,12 @@ import numpy as np
 
 from ..errors import ModelError, TraceError
 from ..traversal.trace import AccessTrace
-from .alignment import aligned_span, expand_to_blocks, split_by_max_transfer
+from .alignment import direct_requests, expand_to_blocks
 from .cache import CacheModel, StepLocalCache
 
 __all__ = [
     "RAFResult",
+    "cache_line_misses",
     "read_amplification",
     "direct_access_amplification",
     "raf_curve",
@@ -114,17 +115,27 @@ def read_amplification(
     )
 
 
+def cache_line_misses(
+    trace: AccessTrace, line_bytes: int, cache: CacheModel
+) -> np.ndarray:
+    """The cache-line discipline: per-step misses of ``trace`` through ``cache``.
+
+    The cache is reset first; every miss is one ``line_bytes`` external
+    read (BaM cache lines, UVM pages, Figure 3's cache-line RAF).
+    """
+    cache.reset()
+    misses = np.zeros(trace.num_steps, dtype=np.int64)
+    for i, step in enumerate(trace):
+        block_ids, _ = expand_to_blocks(step.starts, step.lengths, line_bytes)
+        misses[i] = cache.access(block_ids)
+    return misses
+
+
 def _cache_line_raf(
     trace: AccessTrace, alignment: int, cache: CacheModel
 ) -> RAFResult:
-    cache.reset()
-    per_step_fetched = np.zeros(trace.num_steps, dtype=np.int64)
-    per_step_requests = np.zeros(trace.num_steps, dtype=np.int64)
-    for i, step in enumerate(trace):
-        block_ids, _ = expand_to_blocks(step.starts, step.lengths, alignment)
-        misses = cache.access(block_ids)
-        per_step_requests[i] = misses
-        per_step_fetched[i] = misses * alignment
+    per_step_requests = cache_line_misses(trace, alignment, cache)
+    per_step_fetched = per_step_requests * alignment
     return RAFResult(
         alignment=alignment,
         useful_bytes=trace.useful_bytes,
@@ -145,10 +156,6 @@ def direct_access_amplification(
     ``d``, but not the fetched bytes.
     """
     _check_trace(trace)
-    if max_transfer is not None and max_transfer % alignment != 0:
-        raise ModelError(
-            f"max_transfer {max_transfer} must be a multiple of alignment {alignment}"
-        )
     return _memoized(
         lambda: _direct_raf(trace, alignment, max_transfer),
         "direct",
@@ -164,11 +171,9 @@ def _direct_raf(
     per_step_fetched = np.zeros(trace.num_steps, dtype=np.int64)
     per_step_requests = np.zeros(trace.num_steps, dtype=np.int64)
     for i, step in enumerate(trace):
-        a_starts, a_lengths = aligned_span(step.starts, step.lengths, alignment)
-        if max_transfer is not None:
-            a_starts, a_lengths = split_by_max_transfer(a_starts, a_lengths, max_transfer)
-        per_step_fetched[i] = a_lengths.sum()
-        per_step_requests[i] = int((a_lengths > 0).sum())
+        _, sizes = direct_requests(step.starts, step.lengths, alignment, max_transfer)
+        per_step_fetched[i] = sizes.sum()
+        per_step_requests[i] = sizes.size
     return RAFResult(
         alignment=alignment,
         useful_bytes=trace.useful_bytes,

@@ -31,6 +31,7 @@ from ..errors import ModelError, TraceError
 from ..graph.csr import sorted_unique
 from ..traversal.trace import AccessTrace, TraceStep
 from .alignment import expand_to_blocks
+from .coalesce import coalesced_sizes
 
 __all__ = [
     "writeback_trace",
@@ -118,14 +119,10 @@ def cxl_write_traffic(
         user += int(lengths.sum())
         if starts.size == 0:
             continue
-        block_ids, request_idx = expand_to_blocks(starts, lengths, flit_bytes)
-        # Bytes of each line covered by writes (sum of overlaps).
-        line_start = block_ids * flit_bytes
-        req_start = starts[request_idx]
-        req_end = req_start + lengths[request_idx]
-        overlap = np.minimum(req_end, line_start + flit_bytes) - np.maximum(
-            req_start, line_start
-        )
+        block_ids, _ = expand_to_blocks(starts, lengths, flit_bytes)
+        # Bytes of each line covered by writes: each write's overlap with
+        # each line it touches, i.e. its 1 B sectors coalesced per line.
+        overlap = coalesced_sizes(starts, lengths, 1, flit_bytes)
         unique_lines, inverse = np.unique(block_ids, return_inverse=True)
         covered = np.zeros(unique_lines.size, dtype=np.int64)
         np.add.at(covered, inverse, overlap)

@@ -174,6 +174,13 @@ class TestBackendValidation:
             DirectBackend(b"\x00", alignment_bytes=16, max_transfer_bytes=100)
         with pytest.raises(DeviceError):
             ZeroCopyBackend(b"\x00", sector_bytes=48, line_bytes=100)
+        # Non-positive geometry fails at construction, not on first read.
+        for max_transfer in (0, -16):
+            with pytest.raises(DeviceError, match="max transfer"):
+                DirectBackend(b"\x00", max_transfer_bytes=max_transfer)
+        for sector, line in ((0, 128), (-32, 128), (32, 0)):
+            with pytest.raises(DeviceError, match="sector"):
+                ZeroCopyBackend(b"\x00", sector_bytes=sector, line_bytes=line)
 
     def test_weighted_payload_roundtrip(self, weighted_small):
         engine = ExternalGraphEngine(weighted_small, DirectBackend)

@@ -85,6 +85,13 @@ class TestZeroCopy:
     def test_geometry_validation(self):
         with pytest.raises(ModelError):
             ZeroCopyMethod(sector_bytes=48, line_bytes=100)
+        for geometry in (
+            {"sector_bytes": 0},
+            {"sector_bytes": -32},
+            {"line_bytes": 0},
+        ):
+            with pytest.raises(ModelError, match="positive"):
+                ZeroCopyMethod(**geometry)
 
 
 class TestBaM:

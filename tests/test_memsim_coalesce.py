@@ -51,6 +51,9 @@ class TestCoalesceStep:
     def test_geometry_validation(self):
         with pytest.raises(ModelError, match="multiple"):
             coalesce_step(make_step([0], [8]), sector_bytes=32, line_bytes=100)
+        for sector, line in ((0, 128), (-32, 128), (32, 0)):
+            with pytest.raises(ModelError, match="positive"):
+                coalesce_step(make_step([0], [8]), sector_bytes=sector, line_bytes=line)
 
 
 class TestCoalesceResult:

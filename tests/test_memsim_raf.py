@@ -105,6 +105,9 @@ class TestDirectAccess:
         trace = make_trace([(np.array([0]), np.array([100]))])
         with pytest.raises(ModelError, match="multiple"):
             direct_access_amplification(trace, 48, max_transfer=100)
+        for max_transfer in (0, -16):
+            with pytest.raises(ModelError, match="positive multiple"):
+                direct_access_amplification(trace, 16, max_transfer=max_transfer)
 
     def test_direct_geq_cacheline_amplification(self, bfs_trace):
         """Cache-line access shares blocks; direct access cannot, so its

@@ -1,4 +1,4 @@
-"""Property-based tests: alignment, caches, read amplification."""
+"""Property-based tests: alignment, coalescing, caches, read amplification."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -6,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 from repro.memsim.alignment import (
     aligned_span,
     blocks_per_request,
+    direct_requests,
     expand_to_blocks,
     split_by_max_transfer,
 )
 from repro.memsim.cache import IdealCache, LRUCache, NoCache, StepLocalCache
+from repro.memsim.coalesce import coalesced_sizes
 from repro.memsim.raf import direct_access_amplification, read_amplification
 from repro.traversal.trace import AccessTrace, TraceStep
 
@@ -73,6 +75,64 @@ def test_split_conserves_bytes_and_caps_size(reqs, max_transfer):
     if out_lengths.size:
         assert out_lengths.max() <= max_transfer
         assert out_lengths.min() >= 1
+
+
+def _aligned_bounds(start, length, a):
+    return start // a * a, -(-(start + length) // a) * a
+
+
+def _direct_reference(starts, lengths, a, max_transfer):
+    """Per-request loop: align, then cut back-to-back ``max_transfer`` pieces."""
+    out_starts, out_sizes = [], []
+    for start, length in zip(starts.tolist(), lengths.tolist()):
+        if length == 0:
+            continue
+        lo, hi = _aligned_bounds(start, length, a)
+        cap = hi - lo if max_transfer is None else max_transfer
+        for piece in range(lo, hi, cap):
+            out_starts.append(piece)
+            out_sizes.append(min(cap, hi - piece))
+    return out_starts, out_sizes
+
+
+def _coalesced_reference(starts, lengths, sector, line):
+    """Per-request loop: the sector span's overlap with each line it touches."""
+    sizes = []
+    for start, length in zip(starts.tolist(), lengths.tolist()):
+        if length == 0:
+            continue
+        lo, hi = _aligned_bounds(start, length, sector)
+        for line_start in range(lo // line * line, hi, line):
+            sizes.append(min(hi, line_start + line) - max(lo, line_start))
+    return sizes
+
+
+@given(request_arrays(), alignments, st.sampled_from([None, 1, 2, 3, 16]))
+@settings(max_examples=80, deadline=None)
+def test_direct_requests_match_reference(reqs, a, multiple):
+    starts, lengths = reqs
+    max_transfer = None if multiple is None else multiple * a
+    out_starts, sizes = direct_requests(starts, lengths, a, max_transfer)
+    ref_starts, ref_sizes = _direct_reference(starts, lengths, a, max_transfer)
+    assert out_starts.tolist() == ref_starts
+    assert sizes.tolist() == ref_sizes
+    assert np.all(sizes > 0) and np.all(sizes % a == 0)
+    if max_transfer is not None:
+        assert np.all(sizes <= max_transfer)
+    # Splitting conserves the aligned spans' bytes.
+    assert sizes.sum() == aligned_span(starts, lengths, a)[1].sum()
+
+
+@given(request_arrays(), st.sampled_from([(32, 128), (16, 64), (64, 256)]))
+@settings(max_examples=80, deadline=None)
+def test_coalesced_sizes_match_reference(reqs, geometry):
+    starts, lengths = reqs
+    sector, line = geometry
+    sizes = coalesced_sizes(starts, lengths, sector, line)
+    assert sizes.tolist() == _coalesced_reference(starts, lengths, sector, line)
+    assert np.all(sizes % sector == 0)
+    assert np.all((sizes >= sector) & (sizes <= line))
+    assert sizes.sum() == aligned_span(starts, lengths, sector)[1].sum()
 
 
 block_streams = st.lists(

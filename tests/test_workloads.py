@@ -12,11 +12,12 @@ missing-baseline behaviour.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro import workloads
+from repro import systems, workloads
 from repro.engine.backend import CachedBackend, DirectBackend, ZeroCopyBackend
 from repro.engine.engine import (
     FULLY_EXTERNAL,
@@ -25,7 +26,8 @@ from repro.engine.engine import (
     ExternalGraphEngine,
 )
 from repro.errors import ConfigError, ModelError, WorkloadError
-from repro.gpu import BaMMethod, XLFDDMethod, ZeroCopyMethod
+from repro.faults.experiment import backend_factory_for
+from repro.gpu import AccessMethod, BaMMethod, XLFDDMethod, ZeroCopyMethod
 from repro.graph.generators import uniform_random_graph
 from repro.traversal import bfs, connected_components, pagerank
 from repro.traversal.kcore import kcore
@@ -218,6 +220,40 @@ class TestEngineBytesEqualModelBytes:
                 pt.fetched_bytes,
                 pt.total_requests,
             )
+
+
+class TestEverySystemEngineEqualsModel:
+    """``build_engine`` runs each registered system's own discipline."""
+
+    @pytest.mark.parametrize("name", systems.available())
+    def test_engine_matches_physical_trace(self, urand_small, name):
+        system = systems.get(name)
+        wl = workloads.get("bfs")
+        run = wl.run(workloads.build_engine(urand_small, system))
+        pt = system.method.physical_trace(wl.trace(urand_small))
+        assert (run.stats.fetched_bytes, run.stats.requests) == (
+            pt.fetched_bytes,
+            pt.total_requests,
+        )
+
+    def test_zero_copy_geometry_passes_through(self):
+        system = replace(
+            systems.get("emogi"),
+            method=ZeroCopyMethod(sector_bytes=64, line_bytes=256),
+        )
+        backend = backend_factory_for(system)(b"\x00" * 512)
+        assert (backend.sector_bytes, backend.line_bytes) == (64, 256)
+
+    def test_unmapped_method_rejected(self):
+        class Opaque(AccessMethod):
+            name = "opaque"
+
+            def physical_trace(self, trace):
+                raise NotImplementedError
+
+        system = replace(systems.get("emogi"), method=Opaque())
+        with pytest.raises(ConfigError, match="opaque"):
+            backend_factory_for(system)
 
 
 class TestMemoryModes:
