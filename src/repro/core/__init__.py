@@ -48,7 +48,7 @@ from .sweep import (
     SweepPoint,
     SweepResult,
     alignment_grid,
-    comparison_matrix,
+    comparison_grid,
     cxl_latency_grid,
     normalized,
     run_sweep,
@@ -97,8 +97,8 @@ __all__ = [
     "run_sweep",
     "sweep_trace",
     "alignment_grid",
+    "comparison_grid",
     "cxl_latency_grid",
-    "comparison_matrix",
     "normalized",
     "format_table",
     "format_series",

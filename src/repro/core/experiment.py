@@ -117,6 +117,8 @@ def cxl_system(
     is weighted accordingly.
     """
     link = link or PCIeLink.from_name("gen3")
+    if devices < 1:
+        raise ModelError(f"devices must be at least 1, got {devices}")
     if not 0 <= local_devices <= devices:
         raise ModelError("local_devices must be within [0, devices]")
     remote_fraction = (devices - local_devices) / devices

@@ -18,6 +18,7 @@ __all__ = [
     "format_series",
     "fault_summary",
     "geometric_mean",
+    "system_geomean",
 ]
 
 
@@ -125,3 +126,11 @@ def geometric_mean(values: Sequence[float]) -> float:
     if any(v <= 0 for v in values):
         raise ModelError("geometric mean requires positive values")
     return math.exp(sum(math.log(v) for v in values) / len(values))
+
+
+def system_geomean(rows: Sequence[Mapping[str, Any]], prefix: str) -> float:
+    """Geomean ``normalized_runtime`` of the rows whose ``system`` name
+    starts with ``prefix`` (Figure 6's per-system aggregate), in row order."""
+    return geometric_mean(
+        [r["normalized_runtime"] for r in rows if r["system"].startswith(prefix)]
+    )

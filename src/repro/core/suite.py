@@ -11,7 +11,12 @@ Each (dataset, algorithm) workload is one pure
 out across a :class:`~repro.exec.Executor` — workloads are independent
 (they share only deterministic inputs), and the report aggregates rows
 in fixed workload order, making the result bit-identical for any
-executor.
+executor.  Each task prices its cell through
+:func:`~repro.core.sweep.sweep_trace` over
+:func:`~repro.core.sweep.comparison_grid` and
+:func:`~repro.core.sweep.cxl_latency_grid`, the same path as
+:func:`repro.figures.figure6` and :func:`repro.figures.figure11`, so
+the report's rows equal the figures' rows.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import Sequence
 from ..errors import ModelError
 from ..exec.executor import Executor, SerialExecutor
 from ..exec.tasks import evaluate_workload
-from .report import format_table, geometric_mean
+from .report import format_table, system_geomean
 
 __all__ = ["EvaluationReport", "run_evaluation"]
 
@@ -80,12 +85,20 @@ def run_evaluation(
 ) -> EvaluationReport:
     """Run the complete evaluation matrix at ``scale``.
 
-    One executor task per (dataset, algorithm) workload; rows and
-    geomean samples are aggregated in workload order, so the report is
-    identical whether the matrix ran serially or across a process pool.
+    One executor task per (dataset, algorithm) workload; rows are
+    aggregated in workload order and the headline numbers are computed
+    from them, so the report is identical whether the matrix ran
+    serially or across a process pool.  ``added_latencies_us`` must
+    include 0: ``cxl_flat_worst`` is the worst runtime at zero added
+    latency.
     """
     if not datasets or not algorithms:
         raise ModelError("need at least one dataset and one algorithm")
+    if 0 not in added_latencies_us:
+        raise ModelError(
+            "added_latencies_us must include 0 for the flat-at-zero check, "
+            f"got {tuple(added_latencies_us)}"
+        )
     executor = executor or SerialExecutor()
     items = [
         {
@@ -100,16 +113,14 @@ def run_evaluation(
     ]
     outputs = executor.map(evaluate_workload, items)
     report = EvaluationReport(scale=scale)
-    xlfdd_norms: list[float] = []
-    bam_norms: list[float] = []
-    cxl_flat: list[float] = []
     for out in outputs:
         report.comparison_rows.extend(out["comparison_rows"])
         report.latency_rows.extend(out["latency_rows"])
-        xlfdd_norms.extend(out["xlfdd_norms"])
-        bam_norms.extend(out["bam_norms"])
-        cxl_flat.extend(out["cxl_flat"])
-    report.xlfdd_geomean = geometric_mean(xlfdd_norms)
-    report.bam_geomean = geometric_mean(bam_norms)
-    report.cxl_flat_worst = max(cxl_flat)
+    report.xlfdd_geomean = system_geomean(report.comparison_rows, "xlfdd")
+    report.bam_geomean = system_geomean(report.comparison_rows, "bam")
+    report.cxl_flat_worst = max(
+        r["normalized_runtime"]
+        for r in report.latency_rows
+        if r["added_latency_us"] == 0
+    )
     return report

@@ -1,9 +1,10 @@
 """Parameter sweeps behind the paper's figures, on the executor API.
 
 Every runtime figure in the paper is "sweep one knob, normalise by the
-EMOGI/host-DRAM runtime": alignment size for Figure 5, (algorithm x
-dataset) for Figure 6, added CXL latency for Figure 11.  Two entry
-points run those sweeps today:
+EMOGI/host-DRAM runtime": alignment size for Figure 5, the compared
+system for Figure 6, added CXL latency for Figure 11.  Two entry points
+run those sweeps, and they are the only code that normalises a figure's
+runtime to its baseline:
 
 * :func:`run_sweep` — the declarative path: an
   :class:`~repro.exec.ExperimentSpec` plus a
@@ -13,9 +14,10 @@ points run those sweeps today:
   bit-identical results.
 * :func:`sweep_trace` — the trace-sharing path: price a list of system
   configs against one already-built :class:`AccessTrace` so that every
-  point prices the same workload.  :func:`alignment_grid` and
-  :func:`cxl_latency_grid` build the figures' config lists, and
-  :func:`comparison_matrix` runs Figure 6's (graph, algorithm) cells.
+  point prices the same workload.  :func:`alignment_grid`,
+  :func:`comparison_grid` and :func:`cxl_latency_grid` build the config
+  lists of Figures 5, 6 and 11; ``repro evaluate`` and
+  :mod:`repro.figures` price every (dataset, algorithm) cell with them.
 """
 
 from __future__ import annotations
@@ -27,17 +29,10 @@ from typing import Any, Mapping, Sequence
 from ..errors import ModelError
 from ..exec.executor import Executor, SerialExecutor
 from ..exec.spec import ExperimentSpec, SweepConfig
-from ..exec.tasks import compare_methods_cell, evaluate_sweep_point, price_trace_point
-from ..graph.csr import CSRGraph
+from ..exec.tasks import evaluate_sweep_point, price_trace_point
 from ..interconnect.pcie import PCIeLink
 from ..telemetry.tracer import get_tracer
 from ..traversal.trace import AccessTrace
-from .runtime_model import SystemModel
-
-# Late binding through the registry (repro.systems) keeps every sweep in
-# lock-step with the CLI's system names; aliased because
-# ``comparison_matrix`` has a ``systems`` parameter.
-from .. import systems as systems_registry
 
 __all__ = [
     "SweepPoint",
@@ -46,8 +41,8 @@ __all__ = [
     "run_sweep",
     "sweep_trace",
     "alignment_grid",
+    "comparison_grid",
     "cxl_latency_grid",
-    "comparison_matrix",
 ]
 
 
@@ -228,6 +223,14 @@ def alignment_grid(
     return grid
 
 
+def comparison_grid() -> list[dict[str, Any]]:
+    """Figure 6 configs: XLFDD and BaM at their registry defaults."""
+    return [
+        {"x": 0.0, "system": "xlfdd", "options": {}},
+        {"x": 0.0, "system": "bam", "options": {}},
+    ]
+
+
 def cxl_latency_grid(
     added_latencies: Sequence[float] = (0.0, 1e-6, 2e-6, 3e-6),
     *,
@@ -292,38 +295,3 @@ def sweep_trace(
         for r, norm in zip(results, norms)
     ]
 
-
-def comparison_matrix(
-    graphs: Sequence[CSRGraph],
-    algorithms: Sequence[str] = ("bfs", "sssp"),
-    link: PCIeLink | None = None,
-    *,
-    systems: Sequence[SystemModel] | None = None,
-    source: int | None = None,
-    executor: Executor | None = None,
-) -> list[dict[str, float | str]]:
-    """Figure 6: normalised runtimes of XLFDD and BaM across workloads.
-
-    One row per (graph, algorithm, system) with the EMOGI-normalised
-    runtime; callers aggregate with
-    :func:`repro.core.report.geometric_mean` to reproduce the paper's
-    "1.13x vs 2.76x" summary.  Each (graph, algorithm) cell is one
-    executor task that shares its trace across the compared systems.
-    """
-    link = link or PCIeLink.from_name("gen4")
-    executor = executor or SerialExecutor()
-    if systems is None:
-        systems = (
-            systems_registry.get("xlfdd", link),
-            systems_registry.get("bam", link),
-        )
-    task = functools.partial(
-        compare_methods_cell, tuple(graphs), link, tuple(systems), source
-    )
-    items = [
-        {"graph_index": i, "algorithm": algorithm}
-        for i in range(len(graphs))
-        for algorithm in algorithms
-    ]
-    nested = executor.map(task, items)
-    return [row for rows in nested for row in rows]

@@ -16,6 +16,10 @@ the parent passing a shared trace.  All heavy imports (:mod:`repro.core`,
 imported by ``repro.core.sweep`` during package init, and a top-level
 back-import would cycle.
 
+:func:`evaluate_workload` (one ``repro evaluate`` cell) prices through
+:func:`~repro.core.sweep.sweep_trace`, so the sweeps stay the only code
+that normalises a runtime to the EMOGI baseline.
+
 Determinism note: results carry built-in floats produced by the same
 numpy expressions regardless of the process they ran in, so serial and
 process-pool sweeps are bit-identical (a tier-1 property test pins
@@ -29,7 +33,6 @@ from typing import Any, Mapping
 __all__ = [
     "evaluate_sweep_point",
     "price_trace_point",
-    "compare_methods_cell",
     "evaluate_workload",
 ]
 
@@ -128,114 +131,42 @@ def price_trace_point(trace: Any, item: Mapping[str, Any]) -> dict[str, Any]:
     }
 
 
-def compare_methods_cell(
-    graphs: tuple[Any, ...],
-    link: Any,
-    systems: tuple[Any, ...],
-    source: int | None,
-    item: Mapping[str, Any],
-) -> list[dict[str, Any]]:
-    """One Figure 6 cell: every compared system on one (graph, algorithm).
-
-    Bind ``(graphs, link, systems, source)`` with ``functools.partial``;
-    the payload is ``{"graph_index": i, "algorithm": name}``.  The cell
-    builds its trace once, prices the EMOGI baseline, and returns the
-    compared systems' rows (``ExperimentResult.as_row`` plus
-    ``normalized_runtime``) in ``systems`` order.
-    """
-    from .. import systems as systems_registry
-    from ..core.experiment import run_algorithm, run_experiment
-
-    graph = graphs[item["graph_index"]]
-    algorithm = item["algorithm"]
-    trace = run_algorithm(graph, algorithm, source)
-    baseline = run_experiment(
-        graph, algorithm, systems_registry.get("emogi", link), trace=trace
-    ).runtime
-    rows: list[dict[str, Any]] = []
-    for system in systems:
-        result = run_experiment(graph, algorithm, system, trace=trace)
-        row = result.as_row()
-        row["normalized_runtime"] = result.runtime / baseline
-        rows.append(row)
-    return rows
-
-
 def evaluate_workload(item: Mapping[str, Any]) -> dict[str, Any]:
     """One evaluation-suite cell: a (dataset, algorithm) workload.
 
     Payload: ``{"dataset", "scale", "seed", "algorithm",
-    "added_latencies_us"}``.  Runs the Figure 6 comparison on Gen4 and
-    the Figure 11 latency matrix on Gen3 for this workload and returns
-    the rows plus the normalisation samples; the parent aggregates
-    geomeans across workloads in deterministic payload order.
+    "added_latencies_us"}``.  Prices the Figure 6 comparison on Gen4 and
+    the Figure 11 latency sweep on Gen3 through
+    :func:`~repro.core.sweep.sweep_trace`, the same path the figure
+    functions take, and returns ``{"comparison_rows", "latency_rows"}``;
+    the parent aggregates geomeans across workloads in payload order.
     """
-    from .. import systems as systems_registry
-    from ..core.experiment import run_experiment
+    from ..core.sweep import comparison_grid, cxl_latency_grid, sweep_trace
     from ..interconnect.pcie import PCIeLink
     from ..telemetry.tracer import get_tracer
     from ..units import USEC
 
-    dataset = item["dataset"]
-    algorithm = item["algorithm"]
-    out: dict[str, Any] = {
-        "dataset": dataset,
-        "algorithm": algorithm,
-        "comparison_rows": [],
-        "latency_rows": [],
-        "xlfdd_norms": [],
-        "bam_norms": [],
-        "cxl_flat": [],
-    }
-    with get_tracer().span(
-        "evaluate.workload", dataset=dataset, algorithm=algorithm
-    ):
-        graph, trace = _workload_for(
-            dataset, item["scale"], item["seed"], algorithm
+    cell = {"dataset": item["dataset"], "algorithm": item["algorithm"]}
+    added_us = item["added_latencies_us"]
+    with get_tracer().span("evaluate.workload", **cell):
+        _, trace = _workload_for(
+            cell["dataset"], item["scale"], item["seed"], cell["algorithm"]
         )
-        gen3 = PCIeLink.from_name("gen3")
-        gen4 = PCIeLink.from_name("gen4")
-        # Figure 6 matrix on Gen4.
-        baseline4 = run_experiment(
-            graph, algorithm, systems_registry.get("emogi", gen4), trace=trace
-        ).runtime
-        for system in (
-            systems_registry.get("xlfdd", gen4),
-            systems_registry.get("bam", gen4),
-        ):
-            result = run_experiment(graph, algorithm, system, trace=trace)
-            norm = result.runtime / baseline4
-            (
-                out["xlfdd_norms"] if "xlfdd" in system.name else out["bam_norms"]
-            ).append(norm)
-            out["comparison_rows"].append(
-                {
-                    "dataset": dataset,
-                    "algorithm": algorithm,
-                    "system": system.name,
-                    "normalized_runtime": norm,
-                }
-            )
-        # Figure 11 matrix on Gen3.
-        baseline3 = run_experiment(
-            graph, algorithm, systems_registry.get("emogi", gen3), trace=trace
-        ).runtime
-        for added_us in item["added_latencies_us"]:
-            result = run_experiment(
-                graph,
-                algorithm,
-                systems_registry.get("cxl", gen3, added_latency=added_us * USEC),
-                trace=trace,
-            )
-            norm = result.runtime / baseline3
-            if added_us == 0:
-                out["cxl_flat"].append(norm)
-            out["latency_rows"].append(
-                {
-                    "dataset": dataset,
-                    "algorithm": algorithm,
-                    "added_latency_us": added_us,
-                    "normalized_runtime": norm,
-                }
-            )
-    return out
+        comparison = sweep_trace(
+            trace, comparison_grid(), PCIeLink.from_name("gen4")
+        )
+        latency = sweep_trace(
+            trace,
+            cxl_latency_grid([u * USEC for u in added_us]),
+            PCIeLink.from_name("gen3"),
+        )
+    return {
+        "comparison_rows": [
+            {**cell, "system": p.system, "normalized_runtime": p.normalized_runtime}
+            for p in comparison
+        ],
+        "latency_rows": [
+            {**cell, "added_latency_us": u, "normalized_runtime": p.normalized_runtime}
+            for u, p in zip(added_us, latency)
+        ],
+    }

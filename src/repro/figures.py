@@ -4,7 +4,10 @@ Each ``figure*``/``table*`` function regenerates the corresponding
 artifact from scratch — workload generation, sweep, normalisation — and
 returns a :class:`FigureResult` whose rows are the same series the paper
 plots.  The benchmark harness (``benchmarks/``) and the CLI both call
-these, so there is exactly one implementation of every experiment.
+these.  Every EMOGI-normalised runtime (Figures 5, 6 and 11) is priced
+by :func:`~repro.core.sweep.sweep_trace` over a config grid, the same
+path ``repro evaluate`` takes, so there is exactly one implementation of
+every experiment.
 
 Scale/seed defaults keep every figure under a few seconds; pass a larger
 ``scale`` to tighten the match with the paper's billion-edge graphs.
@@ -25,7 +28,7 @@ from .config import (
 from .core.analysis import runtime_vs_transfer_size
 from .core.equations import example_throughput_model
 from .core.experiment import run_algorithm
-from .core.report import format_table, geometric_mean
+from .core.report import format_table, system_geomean
 from .core.requirements import (
     paper_gen3_requirements,
     paper_gen4_requirements,
@@ -33,7 +36,7 @@ from .core.requirements import (
 )
 from .core.sweep import (
     alignment_grid,
-    comparison_matrix,
+    comparison_grid,
     cxl_latency_grid,
     sweep_trace,
 )
@@ -240,32 +243,28 @@ def figure6(
     datasets: Sequence[str] = ("urand", "kron", "friendster"),
 ) -> FigureResult:
     """Figure 6: XLFDD vs BaM normalized runtimes across all workloads."""
-    graphs = [load_dataset(d, scale=scale, seed=seed) for d in datasets]
-    rows = comparison_matrix(graphs, algorithms)
-    out_rows = [
-        {
-            "graph": row["graph"],
-            "algorithm": row["algorithm"],
-            "system": row["system"],
-            "normalized_runtime": row["normalized_runtime"],
-        }
-        for row in rows
-    ]
-    geomeans = {}
-    for system_prefix in ("xlfdd", "bam"):
-        values = [
-            float(r["normalized_runtime"])
-            for r in out_rows
-            if str(r["system"]).startswith(system_prefix)
-        ]
-        geomeans[system_prefix] = geometric_mean(values)
+    rows = []
+    for dataset in datasets:
+        graph = load_dataset(dataset, scale=scale, seed=seed)
+        for algorithm in algorithms:
+            trace = run_algorithm(graph, algorithm)
+            for p in sweep_trace(trace, comparison_grid()):
+                rows.append(
+                    {
+                        "graph": graph.name,
+                        "algorithm": algorithm,
+                        "system": p.system,
+                        "normalized_runtime": p.normalized_runtime,
+                    }
+                )
     return FigureResult(
         name="figure6",
         description="normalized runtimes, BFS+SSSP x 3 datasets",
-        rows=out_rows,
+        rows=rows,
         notes=[
-            f"geomean xlfdd = {geomeans['xlfdd']:.2f}x "
-            f"(paper: 1.13x), bam = {geomeans['bam']:.2f}x (paper: 2.76x)"
+            f"geomean xlfdd = {system_geomean(rows, 'xlfdd'):.2f}x "
+            f"(paper: 1.13x), bam = {system_geomean(rows, 'bam'):.2f}x "
+            "(paper: 2.76x)"
         ],
     )
 

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro import figures
 from repro.core.placement import placement_report, stripe_size_sweep
 from repro.core.suite import run_evaluation
 from repro.errors import ModelError
+from repro.exec.executor import ProcessPoolExecutor, SerialExecutor
 from repro.graph.partition import StripedLayout
 from repro.traversal.trace import AccessTrace, TraceStep
 
@@ -93,3 +95,45 @@ class TestEvaluationSuite:
     def test_validation(self):
         with pytest.raises(ModelError):
             run_evaluation(scale=10, datasets=())
+        # cxl_flat_worst needs the zero-added-latency point.
+        with pytest.raises(ModelError):
+            run_evaluation(scale=10, added_latencies_us=(1, 2))
+        with pytest.raises(ModelError):
+            run_evaluation(scale=10, added_latencies_us=())
+
+
+class TestEvaluationMatchesFigures:
+    """``repro evaluate`` and the figure functions price cells identically."""
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        return run_evaluation(scale=8, executor=SerialExecutor())
+
+    def test_comparison_rows_equal_figure6(self, report):
+        fig6 = figures.figure6(scale=8).rows
+        assert [
+            (r["algorithm"], r["system"], r["normalized_runtime"])
+            for r in report.comparison_rows
+        ] == [(r["algorithm"], r["system"], r["normalized_runtime"]) for r in fig6]
+
+    def test_latency_rows_equal_figure11(self, report):
+        fig11 = figures.figure11(scale=8).rows
+        assert len(report.latency_rows) == len(fig11)
+        for ours, theirs in zip(report.latency_rows, fig11):
+            assert (ours["dataset"], ours["algorithm"]) == (
+                theirs["dataset"],
+                theirs["algorithm"],
+            )
+            assert ours["added_latency_us"] == pytest.approx(theirs["added_latency_us"])
+            assert ours["normalized_runtime"] == theirs["normalized_runtime"]
+
+    def test_process_pool_matches_serial(self, report):
+        with ProcessPoolExecutor(workers=2) as pool:
+            pooled = run_evaluation(scale=8, executor=pool)
+        assert pooled.comparison_rows == report.comparison_rows
+        assert pooled.latency_rows == report.latency_rows
+        assert (pooled.xlfdd_geomean, pooled.bam_geomean, pooled.cxl_flat_worst) == (
+            report.xlfdd_geomean,
+            report.bam_geomean,
+            report.cxl_flat_worst,
+        )

@@ -59,6 +59,8 @@ class TestSystemModel:
             )
         with pytest.raises(ModelError):
             cxl_system(0.0, local_devices=9)
+        with pytest.raises(ModelError):
+            cxl_system(0.0, devices=0, local_devices=0)
 
 
 class TestPredictRuntime:

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro import systems
+from repro.core.experiment import run_algorithm
 from repro.core.report import geometric_mean
 from repro.core.sweep import (
     alignment_grid,
-    comparison_matrix,
+    comparison_grid,
     cxl_latency_grid,
     normalized,
     sweep_trace,
@@ -87,13 +89,23 @@ class TestCxlLatencySweep:
 
 
 class TestMethodComparison:
+    """Figure 6's cells: ``sweep_trace`` over ``comparison_grid()``."""
+
     @pytest.fixture(scope="class")
     def rows(self, urand_small, kron_small):
-        return comparison_matrix([urand_small, kron_small], algorithms=("bfs",))
+        return [
+            p.as_dict()
+            for graph in (urand_small, kron_small)
+            for p in sweep_trace(run_algorithm(graph, "bfs"), comparison_grid())
+        ]
 
     def test_row_count(self, rows):
         # 2 graphs x 1 algorithm x 2 systems.
         assert len(rows) == 4
+
+    def test_grid_is_registry_defaults(self, rows):
+        names = [systems.get("xlfdd").name, systems.get("bam").name]
+        assert [r["system"] for r in rows] == names * 2
 
     def test_normalized_column_present(self, rows):
         assert all("normalized_runtime" in row for row in rows)

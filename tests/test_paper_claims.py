@@ -8,6 +8,7 @@ who wins, by roughly what factor, and where the crossovers fall.
 import numpy as np
 import pytest
 
+from repro import figures
 from repro.core.experiment import (
     bam_system,
     cxl_system,
@@ -16,9 +17,9 @@ from repro.core.experiment import (
     run_experiment,
     xlfdd_system,
 )
-from repro.core.report import geometric_mean
+from repro.core.report import system_geomean
 from repro.core.runtime_model import predict_runtime
-from repro.core.sweep import comparison_matrix, cxl_latency_grid, sweep_trace
+from repro.core.sweep import cxl_latency_grid, sweep_trace
 from repro.graph.datasets import load_dataset
 from repro.interconnect.pcie import PCIeLink
 from repro.units import USEC
@@ -29,13 +30,8 @@ GEN3 = PCIeLink.from_name("gen3")
 
 
 @pytest.fixture(scope="module")
-def graphs():
-    return [load_dataset(n, scale=SCALE, seed=1) for n in ("urand", "kron", "friendster")]
-
-
-@pytest.fixture(scope="module")
-def urand(graphs):
-    return graphs[0]
+def urand():
+    return load_dataset("urand", scale=SCALE, seed=1)
 
 
 @pytest.fixture(scope="module")
@@ -61,16 +57,12 @@ class TestObservation1:
         xlfdd = run_experiment(urand, "bfs", xlfdd_system(), trace=urand_bfs)
         assert xlfdd.runtime / emogi.runtime < 1.3
 
-    def test_bam_gap_larger_than_xlfdd_gap(self, graphs):
+    def test_bam_gap_larger_than_xlfdd_gap(self):
         """Figure 6: geomean normalized runtime ~1.13x (XLFDD) vs ~2.76x
-        (BaM); we assert XLFDD < 1.5x, BaM > 1.7x, and the ordering."""
-        rows = comparison_matrix(graphs, algorithms=("bfs", "sssp"))
-        xlfdd = geometric_mean(
-            [r["normalized_runtime"] for r in rows if "xlfdd" in str(r["system"])]
-        )
-        bam = geometric_mean(
-            [r["normalized_runtime"] for r in rows if "bam" in str(r["system"])]
-        )
+        (BaM); we assert XLFDD < 1.5x, BaM > 1.5x, and the ordering."""
+        rows = figures.figure6(scale=SCALE, seed=1).rows
+        xlfdd = system_geomean(rows, "xlfdd")
+        bam = system_geomean(rows, "bam")
         # Paper (scale 27): 1.13x vs 2.76x.  At scale 13 the RAF (and
         # hence BaM's gap) is smaller, but the ordering and a clear margin
         # must hold.
