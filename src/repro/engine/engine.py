@@ -37,6 +37,7 @@ from ..config import VERTEX_ID_BYTES
 from ..errors import ConfigError, DeviceError, TraceError
 from ..graph.csr import CSRGraph
 from ..telemetry.tracer import get_tracer
+from ..traversal.reader import NeighborChunk, frontier_slices
 from .backend import ExternalMemoryBackend, MemoryStats
 
 __all__ = [
@@ -130,6 +131,22 @@ class ExternalGraphEngine:
         lengths = self.graph.degrees[vertices] * self._record_bytes
         return starts, lengths
 
+    def _read_records(
+        self, frontier: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """``(frontier, neighbors, weights)``: one backend read of the sublists."""
+        frontier = np.asarray(frontier, dtype=np.int64)
+        if frontier.size and (
+            frontier.min() < 0 or frontier.max() >= self.graph.num_vertices
+        ):
+            raise TraceError("frontier contains out-of-range vertex IDs")
+        self._frontier_size = frontier.size
+        starts, lengths = self._sublist_ranges(frontier)
+        records = self.backend.read(starts, lengths).view(np.int64)
+        if self._weighted:
+            return frontier, records[0::2], records[1::2].view(np.float64)
+        return frontier, records, None
+
     def read_neighbors(
         self, frontier: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -139,23 +156,30 @@ class ExternalGraphEngine:
         in-memory gather would, but with every byte served by the device
         model.
         """
-        frontier = np.asarray(frontier, dtype=np.int64)
-        if frontier.size and (
-            frontier.min() < 0 or frontier.max() >= self.graph.num_vertices
-        ):
-            raise TraceError("frontier contains out-of-range vertex IDs")
-        self._frontier_size = frontier.size
-        starts, lengths = self._sublist_ranges(frontier)
-        raw = self.backend.read(starts, lengths)
-        records = raw.view(np.int64)
-        if self._weighted:
-            neighbors = records[0::2]
-            weights = records[1::2].view(np.float64)
-        else:
-            neighbors = records
-            weights = None
-        sources = np.repeat(frontier, self.graph.degrees[frontier])
-        return neighbors, sources, weights
+        frontier, neighbors, weights = self._read_records(frontier)
+        return neighbors, np.repeat(frontier, self.graph.degrees[frontier]), weights
+
+    def neighbor_chunks(self, frontier: np.ndarray) -> Iterator[NeighborChunk]:
+        """Fetch ``frontier``'s sublists in one backend read; yield them in chunks.
+
+        The read happens now, as one request batch, so the backend's
+        per-read accounting (clock, fault retries, ``MemoryStats``) is the
+        same as :meth:`read_neighbors`'.  Each chunk's neighbors and
+        weights are views of the fetched records; only its ``sources``
+        column is built per chunk.
+        """
+        frontier, neighbors, weights = self._read_records(frontier)
+        counts = self.graph.degrees[frontier]
+        return (
+            (
+                lo,
+                hi,
+                neighbors[a:b],
+                np.repeat(frontier[lo:hi], counts[lo:hi]),
+                None if weights is None else weights[a:b],
+            )
+            for lo, hi, a, b in frontier_slices(counts)
+        )
 
     @contextmanager
     def step(self) -> Iterator[None]:

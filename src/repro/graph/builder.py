@@ -125,9 +125,15 @@ def build_csr(
         Optional per-edge weights, carried through all clean-up steps.
     symmetrize, dedupe, drop_self_loops:
         Clean-up steps, applied in the order: self-loop removal,
-        symmetrization, deduplication.
+        symmetrization, deduplication.  With all three and no weights
+        (every dataset generator's path) the cleaned edge columns are
+        never materialised: one packed key buffer holds the build.
     """
     src, dst, weights = _as_edge_arrays(src, dst, weights)
+    if symmetrize and dedupe and drop_self_loops and weights is None:
+        graph = _symmetric_csr(src, dst, num_vertices, name)
+        if graph is not None:
+            return graph
     if drop_self_loops:
         src, dst, weights = remove_self_loops(src, dst, weights)
     if symmetrize:
@@ -153,3 +159,73 @@ def build_csr(
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     return CSRGraph(indptr, dst, weights, name=name)
+
+
+#: Keys per pass of :func:`_symmetric_csr`'s in-place compaction.
+_COMPACT_CHUNK = 1 << 18
+
+
+def _symmetric_csr(
+    src: np.ndarray, dst: np.ndarray, num_vertices: int | None, name: str
+) -> CSRGraph | None:
+    """The simple undirected CSR of ``(src, dst)``, built from packed keys.
+
+    Equals :func:`build_csr` with ``symmetrize``, ``dedupe`` and
+    ``drop_self_loops`` (and no weights) byte for byte, but holds one
+    ``2 * len(src)`` key buffer instead of the filtered, symmetrized and
+    deduplicated edge columns: both directions of every edge are packed
+    as ``u * k + v`` (``k`` one past the largest endpoint), sorted once,
+    and compacted in place chunk by chunk, dropping repeats and
+    self-loops (``u * (k + 1)``, the keys divisible by ``k + 1``).
+    ``indptr`` comes from a binary search per vertex and ``indices`` is
+    the buffer itself, reduced modulo ``k`` and shrunk to its kept
+    length.  Returns ``None`` for an empty input and for negative or
+    unpackable endpoints, which the general path handles or rejects.
+    """
+    if src.size == 0 or min(src.min(), dst.min()) < 0:
+        return None
+    k = int(max(src.max(), dst.max())) + 1
+    if k > _MAX_PACKED_VERTICES:
+        return None
+    m = src.size
+    keys = np.empty(2 * m, dtype=np.int64)
+    np.multiply(src, k, out=keys[:m])
+    keys[:m] += dst
+    np.multiply(dst, k, out=keys[m:])
+    keys[m:] += src
+    keys.sort()
+    kept = _compact_simple_keys(keys, k)
+    top = int(keys[kept - 1]) // k if kept else -1  # largest endpoint left
+    n = top + 1 if num_vertices is None else int(num_vertices)
+    if top >= n:
+        raise GraphFormatError(
+            f"edge endpoints exceed num_vertices={n}: "
+            f"max src {top}, max dst {top}"
+        )
+    bounds = np.minimum(np.arange(n + 1, dtype=np.int64), k)
+    bounds *= k
+    indptr = np.searchsorted(keys[:kept], bounds)
+    keys.resize(kept, refcheck=False)  # shrinks in place; no view is alive
+    keys %= k
+    return CSRGraph(indptr, keys, None, name=name)
+
+
+def _compact_simple_keys(keys: np.ndarray, k: int) -> int:
+    """Move the distinct non-self-loop keys of sorted ``keys`` to its front.
+
+    Works through :data:`_COMPACT_CHUNK` keys at a time, so the only
+    temporaries are one chunk's mask and survivors.  Returns how many
+    keys were kept.
+    """
+    kept = 0
+    previous = -1  # no key is negative
+    for lo in range(0, keys.size, _COMPACT_CHUNK):
+        chunk = keys[lo : lo + _COMPACT_CHUNK]
+        keep = chunk % (k + 1) != 0
+        keep[0] &= chunk[0] != previous
+        np.logical_and(keep[1:], chunk[1:] != chunk[:-1], out=keep[1:])
+        previous = int(chunk[-1])
+        survivors = chunk[keep]  # a copy: safe to write at or below ``lo``
+        keys[kept : kept + survivors.size] = survivors
+        kept += survivors.size
+    return kept

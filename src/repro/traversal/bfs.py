@@ -15,6 +15,7 @@ import numpy as np
 
 from ..errors import TraceError
 from ..graph.csr import CSRGraph
+from .frontier import drain_mask
 from .reader import GraphReader, TraceRecorder
 from .trace import AccessTrace
 
@@ -94,18 +95,18 @@ def bfs_steps(reader: GraphReader, source: int = 0) -> tuple[np.ndarray, np.ndar
     while frontier.size:
         with reader.step():
             reader.touch_vertex_state(frontier)
-            neighbors, sources, _ = reader.read_neighbors(frontier)
-            idx = np.flatnonzero(depths[neighbors] < 0)
-            unseen = neighbors[idx]
-            # A vertex may be discovered by several frontier vertices at
-            # once; keep the first discoverer as parent (any is valid).
-            # Fancy assignment keeps the *last* write per index, so
-            # assigning reversed arrays leaves the first discoverer.
-            parents[unseen[::-1]] = sources[idx[::-1]]
-            depths[unseen] = depth + 1
-            discovered[unseen] = True
-            frontier = np.flatnonzero(discovered)
-            discovered[frontier] = False
+            for _, _, neighbors, sources, _ in reader.neighbor_chunks(frontier):
+                idx = np.flatnonzero(depths[neighbors] < 0)
+                unseen = neighbors[idx]
+                # A vertex may be discovered by several frontier vertices
+                # at once; keep the first discoverer as parent (any is
+                # valid).  Fancy assignment keeps the *last* write per
+                # index, so assigning reversed arrays leaves the first
+                # discoverer; a later chunk sees the vertex's depth set.
+                parents[unseen[::-1]] = sources[idx[::-1]]
+                depths[unseen] = depth + 1
+                discovered[unseen] = True
+            frontier = drain_mask(discovered)
             reader.touch_vertex_state(frontier)
         depth += 1
     return depths, parents

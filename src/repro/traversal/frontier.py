@@ -5,22 +5,28 @@ trace layer needs per-vertex sublists, but dense boolean masks are handy
 for membership tests; this module converts between the two and provides
 the core ``gather_neighbors`` primitive every traversal algorithm uses.
 
-Fast-path notes: ``gather_neighbors`` materialises a frontier's
-out-edges in O(E_f) with no Python loop: the shared
+Fast-path notes: ``gather_neighbors`` materialises a slice of a
+frontier's out-edges with no Python loop — BFS, SSSP and CC ask the
+reader for one :data:`~repro.traversal.reader.EDGE_CHUNK`-bounded slice
+at a time (``neighbor_chunks``), so no step holds all E_f edges: the shared
 :func:`repro.graph.csr.ragged_index` builds the edge indices with one
 ``repeat``, then one fancy gather reads them.  The engine's backend
 gathers edge records through the same helper, one 8 B word per record
 (:mod:`repro.engine.backend`).  The traversal algorithms deduplicate
 their next frontier with a *reused* boolean mark array — scatter
-candidate vertices into the mask, ``flatnonzero`` it, clear only the set
-bits — which is O(E_f + n) per round and replaces the O(E_f log E_f)
-``np.unique`` sort each round used to pay; the result is the same sorted
-unique vertex set, bit for bit.  The min-relaxing kernels (SSSP, CC,
-streaming) share :func:`min_relax`, which compares every candidate with
-its target's old value once and scatters only the improving ones through
-``np.minimum.at``: most edges of a late round improve nothing, so the
-unbuffered scatter and the mark array see a fraction of E_f, and the
-"what improved" re-gather of the whole edge set is gone.  Where a sort
+candidate vertices into the mask chunk by chunk, then
+:func:`drain_mask` it once per step — which is O(E_f + n) per round and
+replaces the O(E_f log E_f) ``np.unique`` sort each round used to pay;
+the result is the same sorted unique vertex set, bit for bit.  The
+min-relaxing kernels (SSSP, CC, streaming) share :func:`min_scatter`,
+which compares every candidate with its target's current value once and
+scatters only the improving ones through ``np.minimum.at``: most edges
+of a late round improve nothing, so the unbuffered scatter and the mark
+array see a fraction of E_f, and the "what improved" re-gather of the
+whole edge set is gone.  SSSP and CC run it per chunk, with candidates
+built from a snapshot of the frontier's values taken before the first
+chunk, and drain once; :func:`min_relax` is the same pair on a single
+chunk (streaming, delta-stepping).  Where a sort
 is still the right tool (``frontier_union`` of a few sparse frontiers,
 the direction-optimising BFS's top-down step, random-walk positions,
 delta-stepping's bucket remainders), the shared
@@ -41,6 +47,8 @@ __all__ = [
     "sparse_to_dense",
     "frontier_union",
     "gather_neighbors",
+    "min_scatter",
+    "drain_mask",
     "min_relax",
 ]
 
@@ -97,6 +105,34 @@ def gather_neighbors(
     return neighbors, sources, edge_idx
 
 
+def min_scatter(
+    values: np.ndarray,
+    targets: np.ndarray,
+    candidate: np.ndarray,
+    changed: np.ndarray,
+) -> None:
+    """Lower ``values[targets]`` to ``candidate`` and mark improved targets.
+
+    Only candidates below their target's current value reach the
+    ``np.minimum.at`` scatter.  Run once per chunk of a step's edges and
+    :func:`drain_mask` once at the step's end: a target's final value is
+    the minimum over all its candidates, and it is marked exactly when
+    one of them beats the value it had at the step's start, whatever the
+    chunking.
+    """
+    better = candidate < values[targets]
+    improved = targets[better]
+    np.minimum.at(values, improved, candidate[better])
+    changed[improved] = True
+
+
+def drain_mask(mask: np.ndarray) -> np.ndarray:
+    """The set positions of ``mask``, ascending; ``mask`` is all-False on return."""
+    marked = np.flatnonzero(mask)
+    mask[marked] = False
+    return marked
+
+
 def min_relax(
     values: np.ndarray,
     targets: np.ndarray,
@@ -105,18 +141,12 @@ def min_relax(
 ) -> np.ndarray:
     """Lower ``values[targets]`` to ``candidate``; return the improved targets.
 
-    Only candidates below their target's old value reach the
-    ``np.minimum.at`` scatter: a target's new value is the minimum of
-    its improving candidates, and it improved exactly when it has one,
-    so values and the returned set (sorted, unique) equal those of an
-    unfiltered scatter over every edge for any NaN-free input.
-    ``changed`` is an all-False scratch mask of ``values``' length and
-    is all-False again on return.
+    One :func:`min_scatter` and one :func:`drain_mask`: a target's new
+    value is the minimum of its improving candidates, and it improved
+    exactly when it has one, so values and the returned set (sorted,
+    unique) equal those of an unfiltered scatter over every edge for any
+    NaN-free input.  ``changed`` is an all-False scratch mask of
+    ``values``' length and is all-False again on return.
     """
-    better = candidate < values[targets]
-    improved = targets[better]
-    np.minimum.at(values, improved, candidate[better])
-    changed[improved] = True
-    improved = np.flatnonzero(changed)
-    changed[improved] = False
-    return improved
+    min_scatter(values, targets, candidate, changed)
+    return drain_mask(changed)

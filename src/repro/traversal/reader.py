@@ -1,14 +1,27 @@
 """The reader every traversal algorithm is written against.
 
 Each registered algorithm (:mod:`repro.workloads`) is one step loop over
-a *reader* with three methods:
+a *reader* with four methods:
 
 * ``read_neighbors(frontier) -> (neighbors, sources, weights)`` — the
   concatenated out-edges of ``frontier`` (``weights`` is ``None`` on an
   unweighted graph);
+* ``neighbor_chunks(frontier)`` — the same edges, streamed as
+  ``(lo, hi, neighbors, sources, weights)`` for consecutive slices
+  ``frontier[lo:hi]`` of at most :data:`EDGE_CHUNK` edges each (a vertex
+  of higher degree is a slice of its own), so a step's transient memory
+  is bounded by the chunk, not by the frontier's edge count;
 * ``touch_vertex_state(vertices)`` — the per-vertex state slots the step
   reads or writes;
 * ``step()`` — a context manager around one synchronous step.
+
+Either read call reads the whole frontier at once, as one step's
+external-memory fetch; only the hand-out of its edges is chunked.  A
+kernel that consumes chunks must stay exact whatever the budget: a
+scatter whose candidates depend on frontier state (SSSP distances, CC
+labels) takes a *snapshot* of that state, ``values[frontier]``, before
+the first chunk and builds every chunk's candidates from it, so a later
+chunk never sees a value an earlier chunk of the same step lowered.
 
 :class:`TraceRecorder` serves the reads from the in-memory CSR arrays
 and records each step's frontier for the access trace;
@@ -27,11 +40,42 @@ from typing import ContextManager, Iterator, Protocol
 
 import numpy as np
 
+from ..errors import TraceError
 from ..graph.csr import CSRGraph
 from .frontier import gather_neighbors
 from .trace import AccessTrace, trace_from_frontiers
 
-__all__ = ["GraphReader", "TraceRecorder"]
+__all__ = [
+    "EDGE_CHUNK",
+    "GraphReader",
+    "NeighborChunk",
+    "TraceRecorder",
+    "frontier_slices",
+]
+
+#: Most edges one :meth:`GraphReader.neighbor_chunks` chunk carries.
+EDGE_CHUNK = 1 << 16
+
+#: ``(lo, hi, neighbors, sources, weights)`` of the slice ``frontier[lo:hi]``.
+NeighborChunk = tuple[int, int, np.ndarray, np.ndarray, np.ndarray | None]
+
+
+def frontier_slices(counts: np.ndarray) -> Iterator[tuple[int, int, int, int]]:
+    """Cut a frontier with out-degrees ``counts`` into edge-budgeted slices.
+
+    Yields ``(lo, hi, edge_lo, edge_hi)``: frontier positions
+    ``lo:hi`` own the concatenated edges ``edge_lo:edge_hi``.  Each slice
+    greedily takes as many vertices as fit in :data:`EDGE_CHUNK` edges,
+    and at least one; an empty frontier yields nothing.
+    """
+    ends = np.cumsum(counts)
+    lo = edge_lo = 0
+    while lo < ends.size:
+        fit = int(np.searchsorted(ends, edge_lo + EDGE_CHUNK, side="right"))
+        hi = max(fit, lo + 1)
+        edge_hi = int(ends[hi - 1])
+        yield lo, hi, edge_lo, edge_hi
+        lo, edge_lo = hi, edge_hi
 
 
 class GraphReader(Protocol):
@@ -43,6 +87,10 @@ class GraphReader(Protocol):
         self, frontier: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """``(neighbors, sources, weights)`` of every out-edge of ``frontier``."""
+        ...
+
+    def neighbor_chunks(self, frontier: np.ndarray) -> Iterator[NeighborChunk]:
+        """Read ``frontier`` now; hand its out-edges out in budgeted chunks."""
         ...
 
     def touch_vertex_state(self, vertices: np.ndarray) -> int:
@@ -58,24 +106,48 @@ class TraceRecorder:
     """In-memory reader that records one frontier per step.
 
     Every algorithm reads its step's frontier exactly once, so the
-    recorded frontiers are the trace's steps.
+    recorded frontiers are the trace's steps; a second read inside one
+    :meth:`step` raises :class:`~repro.errors.TraceError` rather than
+    silently becoming an extra trace step.
     """
 
     def __init__(self, graph: CSRGraph) -> None:
         self.graph = graph
         self.frontiers: list[np.ndarray] = []
+        # None outside a step, else whether the step has read its frontier.
+        self._step_read: bool | None = None
 
-    def read_neighbors(
-        self, frontier: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """Gather ``frontier``'s out-edges from the CSR arrays and record it."""
+    def _record(self, frontier: np.ndarray) -> np.ndarray:
+        if self._step_read:
+            raise TraceError("a step read its frontier twice; one read per step()")
+        if self._step_read is not None:
+            self._step_read = True
         frontier = np.asarray(frontier, dtype=np.int64)
         self.frontiers.append(frontier)
+        return frontier
+
+    def _gather(
+        self, frontier: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         neighbors, sources, edge_idx = gather_neighbors(
             self.graph, frontier, with_sources=True
         )
         weights = None if self.graph.weights is None else self.graph.weights[edge_idx]
         return neighbors, sources, weights
+
+    def read_neighbors(
+        self, frontier: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """Gather ``frontier``'s out-edges from the CSR arrays and record it."""
+        return self._gather(self._record(frontier))
+
+    def neighbor_chunks(self, frontier: np.ndarray) -> Iterator[NeighborChunk]:
+        """Record ``frontier`` now; gather its out-edges one chunk at a time."""
+        frontier = self._record(frontier)
+        return (
+            (lo, hi, *self._gather(frontier[lo:hi]))
+            for lo, hi, _, _ in frontier_slices(self.graph.degrees[frontier])
+        )
 
     def touch_vertex_state(self, vertices: np.ndarray) -> int:
         """Vertex state is host-resident: nothing to fetch."""
@@ -83,8 +155,12 @@ class TraceRecorder:
 
     @contextmanager
     def step(self) -> Iterator[None]:
-        """Steps need no bookkeeping: the frontier read marks each one."""
-        yield
+        """One step: the frontier read inside it marks the trace step."""
+        self._step_read = False
+        try:
+            yield
+        finally:
+            self._step_read = None
 
     @property
     def frontier_sizes(self) -> list[int]:

@@ -23,7 +23,13 @@ import numpy as np
 
 from ..errors import TraceError
 from ..graph.csr import CSRGraph
-from .frontier import frontier_union, gather_neighbors, min_relax
+from .frontier import (
+    drain_mask,
+    frontier_union,
+    gather_neighbors,
+    min_relax,
+    min_scatter,
+)
 from .reader import GraphReader, TraceRecorder
 from .trace import AccessTrace, trace_from_frontiers
 
@@ -92,13 +98,17 @@ def sssp_steps(reader: GraphReader, source: int = 0) -> tuple[np.ndarray]:
     dist[source] = 0.0
     frontier = np.array([source], dtype=np.int64)
     changed = np.zeros(n, dtype=bool)
+    degrees = reader.graph.degrees
     while frontier.size:
         with reader.step():
             reader.touch_vertex_state(frontier)
-            neighbors, sources, weights = reader.read_neighbors(frontier)
-            if neighbors.size == 0:
-                break
-            frontier = min_relax(dist, neighbors, dist[sources] + weights, changed)
+            # Candidates come from the distances at the step's start, so
+            # chunking cannot let a chunk see an earlier chunk's update.
+            snapshot = dist[frontier]
+            for lo, hi, neighbors, _, weights in reader.neighbor_chunks(frontier):
+                base = np.repeat(snapshot[lo:hi], degrees[frontier[lo:hi]])
+                min_scatter(dist, neighbors, base + weights, changed)
+            frontier = drain_mask(changed)
             reader.touch_vertex_state(frontier)
     return (dist,)
 

@@ -94,14 +94,25 @@ def emogi_gen4():
     return emogi_system()
 
 
-def _unfiltered_min_relax(values, targets, candidate, changed):
-    """Oracle relax: scatter every candidate, then re-gather what improved."""
+def _unfiltered_min_scatter(values, targets, candidate, changed):
+    """Oracle scatter: scatter every candidate, then mark what improved."""
     before = values[targets].copy()
     np.minimum.at(values, targets, candidate)
     changed[targets[values[targets] < before]] = True
+
+
+def _unfiltered_min_relax(values, targets, candidate, changed):
+    """Oracle relax: the unfiltered scatter, then re-gather what improved."""
+    _unfiltered_min_scatter(values, targets, candidate, changed)
     improved = np.flatnonzero(changed)
     changed[improved] = False
     return improved
+
+
+@pytest.fixture
+def unfiltered_min_scatter():
+    """The unfiltered ``before`` / ``minimum.at`` / ``after`` scatter."""
+    return _unfiltered_min_scatter
 
 
 @pytest.fixture

@@ -1,9 +1,13 @@
 """Edge-array clean-up and CSR construction."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import GraphFormatError
+from repro.graph import builder
 from repro.graph.builder import (
     build_csr,
     dedupe_edges,
@@ -207,3 +211,92 @@ class TestBuildCSR:
         # Every edge of vertex v appears exactly degrees[v] times.
         counts = np.bincount(src, minlength=50)
         assert np.array_equal(g.degrees, counts)
+
+
+def reference_symmetric_csr(src, dst, num_vertices):
+    """The public helpers composed: drop loops, symmetrize, dedupe, bincount."""
+    src, dst, _ = remove_self_loops(src, dst)
+    src, dst, _ = symmetrize_edges(src, dst)
+    src, dst, _ = dedupe_edges(src, dst)
+    if num_vertices is None:
+        num_vertices = int(max(src.max(), dst.max())) + 1 if src.size else 0
+    indptr = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=num_vertices), out=indptr[1:])
+    return indptr, dst
+
+
+def symmetric_build(src, dst, num_vertices):
+    return build_csr(
+        np.asarray(src, dtype=np.int64),
+        np.asarray(dst, dtype=np.int64),
+        num_vertices=num_vertices,
+        symmetrize=True,
+        dedupe=True,
+        drop_self_loops=True,
+    )
+
+
+@st.composite
+def edge_lists(draw):
+    """Small-id edge lists: duplicates, self-loops and isolated vertices abound."""
+    ids = draw(st.integers(1, 12))
+    endpoint = st.integers(0, ids - 1)
+    pairs = draw(st.lists(st.tuples(endpoint, endpoint), max_size=60))
+    src = np.array([a for a, _ in pairs], dtype=np.int64)
+    dst = np.array([b for _, b in pairs], dtype=np.int64)
+    extra = draw(st.none() | st.integers(0, 5))  # None: infer num_vertices
+    return src, dst, None if extra is None else ids + extra
+
+
+class TestSymmetricBuildMatchesHelpers:
+    """The packed-key symmetric build equals the helpers' composition, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(edges=edge_lists(), chunk=st.sampled_from([1, 2, 3, 1 << 18]))
+    def test_hypothesis_edge_lists(self, edges, chunk):
+        src, dst, num_vertices = edges
+        with mock.patch.object(builder, "_COMPACT_CHUNK", chunk):
+            got = symmetric_build(src, dst, num_vertices)
+        indptr, indices = reference_symmetric_csr(src, dst, num_vertices)
+        assert got.indptr.tobytes() == indptr.tobytes()
+        assert got.indices.tobytes() == indices.tobytes()
+
+    @pytest.mark.parametrize("num_vertices", [None, 5])
+    def test_all_self_loops(self, num_vertices):
+        loops = np.array([0, 3, 3, 1], dtype=np.int64)
+        got = symmetric_build(loops, loops, num_vertices)
+        indptr, indices = reference_symmetric_csr(loops, loops, num_vertices)
+        assert got.num_edges == 0
+        assert got.indptr.tobytes() == indptr.tobytes()
+        assert got.indices.tobytes() == indices.tobytes()
+
+    @pytest.mark.parametrize("num_vertices", [None, 4])
+    def test_empty(self, num_vertices):
+        got = symmetric_build([], [], num_vertices)
+        indptr, _ = reference_symmetric_csr(
+            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), num_vertices
+        )
+        assert got.num_edges == 0
+        assert got.indptr.tobytes() == indptr.tobytes()
+
+    def test_takes_the_packed_path(self):
+        """The symmetric columns are never built on the unweighted path."""
+        rng = np.random.default_rng(0)
+        src, dst = rng.integers(0, 64, 500), rng.integers(0, 64, 500)
+        with mock.patch.object(builder, "symmetrize_edges", side_effect=AssertionError):
+            got = symmetric_build(src, dst, 64)
+        indptr, indices = reference_symmetric_csr(src, dst, 64)
+        assert got.indptr.tobytes() == indptr.tobytes()
+        assert got.indices.tobytes() == indices.tobytes()
+
+    def test_out_of_range_endpoint_rejected(self):
+        with pytest.raises(GraphFormatError, match="exceed num_vertices=3"):
+            symmetric_build([0], [5], 3)
+
+    def test_out_of_range_self_loop_is_dropped_first(self):
+        got = symmetric_build([0, 9], [1, 9], 3)
+        assert sorted(got.iter_edges()) == [(0, 1), (1, 0)]
+
+    def test_negative_endpoints_rejected(self):
+        with pytest.raises(GraphFormatError, match="non-negative"):
+            symmetric_build([-1, 0], [0, 2], 3)

@@ -149,7 +149,7 @@ class TestKroneckerMatchesChoiceFormula:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 64 * 2**20
+        assert peak <= 32 * 2**20
 
 
 def choice_chung_lu_graph(scale, avg_degree, *, exponent, seed):

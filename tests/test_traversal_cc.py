@@ -76,13 +76,13 @@ def test_path_takes_many_rounds():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_filtered_relax_matches_unfiltered(
-    monkeypatch, relax_stress_graph, unfiltered_min_relax, seed
+    monkeypatch, relax_stress_graph, unfiltered_min_scatter, seed
 ):
     """``cc_steps``' filtered relax equals the unfiltered one, bit for bit."""
     g = relax_stress_graph(seed, symmetrize=True, n=400)
     got = TraceRecorder(g)
     (got_labels,) = cc_steps(got)
-    monkeypatch.setattr(cc_module, "min_relax", unfiltered_min_relax)
+    monkeypatch.setattr(cc_module, "min_scatter", unfiltered_min_scatter)
     want = TraceRecorder(g)
     (want_labels,) = cc_steps(want)
     assert np.array_equal(got_labels, want_labels)

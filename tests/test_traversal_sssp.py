@@ -140,12 +140,12 @@ class TestFilteredRelax:
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("symmetrize", [False, True])
     def test_matches_unfiltered_relax(
-        self, monkeypatch, relax_stress_graph, unfiltered_min_relax, seed, symmetrize
+        self, monkeypatch, relax_stress_graph, unfiltered_min_scatter, seed, symmetrize
     ):
         g = relax_stress_graph(seed, symmetrize=symmetrize)
         got = TraceRecorder(g)
         (got_dist,) = sssp_steps(got, seed)
-        monkeypatch.setattr(sssp_module, "min_relax", unfiltered_min_relax)
+        monkeypatch.setattr(sssp_module, "min_scatter", unfiltered_min_scatter)
         want = TraceRecorder(g)
         (want_dist,) = sssp_steps(want, seed)
         assert np.array_equal(got_dist, want_dist)
