@@ -129,7 +129,6 @@ from .exec import (
     GraphSpec,
     SystemSpec,
     SweepConfig,
-    WorkloadSpec,
     SerialExecutor,
     ProcessPoolExecutor,
     load_spec,
@@ -187,7 +186,6 @@ __all__ = [
     "GraphSpec",
     "SystemSpec",
     "SweepConfig",
-    "WorkloadSpec",
     "SweepResult",
     "SerialExecutor",
     "ProcessPoolExecutor",

@@ -5,8 +5,9 @@ table; ``repro bench --check base.json cand.json`` additionally applies
 the regression gate: any matched benchmark whose candidate time exceeds
 the baseline by more than the threshold (default 15%, override with
 ``--threshold`` or the ``REPRO_BENCH_GATE_THRESHOLD`` environment
-variable) fails the gate, as does a benchmark present in the baseline
-but missing from the candidate.
+variable) fails the gate, as does one whose ``verify`` block differs
+from the baseline's (a faster run of different outputs is no win) or a
+benchmark present in the baseline but missing from the candidate.
 
 Cross-machine comparisons use ``normalized_best`` (time divided by the
 host's calibration score) so a committed baseline from one machine gates
@@ -192,21 +193,29 @@ def check_regression(
 ) -> tuple[bool, list[dict[str, Any]]]:
     """Apply the regression gate; return ``(ok, annotated rows)``.
 
-    A matched benchmark regresses when ``ratio > 1 + threshold``; a
-    baseline benchmark missing from the candidate also fails (silently
-    dropping a slow benchmark must not pass the gate).  New candidate
-    benchmarks are informational.
+    A matched benchmark fails when its ``verify`` block differs from the
+    baseline's or when ``ratio > 1 + threshold``; a baseline benchmark
+    missing from the candidate also fails (silently dropping a slow
+    benchmark must not pass the gate).  New candidate benchmarks are
+    informational.
     """
     limit = 1.0 + gate_threshold(threshold)
     rows = compare_results(base, cand, metric=metric)
+    base_by, cand_by = _by_name(base), _by_name(cand)
     ok = True
     for row in rows:
+        name = row["benchmark"]
         if row["status"] == "missing":
             ok = False
             row["status"] = "MISSING (gate fail)"
-        elif row["ratio"] is not None and row["ratio"] > limit:
+        elif row["status"] == "new":
+            continue
+        elif dict(base_by[name]["verify"]) != dict(cand_by[name]["verify"]):
+            ok = False
+            row["status"] = "VERIFY MISMATCH"
+        elif row["ratio"] > limit:
             ok = False
             row["status"] = "REGRESSION"
-        elif row["status"] in ("slower", "faster"):
+        else:
             row["status"] = "ok"
     return ok, rows

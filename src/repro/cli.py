@@ -58,8 +58,9 @@ from .ops.storm import available_storms
 from .core.experiment import run_experiment
 from .core.report import format_table
 from .core.requirements import requirements_for
+from .engine import MEMORY_MODES
 from .errors import ReproError
-from .exec.spec import KNOWN_ALGORITHMS, KNOWN_MEMORY_MODES
+from .exec.spec import KNOWN_ALGORITHMS
 from .graph.datasets import DEFAULT_SCALE, load_dataset
 from .graph.stats import graph_stats
 from .interconnect.pcie import PCIeLink
@@ -90,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--memory-mode", default="semi-external",
-        choices=list(KNOWN_MEMORY_MODES),
+        choices=list(MEMORY_MODES),
         help="engine vertex-state placement; fully-external also runs "
         "the functional engine and reports the extra fetched bytes",
     )
@@ -409,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument(
         "--memory-mode", default="semi-external",
-        choices=list(KNOWN_MEMORY_MODES),
+        choices=list(MEMORY_MODES),
         help="engine vertex-state placement",
     )
     profile.add_argument(
@@ -972,7 +973,10 @@ def _cmd_bench(args: argparse.Namespace) -> tuple[str, int]:
         if ok:
             output += "\ngate passed: no benchmark regressed beyond the threshold"
         else:
-            output += "\nGATE FAILED: regression beyond the threshold (see rows)"
+            output += (
+                "\nGATE FAILED: regression beyond the threshold or "
+                "verify mismatch (see rows)"
+            )
         return output, 0 if ok else 1
     paths = run_benchmarks(
         args.families,

@@ -11,15 +11,18 @@ cache keyed by two content fingerprints:
 * **trace fingerprint** — SHA-256 over every step's arrays, computed
   lazily and stamped on the trace instance together with the step count
   it covered; appending steps invalidates the stamp.
-* **config fingerprint** — a recursive canonical hash of any frozen
-  dataclass / primitive / NumPy composite, so two structurally equal
+* **config fingerprint** — a recursive canonical hash of any dataclass /
+  primitive / NumPy composite, so two structurally equal
   ``AccessMethod`` configurations share an entry even when they are
-  distinct objects.
+  distinct objects.  A :class:`~repro.memsim.cache.CacheModel` (BaM's
+  software cache, UVM's page pool) hashes by class and
+  :meth:`~repro.memsim.cache.CacheModel.config`, never by its state:
+  every discipline resets its cache before a trace.
 
 Every memo in the process is a :class:`Memo` (bounded, FIFO eviction).
 Three live here: physical traces (:func:`cached_physical_trace`),
-deterministic RAF results (:mod:`repro.memsim.raf`) and rebuilt sweep
-workloads (:mod:`repro.exec.tasks`).  :func:`clear_evaluation_cache`
+deterministic RAF results (:mod:`repro.memsim.raf`) and built workloads
+(:func:`repro.exec.tasks.workload_for`).  :func:`clear_evaluation_cache`
 flushes every memo — the benchmark harness does so at the start of every
 timed repeat so memoization only gets credit for *within-run* duplicate
 pricing, never for state left by a warmup.
@@ -36,6 +39,7 @@ from typing import Any, Callable, Hashable
 import numpy as np
 
 from ..errors import ModelError
+from ..memsim.cache import CacheModel
 
 __all__ = [
     "Memo",
@@ -101,8 +105,8 @@ class Memo:
 physical_trace_memo = Memo(capacity=256)
 #: Deterministic RAF evaluations, keyed by trace and alignment parameters.
 raf_memo = Memo(capacity=128)
-#: (dataset, scale, seed, algorithm, source) -> (graph, trace) rebuilt by
-#: sweep tasks; shared across the points of one executor chunk.
+#: (dataset, scale, seed, algorithm, source) -> (graph, trace) built by
+#: :func:`repro.exec.tasks.workload_for`; one build per workload per process.
 workload_memo = Memo(capacity=8)
 
 
@@ -128,6 +132,9 @@ def _update_hash(h: "hashlib._Hash", obj: Any) -> None:
         h.update(arr.tobytes())
     elif isinstance(obj, np.generic):
         _update_hash(h, obj.item())
+    elif isinstance(obj, CacheModel):
+        h.update(b"\x00c" + type(obj).__qualname__.encode())
+        _update_hash(h, obj.config())
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         h.update(b"\x00d" + type(obj).__qualname__.encode())
         for f in dataclasses.fields(obj):
@@ -151,8 +158,9 @@ def _update_hash(h: "hashlib._Hash", obj: Any) -> None:
 def config_fingerprint(obj: Any) -> str:
     """Canonical content hash of a configuration object.
 
-    Supports frozen dataclasses (recursively), primitives, enums, NumPy
-    arrays/scalars, and tuple/list/dict composites; raises
+    Supports dataclasses (recursively), cache models (by class and
+    config), primitives, enums, NumPy arrays/scalars, and
+    tuple/list/dict composites; raises
     :class:`~repro.errors.ModelError` for anything it cannot canonicalise
     (better loud than a silently colliding cache key).
     """
@@ -189,16 +197,10 @@ def cached_physical_trace(method: Any, trace: Any) -> Any:
 
     The key is (trace content, method configuration); the cached value is
     the :class:`~repro.gpu.base.PhysicalTrace`, which callers treat as
-    immutable.  Falls back to an uncached call, counted neither as a hit
-    nor a miss, when the method is not fingerprintable: every
-    ``BaMMethod`` and ``UVMMethod`` takes this path, because their
-    ``CacheModel`` field is a stateful object :func:`config_fingerprint`
-    rejects.
+    immutable.  A hit leaves the method's cache model untouched, so its
+    ``stats`` describe the last trace it actually ran.
     """
-    try:
-        key = (trace_fingerprint(trace), config_fingerprint(method))
-    except ModelError:
-        return method.physical_trace(trace)
+    key = (trace_fingerprint(trace), config_fingerprint(method))
     return physical_trace_memo.get_or_compute(
         key, lambda: method.physical_trace(trace)
     )

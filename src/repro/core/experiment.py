@@ -33,6 +33,7 @@ from ..interconnect.pcie import PCIeLink
 from ..telemetry.tracer import get_tracer
 from ..traversal.trace import AccessTrace
 from ..units import to_mb_per_s, to_usec
+from ..workloads.registry import default_source
 from .runtime_model import RuntimeResult, SystemModel, predict_runtime
 
 __all__ = [
@@ -225,22 +226,6 @@ def uvm_system(
         path_latency=UVM_FAULT_LATENCY,
         gpu_concurrency=128,  # concurrent fault-handling contexts
     )
-
-
-def default_source(graph: CSRGraph) -> int:
-    """A robust traversal source: the highest-degree vertex.
-
-    Synthetic graphs (especially Kronecker) leave many vertices isolated;
-    traversing from one would measure nothing.  The max-degree vertex is
-    deterministic and always inside the giant component for the paper's
-    graph families — the same intent as GAP's non-zero-degree random
-    sources.
-    """
-    if graph.num_vertices == 0:
-        raise ModelError("graph has no vertices")
-    import numpy as np
-
-    return int(np.argmax(graph.degrees))
 
 
 def run_algorithm(

@@ -1,23 +1,29 @@
 """Parameter sweeps behind the paper's figures, on the executor API.
 
 Every runtime figure in the paper is "sweep one knob, normalise by the
-EMOGI/host-DRAM runtime": alignment size for Figure 5, the compared
-system for Figure 6, added CXL latency for Figure 11.  Two entry points
-run those sweeps, and they are the only code that normalises a figure's
-runtime to its baseline:
+EMOGI/host-DRAM runtime on the identical workload": alignment size for
+Figure 5, the compared system for Figure 6, added CXL latency for
+Figure 11.  :func:`sweep_trace` is the one pricing path: it prices a
+list of system configs against one already-built :class:`AccessTrace`
+and normalises each runtime by a baseline priced on that same trace,
+through :func:`normalized` — the only code that divides a runtime by a
+baseline.  :func:`alignment_grid`, :func:`comparison_grid` and
+:func:`cxl_latency_grid` build the config lists of Figures 5, 6 and 11.
 
-* :func:`run_sweep` — the declarative path: an
+Everything else prices through it:
+
+* :func:`run_sweep` — the declarative path behind ``repro sweep``: an
   :class:`~repro.exec.ExperimentSpec` plus a
-  :class:`~repro.exec.SweepConfig` grid of dotted-key overrides.  Every
-  point is a pure, picklable task, so any
-  :class:`~repro.exec.Executor` (serial or process pool) produces
-  bit-identical results.
-* :func:`sweep_trace` — the trace-sharing path: price a list of system
-  configs against one already-built :class:`AccessTrace` so that every
-  point prices the same workload.  :func:`alignment_grid`,
-  :func:`comparison_grid` and :func:`cxl_latency_grid` build the config
-  lists of Figures 5, 6 and 11; ``repro evaluate`` and
-  :mod:`repro.figures` price every (dataset, algorithm) cell with them.
+  :class:`~repro.exec.SweepConfig` grid of dotted-key overrides.  The
+  parent resolves every grid point, builds each distinct workload once
+  and prices its points with :func:`sweep_trace`.
+* ``repro evaluate`` (:func:`~repro.exec.tasks.evaluate_workload`),
+  :mod:`repro.figures` and the planner's surfaces
+  (:func:`~repro.planner.build_surface`).
+
+The trace is bound into the pricing task with ``functools.partial``, so
+any :class:`~repro.exec.Executor` (serial or process pool) ships it once
+per chunk and produces bit-identical results.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from typing import Any, Mapping, Sequence
 from ..errors import ModelError
 from ..exec.executor import Executor, SerialExecutor
 from ..exec.spec import ExperimentSpec, SweepConfig
-from ..exec.tasks import evaluate_sweep_point, price_trace_point
+from ..exec.tasks import price_trace_point, workload_for
 from ..interconnect.pcie import PCIeLink
 from ..telemetry.tracer import get_tracer
 from ..traversal.trace import AccessTrace
@@ -158,38 +164,68 @@ class SweepResult:
         }
 
 
+def _system_config(spec: ExperimentSpec) -> dict[str, Any]:
+    """The spec's system section as a :func:`sweep_trace` config."""
+    return {
+        "system": spec.system.name,
+        "link": spec.resolve_link(),
+        "options": dict(spec.system.options),
+    }
+
+
+def _workload_key(spec: ExperimentSpec) -> tuple[Any, ...]:
+    """The :func:`~repro.exec.tasks.workload_for` key of a spec."""
+    graph = spec.graph
+    return (graph.dataset, graph.scale, graph.seed, spec.algorithm, spec.source)
+
+
 def run_sweep(
     spec: ExperimentSpec,
     config: SweepConfig,
     *,
     executor: Executor | None = None,
 ) -> SweepResult:
-    """Price the spec's cartesian sweep grid, one pure task per point.
+    """Price the spec's cartesian sweep grid through :func:`sweep_trace`.
 
-    The baseline point (``config.baseline`` overrides, typically EMOGI
-    on host DRAM) is priced parent-side with the identical task
-    function, then every grid point is dispatched through ``executor``
-    — results are bit-identical for any executor.
+    The parent resolves every grid point and builds each distinct
+    workload once; each workload's points are priced against its trace
+    by ``executor``, so results are bit-identical for any executor.
+    Each row is normalised by the baseline (``config.baseline``
+    overrides, typically EMOGI on host DRAM) priced on *its own*
+    workload; ``baseline_runtime`` is the base spec's.
     """
     executor = executor or SerialExecutor()
-    spec_dict = spec.to_dict()
     grid = list(config.points())
-    payloads = [{"spec": spec_dict, "overrides": o} for o in grid]
+    specs = [spec.with_overrides(overrides) for overrides in grid]
+    baseline = None
+    if config.baseline is not None:
+        baseline = _system_config(spec.with_overrides(config.baseline))
+    groups: dict[tuple[Any, ...], list[int]] = {}
+    for i, point in enumerate(specs):
+        groups.setdefault(_workload_key(point), []).append(i)
+    rows: list[dict[str, Any]] = [{} for _ in grid]
     with get_tracer().span(
         "sweep.run", points=len(grid), executor=executor.name
     ):
         baseline_runtime = None
-        if config.baseline is not None:
-            baseline_runtime = evaluate_sweep_point(
-                {"spec": spec_dict, "overrides": dict(config.baseline)}
-            )["runtime"]
-        results = executor.map(evaluate_sweep_point, payloads)
-        rows = []
-        for result in results:
-            row = dict(result)
-            if baseline_runtime is not None:
-                row["normalized_runtime"] = row["runtime"] / baseline_runtime
-            rows.append(row)
+        if baseline is not None:
+            _, trace = workload_for(*_workload_key(spec))
+            baseline_runtime = price_trace_point(trace, _item(baseline))["runtime"]
+        for key, indices in groups.items():
+            _, trace = workload_for(*key)
+            configs = [_system_config(specs[i]) for i in indices]
+            if baseline is None:
+                priced = _price(trace, configs, None, executor)
+            else:
+                priced = [
+                    p.as_dict()
+                    for p in sweep_trace(
+                        trace, configs, baseline=baseline, executor=executor
+                    )
+                ]
+            for i, result in zip(indices, priced):
+                result.pop("x")
+                rows[i] = {"overrides": grid[i], **result}
     return SweepResult(
         spec=spec,
         axes=tuple(axis.key for axis in config.axes),
@@ -199,7 +235,7 @@ def run_sweep(
 
 
 # ---------------------------------------------------------------------------
-# Trace-sharing sweeps (the figures' path)
+# Trace-sharing sweeps: the one pricing path
 # ---------------------------------------------------------------------------
 
 
@@ -248,42 +284,56 @@ def cxl_latency_grid(
     ]
 
 
+def _item(config: Mapping[str, Any], link: PCIeLink | None = None) -> dict[str, Any]:
+    """A :func:`~repro.exec.tasks.price_trace_point` payload for ``config``.
+
+    The config's own ``"link"`` (``None`` = the factory default) wins
+    over the sweep's ``link``.
+    """
+    return {
+        "x": config.get("x", 0.0),
+        "system": config["system"],
+        "link": config.get("link", link),
+        "options": dict(config.get("options") or {}),
+        "span": config.get("span"),
+    }
+
+
+def _price(
+    trace: AccessTrace,
+    configs: Sequence[Mapping[str, Any]],
+    link: PCIeLink | None,
+    executor: Executor,
+) -> list[dict[str, Any]]:
+    """Price ``configs`` against ``trace`` through ``executor``, in order."""
+    task = functools.partial(price_trace_point, trace)
+    return executor.map(task, [_item(cfg, link) for cfg in configs])
+
+
 def sweep_trace(
     trace: AccessTrace,
     configs: Sequence[Mapping[str, Any]],
     link: PCIeLink | None = None,
     *,
-    baseline_system: str = "emogi",
+    baseline: Mapping[str, Any] | None = None,
     executor: Executor | None = None,
 ) -> list[SweepPoint]:
     """Price ``configs`` against one shared trace, normalised in-order.
 
     Each config is ``{"x": knob, "system": registry name, "options":
-    factory kwargs, "span": optional telemetry span}``.  The trace is
-    bound into the task with ``functools.partial`` so a process pool
-    ships it once per chunk, and the baseline runtime is priced
-    parent-side — the one division producing ``normalized_runtime``
-    always happens in the parent, keeping results bit-identical across
-    executors.
+    factory kwargs, "link": optional PCIeLink (default: ``link``),
+    "span": optional telemetry span}``; ``baseline`` has the same shape
+    and defaults to EMOGI at ``link``.  The trace is bound into the task
+    with ``functools.partial`` so a process pool ships it once per
+    chunk, and the baseline runtime is priced parent-side — the one
+    division producing ``normalized_runtime`` always happens in the
+    parent, keeping results bit-identical across executors.
     """
     link = link or PCIeLink.from_name("gen4")
     executor = executor or SerialExecutor()
-    task = functools.partial(price_trace_point, trace)
-    baseline = task(
-        {"x": 0.0, "system": baseline_system, "link": link, "options": {}}
-    )["runtime"]
-    items = [
-        {
-            "x": cfg["x"],
-            "system": cfg["system"],
-            "link": link,
-            "options": dict(cfg.get("options") or {}),
-            "span": cfg.get("span"),
-        }
-        for cfg in configs
-    ]
-    results = executor.map(task, items)
-    norms = normalized([r["runtime"] for r in results], baseline)
+    base = price_trace_point(trace, _item(baseline or {"system": "emogi"}, link))
+    results = _price(trace, configs, link, executor)
+    norms = normalized([r["runtime"] for r in results], base["runtime"])
     return [
         SweepPoint(
             x=r["x"],
@@ -294,4 +344,3 @@ def sweep_trace(
         )
         for r, norm in zip(results, norms)
     ]
-

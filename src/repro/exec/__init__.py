@@ -2,11 +2,10 @@
 
 ``repro.exec`` separates *what* an experiment is from *how* it runs:
 
-* :class:`ExperimentSpec` (and its sections :class:`GraphSpec`,
-  :class:`SystemSpec`, :class:`FaultSpec`, :class:`TrafficSpec`) is the
-  one declarative input type shared by sweeps, the evaluation suite,
-  bench scenarios, and the capacity planner — plain data that
-  round-trips through canonical JSON and pickle.
+* :class:`ExperimentSpec` (and its sections :class:`GraphSpec` and
+  :class:`SystemSpec`) is the declarative input type of ``repro sweep``
+  and the capacity planner's surfaces — plain data that round-trips
+  through canonical JSON and pickle.
 * :func:`load_spec` reads specs from YAML with ``extend:`` chaining and
   dotted-key overrides.
 * :class:`SerialExecutor` / :class:`ProcessPoolExecutor` run pure
@@ -27,13 +26,10 @@ from .executor import (
 )
 from .spec import (
     ExperimentSpec,
-    FaultSpec,
     GraphSpec,
     SweepAxis,
     SweepConfig,
     SystemSpec,
-    TrafficSpec,
-    WorkloadSpec,
 )
 from .yamlspec import LoadedSpec, deep_merge, load_spec, parse_spec_document
 
@@ -41,9 +37,6 @@ __all__ = [
     "ExperimentSpec",
     "GraphSpec",
     "SystemSpec",
-    "FaultSpec",
-    "TrafficSpec",
-    "WorkloadSpec",
     "SweepAxis",
     "SweepConfig",
     "LoadedSpec",

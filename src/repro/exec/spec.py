@@ -1,13 +1,13 @@
 """The declarative experiment description: :class:`ExperimentSpec`.
 
-One frozen dataclass names everything an experiment needs — the graph
-(dataset/scale/seed), the system configuration (a :mod:`repro.systems`
-registry name plus factory options), the algorithm, and optional fault
-and traffic sections — and every consumer (sweeps, the evaluation
-suite, bench scenarios, the capacity planner) takes it as *the* input
-type.  Because a spec is plain data it round-trips through
-``to_dict``/``from_dict`` (canonical JSON) and pickles across process
-boundaries.
+One frozen dataclass names everything a priced experiment needs — the
+graph (dataset/scale/seed), the system configuration (a
+:mod:`repro.systems` registry name plus factory options), the algorithm
+and its source vertex.  ``repro sweep`` (:func:`repro.core.run_sweep`)
+and the capacity planner's surfaces (:func:`repro.planner.build_surface`)
+take it as their input type.  Because a spec is plain data it
+round-trips through ``to_dict``/``from_dict`` (canonical JSON) and
+pickles across process boundaries.
 
 ``from_dict`` is strict: unknown keys raise a typed
 :class:`~repro.errors.SpecError` listing the valid fields, because
@@ -33,9 +33,6 @@ from ..graph.datasets import DEFAULT_SCALE
 __all__ = [
     "GraphSpec",
     "SystemSpec",
-    "FaultSpec",
-    "TrafficSpec",
-    "WorkloadSpec",
     "ExperimentSpec",
     "SweepAxis",
     "SweepConfig",
@@ -52,9 +49,6 @@ KNOWN_ALGORITHMS = (
     "label_propagation",
     "random_walk",
 )
-
-#: Engine memory modes a workload section may name.
-KNOWN_MEMORY_MODES = ("semi-external", "fully-external")
 
 #: Link generations a spec may name (``None`` keeps the factory default).
 KNOWN_LINKS = ("gen3", "gen4", "gen5")
@@ -148,97 +142,6 @@ class SystemSpec:
 
 
 @dataclass(frozen=True)
-class FaultSpec:
-    """Optional fault-injection section (mirrors the ``--fault-*`` flags)."""
-
-    seed: int = 0
-    read_error_rate: float = 0.0
-    drop_device_at: int | None = None
-    max_attempts: int = 5
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= float(self.read_error_rate) < 1.0:
-            raise SpecError(
-                "fault.read_error_rate must be in [0, 1), got "
-                f"{self.read_error_rate!r}"
-            )
-        if self.max_attempts < 1:
-            raise SpecError("fault.max_attempts must be >= 1")
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultSpec":
-        data = _require_mapping(data, "fault")
-        _reject_unknown(data, _field_names(cls), "fault")
-        return cls(**data)
-
-
-@dataclass(frozen=True)
-class TrafficSpec:
-    """Optional serving-traffic section (mirrors ``repro serve`` flags)."""
-
-    duration_s: float = 3.0
-    base_rate: float = 800.0
-    slo_p99_us: float = 4000.0
-    storm: str = "none"
-    controller: bool = True
-
-    def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise SpecError("traffic.duration_s must be positive")
-        if self.base_rate <= 0:
-            raise SpecError("traffic.base_rate must be positive")
-        if self.slo_p99_us <= 0:
-            raise SpecError("traffic.slo_p99_us must be positive")
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TrafficSpec":
-        data = _require_mapping(data, "traffic")
-        _reject_unknown(data, _field_names(cls), "traffic")
-        return cls(**data)
-
-
-@dataclass(frozen=True)
-class WorkloadSpec:
-    """Optional workload section: registry name, memory mode, options.
-
-    ``name`` must be a :mod:`repro.workloads` registry entry;
-    ``memory_mode`` picks the engine placement (``"semi-external"``
-    keeps vertex state in device memory, ``"fully-external"`` reads it
-    through the backend too); ``options`` forwards to the workload's
-    kernel/trace callables (e.g. the ``k`` of k-core).
-    """
-
-    name: str = "bfs"
-    memory_mode: str = "semi-external"
-    options: dict[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.name not in KNOWN_ALGORITHMS:
-            raise SpecError(
-                f"workload.name must be one of {', '.join(KNOWN_ALGORITHMS)}, "
-                f"got {self.name!r}"
-            )
-        if self.memory_mode not in KNOWN_MEMORY_MODES:
-            raise SpecError(
-                "workload.memory_mode must be one of "
-                f"{', '.join(KNOWN_MEMORY_MODES)}, got {self.memory_mode!r}"
-            )
-        opts = _require_mapping(self.options, "workload.options")
-        for key in opts:
-            if not isinstance(key, str) or not key.isidentifier():
-                raise SpecError(
-                    f"workload.options keys must be identifiers, got {key!r}"
-                )
-        object.__setattr__(self, "options", dict(opts))
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "WorkloadSpec":
-        data = _require_mapping(data, "workload")
-        _reject_unknown(data, _field_names(cls), "workload")
-        return cls(**data)
-
-
-@dataclass(frozen=True)
 class ExperimentSpec:
     """The one declarative input type for sweeps, suites, and the planner.
 
@@ -251,9 +154,6 @@ class ExperimentSpec:
     system: SystemSpec = field(default_factory=SystemSpec)
     algorithm: str = "bfs"
     source: int | None = None
-    fault: FaultSpec | None = None
-    traffic: TrafficSpec | None = None
-    workload: WorkloadSpec | None = None
 
     def __post_init__(self) -> None:
         if self.algorithm not in KNOWN_ALGORITHMS:
@@ -266,33 +166,16 @@ class ExperimentSpec:
         ):
             raise SpecError("source must be a non-negative integer or null")
 
-    @property
-    def effective_algorithm(self) -> str:
-        """The workload name to run: ``workload.name`` when present.
-
-        The ``workload:`` section supersedes the flat ``algorithm``
-        field; pre-existing specs (no section) keep their exact
-        behaviour, and ``to_dict`` omits the section.
-        """
-        return self.workload.name if self.workload is not None else self.algorithm
-
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
         """Nested plain-data view; ``from_dict`` inverts it exactly."""
-        out: dict[str, Any] = {
+        return {
             "graph": dataclasses.asdict(self.graph),
             "system": dataclasses.asdict(self.system),
             "algorithm": self.algorithm,
             "source": self.source,
         }
-        if self.fault is not None:
-            out["fault"] = dataclasses.asdict(self.fault)
-        if self.traffic is not None:
-            out["traffic"] = dataclasses.asdict(self.traffic)
-        if self.workload is not None:
-            out["workload"] = dataclasses.asdict(self.workload)
-        return out
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentSpec":
@@ -308,12 +191,6 @@ class ExperimentSpec:
             kwargs["algorithm"] = data["algorithm"]
         if "source" in data:
             kwargs["source"] = data["source"]
-        if data.get("fault") is not None:
-            kwargs["fault"] = FaultSpec.from_dict(data["fault"])
-        if data.get("traffic") is not None:
-            kwargs["traffic"] = TrafficSpec.from_dict(data["traffic"])
-        if data.get("workload") is not None:
-            kwargs["workload"] = WorkloadSpec.from_dict(data["workload"])
         return cls(**kwargs)
 
     # -- overrides --------------------------------------------------------
@@ -333,17 +210,7 @@ class ExperimentSpec:
             _apply_dotted(data, path, value)
         return ExperimentSpec.from_dict(data)
 
-    # -- identity ---------------------------------------------------------
-
     # -- resolution -------------------------------------------------------
-
-    def resolve_graph(self) -> Any:
-        """Materialise the graph through the dataset registry."""
-        from ..graph.datasets import load_dataset
-
-        return load_dataset(
-            self.graph.dataset, scale=self.graph.scale, seed=self.graph.seed
-        )
 
     def resolve_link(self) -> Any:
         """The named PCIe link, or ``None`` for the factory default."""
@@ -404,7 +271,8 @@ class SweepConfig:
 
     ``baseline`` is a dotted-override mapping producing the
     normalisation spec from the main one (the figures normalise by
-    EMOGI on host DRAM); ``None`` skips normalisation.
+    EMOGI on host DRAM); ``None`` skips normalisation.  It may override
+    only ``system.*``: a baseline must price the identical workload.
     """
 
     axes: tuple[SweepAxis, ...]
@@ -413,6 +281,15 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if not self.axes:
             raise SpecError("sweep section needs at least one axis")
+        outside = sorted(
+            key for key in self.baseline or {} if key.split(".")[0] != "system"
+        )
+        if outside:
+            raise SpecError(
+                "sweep.baseline may only override system.* keys, got "
+                f"{', '.join(repr(k) for k in outside)}; the baseline "
+                "must price the identical workload"
+            )
 
     def points(self) -> Iterator[dict[str, Any]]:
         """Dotted-override mappings for the cartesian grid, in axis order.

@@ -1,24 +1,25 @@
 """Pure, picklable task functions for sweep executors.
 
-Every function here is a module-level callable taking one plain-data
+Every task here is a module-level callable taking one plain-data
 payload and returning a plain-data result — the executor contract.
 Closures cannot cross a process boundary; ``functools.partial`` over
-these functions can, which is how callers bind a shared
-:class:`~repro.traversal.trace.AccessTrace` without re-pickling it per
-point (the partial ships once per chunk).
+these functions can, which is how :func:`~repro.core.sweep.sweep_trace`
+binds a shared :class:`~repro.traversal.trace.AccessTrace` into
+:func:`price_trace_point` without re-pickling it per point (the partial
+ships once per chunk).
 
-Workers rebuild graphs and traces deterministically from
+:func:`workload_for` builds a ``(graph, trace)`` pair from
 ``(dataset, scale, seed, algorithm, source)`` through the per-process
-:data:`repro.core.evalcache.workload_memo`, so a chunk of sweep points
-over one workload pays the traversal once — the worker-side analogue of
-the parent passing a shared trace.  All heavy imports (:mod:`repro.core`,
-:mod:`repro.systems`) stay inside function bodies: this module is
-imported by ``repro.core.sweep`` during package init, and a top-level
-back-import would cycle.
+:data:`repro.core.evalcache.workload_memo`, so every caller — the
+declarative sweeps, the planner's surfaces and the evaluation suite's
+workers — pays each traversal once.  All heavy imports
+(:mod:`repro.core`, :mod:`repro.systems`) stay inside function bodies:
+this module is imported by ``repro.core.sweep`` during package init, and
+a top-level back-import would cycle.
 
 :func:`evaluate_workload` (one ``repro evaluate`` cell) prices through
-:func:`~repro.core.sweep.sweep_trace`, so the sweeps stay the only code
-that normalises a runtime to the EMOGI baseline.
+:func:`~repro.core.sweep.sweep_trace`, the one code path that
+normalises a runtime to its baseline.
 
 Determinism note: results carry built-in floats produced by the same
 numpy expressions regardless of the process they ran in, so serial and
@@ -31,12 +32,13 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 __all__ = [
-    "evaluate_sweep_point",
+    "workload_for",
     "price_trace_point",
     "evaluate_workload",
 ]
 
-def _workload_for(
+
+def workload_for(
     dataset: str,
     scale: int,
     seed: int,
@@ -45,8 +47,8 @@ def _workload_for(
 ) -> tuple[Any, Any]:
     """``(graph, trace)`` for a workload key, memoized per process.
 
-    Rebuilt graphs and traces are deterministic in their key, so sharing
-    them across the points of a chunk is safe.
+    Graphs and traces are deterministic in their key, so every caller
+    pricing the same workload may share them.
     """
     from ..core.evalcache import workload_memo
     from ..core.experiment import run_algorithm
@@ -59,39 +61,6 @@ def _workload_for(
     return workload_memo.get_or_compute(
         (dataset, scale, seed, algorithm, source), build
     )
-
-
-def evaluate_sweep_point(item: Mapping[str, Any]) -> dict[str, Any]:
-    """Price one sweep point described entirely by plain data.
-
-    Payload: ``{"spec": <ExperimentSpec dict>, "overrides": {...}}``.
-    The overrides are dotted-path assignments applied on top of the
-    spec (one sweep-grid point).  The worker rebuilds the workload from
-    the spec's graph section, resolves the system through the registry,
-    and returns the priced point as a plain dict — the parent attaches
-    normalisation and orders results.
-    """
-    from ..core.runtime_model import predict_runtime
-    from .spec import ExperimentSpec
-
-    spec = ExperimentSpec.from_dict(item["spec"])
-    overrides = dict(item.get("overrides") or {})
-    if overrides:
-        spec = spec.with_overrides(overrides)
-    _, trace = _workload_for(
-        spec.graph.dataset,
-        spec.graph.scale,
-        spec.graph.seed,
-        spec.effective_algorithm,
-        spec.source,
-    )
-    result = predict_runtime(trace, spec.resolve_system())
-    return {
-        "overrides": overrides,
-        "runtime": float(result.runtime),
-        "system": str(result.system),
-        "bound": str(result.dominant_bound()),
-    }
 
 
 def price_trace_point(trace: Any, item: Mapping[str, Any]) -> dict[str, Any]:
@@ -149,7 +118,7 @@ def evaluate_workload(item: Mapping[str, Any]) -> dict[str, Any]:
     cell = {"dataset": item["dataset"], "algorithm": item["algorithm"]}
     added_us = item["added_latencies_us"]
     with get_tracer().span("evaluate.workload", **cell):
-        _, trace = _workload_for(
+        _, trace = workload_for(
             cell["dataset"], item["scale"], item["seed"], cell["algorithm"]
         )
         comparison = sweep_trace(

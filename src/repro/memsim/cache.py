@@ -73,6 +73,16 @@ class CacheModel(ABC):
     def reset(self) -> None:
         """Drop all cached state and zero the statistics."""
 
+    def config(self) -> dict[str, int]:
+        """The settings that fix this model's behaviour from a reset.
+
+        Never its state: two caches with equal class and config give
+        the same misses for the same stream after :meth:`reset`, which is
+        what evaluation caching keys on.  Subclasses with settings
+        override it.
+        """
+        return {}
+
     def clone_empty(self) -> "CacheModel":
         """A fresh cache of the same configuration (for sweep reuse)."""
         fresh = type(self).__new__(type(self))
@@ -225,6 +235,9 @@ class LRUCache(CacheModel):
         self.stats.misses += misses
         self.stats.hits += block_ids.size - misses
         return misses
+
+    def config(self) -> dict[str, int]:
+        return {"capacity_blocks": self.capacity_blocks}
 
     def reset(self) -> None:
         self.stats = CacheStats()

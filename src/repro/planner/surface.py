@@ -9,22 +9,29 @@ stored runtimes are *simulated* seconds from
 :func:`repro.core.runtime_model.predict_runtime`, which makes surfaces
 machine-independent and golden-testable.
 
-Building a surface is the expensive, embarrassingly parallel step — one
-pure task per config through a :class:`repro.exec.Executor` — and
-querying it (:mod:`repro.planner.query`) is a sub-millisecond scan that
-never re-runs the model.
+Building a surface is the expensive, embarrassingly parallel step — the
+reference trace is built once and every config is priced against it by
+:func:`~repro.core.sweep.sweep_trace` through a
+:class:`repro.exec.Executor` — and querying it
+(:mod:`repro.planner.query`) is a sub-millisecond scan that never
+re-runs the model.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
+from .. import systems as systems_registry
+from ..core.cost import media_for
+from ..core.sweep import sweep_trace
 from ..errors import PlannerError
 from ..exec.executor import Executor, SerialExecutor
 from ..exec.spec import ExperimentSpec, GraphSpec
-from ..exec.tasks import evaluate_sweep_point
+from ..exec.tasks import workload_for
+from ..interconnect.pcie import PCIeLink
 from ..telemetry.tracer import get_tracer
 from ..units import USEC
 
@@ -41,7 +48,7 @@ __all__ = [
 SURFACE_SCHEMA = "repro.planner/v1"
 
 #: Reference-workload scale: matches the bench sweep family (fast to
-#: rebuild in workers, large enough that bounds behave like the paper's).
+#: build, large enough that bounds behave like the paper's).
 _REF_SCALE = 10
 
 #: Grid axes (full build).  Alignments follow Figure 5; added latencies
@@ -115,14 +122,6 @@ def default_grid(*, quick: bool = False) -> list[dict[str, Any]]:
     return grid
 
 
-def _config_overrides(config: Mapping[str, Any]) -> dict[str, Any]:
-    return {
-        "system.name": config["system"],
-        "system.link": config["link"],
-        "system.options": dict(config.get("options") or {}),
-    }
-
-
 def build_surface(
     *,
     workload: ExperimentSpec | None = None,
@@ -132,9 +131,11 @@ def build_surface(
 ) -> dict[str, Any]:
     """Price every grid config on the reference workload, in parallel.
 
-    Each config is a pure :func:`~repro.exec.tasks.evaluate_sweep_point`
-    task, so the result is bit-identical for any executor.  Pool shape
-    (device count, capacity) and media pricing class are resolved
+    The reference trace is built once; each run of same-link configs
+    (one per link in the link-major default grid) is one
+    :func:`~repro.core.sweep.sweep_trace` call, normalised by EMOGI at
+    that link, so the result is bit-identical for any executor.  Pool
+    shape (device count, capacity) and media pricing class are resolved
     parent-side — factories are cheap; only model pricing fans out.
     """
     workload = workload or default_workload()
@@ -148,42 +149,44 @@ def build_surface(
     configs = [dict(c) for c in (grid if grid is not None else default_grid(quick=quick))]
     if not configs:
         raise PlannerError("surface grid must contain at least one config")
-    spec_dict = workload.to_dict()
-    overrides = [_config_overrides(c) for c in configs]
-    payloads = [
-        {"spec": spec_dict, "overrides": o} for o in overrides
-    ]
+    graph, trace = workload_for(
+        workload.graph.dataset,
+        workload.graph.scale,
+        workload.graph.seed,
+        workload.algorithm,
+        workload.source,
+    )
     executor = executor or SerialExecutor()
+    entries: list[dict[str, Any]] = []
     with get_tracer().span(
         "planner.surface.build", configs=len(configs), executor=executor.name
     ):
-        priced = executor.map(evaluate_sweep_point, payloads)
-    graph = workload.resolve_graph()
-    entries: list[dict[str, Any]] = []
-    emogi_runtime: dict[str, float] = {}
-    from ..core.cost import media_for
-
-    for config, override, result in zip(configs, overrides, priced):
-        system = workload.with_overrides(override).resolve_system()
-        entry = {
-            "registry": config["system"],
-            "system": result["system"],
-            "link": config["link"],
-            "options": dict(config.get("options") or {}),
-            "runtime_s": result["runtime"],
-            "bound": result["bound"],
-            "devices": system.pool.count,
-            "capacity_bytes": system.pool.capacity_bytes,
-            "media": media_for(system).name,
-        }
-        if config["system"] == "emogi":
-            emogi_runtime[config["link"]] = result["runtime"]
-        entries.append(entry)
-    for entry in entries:
-        base = emogi_runtime.get(entry["link"])
-        entry["normalized_runtime"] = (
-            entry["runtime_s"] / base if base else 1.0
-        )
+        for name, run in itertools.groupby(configs, key=lambda c: c["link"]):
+            link = PCIeLink.from_name(name)
+            run = list(run)
+            points = sweep_trace(
+                trace,
+                [{"system": c["system"], "options": c.get("options")} for c in run],
+                link,
+                executor=executor,
+            )
+            for config, point in zip(run, points):
+                options = dict(config.get("options") or {})
+                system = systems_registry.get(config["system"], link, **options)
+                entries.append(
+                    {
+                        "registry": config["system"],
+                        "system": point.system,
+                        "link": name,
+                        "options": options,
+                        "runtime_s": point.runtime,
+                        "normalized_runtime": point.normalized_runtime,
+                        "bound": point.bound,
+                        "devices": system.pool.count,
+                        "capacity_bytes": system.pool.capacity_bytes,
+                        "media": media_for(system).name,
+                    }
+                )
     return {
         "schema": SURFACE_SCHEMA,
         "workload": {

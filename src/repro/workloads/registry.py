@@ -35,6 +35,7 @@ from .signature import AccessSignature
 
 __all__ = [
     "Workload",
+    "default_source",
     "register",
     "get",
     "available",
@@ -47,8 +48,15 @@ __all__ = [
 AlgorithmFn = Callable[..., tuple]
 
 
-def _default_source(graph: CSRGraph) -> int:
-    """Highest-degree vertex (same policy as ``core.experiment``)."""
+def default_source(graph: CSRGraph) -> int:
+    """A robust traversal source: the highest-degree vertex.
+
+    Synthetic graphs (especially Kronecker) leave many vertices isolated;
+    traversing from one would measure nothing.  The max-degree vertex is
+    deterministic and always inside the giant component for the paper's
+    graph families — the same intent as GAP's non-zero-degree random
+    sources.  Every caller that needs a default source uses this one.
+    """
     if graph.num_vertices == 0:
         raise WorkloadError("graph has no vertices")
     return int(np.argmax(graph.degrees))
@@ -106,7 +114,7 @@ class Workload:
     ) -> EngineRun:
         """Run the algorithm over an existing engine, from zeroed stats."""
         if source is None:
-            source = _default_source(engine.graph)
+            source = default_source(engine.graph)
         options = self._merged(options)
         attrs = {"source": source} if self.needs_source else {}
         engine.reset_stats()
@@ -130,7 +138,7 @@ class Workload:
         """Run the in-memory algorithm and return its access trace."""
         graph = self.prepare(graph)
         if source is None:
-            source = _default_source(graph)
+            source = default_source(graph)
         recorder = TraceRecorder(graph)
         self.algorithm(recorder, source, **self._merged(options))
         return recorder.trace(self.name)

@@ -41,6 +41,7 @@ from ..traversal.bfs import bfs
 from ..traversal.cc import connected_components
 from ..traversal.frontier import gather_neighbors, min_relax
 from ..units import MB_PER_S, MIOPS, USEC
+from .registry import default_source
 
 __all__ = [
     "EdgeBatch",
@@ -234,9 +235,7 @@ def streaming_bfs(
     ``-1`` for unreachable) equal ``bfs(final_graph, source).depths``.
     """
     if source is None:
-        if graph.num_vertices == 0:
-            raise WorkloadError("graph has no vertices")
-        source = int(np.argmax(graph.degrees))
+        source = default_source(graph)
     base = bfs(graph, source)
     unreachable = np.int64(graph.num_vertices + 1)
     dist = np.where(base.depths < 0, unreachable, base.depths).astype(np.int64)

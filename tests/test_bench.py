@@ -248,6 +248,14 @@ class TestCompare:
         assert statuses["a"] == "MISSING (gate fail)"
         assert statuses["b"] == "new"
 
+    def test_verify_mismatch_fails_gate(self):
+        base = payload_with_bench("a", 2.0)
+        cand = payload_with_bench("a", 1.0)  # faster, but different output
+        cand["benchmarks"][0]["verify"] = {"requests": 11}
+        ok, rows = check_regression(base, cand)
+        assert not ok
+        assert rows[0]["status"] == "VERIFY MISMATCH"
+
     def test_threshold_override_and_env(self, monkeypatch):
         base = payload_with_bench("a", 2.0)
         cand = payload_with_bench("a", 2.4)

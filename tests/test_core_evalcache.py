@@ -15,8 +15,9 @@ from repro.core.experiment import run_algorithm
 from repro.core.suite import run_evaluation
 from repro.errors import ModelError
 from repro.gpu.bam import BaMMethod
+from repro.gpu.uvm import UVMMethod
 from repro.gpu.xlfdd_driver import XLFDDMethod
-from repro.memsim.cache import IdealCache
+from repro.memsim.cache import IdealCache, LRUCache
 from repro.memsim.raf import read_amplification
 from repro.traversal.trace import TraceStep
 
@@ -72,11 +73,29 @@ class TestCachedPhysicalTrace:
         cached_physical_trace(method, trace)
         assert evaluation_cache_stats() == {"hits": 0, "misses": 2, "entries": 2}
 
-    def test_unfingerprintable_method_is_uncached(self, bfs_trace):
-        before = evaluation_cache_stats()
-        physical = cached_physical_trace(BaMMethod(), bfs_trace)
-        assert physical.fetched_bytes > 0
-        assert evaluation_cache_stats() == before
+    def test_equal_bam_methods_share_an_entry(self, bfs_trace):
+        # Distinct cache objects, one configuration: the memo keys on the
+        # cache's class and config, never on its state.
+        first = cached_physical_trace(BaMMethod(), bfs_trace)
+        second = cached_physical_trace(BaMMethod(), bfs_trace)
+        assert second is first
+        assert first.fetched_bytes > 0
+        assert evaluation_cache_stats() == {"hits": 1, "misses": 1, "entries": 1}
+        lru = cached_physical_trace(BaMMethod(cache=LRUCache(64)), bfs_trace)
+        assert cached_physical_trace(BaMMethod(cache=LRUCache(64)), bfs_trace) is lru
+        assert evaluation_cache_stats() == {"hits": 2, "misses": 2, "entries": 2}
+
+    def test_uvm_pool_sizes_miss(self, bfs_trace):
+        small = UVMMethod(pool_bytes=8 * 4096)
+        large = UVMMethod(pool_bytes=64 * 4096)
+        assert cached_physical_trace(small, bfs_trace) == small.physical_trace(bfs_trace)
+        assert cached_physical_trace(large, bfs_trace) == large.physical_trace(bfs_trace)
+        assert evaluation_cache_stats() == {"hits": 0, "misses": 2, "entries": 2}
+        assert (
+            cached_physical_trace(small, bfs_trace).fetched_bytes
+            > cached_physical_trace(large, bfs_trace).fetched_bytes
+        )
+        assert evaluation_cache_stats()["hits"] == 2
 
 
 class TestRafMemo:

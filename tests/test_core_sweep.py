@@ -161,6 +161,59 @@ class TestRunSweep:
                 row["runtime"] / result.baseline_runtime
             )
 
+    def test_example_config_golden_digest(self):
+        """``examples/sweep_config.yaml`` prices to its recorded bytes."""
+        import hashlib
+        from pathlib import Path
+
+        from repro.bench.schema import canonical_json
+        from repro.core.sweep import run_sweep
+        from repro.exec import load_spec
+
+        path = Path(__file__).resolve().parent.parent / "examples" / "sweep_config.yaml"
+        loaded = load_spec(path)
+        payload = canonical_json(run_sweep(loaded.spec, loaded.sweep).as_dict())
+        assert hashlib.sha256(payload.encode()).hexdigest()[:16] == "36442e36a13aa553"
+
+    def test_each_workload_normalised_by_its_own_baseline(self):
+        from repro.core.sweep import run_sweep
+        from repro.exec import ExperimentSpec, SweepConfig
+        from repro.exec.spec import GraphSpec, SweepAxis
+
+        spec = ExperimentSpec(graph=GraphSpec(dataset="urand", scale=10))
+        config = SweepConfig(
+            axes=(SweepAxis(key="graph.scale", values=(8, 10)),),
+            baseline={"system.name": "emogi"},
+        )
+        result = run_sweep(spec, config)
+        assert [row["normalized_runtime"] for row in result.rows] == [1.0, 1.0]
+        assert result.rows[0]["runtime"] < result.rows[1]["runtime"]
+        assert result.baseline_runtime == result.rows[1]["runtime"]
+
+    def test_baseline_outside_system_rejected(self):
+        from repro.errors import SpecError
+        from repro.exec import SweepConfig
+
+        with pytest.raises(SpecError, match="'graph.scale'"):
+            SweepConfig.from_dict({
+                "axes": {"system.name": ["xlfdd"]},
+                "baseline": {"system.name": "emogi", "graph.scale": 8},
+            })
+
+    def test_no_baseline_rows_are_unnormalised(self, result):
+        from repro.core.sweep import run_sweep
+        from repro.exec import SweepConfig
+        from repro.exec.spec import SweepAxis
+
+        axis = SweepAxis(key="system.options.alignment_bytes", values=(16, 64, 512))
+        bare = run_sweep(result.spec, SweepConfig(axes=(axis,)))
+        assert all(
+            set(row) == {"overrides", "runtime", "system", "bound"}
+            for row in bare.rows
+        )
+        assert [r["runtime"] for r in bare.rows] == [r["runtime"] for r in result.rows]
+        assert bare.baseline_runtime is None
+
     def test_points_without_baseline_raises(self):
         from repro.core.sweep import SweepResult
         from repro.exec import ExperimentSpec

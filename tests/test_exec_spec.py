@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import SpecError
 from repro.exec import ExperimentSpec, GraphSpec, SweepConfig, SystemSpec, load_spec
-from repro.exec.spec import FaultSpec, SweepAxis, TrafficSpec
+from repro.exec.spec import SweepAxis
 from repro.exec.yamlspec import deep_merge, expand_dotted, parse_spec_document
 
 
@@ -53,8 +53,6 @@ class TestExperimentSpec:
             system=SystemSpec(name="xlfdd", link="gen4", options={"drives": 4}),
             algorithm="sssp",
             source=7,
-            fault=FaultSpec(read_error_rate=0.01),
-            traffic=TrafficSpec(duration_s=1.0),
         )
         assert ExperimentSpec.from_dict(spec.to_dict()) == spec
 
@@ -71,6 +69,24 @@ class TestExperimentSpec:
             ExperimentSpec.from_dict({"algorithm": "bfs", "graf": {}})
         assert "'graf'" in str(exc.value)
         assert "graph" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "section",
+        [
+            {"fault": {"read_error_rate": 0.5}},
+            {"traffic": {"duration_s": 1.0}},
+            {"workload": {"name": "pagerank", "memory_mode": "fully-external"}},
+        ],
+        ids=["fault", "traffic", "workload"],
+    )
+    def test_unread_sections_are_unknown_keys(self, section):
+        # Nothing prices these sections, so accepting them would price a
+        # spec as if they were not there.
+        with pytest.raises(SpecError) as exc:
+            ExperimentSpec.from_dict({"algorithm": "bfs", **section})
+        message = str(exc.value)
+        assert repr(next(iter(section))) in message
+        assert "valid fields: algorithm, graph, source, system" in message
 
     def test_with_overrides_nested(self):
         spec = ExperimentSpec()

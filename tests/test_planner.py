@@ -54,6 +54,19 @@ class TestBuildSurface:
         ]
         assert emogi and all(c["normalized_runtime"] == 1.0 for c in emogi)
 
+    def test_grid_without_emogi_gets_same_link_ratios(self, quick_surface):
+        # The EMOGI baseline is priced at each config's link even when
+        # the grid has no EMOGI config of its own.
+        grid = [c for c in default_grid(quick=True) if c["system"] != "emogi"]
+        surface = build_surface(grid=grid)
+        full = {
+            (c["system"], c["link"]): c["normalized_runtime"]
+            for c in quick_surface["configs"]
+        }
+        ratios = [c["normalized_runtime"] for c in surface["configs"]]
+        assert ratios == [full[(c["system"], c["link"])] for c in surface["configs"]]
+        assert all(r != 1.0 for r in ratios)
+
     def test_rebuild_is_byte_identical(self, quick_surface):
         again = build_surface(quick=True)
         assert canonical_json(again) == canonical_json(quick_surface)

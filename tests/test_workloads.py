@@ -21,7 +21,6 @@ from repro import systems, workloads
 from repro.engine.backend import CachedBackend, DirectBackend, ZeroCopyBackend
 from repro.engine.engine import (
     FULLY_EXTERNAL,
-    MEMORY_MODES,
     SEMI_EXTERNAL,
     ExternalGraphEngine,
 )
@@ -100,7 +99,6 @@ class TestRegistry:
         from repro.exec import spec
 
         assert set(spec.KNOWN_ALGORITHMS) == set(workloads.available())
-        assert spec.KNOWN_MEMORY_MODES == MEMORY_MODES
 
     def test_signature_validation(self):
         with pytest.raises(WorkloadError, match="frontier profile"):
@@ -302,6 +300,17 @@ class TestStreaming:
         np.testing.assert_array_equal(run.values, bfs(run.graph, 0).depths)
         assert run.edges_inserted > 0
 
+    def test_default_source_is_the_registry_policy(self):
+        from repro.core import experiment
+        from repro.workloads.registry import default_source
+
+        assert experiment.default_source is default_source
+        base = uniform_random_graph(9, 10.0, seed=11)
+        run = streaming_bfs(base, [])
+        np.testing.assert_array_equal(
+            run.values, bfs(base, default_source(base)).depths
+        )
+
     def test_incremental_cc_equals_from_scratch(self):
         base = uniform_random_graph(9, 4.0, seed=12)
         stream = edge_stream(
@@ -355,41 +364,6 @@ class TestMultiTenant:
     def test_jain_index(self):
         assert jain_fairness([1.0, 1.0, 1.0]) == pytest.approx(1.0)
         assert jain_fairness([1.0, 0.0]) == pytest.approx(0.5)
-
-
-class TestWorkloadSpec:
-    def test_roundtrip_and_effective_algorithm(self):
-        from repro.exec import ExperimentSpec
-
-        spec = ExperimentSpec.from_dict({
-            "graph": {"dataset": "urand", "scale": 8},
-            "system": {"name": "emogi"},
-            "workload": {
-                "name": "label_propagation",
-                "memory_mode": "fully-external",
-            },
-        })
-        assert spec.effective_algorithm == "label_propagation"
-        assert ExperimentSpec.from_dict(spec.to_dict()) == spec
-
-    def test_unknown_workload_name_rejected(self):
-        from repro.exec import WorkloadSpec
-
-        with pytest.raises(Exception, match="workload"):
-            WorkloadSpec.from_dict({"name": "nope"})
-        with pytest.raises(Exception, match="memory"):
-            WorkloadSpec.from_dict({"name": "bfs", "memory_mode": "hybrid"})
-
-    def test_fingerprint_stable_without_workload_section(self):
-        # A spec that never mentions workloads must serialize (and hence
-        # fingerprint) exactly as it did before the section existed.
-        from repro.exec import ExperimentSpec
-
-        spec = ExperimentSpec.from_dict({
-            "graph": {"dataset": "urand", "scale": 8},
-            "system": {"name": "emogi"},
-        })
-        assert "workload" not in spec.to_dict()
 
 
 class TestTenantTraffic:
