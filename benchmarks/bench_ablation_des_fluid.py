@@ -11,7 +11,7 @@ import numpy as np
 from repro.core.experiment import cxl_system, emogi_system, run_algorithm
 from repro.core.report import format_table
 from repro.sim.des import DESConfig, simulate_step
-from repro.sim.fluid import step_time
+from repro.sim.fluid import StepInput, step_time
 from repro.graph.datasets import load_dataset
 
 from conftest import BENCH_SEED, run_once
@@ -34,7 +34,7 @@ def des_fluid_agreement(scale: int, seed: int):
         sizes = np.full(requests, avg, dtype=np.int64)
         des = simulate_step(sizes, DESConfig.from_fluid(params, num_devices))
         fluid = step_time(
-            type(biggest.to_step_input())(
+            StepInput(
                 requests=requests,
                 link_bytes=int(sizes.sum()),
                 device_ops=requests,

@@ -3,7 +3,7 @@
 
 Unlike the other examples (which price precomputed traces), this one
 executes BFS with the edge list actually stored behind a byte-granular
-device backend: every neighbor fetch goes through the device's
+device backend: every neighbor fetch goes through an access method's
 alignment/caching rules and is counted.  The measured traffic reproduces
 the paper's read-amplification story live, and the results are verified
 against the in-memory implementation on the spot.
@@ -17,12 +17,8 @@ import numpy as np
 
 from repro import load_dataset, workloads
 from repro.core.report import format_table
-from repro.engine import (
-    CachedBackend,
-    DirectBackend,
-    ExternalGraphEngine,
-    ZeroCopyBackend,
-)
+from repro.engine import ExternalGraphEngine, ExternalMemoryBackend
+from repro.gpu import BaMMethod, XLFDDMethod, ZeroCopyMethod
 from repro.traversal.bfs import bfs
 from repro.units import bytes_human
 
@@ -36,15 +32,17 @@ def main() -> None:
     )
     reference = bfs(graph, 0).depths
 
-    backends = [
-        ("emogi zero-copy (32 B sectors)", ZeroCopyBackend),
-        ("xlfdd direct (16 B, <=2 kB)", lambda d: DirectBackend(d, alignment_bytes=16)),
-        ("bam cached (4 kB lines)", lambda d: CachedBackend(d, cacheline_bytes=4096)),
-        ("bam cached (512 B lines)", lambda d: CachedBackend(d, cacheline_bytes=512)),
+    methods = [
+        ("emogi zero-copy (32 B sectors)", ZeroCopyMethod()),
+        ("xlfdd direct (16 B, <=2 kB)", XLFDDMethod(alignment_bytes=16)),
+        ("bam cached (4 kB lines)", BaMMethod(cacheline_bytes=4096)),
+        ("bam cached (512 B lines)", BaMMethod(cacheline_bytes=512)),
     ]
     rows = []
-    for label, factory in backends:
-        engine = ExternalGraphEngine(graph, factory)
+    for label, method in methods:
+        engine = ExternalGraphEngine(
+            graph, lambda d, m=method: ExternalMemoryBackend(d, m)
+        )
         run = workloads.get("bfs").run(engine, source=0)
         assert np.array_equal(run.values, reference), f"{label}: wrong BFS!"
         rows.append(

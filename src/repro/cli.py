@@ -468,7 +468,7 @@ def _cmd_stats(args: argparse.Namespace) -> str:
     return format_table([graph_stats(graph).as_dict()], title="dataset statistics")
 
 
-def _resolve_system(args: argparse.Namespace):
+def _system_from_args(args: argparse.Namespace):
     """Build the requested system via the registry, applying CLI knobs."""
     link_name = args.link or ("gen3" if args.system == "cxl" else "gen4")
     link = PCIeLink.from_name(link_name)
@@ -498,7 +498,7 @@ def _cmd_run(args: argparse.Namespace) -> str:
     from .telemetry import NULL_TRACER, Tracer, use_tracer
 
     graph = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
-    system = _resolve_system(args)
+    system = _system_from_args(args)
     tracer = Tracer() if args.trace else NULL_TRACER
     with use_tracer(tracer):
         output = _run_experiment_body(args, graph, system)

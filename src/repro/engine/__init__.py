@@ -2,25 +2,19 @@
 
 Everything in :mod:`repro.core` *prices* traces; this subpackage
 *executes* them: the edge list lives behind a byte-granular
-external-memory backend that enforces the device's alignment and
-transfer rules and counts every fetched byte, and the traversal
+external-memory backend that prices every read through a
+:mod:`repro.gpu` access method and counts every fetched byte, and the traversal
 algorithms run against that API — the same structure as the paper's real
 systems (vertex list in GPU memory, edge list on external memory,
 Section 2.1).
 
-The payoff is cross-validation: the backend's *measured* traffic must
-equal what :mod:`repro.memsim` *predicts* for the same discipline, and
-the engine's results must equal the in-memory algorithms'.  Both are
-asserted in the test suite.
+The payoff is cross-validation: the backend's *measured* traffic equals
+the access method's physical trace by construction (one
+``request_sizes`` kernel serves both), and the engine's results must
+equal the in-memory algorithms'.  Both are asserted in the test suite.
 """
 
-from .backend import (
-    MemoryStats,
-    ExternalMemoryBackend,
-    DirectBackend,
-    CachedBackend,
-    ZeroCopyBackend,
-)
+from .backend import MemoryStats, ExternalMemoryBackend
 from .engine import (
     FULLY_EXTERNAL,
     MEMORY_MODES,
@@ -32,9 +26,6 @@ from .engine import (
 __all__ = [
     "MemoryStats",
     "ExternalMemoryBackend",
-    "DirectBackend",
-    "CachedBackend",
-    "ZeroCopyBackend",
     "ExternalGraphEngine",
     "EngineRun",
     "SEMI_EXTERNAL",

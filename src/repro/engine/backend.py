@@ -1,16 +1,16 @@
-"""External-memory backends: byte stores with device access disciplines.
+"""External-memory backend: a byte store read through an access method.
 
-A backend holds the raw bytes of the edge list and serves byte-range
+The backend holds the raw bytes of the edge list and serves byte-range
 reads the way a real device would, keeping exact counts of what crossed
-the "link".  Each backend prices a read batch with the same
-:mod:`repro.memsim` kernel as its :mod:`repro.gpu` access method, so
-engine bytes equal model bytes by construction:
-
-* :class:`DirectBackend` — XLFDD (Section 4.1.1): ``direct_requests``;
-* :class:`CachedBackend` — BaM and UVM (Section 3.3.2): the batch's
-  ``expand_to_blocks`` lines through a cache, one step of
-  ``cache_line_misses``;
-* :class:`ZeroCopyBackend` — EMOGI (Section 3.3.1): ``coalesced_sizes``.
+the "link".  It defines no discipline of its own: every read batch is
+priced by the :meth:`~repro.gpu.base.AccessMethod.request_sizes` kernel of
+the :mod:`repro.gpu` access method it was built with — XLFDD direct reads
+(Section 4.1.1), BaM cache lines and UVM pages (Section 3.3.2), EMOGI
+zero-copy (Section 3.3.1) — the same kernel
+:meth:`~repro.gpu.base.AccessMethod.physical_trace` calls once per step,
+so engine bytes equal model bytes by construction.  The backend reads
+through a private copy of the method, so its cache state never leaks
+into (or picks up) the model's pricing.
 
 Fast-path notes: the data a read returns is gathered at word granularity.
 ``_gather`` picks the widest word (8/4/2/1 B) dividing every start, every
@@ -25,30 +25,25 @@ independent of how the bytes are gathered.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
+import copy
 
 import numpy as np
 
-from ..config import GPU_CACHE_LINE_BYTES, GPU_SECTOR_BYTES
 from ..errors import DeviceError
+from ..gpu.base import AccessMethod
 from ..graph.csr import ragged_index
-from ..memsim.alignment import direct_requests, expand_to_blocks
 
-# Unused here, but ``perfbench/tracing.py`` wraps both by name on this
+# Unused here, but ``perfbench/tracing.py`` wraps these by name on this
 # module and cannot install without them.
-from ..memsim.alignment import aligned_span, split_by_max_transfer  # noqa: F401
-from ..memsim.cache import CacheModel, StepLocalCache
-from ..memsim.coalesce import coalesced_sizes
+from ..memsim.alignment import (  # noqa: F401
+    aligned_span,
+    expand_to_blocks,
+    split_by_max_transfer,
+)
 from ..telemetry.metrics import MetricRegistry
 from ..units import to_usec
 
-__all__ = [
-    "MemoryStats",
-    "ExternalMemoryBackend",
-    "DirectBackend",
-    "CachedBackend",
-    "ZeroCopyBackend",
-]
+__all__ = ["MemoryStats", "ExternalMemoryBackend"]
 
 #: Unsigned word dtype per gather width; the widest is the engine's
 #: record and state-slot granularity.
@@ -190,19 +185,22 @@ class MemoryStats:
         return self.latency_percentile(99.9)
 
 
-class ExternalMemoryBackend(ABC):
-    """A byte store served through a device access discipline.
+class ExternalMemoryBackend:
+    """A byte store served through an access method's discipline.
 
     ``read`` returns exactly the requested bytes, concatenated in request
-    order, while the stats record what the device actually moved.  A
-    *step boundary* (:meth:`end_step`) tells cache-bearing disciplines
-    that the massively parallel batch ended (see
-    :class:`repro.memsim.cache.StepLocalCache`).
+    order, while the stats record what the device actually moved: the
+    count and sum of ``method.request_sizes`` for each batch.  A batch is
+    what a step-local cache shares fetches within (see
+    :class:`repro.memsim.cache.StepLocalCache`), so step boundaries need
+    no signal of their own.
     """
 
-    def __init__(self, data: np.ndarray | bytes) -> None:
+    def __init__(self, data: np.ndarray | bytes, method: AccessMethod) -> None:
         # One copy of any contiguous buffer (bytes or an array's raw bytes).
         self._data = np.frombuffer(data, dtype=np.uint8).copy()
+        self._method = copy.deepcopy(method)
+        self._method.reset()
         self.stats = MemoryStats()
 
     @property
@@ -226,16 +224,16 @@ class ExternalMemoryBackend(ABC):
         self.stats.useful_bytes += int(lengths.sum())
         return self._gather(starts, lengths)
 
-    def end_step(self) -> None:
-        """Mark a traversal-step boundary (default: nothing to flush)."""
-
     def reset_stats(self) -> None:
-        """Zero the traffic counters (cache state resets too)."""
+        """Zero the traffic counters and empty the method's cache."""
         self.stats = MemoryStats()
+        self._method.reset()
 
-    @abstractmethod
     def _account(self, starts: np.ndarray, lengths: np.ndarray) -> None:
-        """Update ``stats`` for this batch under the discipline's rules."""
+        """Add this batch's link requests under the method's rules."""
+        sizes = self._method.request_sizes(starts, lengths)
+        self.stats.requests += int(sizes.size)
+        self.stats.fetched_bytes += int(sizes.sum())
 
     def _gather(self, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         # The widest word dividing every start, every length and the store
@@ -245,81 +243,3 @@ class ExternalMemoryBackend(ABC):
         word = common & -common
         words = self._data.view(_WORD_DTYPES[word])
         return words[ragged_index(starts // word, lengths // word)].view(np.uint8)
-
-
-class DirectBackend(ExternalMemoryBackend):
-    """Cache-less aligned reads with a transfer ceiling (XLFDD)."""
-
-    def __init__(
-        self,
-        data: np.ndarray | bytes,
-        *,
-        alignment_bytes: int = 16,
-        max_transfer_bytes: int | None = 2_048,
-    ) -> None:
-        super().__init__(data)
-        if alignment_bytes < 1:
-            raise DeviceError("alignment must be >= 1")
-        if max_transfer_bytes is not None and (
-            max_transfer_bytes < 1 or max_transfer_bytes % alignment_bytes
-        ):
-            raise DeviceError("max transfer must be a positive multiple of alignment")
-        self.alignment_bytes = alignment_bytes
-        self.max_transfer_bytes = max_transfer_bytes
-
-    def _account(self, starts: np.ndarray, lengths: np.ndarray) -> None:
-        _, sizes = direct_requests(
-            starts, lengths, self.alignment_bytes, self.max_transfer_bytes
-        )
-        self.stats.requests += int(sizes.size)
-        self.stats.fetched_bytes += int(sizes.sum())
-
-
-class CachedBackend(ExternalMemoryBackend):
-    """Cache-line reads through a software cache (BaM)."""
-
-    def __init__(
-        self,
-        data: np.ndarray | bytes,
-        *,
-        cacheline_bytes: int = 4_096,
-        cache: CacheModel | None = None,
-    ) -> None:
-        super().__init__(data)
-        if cacheline_bytes < 1:
-            raise DeviceError("cacheline must be >= 1")
-        self.cacheline_bytes = cacheline_bytes
-        self.cache = cache if cache is not None else StepLocalCache()
-        self.cache.reset()
-
-    def _account(self, starts: np.ndarray, lengths: np.ndarray) -> None:
-        block_ids, _ = expand_to_blocks(starts, lengths, self.cacheline_bytes)
-        misses = self.cache.access(block_ids)
-        self.stats.requests += misses
-        self.stats.fetched_bytes += misses * self.cacheline_bytes
-
-    def reset_stats(self) -> None:
-        super().reset_stats()
-        self.cache.reset()
-
-
-class ZeroCopyBackend(ExternalMemoryBackend):
-    """Sector-coalesced load/store access (EMOGI)."""
-
-    def __init__(
-        self,
-        data: np.ndarray | bytes,
-        *,
-        sector_bytes: int = GPU_SECTOR_BYTES,
-        line_bytes: int = GPU_CACHE_LINE_BYTES,
-    ) -> None:
-        super().__init__(data)
-        if sector_bytes < 1 or line_bytes < 1 or line_bytes % sector_bytes != 0:
-            raise DeviceError("line must be a positive multiple of the sector")
-        self.sector_bytes = sector_bytes
-        self.line_bytes = line_bytes
-
-    def _account(self, starts: np.ndarray, lengths: np.ndarray) -> None:
-        sizes = coalesced_sizes(starts, lengths, self.sector_bytes, self.line_bytes)
-        self.stats.requests += int(sizes.size)
-        self.stats.fetched_bytes += int(sizes.sum())

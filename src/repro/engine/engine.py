@@ -4,9 +4,10 @@ Mirrors the paper's system structure (Section 2.1): the vertex list
 (``indptr``) lives "in GPU memory" (plain numpy arrays) and the edge
 list's *bytes* live behind an
 :class:`~repro.engine.backend.ExternalMemoryBackend`; every neighbor
-access goes through its ``read`` API.  Algorithms therefore produce both
-their results *and* a measured traffic profile — which the test suite
-cross-checks against the analytic models.
+access goes through its ``read`` API, priced by the backend's
+:mod:`repro.gpu` access method.  Algorithms therefore produce both their
+results *and* a measured traffic profile, priced by the same kernel as
+that method's physical trace.
 
 Two :data:`MEMORY_MODES` control where per-vertex *state* (depths,
 labels, ranks, ...) lives:
@@ -76,7 +77,7 @@ class ExternalGraphEngine:
     backend_factory:
         Callable building a backend from the raw payload (one contiguous
         ``uint8`` array), e.g.
-        ``lambda data: DirectBackend(data, alignment_bytes=16)``.
+        ``lambda data: ExternalMemoryBackend(data, XLFDDMethod(16))``.
     memory_mode:
         One of :data:`MEMORY_MODES`; see the module docstring.
 
@@ -183,7 +184,7 @@ class ExternalGraphEngine:
 
     @contextmanager
     def step(self) -> Iterator[None]:
-        """One synchronous step: an ``engine.step`` span, then ``end_step``.
+        """One synchronous step, inside an ``engine.step`` span.
 
         The span carries the step index, the size of the frontier the
         step read and the bytes the backend fetched during it.
@@ -193,7 +194,6 @@ class ExternalGraphEngine:
             fetched = self.backend.stats.fetched_bytes
             self._frontier_size = 0
             yield
-            self.backend.end_step()
             if tracer.enabled:
                 span.set(
                     step=self.steps,

@@ -16,9 +16,9 @@ Overrides address nested fields with dotted paths
 (``system.options.alignment_bytes``), the same syntax the YAML loader
 and the ``repro sweep --set`` flag use.
 
-Imports from :mod:`repro.core` and :mod:`repro.systems` are deferred to
-the resolve methods: ``repro.core.sweep`` imports this module at import
-time, so a top-level back-import would cycle.
+The spec resolves only its link (:meth:`ExperimentSpec.resolve_link`,
+which imports the link type at call time); ``repro.core.sweep`` builds
+each system from the :mod:`repro.systems` registry.
 """
 
 from __future__ import annotations
@@ -219,14 +219,6 @@ class ExperimentSpec:
         from ..interconnect.pcie import PCIeLink
 
         return PCIeLink.from_name(self.system.link)
-
-    def resolve_system(self, **extra: Any) -> Any:
-        """Build the system via :mod:`repro.systems` (``extra`` wins)."""
-        from .. import systems as systems_registry
-
-        kwargs = dict(self.system.options)
-        kwargs.update(extra)
-        return systems_registry.get(self.system.name, self.resolve_link(), **kwargs)
 
 
 def _apply_dotted(data: dict[str, Any], path: str, value: Any) -> None:

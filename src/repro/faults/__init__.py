@@ -35,11 +35,7 @@ from .model import (
     effective_throughput_under_faults,
     faulty_trace_time,
 )
-from .experiment import (
-    FaultExperimentResult,
-    backend_factory_for,
-    run_fault_experiment,
-)
+from .experiment import FaultExperimentResult, run_fault_experiment
 
 __all__ = [
     "FaultPlan",
@@ -53,6 +49,5 @@ __all__ = [
     "effective_throughput_under_faults",
     "faulty_trace_time",
     "FaultExperimentResult",
-    "backend_factory_for",
     "run_fault_experiment",
 ]

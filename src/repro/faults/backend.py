@@ -1,8 +1,9 @@
 """A fault-injecting, retrying wrapper over any external-memory backend.
 
 :class:`FaultyBackend` sits between :class:`~repro.engine.engine.ExternalGraphEngine`
-and a concrete discipline backend (Direct/Cached/ZeroCopy).  Every logical
-byte-range request runs through the :class:`~repro.faults.plan.FaultPlan`:
+and an :class:`~repro.engine.backend.ExternalMemoryBackend` reading
+through some access method.  Every logical byte-range request runs
+through the :class:`~repro.faults.plan.FaultPlan`:
 attempts may fail transiently, draw tail latency, time out, or hit a
 dropped stripe member.  Failed attempts are retried under the
 :class:`~repro.faults.retry.RetryPolicy` — each reissue re-crosses the
@@ -16,10 +17,10 @@ reduced modeled throughput instead of crashing.
 Correctness invariant: the returned bytes always come from the underlying
 store, so any run that does not raise produces **bit-identical results**
 to the fault-free run — faults perturb accounting, latency, and health
-state only.  (For :class:`~repro.engine.backend.CachedBackend` inners, a
-reissued request whose block already sits in the step-local cache fetches
-nothing extra; retry traffic is therefore discipline-accurate, not a flat
-multiplier.)
+state only.  (For inners read through a cache-bearing method such as
+:class:`~repro.gpu.bam.BaMMethod`, a reissued request is priced by the
+method's cache like any other batch, so retry traffic is
+discipline-accurate, not a flat multiplier.)
 """
 
 from __future__ import annotations
@@ -117,10 +118,6 @@ class FaultyBackend:
     def size_bytes(self) -> int:
         """Capacity of the stored byte range."""
         return self.inner.size_bytes
-
-    def end_step(self) -> None:
-        """Forward the traversal-step boundary to the inner discipline."""
-        self.inner.end_step()
 
     def reset_stats(self) -> None:
         """Zero counters *and* fault state, so every run replays the plan."""
@@ -296,7 +293,7 @@ def faulty_factory(
 
         engine = ExternalGraphEngine(
             graph,
-            faulty_factory(lambda d: DirectBackend(d, alignment_bytes=16),
+            faulty_factory(lambda d: ExternalMemoryBackend(d, XLFDDMethod(16)),
                            FaultPlan(seed=1, read_error_rate=0.05),
                            num_devices=16),
         )

@@ -2,10 +2,10 @@
 
 :func:`run_fault_experiment` is what the CLI's ``--fault-*`` flags drive:
 it executes the traversal through a :class:`~repro.faults.backend.FaultyBackend`
-matching the system's access discipline (so retries and evictions really
-happen and are measured), and prices the same workload analytically with
-and without the fault plan (so the degradation is *modeled*, not just
-observed).
+over a backend read through the system's own access method (so retries
+and evictions really happen and are measured), and prices the same
+workload analytically with and without the fault plan (so the
+degradation is *modeled*, not just observed).
 """
 
 from __future__ import annotations
@@ -17,53 +17,17 @@ import numpy as np
 from ..core.evalcache import cached_physical_trace
 from ..core.experiment import default_source, run_algorithm
 from ..core.runtime_model import SystemModel, predict_runtime
-from ..engine.backend import (
-    CachedBackend,
-    DirectBackend,
-    MemoryStats,
-    ZeroCopyBackend,
-)
+from ..engine.backend import ExternalMemoryBackend, MemoryStats
 from ..engine.engine import SEMI_EXTERNAL, ExternalGraphEngine
-from ..errors import ConfigError, ModelError
-from ..gpu.bam import BaMMethod
-from ..gpu.uvm import UVMMethod
-from ..gpu.xlfdd_driver import XLFDDMethod
-from ..gpu.zerocopy import ZeroCopyMethod
+from ..errors import ModelError
 from ..graph.csr import CSRGraph
-from ..memsim.cache import LRUCache
 from ..units import to_usec
 from .backend import FaultyBackend
 from .model import faulty_trace_time
 from .plan import FaultPlan
 from .retry import RetryPolicy
 
-__all__ = ["FaultExperimentResult", "backend_factory_for", "run_fault_experiment"]
-
-
-def backend_factory_for(system: SystemModel):
-    """The byte-backend discipline matching ``system``'s access method."""
-    method = system.method
-    if isinstance(method, XLFDDMethod):
-        return lambda data: DirectBackend(
-            data,
-            alignment_bytes=method.alignment_bytes,
-            max_transfer_bytes=method.effective_max_transfer,
-        )
-    if isinstance(method, BaMMethod):
-        return lambda data: CachedBackend(
-            data, cacheline_bytes=method.cacheline_bytes
-        )
-    if isinstance(method, UVMMethod):
-        return lambda data: CachedBackend(
-            data,
-            cacheline_bytes=method.page_bytes,
-            cache=LRUCache(capacity_blocks=method.pool_pages),
-        )
-    if isinstance(method, ZeroCopyMethod):
-        return lambda data: ZeroCopyBackend(
-            data, sector_bytes=method.sector_bytes, line_bytes=method.line_bytes
-        )
-    raise ConfigError(f"no engine backend for access method {method.name!r}")
+__all__ = ["FaultExperimentResult", "run_fault_experiment"]
 
 
 @dataclass(frozen=True)
@@ -121,7 +85,7 @@ def run_fault_experiment(
     failure_threshold: int = 3,
     memory_mode: str = SEMI_EXTERNAL,
 ) -> FaultExperimentResult:
-    """Run ``algorithm`` under ``plan`` on ``system``'s discipline.
+    """Run ``algorithm`` under ``plan`` on ``system``'s access method.
 
     The functional engine executes through a :class:`FaultyBackend`
     (retries, timeouts and evictions are real and measured); the fluid
@@ -146,11 +110,10 @@ def run_fault_experiment(
     if source is None:
         source = default_source(graph)
 
-    inner_factory = backend_factory_for(system)
     engine = ExternalGraphEngine(
         graph,
         lambda data: FaultyBackend(
-            inner_factory(data),
+            ExternalMemoryBackend(data, system.method),
             plan,
             policy,
             num_devices=system.pool.count,

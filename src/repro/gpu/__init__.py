@@ -15,7 +15,7 @@ The three access disciplines the paper studies, as trace transformers:
 Plus the warp/occupancy model bounding GPU-side concurrency (Section 3.5.2).
 """
 
-from .base import AccessMethod, PhysicalStep, PhysicalTrace
+from .base import AccessMethod, PhysicalTrace
 from .zerocopy import ZeroCopyMethod
 from .bam import BaMMethod
 from .xlfdd_driver import XLFDDMethod
@@ -24,7 +24,6 @@ from .warp import GPUSpec, KernelResources, RTX_A5000, active_warps
 
 __all__ = [
     "AccessMethod",
-    "PhysicalStep",
     "PhysicalTrace",
     "ZeroCopyMethod",
     "BaMMethod",

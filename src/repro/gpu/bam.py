@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..config import BAM_CACHELINE_BYTES
 from ..errors import ModelError
 from ..memsim.cache import CacheModel, StepLocalCache
-from ..traversal.trace import AccessTrace
-from .base import AccessMethod, PhysicalTrace
+from .base import AccessMethod
 
 __all__ = ["BaMMethod"]
 
@@ -43,5 +44,5 @@ class BaMMethod(AccessMethod):
             raise ModelError("cacheline_bytes must be >= 1")
         self.name = f"bam-{self.cacheline_bytes}B"
 
-    def physical_trace(self, trace: AccessTrace) -> PhysicalTrace:
-        return self._cache_line_trace(trace, self.cacheline_bytes, self.cache)
+    def request_sizes(self, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        return self._cache_line_sizes(starts, lengths, self.cacheline_bytes, self.cache)

@@ -1,11 +1,20 @@
 """Access-method abstraction: logical trace -> physical request stream.
 
 An :class:`AccessMethod` encodes *how* the GPU reaches external memory —
-alignment, caching, transfer-size rules — and converts an algorithm's
-:class:`~repro.traversal.trace.AccessTrace` into a
-:class:`PhysicalTrace`: per step, the requests that actually cross the
-PCIe link and hit the devices.  The performance models downstream
-(:mod:`repro.sim.fluid`, :mod:`repro.sim.des`) consume only this.
+alignment, caching, transfer-size rules — in one per-batch kernel,
+:meth:`AccessMethod.request_sizes`: the link-request sizes one batch of
+byte-range reads turns into.  Everything that accounts reads calls it:
+
+* :meth:`AccessMethod.physical_trace` converts an algorithm's
+  :class:`~repro.traversal.trace.AccessTrace` into a
+  :class:`PhysicalTrace` — per step, the requests that actually cross the
+  PCIe link and hit the devices — by calling it once per step;
+* the functional engine's
+  :class:`~repro.engine.backend.ExternalMemoryBackend` calls it once per
+  read batch, so engine bytes equal model bytes by construction.
+
+The performance models downstream (:mod:`repro.sim.fluid`,
+:mod:`repro.sim.des`) consume only the physical trace.
 """
 
 from __future__ import annotations
@@ -15,51 +24,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ModelError
 from ..interconnect.cxl_proto import flits_per_request
+from ..memsim.alignment import expand_to_blocks
 from ..memsim.cache import CacheModel
-from ..memsim.raf import cache_line_misses
 from ..sim.fluid import StepInput
 from ..traversal.trace import AccessTrace
 
-__all__ = ["PhysicalStep", "PhysicalTrace", "AccessMethod"]
-
-
-@dataclass(frozen=True)
-class PhysicalStep:
-    """Physical traffic of one step.
-
-    ``link_bytes`` is what crosses the PCIe link (counts toward the
-    paper's ``D``); ``device_ops``/``device_bytes`` is the device-side
-    view after protocol re-granularisation (CXL flits, storage ops).
-    """
-
-    requests: int
-    link_bytes: int
-    device_ops: int
-    device_bytes: int
-
-    def __post_init__(self) -> None:
-        if min(self.requests, self.link_bytes, self.device_ops, self.device_bytes) < 0:
-            raise ModelError("physical step counts must be non-negative")
-
-    def to_step_input(self) -> StepInput:
-        """Adapter to the fluid model's input type."""
-        return StepInput(
-            requests=self.requests,
-            link_bytes=self.link_bytes,
-            device_ops=self.device_ops,
-            device_bytes=self.device_bytes,
-        )
+__all__ = ["PhysicalTrace", "AccessMethod"]
 
 
 @dataclass
 class PhysicalTrace:
-    """All physical steps of one traversal under one access method."""
+    """All physical steps of one traversal under one access method.
+
+    Each step is a :class:`~repro.sim.fluid.StepInput`: ``link_bytes`` is
+    what crosses the PCIe link (counts toward the paper's ``D``);
+    ``device_ops``/``device_bytes`` is the device-side view after
+    protocol re-granularisation (CXL flits, storage ops).
+    """
 
     method_name: str
     useful_bytes: int
-    steps: list[PhysicalStep]
+    steps: list[StepInput]
 
     @property
     def fetched_bytes(self) -> int:
@@ -85,7 +71,7 @@ class PhysicalTrace:
 
     def step_inputs(self) -> list[StepInput]:
         """Fluid-model inputs for every step."""
-        return [s.to_step_input() for s in self.steps]
+        return self.steps
 
 
 class AccessMethod(ABC):
@@ -93,37 +79,59 @@ class AccessMethod(ABC):
 
     #: Human-readable method name used in reports.
     name: str = "access-method"
+    #: Software cache the reads go through (``None``: cache-less).
+    cache: CacheModel | None = None
+    #: Device-side flit size requests split into (``None``: no split).
+    device_flit_bytes: int | None = None
 
     @abstractmethod
+    def request_sizes(self, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Link-request sizes of one batch of byte-range reads.
+
+        A batch is one traversal step's parallel reads; a cache-bearing
+        method updates :attr:`cache` as it goes.
+        """
+
+    def reset(self) -> None:
+        """Empty :attr:`cache`, so the next batch starts cold."""
+        if self.cache is not None:
+            self.cache.reset()
+
     def physical_trace(self, trace: AccessTrace) -> PhysicalTrace:
         """Convert a logical trace into its physical request stream."""
-
-    def _cache_line_trace(
-        self, trace: AccessTrace, line_bytes: int, cache: CacheModel
-    ) -> PhysicalTrace:
-        """One ``line_bytes`` request per cache miss (BaM lines, UVM pages)."""
+        self.reset()
         steps = [
-            PhysicalStep(misses, misses * line_bytes, misses, misses * line_bytes)
-            for misses in cache_line_misses(trace, line_bytes, cache).tolist()
+            self._sizes_to_step(
+                self.request_sizes(step.starts, step.lengths),
+                device_flit_bytes=self.device_flit_bytes,
+            )
+            for step in trace
         ]
         return PhysicalTrace(
             method_name=self.name, useful_bytes=trace.useful_bytes, steps=steps
         )
 
     @staticmethod
+    def _cache_line_sizes(
+        starts: np.ndarray, lengths: np.ndarray, line_bytes: int, cache: CacheModel
+    ) -> np.ndarray:
+        """One ``line_bytes`` request per cache miss (BaM lines, UVM pages)."""
+        block_ids, _ = expand_to_blocks(starts, lengths, line_bytes)
+        return np.full(cache.access(block_ids), line_bytes, dtype=np.int64)
+
+    @staticmethod
     def _sizes_to_step(
         sizes: np.ndarray, *, device_flit_bytes: int | None = None
-    ) -> PhysicalStep:
-        """Build a :class:`PhysicalStep` from link-request sizes.
+    ) -> StepInput:
+        """Build a step's :class:`StepInput` from link-request sizes.
 
         With ``device_flit_bytes`` set (CXL), each request is split into
         flits device-side: ops multiply and bytes round up to whole flits.
         """
         sizes = np.asarray(sizes, dtype=np.int64)
-        sizes = sizes[sizes > 0]
         requests, link_bytes = int(sizes.size), int(sizes.sum())
         device_ops, device_bytes = requests, link_bytes
         if device_flit_bytes is not None:
             device_ops = int(flits_per_request(sizes, device_flit_bytes).sum())
             device_bytes = device_ops * device_flit_bytes
-        return PhysicalStep(requests, link_bytes, device_ops, device_bytes)
+        return StepInput(requests, link_bytes, device_ops, device_bytes)

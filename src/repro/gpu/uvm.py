@@ -19,11 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..errors import ModelError
 from ..memsim.cache import CacheModel, LRUCache
-from ..traversal.trace import AccessTrace
 from ..units import KIB
-from .base import AccessMethod, PhysicalTrace
+from .base import AccessMethod
 
 __all__ = ["UVMMethod", "UVM_PAGE_BYTES", "UVM_FAULT_LATENCY"]
 
@@ -52,14 +53,14 @@ class UVMMethod(AccessMethod):
 
     page_bytes: int = UVM_PAGE_BYTES
     pool_bytes: int | None = None
-    _cache: CacheModel = field(init=False, repr=False)
+    cache: CacheModel = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.page_bytes < 1:
             raise ModelError("page_bytes must be >= 1")
         if self.pool_bytes is not None and self.pool_bytes < self.page_bytes:
             raise ModelError("pool must hold at least one page")
-        self._cache = LRUCache(capacity_blocks=self.pool_pages)
+        self.cache = LRUCache(capacity_blocks=self.pool_pages)
         self.name = f"uvm-{self.page_bytes}B"
 
     @property
@@ -69,5 +70,5 @@ class UVMMethod(AccessMethod):
             return 2**40
         return max(1, self.pool_bytes // self.page_bytes)
 
-    def physical_trace(self, trace: AccessTrace) -> PhysicalTrace:
-        return self._cache_line_trace(trace, self.page_bytes, self._cache)
+    def request_sizes(self, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        return self._cache_line_sizes(starts, lengths, self.page_bytes, self.cache)

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..config import XLFDD_ALIGNMENT_BYTES, XLFDD_MAX_TRANSFER_BYTES
 from ..errors import ModelError
 from ..memsim.alignment import direct_requests
-from ..traversal.trace import AccessTrace
-from .base import AccessMethod, PhysicalTrace
+from .base import AccessMethod
 
 __all__ = ["XLFDDMethod"]
 
@@ -40,6 +41,8 @@ class XLFDDMethod(AccessMethod):
     def __post_init__(self) -> None:
         if self.alignment_bytes < 1:
             raise ModelError("alignment_bytes must be >= 1")
+        if self.max_transfer_bytes < 1:
+            raise ModelError("max transfer must be >= 1")
         # An alignment above the transfer ceiling forces every request to
         # the alignment size (reads come in whole aligned units).
         self.effective_max_transfer = max(self.max_transfer_bytes, self.alignment_bytes)
@@ -50,16 +53,8 @@ class XLFDDMethod(AccessMethod):
             )
         self.name = f"xlfdd-{self.alignment_bytes}B"
 
-    def physical_trace(self, trace: AccessTrace) -> PhysicalTrace:
-        steps = []
-        for step in trace:
-            _, sizes = direct_requests(
-                step.starts,
-                step.lengths,
-                self.alignment_bytes,
-                self.effective_max_transfer,
-            )
-            steps.append(self._sizes_to_step(sizes))
-        return PhysicalTrace(
-            method_name=self.name, useful_bytes=trace.useful_bytes, steps=steps
+    def request_sizes(self, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        _, sizes = direct_requests(
+            starts, lengths, self.alignment_bytes, self.effective_max_transfer
         )
+        return sizes

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..config import CXL_FLIT_BYTES, GPU_CACHE_LINE_BYTES, GPU_SECTOR_BYTES
 from ..errors import ModelError
 from ..memsim.coalesce import coalesced_sizes
-from ..traversal.trace import AccessTrace
-from .base import AccessMethod, PhysicalTrace
+from .base import AccessMethod
 
 __all__ = ["ZeroCopyMethod"]
 
@@ -56,16 +57,5 @@ class ZeroCopyMethod(AccessMethod):
         """Zero-copy against CXL memory (64 B flit accounting)."""
         return cls(device_flit_bytes=CXL_FLIT_BYTES)
 
-    def physical_trace(self, trace: AccessTrace) -> PhysicalTrace:
-        steps = [
-            self._sizes_to_step(
-                coalesced_sizes(
-                    step.starts, step.lengths, self.sector_bytes, self.line_bytes
-                ),
-                device_flit_bytes=self.device_flit_bytes,
-            )
-            for step in trace
-        ]
-        return PhysicalTrace(
-            method_name=self.name, useful_bytes=trace.useful_bytes, steps=steps
-        )
+    def request_sizes(self, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        return coalesced_sizes(starts, lengths, self.sector_bytes, self.line_bytes)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
+from ..engine.backend import ExternalMemoryBackend
 from ..engine.engine import (
     FULLY_EXTERNAL,
     MEMORY_MODES,
@@ -98,16 +99,16 @@ def build_engine(
 ) -> ExternalGraphEngine:
     """Build an engine for ``graph`` on ``system`` in ``memory_mode``.
 
-    Picks the backend flavour matching the system's access method (the
-    same dispatch the fault harness uses) and, when ``workload`` is
-    given, prepares the graph first (e.g. attaches SSSP weights).
+    The backend reads through the system's own access method (as the
+    fault harness does) and, when ``workload`` is given, the graph is
+    prepared first (e.g. SSSP weights are attached).
     """
-    from ..faults.experiment import backend_factory_for
-
     if workload is not None:
         graph = workload.prepare(graph)
     return ExternalGraphEngine(
-        graph, backend_factory_for(system), memory_mode=memory_mode
+        graph,
+        lambda data: ExternalMemoryBackend(data, system.method),
+        memory_mode=memory_mode,
     )
 
 

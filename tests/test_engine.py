@@ -11,14 +11,10 @@ import pytest
 
 from repro import workloads
 from repro.core.experiment import run_algorithm
-from repro.engine import (
-    CachedBackend,
-    DirectBackend,
-    ExternalGraphEngine,
-    ZeroCopyBackend,
-)
-from repro.errors import DeviceError, TraceError
+from repro.engine import ExternalGraphEngine, ExternalMemoryBackend
+from repro.errors import DeviceError, ModelError, TraceError
 from repro.faults import FaultPlan, FaultyBackend
+from repro.gpu import BaMMethod, XLFDDMethod, ZeroCopyMethod
 from repro.graph.csr import ragged_index
 from repro.memsim.cache import LRUCache
 from repro.memsim.coalesce import coalesce_trace
@@ -31,7 +27,7 @@ from repro.traversal.sssp import sssp_reference
 @pytest.fixture(scope="module")
 def direct_engine(urand_small):
     return ExternalGraphEngine(
-        urand_small, lambda data: DirectBackend(data, alignment_bytes=16)
+        urand_small, lambda data: ExternalMemoryBackend(data, XLFDDMethod(16))
     )
 
 
@@ -47,14 +43,14 @@ class TestCorrectness:
 
     def test_sssp_matches_dijkstra(self, weighted_small):
         engine = ExternalGraphEngine(
-            weighted_small, lambda data: DirectBackend(data, alignment_bytes=16)
+            weighted_small, lambda data: ExternalMemoryBackend(data, XLFDDMethod(16))
         )
         run = workloads.get("sssp").run(engine, source=0)
         assert np.allclose(run.values, sssp_reference(weighted_small, 0))
 
     def test_cc_matches_in_memory(self, urand_small):
         engine = ExternalGraphEngine(
-            urand_small, lambda data: CachedBackend(data, cacheline_bytes=512)
+            urand_small, lambda data: ExternalMemoryBackend(data, BaMMethod(512))
         )
         run = workloads.get("cc").run(engine)
         assert np.array_equal(
@@ -67,9 +63,9 @@ class TestCorrectness:
             .run(ExternalGraphEngine(urand_small, factory), source=0)
             .values
             for factory in (
-                lambda d: DirectBackend(d),
-                lambda d: CachedBackend(d),
-                lambda d: ZeroCopyBackend(d),
+                lambda d: ExternalMemoryBackend(d, XLFDDMethod()),
+                lambda d: ExternalMemoryBackend(d, BaMMethod()),
+                lambda d: ExternalMemoryBackend(d, ZeroCopyMethod()),
             )
         ]
         assert np.array_equal(runs[0], runs[1])
@@ -90,7 +86,7 @@ class TestTrafficCrossValidation:
     def test_direct_backend_matches_model(self, urand_small):
         engine = ExternalGraphEngine(
             urand_small,
-            lambda d: DirectBackend(d, alignment_bytes=16, max_transfer_bytes=2048),
+            lambda d: ExternalMemoryBackend(d, XLFDDMethod(16, 2048)),
         )
         run = workloads.get("bfs").run(engine, source=0)
         trace = run_algorithm(urand_small, "bfs", source=0)
@@ -101,7 +97,7 @@ class TestTrafficCrossValidation:
 
     def test_cached_backend_matches_model(self, urand_small):
         engine = ExternalGraphEngine(
-            urand_small, lambda d: CachedBackend(d, cacheline_bytes=4096)
+            urand_small, lambda d: ExternalMemoryBackend(d, BaMMethod(4096))
         )
         run = workloads.get("bfs").run(engine, source=0)
         trace = run_algorithm(urand_small, "bfs", source=0)
@@ -110,7 +106,9 @@ class TestTrafficCrossValidation:
         assert run.stats.requests == model.requests
 
     def test_zero_copy_backend_matches_model(self, urand_small):
-        engine = ExternalGraphEngine(urand_small, ZeroCopyBackend)
+        engine = ExternalGraphEngine(
+            urand_small, lambda d: ExternalMemoryBackend(d, ZeroCopyMethod())
+        )
         run = workloads.get("bfs").run(engine, source=0)
         trace = run_algorithm(urand_small, "bfs", source=0)
         model = coalesce_trace(trace)
@@ -123,9 +121,7 @@ class TestTrafficCrossValidation:
         for alignment in (16, 512, 4096):
             engine = ExternalGraphEngine(
                 urand_small,
-                lambda d, a=alignment: DirectBackend(
-                    d, alignment_bytes=a, max_transfer_bytes=None
-                ),
+                lambda d, a=alignment: ExternalMemoryBackend(d, XLFDDMethod(a)),
             )
             run = workloads.get("bfs").run(engine, source=0)
             rafs[alignment] = run.stats.read_amplification
@@ -135,13 +131,15 @@ class TestTrafficCrossValidation:
         cache = LRUCache(capacity_blocks=64)
         engine = ExternalGraphEngine(
             urand_small,
-            lambda d: CachedBackend(d, cacheline_bytes=512, cache=cache),
+            lambda d: ExternalMemoryBackend(d, BaMMethod(512, cache)),
         )
         run = workloads.get("bfs").run(engine, source=0)
         assert run.stats.fetched_bytes >= run.stats.useful_bytes
 
     def test_stats_reset_between_runs(self, urand_small):
-        engine = ExternalGraphEngine(urand_small, DirectBackend)
+        engine = ExternalGraphEngine(
+            urand_small, lambda d: ExternalMemoryBackend(d, XLFDDMethod())
+        )
         first = workloads.get("bfs").run(engine, source=0).stats.fetched_bytes
         second = workloads.get("bfs").run(engine, source=0).stats.fetched_bytes
         assert first == second
@@ -149,18 +147,18 @@ class TestTrafficCrossValidation:
 
 class TestBackendValidation:
     def test_out_of_range_read_rejected(self):
-        backend = DirectBackend(b"\x00" * 64)
+        backend = ExternalMemoryBackend(b"\x00" * 64, XLFDDMethod())
         with pytest.raises(DeviceError, match="outside"):
             backend.read(np.array([60]), np.array([10]))
 
     def test_negative_length_rejected(self):
-        backend = DirectBackend(b"\x00" * 64)
+        backend = ExternalMemoryBackend(b"\x00" * 64, XLFDDMethod())
         with pytest.raises(DeviceError):
             backend.read(np.array([0]), np.array([-1]))
 
     def test_gather_returns_exact_bytes(self):
         data = bytes(range(64))
-        backend = DirectBackend(data, alignment_bytes=16)
+        backend = ExternalMemoryBackend(data, XLFDDMethod(16))
         out = backend.read(np.array([3, 40]), np.array([4, 2]))
         assert out.tobytes() == bytes([3, 4, 5, 6, 40, 41])
         # Fetched is aligned: [0,16) and [32,48) -> 32 bytes.
@@ -168,22 +166,32 @@ class TestBackendValidation:
         assert backend.stats.useful_bytes == 6
 
     def test_config_validation(self):
-        with pytest.raises(DeviceError):
-            DirectBackend(b"\x00", alignment_bytes=0)
-        with pytest.raises(DeviceError):
-            DirectBackend(b"\x00", alignment_bytes=16, max_transfer_bytes=100)
-        with pytest.raises(DeviceError):
-            ZeroCopyBackend(b"\x00", sector_bytes=48, line_bytes=100)
+        with pytest.raises(ModelError):
+            ExternalMemoryBackend(b"\x00", XLFDDMethod(alignment_bytes=0))
+        with pytest.raises(ModelError):
+            ExternalMemoryBackend(
+                b"\x00", XLFDDMethod(alignment_bytes=16, max_transfer_bytes=100)
+            )
+        with pytest.raises(ModelError):
+            ExternalMemoryBackend(
+                b"\x00", ZeroCopyMethod(sector_bytes=48, line_bytes=100)
+            )
         # Non-positive geometry fails at construction, not on first read.
         for max_transfer in (0, -16):
-            with pytest.raises(DeviceError, match="max transfer"):
-                DirectBackend(b"\x00", max_transfer_bytes=max_transfer)
+            with pytest.raises(ModelError, match="max transfer"):
+                ExternalMemoryBackend(
+                    b"\x00", XLFDDMethod(max_transfer_bytes=max_transfer)
+                )
         for sector, line in ((0, 128), (-32, 128), (32, 0)):
-            with pytest.raises(DeviceError, match="sector"):
-                ZeroCopyBackend(b"\x00", sector_bytes=sector, line_bytes=line)
+            with pytest.raises(ModelError, match="sector"):
+                ExternalMemoryBackend(
+                    b"\x00", ZeroCopyMethod(sector_bytes=sector, line_bytes=line)
+                )
 
     def test_weighted_payload_roundtrip(self, weighted_small):
-        engine = ExternalGraphEngine(weighted_small, DirectBackend)
+        engine = ExternalGraphEngine(
+            weighted_small, lambda d: ExternalMemoryBackend(d, XLFDDMethod())
+        )
         neighbors, _, weights = engine.read_neighbors(np.array([0]))
         assert np.array_equal(neighbors, weighted_small.neighbors(0))
         assert np.allclose(weights, weighted_small.edge_weights(0))
@@ -220,11 +228,12 @@ class TestRaggedIndex:
 
 
 BACKEND_FACTORIES = {
-    "direct": lambda d: DirectBackend(d, alignment_bytes=16),
-    "cached": lambda d: CachedBackend(d, cacheline_bytes=512),
-    "zero_copy": ZeroCopyBackend,
+    "direct": lambda d: ExternalMemoryBackend(d, XLFDDMethod(16)),
+    "cached": lambda d: ExternalMemoryBackend(d, BaMMethod(512)),
+    "zero_copy": lambda d: ExternalMemoryBackend(d, ZeroCopyMethod()),
     "faulty": lambda d: FaultyBackend(
-        DirectBackend(d), FaultPlan(seed=3, read_error_rate=0.1, spike_rate=0.1)
+        ExternalMemoryBackend(d, XLFDDMethod()),
+        FaultPlan(seed=3, read_error_rate=0.1, spike_rate=0.1),
     ),
 }
 
@@ -270,8 +279,8 @@ class TestWordGather:
 
     def test_array_and_bytes_payloads_store_the_same_bytes(self):
         words = np.arange(16, dtype=np.int64)
-        from_array = DirectBackend(words)
-        from_bytes = DirectBackend(words.tobytes())
+        from_array = ExternalMemoryBackend(words, XLFDDMethod())
+        from_bytes = ExternalMemoryBackend(words.tobytes(), XLFDDMethod())
         starts, lengths = np.array([0, 24]), np.array([128, 40])
         assert from_array.size_bytes == from_bytes.size_bytes == 128
         assert np.array_equal(
@@ -281,7 +290,9 @@ class TestWordGather:
     @pytest.mark.parametrize("graph_name", ["urand_small", "weighted_small"])
     def test_read_neighbors_does_not_alias_the_store(self, request, graph_name):
         graph = request.getfixturevalue(graph_name)
-        engine = ExternalGraphEngine(graph, DirectBackend)
+        engine = ExternalGraphEngine(
+            graph, lambda d: ExternalMemoryBackend(d, XLFDDMethod())
+        )
         frontier = np.arange(8, dtype=np.int64)
         first = engine.read_neighbors(frontier)
         kept = [a.copy() for a in first if a is not None]

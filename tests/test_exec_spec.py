@@ -106,11 +106,6 @@ class TestExperimentSpec:
         with pytest.raises(SpecError, match="non-mapping"):
             ExperimentSpec().with_overrides({"algorithm.x": 1})
 
-    def test_resolve_system_builds_registry_model(self):
-        spec = ExperimentSpec(system=SystemSpec(name="emogi", link="gen4"))
-        system = spec.resolve_system()
-        assert "emogi" in system.name
-
 
 class TestSweepConfig:
     def test_points_last_axis_fastest(self):

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import workloads
 from repro.devices.base import AccessKind, DevicePool, DeviceProfile
-from repro.engine import DirectBackend, ExternalGraphEngine, ZeroCopyBackend
+from repro.engine import ExternalGraphEngine
 from repro.engine.backend import ExternalMemoryBackend
 from repro.errors import (
     DeviceError,
@@ -43,12 +43,18 @@ from repro.faults import (
     retry_inflated_step,
     run_fault_experiment,
 )
+from repro.gpu import XLFDDMethod, ZeroCopyMethod
 from repro.graph.csr import CSRGraph
 from repro.sim.des import DESConfig, simulate_step
 from repro.sim.events import Simulator
 from repro.sim.fluid import FluidParams, StepInput, step_time, trace_time
 from repro.traversal.trace import AccessTrace, TraceStep
 from repro.units import MIOPS, USEC
+
+
+def zero_copy(data):
+    """An EMOGI zero-copy backend over ``data``."""
+    return ExternalMemoryBackend(data, ZeroCopyMethod())
 
 
 class TruncatingBackend(ExternalMemoryBackend):
@@ -80,11 +86,13 @@ class TestLyingBackend:
         with pytest.raises(DeviceError, match="full edge list"):
             ExternalGraphEngine(
                 urand_small,
-                lambda data: TruncatingBackend(data[: len(payload) // 2]),
+                lambda data: TruncatingBackend(
+                    data[: len(payload) // 2], XLFDDMethod()
+                ),
             )
 
     def test_reads_beyond_capacity_rejected(self):
-        backend = DirectBackend(b"\x00" * 128)
+        backend = ExternalMemoryBackend(b"\x00" * 128, XLFDDMethod())
         with pytest.raises(DeviceError):
             backend.read(np.array([120]), np.array([16]))
 
@@ -261,13 +269,13 @@ class TestTransientFaultsAreSurvivable:
         self, urand_small, seed, rate
     ):
         clean = workloads.get("bfs").run(
-            ExternalGraphEngine(urand_small, ZeroCopyBackend), source=0
+            ExternalGraphEngine(urand_small, zero_copy), source=0
         )
         plan = FaultPlan(seed=seed, read_error_rate=rate)
         engine = ExternalGraphEngine(
             urand_small,
             faulty_factory(
-                ZeroCopyBackend,
+                zero_copy,
                 plan,
                 RetryPolicy(max_attempts=10),
                 num_devices=16,
@@ -280,12 +288,12 @@ class TestTransientFaultsAreSurvivable:
 
     def test_sssp_bit_identical_with_retries_visible(self, weighted_small):
         clean = workloads.get("sssp").run(
-            ExternalGraphEngine(weighted_small, ZeroCopyBackend), source=0
+            ExternalGraphEngine(weighted_small, zero_copy), source=0
         )
         engine = ExternalGraphEngine(
             weighted_small,
             faulty_factory(
-                ZeroCopyBackend,
+                zero_copy,
                 FaultPlan(seed=11, read_error_rate=0.1),
                 RetryPolicy(max_attempts=10),
                 num_devices=16,
@@ -301,7 +309,7 @@ class TestTransientFaultsAreSurvivable:
             engine = ExternalGraphEngine(
                 urand_small,
                 faulty_factory(
-                    ZeroCopyBackend,
+                    zero_copy,
                     FaultPlan(seed=5, read_error_rate=0.1),
                     RetryPolicy(max_attempts=10),
                     num_devices=16,
@@ -318,7 +326,7 @@ class TestTransientFaultsAreSurvivable:
         engine = ExternalGraphEngine(
             urand_small,
             faulty_factory(
-                ZeroCopyBackend,
+                zero_copy,
                 FaultPlan(seed=1, read_error_rate=0.05, spike_rate=0.02),
                 RetryPolicy(max_attempts=10),
                 num_devices=16,
@@ -330,12 +338,12 @@ class TestTransientFaultsAreSurvivable:
     def test_timeouts_are_counted_and_survived(self, urand_small):
         """Spiked attempts that blow the deadline retry and still finish."""
         clean = workloads.get("bfs").run(
-            ExternalGraphEngine(urand_small, ZeroCopyBackend), source=0
+            ExternalGraphEngine(urand_small, zero_copy), source=0
         )
         engine = ExternalGraphEngine(
             urand_small,
             faulty_factory(
-                ZeroCopyBackend,
+                zero_copy,
                 FaultPlan(seed=2, spike_rate=0.05, spike_scale=100 * USEC),
                 RetryPolicy(max_attempts=12, timeout=30 * USEC),
                 num_devices=16,
@@ -349,7 +357,7 @@ class TestTransientFaultsAreSurvivable:
     def test_fault_free_plan_adds_nothing(self, urand_small):
         engine = ExternalGraphEngine(
             urand_small,
-            faulty_factory(ZeroCopyBackend, FaultPlan(seed=0), num_devices=16),
+            faulty_factory(zero_copy, FaultPlan(seed=0), num_devices=16),
         )
         stats = workloads.get("bfs").run(engine, source=0).stats
         assert stats.retries == 0
@@ -362,7 +370,7 @@ class TestRetryExhaustion:
         engine = ExternalGraphEngine(
             urand_small,
             faulty_factory(
-                ZeroCopyBackend,
+                zero_copy,
                 FaultPlan(seed=0, read_error_rate=1.0),
                 RetryPolicy(max_attempts=3),
             ),
@@ -446,7 +454,7 @@ class TestBackoffJitter:
             engine = ExternalGraphEngine(
                 urand_small,
                 faulty_factory(
-                    ZeroCopyBackend,
+                    zero_copy,
                     plan,
                     RetryPolicy(max_attempts=10, jitter=jitter),
                     num_devices=16,
@@ -464,13 +472,13 @@ class TestBackoffJitter:
 class TestDeviceDropoutDegradesGracefully:
     def test_mid_run_dropout_completes_with_eviction(self, urand_small):
         clean = workloads.get("bfs").run(
-            ExternalGraphEngine(urand_small, ZeroCopyBackend), source=0
+            ExternalGraphEngine(urand_small, zero_copy), source=0
         )
         plan = FaultPlan(seed=0, drop_device_at=100, drop_device_index=0)
         engine = ExternalGraphEngine(
             urand_small,
             faulty_factory(
-                ZeroCopyBackend,
+                zero_copy,
                 plan,
                 RetryPolicy(max_attempts=10),
                 num_devices=16,

@@ -6,10 +6,11 @@ import pytest
 from repro.config import CXL_FLIT_BYTES
 from repro.errors import ModelError
 from repro.gpu.bam import BaMMethod
-from repro.gpu.base import PhysicalStep, PhysicalTrace
+from repro.gpu.base import PhysicalTrace
 from repro.gpu.xlfdd_driver import XLFDDMethod
 from repro.gpu.zerocopy import ZeroCopyMethod
 from repro.memsim.cache import IdealCache, NoCache
+from repro.sim.fluid import StepInput
 from repro.traversal.trace import AccessTrace, TraceStep
 
 
@@ -24,15 +25,15 @@ def make_trace(steps, edge_list_bytes=10**6):
 class TestPhysicalTypes:
     def test_step_validation(self):
         with pytest.raises(ModelError):
-            PhysicalStep(requests=-1, link_bytes=0, device_ops=0, device_bytes=0)
+            StepInput(requests=-1, link_bytes=0, device_ops=0, device_bytes=0)
 
     def test_trace_aggregates(self):
         trace = PhysicalTrace(
             method_name="m",
             useful_bytes=100,
             steps=[
-                PhysicalStep(2, 150, 2, 150),
-                PhysicalStep(1, 50, 1, 50),
+                StepInput(2, 150, 2, 150),
+                StepInput(1, 50, 1, 50),
             ],
         )
         assert trace.fetched_bytes == 200

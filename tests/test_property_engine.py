@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro import workloads
-from repro.engine import CachedBackend, DirectBackend, ExternalGraphEngine, ZeroCopyBackend
+from repro.engine import ExternalGraphEngine, ExternalMemoryBackend
+from repro.gpu import BaMMethod, XLFDDMethod, ZeroCopyMethod
 from repro.graph.builder import build_csr
 from repro.traversal.bfs import bfs_reference
 from repro.traversal.sssp import sssp_reference
@@ -23,10 +24,10 @@ def graphs(draw, max_vertices=20, max_edges=60):
 
 backend_factories = st.sampled_from(
     [
-        lambda d: DirectBackend(d, alignment_bytes=16),
-        lambda d: DirectBackend(d, alignment_bytes=64, max_transfer_bytes=128),
-        lambda d: CachedBackend(d, cacheline_bytes=64),
-        lambda d: ZeroCopyBackend(d),
+        lambda d: ExternalMemoryBackend(d, XLFDDMethod(16)),
+        lambda d: ExternalMemoryBackend(d, XLFDDMethod(64, 128)),
+        lambda d: ExternalMemoryBackend(d, BaMMethod(64)),
+        lambda d: ExternalMemoryBackend(d, ZeroCopyMethod()),
     ]
 )
 
@@ -66,7 +67,7 @@ def test_engine_sssp_matches_dijkstra(graph, weight_seed):
         return
     weighted = graph.with_uniform_random_weights(seed=weight_seed)
     engine = ExternalGraphEngine(
-        weighted, lambda d: DirectBackend(d, alignment_bytes=16)
+        weighted, lambda d: ExternalMemoryBackend(d, XLFDDMethod(16))
     )
     run = workloads.get("sssp").run(engine, source=0)
     assert np.allclose(run.values, sssp_reference(weighted, 0))

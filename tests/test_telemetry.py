@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from repro import workloads
-from repro.engine.backend import DirectBackend, MemoryStats
+from repro.engine.backend import ExternalMemoryBackend, MemoryStats
 from repro.engine.engine import ExternalGraphEngine
 from repro.errors import TelemetryError
+from repro.gpu import XLFDDMethod
 from repro.sim.des import DESConfig, simulate_step
 from repro.telemetry import (
     DEFAULT_LATENCY_BUCKETS_US,
@@ -160,7 +161,7 @@ class TestNullTracer:
         """The overhead guard: tracing off must leave no trace at all."""
         baseline = len(NULL_TRACER.records)
         engine = ExternalGraphEngine(
-            urand_small, lambda data: DirectBackend(data, alignment_bytes=16)
+            urand_small, lambda data: ExternalMemoryBackend(data, XLFDDMethod(16))
         )
         workloads.get("bfs").run(engine, source=0)
         assert len(NULL_TRACER.records) == baseline == 0
@@ -269,7 +270,7 @@ class TestMemoryStatsRegistry:
 
     def test_backend_accounting_visible_in_registry(self, tiny_graph):
         engine = ExternalGraphEngine(
-            tiny_graph, lambda data: DirectBackend(data, alignment_bytes=16)
+            tiny_graph, lambda data: ExternalMemoryBackend(data, XLFDDMethod(16))
         )
         run = workloads.get("bfs").run(engine, source=0)
         registry = run.stats.registry
@@ -450,7 +451,7 @@ class TestInstrumentation:
         """Tier-1 cross-check: span attrs sum to the stats' byte count."""
         tracer = Tracer()
         engine = ExternalGraphEngine(
-            urand_small, lambda data: DirectBackend(data, alignment_bytes=16)
+            urand_small, lambda data: ExternalMemoryBackend(data, XLFDDMethod(16))
         )
         with use_tracer(tracer):
             run = workloads.get("bfs").run(engine, source=0)
@@ -466,7 +467,7 @@ class TestInstrumentation:
     def test_traced_sssp_and_cc_emit_named_roots(self, weighted_small):
         tracer = Tracer()
         engine = ExternalGraphEngine(
-            weighted_small, lambda data: DirectBackend(data, alignment_bytes=16)
+            weighted_small, lambda data: ExternalMemoryBackend(data, XLFDDMethod(16))
         )
         with use_tracer(tracer):
             workloads.get("sssp").run(engine, source=0)
@@ -546,7 +547,7 @@ class TestInstrumentation:
         engine = ExternalGraphEngine(
             urand_small,
             faulty_factory(
-                lambda data: DirectBackend(data, alignment_bytes=16),
+                lambda data: ExternalMemoryBackend(data, XLFDDMethod(16)),
                 plan,
                 RetryPolicy(max_attempts=8),
                 num_devices=4,

@@ -15,14 +15,10 @@ import numpy as np
 import pytest
 
 from repro import workloads
-from repro.engine import (
-    CachedBackend,
-    DirectBackend,
-    ExternalGraphEngine,
-    ZeroCopyBackend,
-)
+from repro.engine import ExternalGraphEngine, ExternalMemoryBackend
 from repro.errors import TraceError
 from repro.faults import FaultPlan, FaultyBackend
+from repro.gpu import BaMMethod, XLFDDMethod, ZeroCopyMethod
 from repro.graph.datasets import load_dataset
 from repro.graph.generators import kronecker_graph, star_graph, uniform_random_graph
 from repro.traversal import reader as reader_module
@@ -31,11 +27,12 @@ from repro.traversal.reader import TraceRecorder, frontier_slices
 BUDGETS = [1, 7, reader_module.EDGE_CHUNK, sys.maxsize]
 ALGORITHMS = ["bfs", "sssp", "cc"]
 BACKENDS = {
-    "direct": lambda d: DirectBackend(d, alignment_bytes=16),
-    "cached": lambda d: CachedBackend(d, cacheline_bytes=512),
-    "zero_copy": ZeroCopyBackend,
+    "direct": lambda d: ExternalMemoryBackend(d, XLFDDMethod(16)),
+    "cached": lambda d: ExternalMemoryBackend(d, BaMMethod(512)),
+    "zero_copy": lambda d: ExternalMemoryBackend(d, ZeroCopyMethod()),
     "faulty": lambda d: FaultyBackend(
-        DirectBackend(d), FaultPlan(seed=3, read_error_rate=0.1, spike_rate=0.1)
+        ExternalMemoryBackend(d, XLFDDMethod()),
+        FaultPlan(seed=3, read_error_rate=0.1, spike_rate=0.1),
     ),
 }
 STAT_FIELDS = (
@@ -168,7 +165,7 @@ class TestNeighborChunks:
         frontier = np.flatnonzero(graph.degrees)[::3]
         readers = [
             TraceRecorder(graph),
-            ExternalGraphEngine(graph, lambda d: DirectBackend(d)),
+            ExternalGraphEngine(graph, lambda d: ExternalMemoryBackend(d, XLFDDMethod())),
         ]
         for reader in readers:
             want = reader.read_neighbors(frontier)
@@ -185,7 +182,9 @@ class TestNeighborChunks:
 
     def test_engine_reads_each_frontier_once(self, monkeypatch, graphs):
         monkeypatch.setattr(reader_module, "EDGE_CHUNK", 1)
-        engine = ExternalGraphEngine(graphs["star"], lambda d: DirectBackend(d))
+        engine = ExternalGraphEngine(
+            graphs["star"], lambda d: ExternalMemoryBackend(d, XLFDDMethod())
+        )
         reads = []
         read = engine.backend.read
         monkeypatch.setattr(

@@ -18,16 +18,16 @@ import numpy as np
 import pytest
 
 from repro import systems, workloads
-from repro.engine.backend import CachedBackend, DirectBackend, ZeroCopyBackend
+from repro.engine.backend import ExternalMemoryBackend
 from repro.engine.engine import (
     FULLY_EXTERNAL,
     SEMI_EXTERNAL,
     ExternalGraphEngine,
 )
 from repro.errors import ConfigError, ModelError, WorkloadError
-from repro.faults.experiment import backend_factory_for
-from repro.gpu import AccessMethod, BaMMethod, XLFDDMethod, ZeroCopyMethod
+from repro.gpu import AccessMethod, BaMMethod, UVMMethod, XLFDDMethod, ZeroCopyMethod
 from repro.graph.generators import uniform_random_graph
+from repro.memsim.cache import IdealCache, LRUCache
 from repro.traversal import bfs, connected_components, pagerank
 from repro.traversal.kcore import kcore
 from repro.traversal.labelprop import label_propagation
@@ -59,7 +59,11 @@ ALL_WORKLOADS = (
 
 
 def make_engine(graph, memory_mode=SEMI_EXTERNAL):
-    return ExternalGraphEngine(graph, ZeroCopyBackend, memory_mode=memory_mode)
+    return ExternalGraphEngine(
+        graph,
+        lambda d: ExternalMemoryBackend(d, ZeroCopyMethod()),
+        memory_mode=memory_mode,
+    )
 
 
 class TestRegistry:
@@ -181,17 +185,12 @@ class TestKernelGolden:
         assert np.isfinite(run.values[0])
 
 
-#: Each engine backend with the access method that prices the same reads.
+#: One access method per discipline; the engine reads through it and the
+#: model prices the trace with it.
 DISCIPLINES = {
-    "xlfdd": (
-        lambda d: DirectBackend(d, alignment_bytes=16, max_transfer_bytes=2048),
-        lambda: XLFDDMethod(alignment_bytes=16, max_transfer_bytes=2048),
-    ),
-    "bam": (
-        lambda d: CachedBackend(d, cacheline_bytes=4096),
-        lambda: BaMMethod(cacheline_bytes=4096),
-    ),
-    "emogi": (ZeroCopyBackend, ZeroCopyMethod),
+    "xlfdd": lambda: XLFDDMethod(alignment_bytes=16, max_transfer_bytes=2048),
+    "bam": lambda: BaMMethod(cacheline_bytes=4096),
+    "emogi": ZeroCopyMethod,
 }
 
 
@@ -201,10 +200,12 @@ class TestEngineBytesEqualModelBytes:
     @pytest.mark.parametrize("discipline", sorted(DISCIPLINES))
     @pytest.mark.parametrize("name", workloads.available())
     def test_engine_matches_physical_trace(self, urand_small, name, discipline):
-        backend, method = DISCIPLINES[discipline]
+        method = DISCIPLINES[discipline]
         wl = workloads.get(name)
         graph = wl.prepare(urand_small)
-        engine = ExternalGraphEngine(graph, backend)
+        engine = ExternalGraphEngine(
+            graph, lambda d: ExternalMemoryBackend(d, method())
+        )
         run = wl.run(engine)
         trace = wl.trace(graph)
         assert run.steps == trace.num_steps
@@ -220,12 +221,36 @@ class TestEngineBytesEqualModelBytes:
             )
 
 
-class TestEverySystemEngineEqualsModel:
-    """``build_engine`` runs each registered system's own discipline."""
+#: Access methods beyond the registry defaults: non-default caches,
+#: geometries and transfer ceilings, each on an otherwise stock system.
+EXTRA_METHODS = {
+    "bam-lru16": ("bam", lambda: BaMMethod(cache=LRUCache(16))),
+    "bam-512-ideal": ("bam", lambda: BaMMethod(512, cache=IdealCache())),
+    "uvm-pool16": ("uvm", lambda: UVMMethod(pool_bytes=16 * 4096)),
+    "xlfdd-64-128": ("xlfdd", lambda: XLFDDMethod(64, 128)),
+    "xlfdd-4096": ("xlfdd", lambda: XLFDDMethod(4096)),
+    "emogi-64-256": (
+        "emogi",
+        lambda: ZeroCopyMethod(sector_bytes=64, line_bytes=256),
+    ),
+}
+SYSTEM_CASES = systems.available() + sorted(EXTRA_METHODS)
 
-    @pytest.mark.parametrize("name", systems.available())
+
+def case_system(name):
+    """A registered system, or a stock one running an extra method."""
+    if name not in EXTRA_METHODS:
+        return systems.get(name)
+    base, method = EXTRA_METHODS[name]
+    return replace(systems.get(base), method=method())
+
+
+class TestEverySystemEngineEqualsModel:
+    """``build_engine`` reads through each system's own access method."""
+
+    @pytest.mark.parametrize("name", SYSTEM_CASES)
     def test_engine_matches_physical_trace(self, urand_small, name):
-        system = systems.get(name)
+        system = case_system(name)
         wl = workloads.get("bfs")
         run = wl.run(workloads.build_engine(urand_small, system))
         pt = system.method.physical_trace(wl.trace(urand_small))
@@ -234,24 +259,54 @@ class TestEverySystemEngineEqualsModel:
             pt.total_requests,
         )
 
-    def test_zero_copy_geometry_passes_through(self):
-        system = replace(
-            systems.get("emogi"),
-            method=ZeroCopyMethod(sector_bytes=64, line_bytes=256),
-        )
-        backend = backend_factory_for(system)(b"\x00" * 512)
-        assert (backend.sector_bytes, backend.line_bytes) == (64, 256)
+    @pytest.mark.parametrize("name", SYSTEM_CASES)
+    def test_engine_and_model_share_no_cache_state(self, urand_small, name):
+        system = case_system(name)
+        wl = workloads.get("bfs")
+        engine = workloads.build_engine(urand_small, system)
+        first = wl.run(engine, source=0).stats
+        counts = (first.fetched_bytes, first.requests)
+        # Price a different traversal between two engine runs.
+        system.method.physical_trace(wl.trace(urand_small, source=5))
+        cache = system.method.cache
+        before = None if cache is None else replace(cache.stats)
+        second = wl.run(engine, source=0).stats
+        assert (second.fetched_bytes, second.requests) == counts
+        # Every cache access counts a hit or a miss, and the engine's
+        # traversal differs from the priced one: unchanged stats mean the
+        # engine never touched the system's cache.
+        if cache is not None:
+            assert cache.stats == before
 
-    def test_unmapped_method_rejected(self):
-        class Opaque(AccessMethod):
-            name = "opaque"
+    def test_backend_prices_with_the_method_geometry(self):
+        starts, lengths = np.array([0]), np.array([300])
+        for method, sizes in (
+            (ZeroCopyMethod(), [128, 128, 64]),
+            (ZeroCopyMethod(sector_bytes=64, line_bytes=256), [256, 64]),
+        ):
+            backend = ExternalMemoryBackend(b"\x00" * 512, method)
+            backend.read(starts, lengths)
+            assert method.request_sizes(starts, lengths).tolist() == sizes
+            assert (backend.stats.requests, backend.stats.fetched_bytes) == (
+                len(sizes),
+                sum(sizes),
+            )
 
-            def physical_trace(self, trace):
-                raise NotImplementedError
+    def test_any_access_method_runs_on_the_engine(self, urand_small):
+        class Exact(AccessMethod):
+            """Fetches exactly the requested bytes, one request per read."""
 
-        system = replace(systems.get("emogi"), method=Opaque())
-        with pytest.raises(ConfigError, match="opaque"):
-            backend_factory_for(system)
+            name = "exact"
+
+            def request_sizes(self, starts, lengths):
+                return lengths[lengths > 0]
+
+        system = replace(systems.get("emogi"), method=Exact())
+        wl = workloads.get("bfs")
+        run = wl.run(workloads.build_engine(urand_small, system))
+        pt = system.method.physical_trace(wl.trace(urand_small))
+        assert run.stats.fetched_bytes == run.stats.useful_bytes == pt.fetched_bytes
+        assert run.stats.requests == pt.total_requests
 
 
 class TestMemoryModes:
