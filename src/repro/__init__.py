@@ -80,7 +80,6 @@ from .graph import (
 from .traversal import (
     bfs,
     sssp_bellman_ford,
-    sssp_delta_stepping,
     connected_components,
     pagerank,
     AccessTrace,
@@ -147,7 +146,6 @@ __all__ = [
     "graph_stats",
     "bfs",
     "sssp_bellman_ford",
-    "sssp_delta_stepping",
     "connected_components",
     "pagerank",
     "AccessTrace",

@@ -10,13 +10,11 @@ import math
 from typing import Any, Mapping, Sequence
 
 from ..errors import ModelError
-from ..units import to_usec
 
 __all__ = [
     "format_table",
     "markdown_table",
     "format_series",
-    "fault_summary",
     "geometric_mean",
     "system_geomean",
 ]
@@ -97,26 +95,6 @@ def format_series(
         raise ModelError(f"series length mismatch: {len(xs)} vs {len(ys)}")
     rows = [{x_label: float(x), y_label: float(y)} for x, y in zip(xs, ys)]
     return format_table(rows, title=title)
-
-
-def fault_summary(stats: Any) -> dict[str, Any]:
-    """Flat fault-exposure row from a :class:`~repro.engine.backend.MemoryStats`.
-
-    Every fault experiment reports these columns so retries, timeouts and
-    capacity loss are visible next to the performance numbers instead of
-    hidden inside them.
-    """
-    return {
-        "requests": stats.requests,
-        "retries": stats.retries,
-        "timeouts": stats.timeouts,
-        "evictions": stats.evictions,
-        "retry_factor": stats.retry_factor,
-        "retry_wait_us": to_usec(stats.retry_wait_time),
-        "latency_p50_us": to_usec(stats.latency_p50),
-        "latency_p99_us": to_usec(stats.latency_p99),
-        "latency_p999_us": to_usec(stats.latency_p999),
-    }
 
 
 def geometric_mean(values: Sequence[float]) -> float:

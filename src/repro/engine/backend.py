@@ -26,6 +26,7 @@ independent of how the bytes are gathered.
 from __future__ import annotations
 
 import copy
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,8 +41,6 @@ from ..memsim.alignment import (  # noqa: F401
     expand_to_blocks,
     split_by_max_transfer,
 )
-from ..telemetry.metrics import MetricRegistry
-from ..units import to_usec
 
 __all__ = ["MemoryStats", "ExternalMemoryBackend"]
 
@@ -51,94 +50,46 @@ _WORD_DTYPES = {8: np.uint64, 4: np.uint32, 2: np.uint16, 1: np.uint8}
 _WIDEST_WORD = max(_WORD_DTYPES)
 
 
-def _stat(name: str, doc: str, cast: type = int) -> property:
-    """A MemoryStats field stored in the instance's metric registry.
-
-    Read-modify-write assignments (``stats.retries += n``) keep working:
-    the getter reads the backing ``memory.<name>`` counter, the setter
-    overwrites it.
-    """
-    key = f"memory.{name}"
-
-    def _get(self: "MemoryStats"):
-        return cast(self.registry.counter(key).value)
-
-    def _set(self: "MemoryStats", value) -> None:
-        self.registry.counter(key).set(value)
-
-    _get.__doc__ = doc
-    return property(_get, _set)
-
-
+@dataclass
 class MemoryStats:
     """Running counters of external-memory traffic.
+
+    ``requests`` and ``fetched_bytes`` count what crossed the link under
+    the access method's rules, reissued attempts included; ``reads`` and
+    ``useful_bytes`` count what the traversal asked for: the non-empty
+    byte ranges :meth:`ExternalMemoryBackend.read` served and their
+    bytes.  A reissue is priced through ``_account`` and never reaches
+    ``read``, so ``reads`` counts each logical read once.
 
     The fault-exposure counters (``retries``, ``timeouts``, ``evictions``,
     ``faults_injected``) and the observed-latency samples stay zero/empty
     for plain backends; :class:`repro.faults.FaultyBackend` populates them
     so every experiment can report how much fault machinery it exercised.
-
-    Every counter is backed by a ``memory.*`` entry in a
-    :class:`~repro.telemetry.metrics.MetricRegistry` (a private one per
-    instance by default; pass ``registry`` to publish into a shared one).
-    The attribute API is unchanged — ``stats.requests += n`` still works —
-    and :meth:`record_latency` additionally feeds the
-    ``memory.latency_us`` histogram.
+    ``retries`` counts reissued reads, so :attr:`retry_factor` is
+    ``1 + retries / reads``: issued attempts per logical read, the
+    quantity :func:`repro.faults.model.expected_attempts` predicts.
     """
 
-    requests = _stat("requests", "Issued device requests.")
-    fetched_bytes = _stat("fetched_bytes", "Bytes the device actually moved.")
-    useful_bytes = _stat("useful_bytes", "Bytes the traversal asked for.")
-    retries = _stat("retries", "Reissued attempts after failures.")
-    timeouts = _stat("timeouts", "Attempts cut off at the retry timeout.")
-    evictions = _stat("evictions", "Pool members evicted by health tracking.")
-    faults_injected = _stat("faults_injected", "Injected per-attempt faults.")
-    retry_wait_time = _stat(
-        "retry_wait_time", "Total backoff wait in seconds.", cast=float
-    )
-
-    def __init__(
-        self,
-        requests: int = 0,
-        fetched_bytes: int = 0,
-        useful_bytes: int = 0,
-        retries: int = 0,
-        timeouts: int = 0,
-        evictions: int = 0,
-        faults_injected: int = 0,
-        retry_wait_time: float = 0.0,
-        latency_samples: list | None = None,
-        *,
-        registry: MetricRegistry | None = None,
-    ) -> None:
-        self.registry = registry if registry is not None else MetricRegistry()
-        self.requests = requests
-        self.fetched_bytes = fetched_bytes
-        self.useful_bytes = useful_bytes
-        self.retries = retries
-        self.timeouts = timeouts
-        self.evictions = evictions
-        self.faults_injected = faults_injected
-        self.retry_wait_time = retry_wait_time
-        self.latency_samples: list = (
-            list(latency_samples) if latency_samples else []
-        )
-
-    def __repr__(self) -> str:
-        fields = ", ".join(
-            f"{name}={getattr(self, name)}"
-            for name in (
-                "requests",
-                "fetched_bytes",
-                "useful_bytes",
-                "retries",
-                "timeouts",
-                "evictions",
-                "faults_injected",
-                "retry_wait_time",
-            )
-        )
-        return f"MemoryStats({fields})"
+    #: Issued device requests.
+    requests: int = 0
+    #: Bytes the device actually moved.
+    fetched_bytes: int = 0
+    #: Bytes the traversal asked for.
+    useful_bytes: int = 0
+    #: Reissued reads after failed attempts.
+    retries: int = 0
+    #: Attempts cut off at the retry timeout.
+    timeouts: int = 0
+    #: Pool members evicted by health tracking.
+    evictions: int = 0
+    #: Injected per-attempt faults.
+    faults_injected: int = 0
+    #: Total backoff wait in seconds.
+    retry_wait_time: float = 0.0
+    #: Non-empty byte ranges served by ``read`` (reissues excluded).
+    reads: int = 0
+    #: Completed-read latencies in seconds.
+    latency_samples: list = field(default_factory=list, repr=False)
 
     @property
     def read_amplification(self) -> float:
@@ -152,16 +103,12 @@ class MemoryStats:
 
     @property
     def retry_factor(self) -> float:
-        """Issued attempts per logical request (1.0 when fault-free)."""
-        return 1.0 + self.retries / self.requests if self.requests else 1.0
+        """Issued attempts per logical read (1.0 when fault-free)."""
+        return (self.reads + self.retries) / self.reads if self.reads else 1.0
 
     def record_latency(self, seconds) -> None:
         """Record completed-request latencies (scalar or array)."""
-        samples = np.atleast_1d(np.asarray(seconds, float))
-        self.latency_samples.extend(samples)
-        histogram = self.registry.histogram("memory.latency_us")
-        for sample in samples:
-            histogram.observe(to_usec(float(sample)))
+        self.latency_samples.extend(np.atleast_1d(np.asarray(seconds, float)))
 
     def latency_percentile(self, q: float) -> float:
         """Observed completion-latency percentile (0.0 with no samples)."""
@@ -221,6 +168,7 @@ class ExternalMemoryBackend:
         if lengths.size and lengths.min() < 0:
             raise DeviceError("lengths must be non-negative")
         self._account(starts, lengths)
+        self.stats.reads += int(np.count_nonzero(lengths))
         self.stats.useful_bytes += int(lengths.sum())
         return self._gather(starts, lengths)
 

@@ -1,4 +1,4 @@
-"""Graph substrate: CSR storage, generators, datasets, IO, statistics.
+"""Graph substrate: CSR storage, generators, datasets, statistics.
 
 The paper stores graphs in compressed sparse row (CSR) format with the
 vertex list in GPU memory and the 8-byte-per-ID edge list on external
@@ -19,7 +19,6 @@ from .generators import (
 )
 from .datasets import DATASETS, DatasetSpec, load_dataset, paper_table1
 from .stats import GraphStats, graph_stats, table1_row
-from .io import save_graph, load_graph, parse_edge_list, format_edge_list
 from .partition import StripedLayout, stripe_layout
 from .formats import PaddedLayout, padded_layout, padded_trace, padding_tradeoff
 from .reorder import (
@@ -49,10 +48,6 @@ __all__ = [
     "GraphStats",
     "graph_stats",
     "table1_row",
-    "save_graph",
-    "load_graph",
-    "parse_edge_list",
-    "format_edge_list",
     "StripedLayout",
     "stripe_layout",
     "degree_sort_order",

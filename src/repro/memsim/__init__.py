@@ -31,7 +31,6 @@ from .coalesce import (
     coalesce_trace,
     transfer_size_distribution,
 )
-from .working_set import reuse_distances, step_working_sets, working_set_summary
 from .writes import (
     writeback_trace,
     WriteTraffic,
@@ -62,9 +61,6 @@ __all__ = [
     "coalesce_step",
     "coalesce_trace",
     "transfer_size_distribution",
-    "reuse_distances",
-    "step_working_sets",
-    "working_set_summary",
     "writeback_trace",
     "WriteTraffic",
     "cxl_write_traffic",

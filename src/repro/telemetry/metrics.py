@@ -1,9 +1,9 @@
 """Metric primitives: counters, gauges, fixed-bucket histograms.
 
 A :class:`MetricRegistry` is a namespace of named metrics that any
-subsystem can publish into — :class:`~repro.engine.backend.MemoryStats`
-routes its traffic and fault-exposure counters through one, the pool
-health tracker publishes evictions, and DES runs sample queue depths.
+subsystem can publish into — the pool health tracker publishes
+evictions, the serving scenario its query latencies and per-device
+health ratios.
 A process-wide default registry (:func:`get_registry`) aggregates
 whatever is not tied to a single object's lifetime.
 
@@ -36,13 +36,7 @@ DEFAULT_LATENCY_BUCKETS_US: tuple[float, ...] = (
 
 
 class Counter:
-    """A cumulative tally.
-
-    Monotonic by convention — :meth:`inc` is the normal write path.
-    :meth:`set` exists for the :class:`~repro.engine.backend.MemoryStats`
-    compatibility layer, whose legacy ``stats.retries += n`` assignments
-    compile to a read-modify-set on the backing counter.
-    """
+    """A cumulative, monotonic tally; :meth:`inc` is the only write path."""
 
     __slots__ = ("name", "_value")
 
@@ -62,10 +56,6 @@ class Counter:
                 f"counter {self.name!r}: negative increment {amount}"
             )
         self._value += amount
-
-    def set(self, value: float) -> None:
-        """Overwrite the tally (compatibility path; prefer :meth:`inc`)."""
-        self._value = float(value)
 
 
 class Gauge:

@@ -16,16 +16,11 @@ the public functions here run it over a :class:`TraceRecorder`, and
 
 from .trace import AccessTrace, TraceStep, trace_from_frontiers
 from .reader import GraphReader, TraceRecorder
-from .frontier import (
-    dense_to_sparse,
-    sparse_to_dense,
-    frontier_union,
-    gather_neighbors,
-)
+from .frontier import gather_neighbors
 from .bfs import BFSResult, bfs, bfs_reference
 from .bfs_direction import BFSDirectionResult, bfs_direction_optimizing
 from .kcore import KCoreResult, kcore, core_numbers
-from .sssp import SSSPResult, sssp_bellman_ford, sssp_delta_stepping, sssp_reference
+from .sssp import SSSPResult, sssp_bellman_ford, sssp_reference
 from .cc import CCResult, connected_components, cc_reference
 from .pagerank import PageRankResult, pagerank, pagerank_reference
 from .triangles import TriangleCountResult, triangle_count, triangle_count_reference
@@ -43,9 +38,6 @@ __all__ = [
     "trace_from_frontiers",
     "GraphReader",
     "TraceRecorder",
-    "dense_to_sparse",
-    "sparse_to_dense",
-    "frontier_union",
     "gather_neighbors",
     "BFSResult",
     "bfs",
@@ -57,7 +49,6 @@ __all__ = [
     "core_numbers",
     "SSSPResult",
     "sssp_bellman_ford",
-    "sssp_delta_stepping",
     "sssp_reference",
     "CCResult",
     "connected_components",

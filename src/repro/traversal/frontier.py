@@ -1,9 +1,9 @@
 """Frontier representations and the vectorized CSR neighbor gather.
 
 Frontiers are held *sparse* (sorted arrays of vertex IDs) because the
-trace layer needs per-vertex sublists, but dense boolean masks are handy
-for membership tests; this module converts between the two and provides
-the core ``gather_neighbors`` primitive every traversal algorithm uses.
+trace layer needs per-vertex sublists.  This module provides the core
+``gather_neighbors`` primitive every traversal algorithm uses and the
+mark-array kernels that build each step's next frontier.
 
 Fast-path notes: ``gather_neighbors`` materialises a slice of a
 frontier's out-edges with no Python loop — BFS, SSSP and CC ask the
@@ -26,11 +26,9 @@ array see a fraction of E_f, and the "what improved" re-gather of the
 whole edge set is gone.  SSSP and CC run it per chunk, with candidates
 built from a snapshot of the frontier's values taken before the first
 chunk, and drain once; :func:`min_relax` is the same pair on a single
-chunk (streaming, delta-stepping).  Where a sort
-is still the right tool (``frontier_union`` of a few sparse frontiers,
-the direction-optimising BFS's top-down step, random-walk positions,
-delta-stepping's bucket remainders), the shared
-:func:`repro.graph.csr.sorted_unique` does it: one ``np.sort`` and an
+chunk (streaming).  Where a sort is still the right tool (the
+direction-optimising BFS's top-down step, random-walk positions), the
+shared :func:`repro.graph.csr.sorted_unique` does it: one ``np.sort`` and an
 adjacent-difference mask, without the hash pass ``np.unique`` makes
 before its sort since NumPy 2.3.
 """
@@ -39,44 +37,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import TraceError
-from ..graph.csr import CSRGraph, ragged_index, sorted_unique
+from ..graph.csr import CSRGraph, ragged_index
 
 __all__ = [
-    "dense_to_sparse",
-    "sparse_to_dense",
-    "frontier_union",
     "gather_neighbors",
     "min_scatter",
     "drain_mask",
     "min_relax",
 ]
-
-
-def dense_to_sparse(mask: np.ndarray) -> np.ndarray:
-    """Vertex IDs set in a boolean mask, ascending."""
-    mask = np.asarray(mask)
-    if mask.dtype != np.bool_:
-        raise TraceError(f"expected a boolean mask, got dtype {mask.dtype}")
-    return np.flatnonzero(mask).astype(np.int64)
-
-
-def sparse_to_dense(vertices: np.ndarray, num_vertices: int) -> np.ndarray:
-    """Boolean mask of length ``num_vertices`` with ``vertices`` set."""
-    vertices = np.asarray(vertices, dtype=np.int64)
-    if vertices.size and (vertices.min() < 0 or vertices.max() >= num_vertices):
-        raise TraceError("frontier contains out-of-range vertex IDs")
-    mask = np.zeros(num_vertices, dtype=bool)
-    mask[vertices] = True
-    return mask
-
-
-def frontier_union(*frontiers: np.ndarray) -> np.ndarray:
-    """Sorted union of sparse frontiers."""
-    non_empty = [np.asarray(f, dtype=np.int64) for f in frontiers if len(f)]
-    if not non_empty:
-        return np.empty(0, dtype=np.int64)
-    return sorted_unique(np.concatenate(non_empty))
 
 
 def gather_neighbors(

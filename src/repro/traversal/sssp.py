@@ -1,17 +1,13 @@
 """Single-source shortest paths with trace emission.
 
-SSSP is the paper's second workload (Figures 6 and 11).  Two traced
-variants are provided:
-
-* :func:`sssp_bellman_ford` — the worklist-style iterative relaxation EMOGI
-  and BaM run on the GPU: every round relaxes all out-edges of the vertices
-  whose distance improved in the previous round.  One round = one trace step.
-* :func:`sssp_delta_stepping` — classic delta-stepping; more, smaller steps
-  (each bucket phase is a step), useful for studying how step granularity
-  interacts with per-step concurrency.
-
-Both produce identical distances; :func:`sssp_reference` is a heap-based
-Dijkstra oracle for tests.
+SSSP is the paper's second workload (Figures 6 and 11).
+:func:`sssp_bellman_ford` is the worklist-style iterative relaxation EMOGI
+and BaM run on the GPU: every round relaxes all out-edges of the vertices
+whose distance improved in the previous round.  One round = one trace step.
+Its step loop, :func:`sssp_steps`, is written against a
+:class:`~repro.traversal.reader.GraphReader`, so the same code runs on
+:class:`~repro.engine.engine.ExternalGraphEngine`.
+:func:`sssp_reference` is a heap-based Dijkstra oracle for tests.
 """
 
 from __future__ import annotations
@@ -23,21 +19,14 @@ import numpy as np
 
 from ..errors import TraceError
 from ..graph.csr import CSRGraph
-from .frontier import (
-    drain_mask,
-    frontier_union,
-    gather_neighbors,
-    min_relax,
-    min_scatter,
-)
+from .frontier import drain_mask, min_scatter
 from .reader import GraphReader, TraceRecorder
-from .trace import AccessTrace, trace_from_frontiers
+from .trace import AccessTrace
 
 __all__ = [
     "SSSPResult",
     "sssp_bellman_ford",
     "sssp_steps",
-    "sssp_delta_stepping",
     "sssp_reference",
 ]
 
@@ -57,13 +46,12 @@ class SSSPResult:
         return int(np.isfinite(self.distances).sum())
 
 
-def _require_weighted(graph: CSRGraph) -> np.ndarray:
+def _require_weighted(graph: CSRGraph) -> None:
     if graph.weights is None:
         raise TraceError("SSSP requires a weighted graph (use with_weights)")
     # NaN fails ``>= 0`` (and would hide a negative weight from min()).
     if not (graph.weights >= 0).all():
         raise TraceError("SSSP requires non-negative, non-NaN edge weights")
-    return graph.weights
 
 
 def _check_source(graph: CSRGraph, source: int) -> None:
@@ -111,78 +99,6 @@ def sssp_steps(reader: GraphReader, source: int = 0) -> tuple[np.ndarray]:
             frontier = drain_mask(changed)
             reader.touch_vertex_state(frontier)
     return (dist,)
-
-
-def sssp_delta_stepping(
-    graph: CSRGraph, source: int = 0, delta: float | None = None
-) -> SSSPResult:
-    """Delta-stepping SSSP; each light/heavy relaxation phase is a trace step.
-
-    ``delta`` defaults to ``mean(weight)`` which is a standard practical
-    choice (bucket width on the order of the average edge weight).
-    """
-    weights = _require_weighted(graph)
-    _check_source(graph, source)
-    if delta is None:
-        delta = float(weights.mean()) if weights.size else 1.0
-    if not delta > 0:
-        raise TraceError(f"delta must be positive, got {delta}")
-    n = graph.num_vertices
-    dist = np.full(n, np.inf, dtype=np.float64)
-    dist[source] = 0.0
-    frontiers: list[np.ndarray] = []
-    changed = np.zeros(n, dtype=bool)
-
-    def relax(frontier: np.ndarray, light_only: bool) -> np.ndarray:
-        """Relax frontier edges (light = weight <= delta); return improved set."""
-        neighbors, sources, edge_idx = gather_neighbors(
-            graph, frontier, with_sources=True
-        )
-        if neighbors.size == 0:
-            return np.empty(0, dtype=np.int64)
-        w = weights[edge_idx]
-        if light_only:
-            sel = w <= delta
-        else:
-            sel = w > delta
-        neighbors, sources, w = neighbors[sel], sources[sel], w[sel]
-        if neighbors.size == 0:
-            return np.empty(0, dtype=np.int64)
-        return min_relax(dist, neighbors, dist[sources] + w, changed)
-
-    bucket_of = lambda v: dist[v] // delta  # noqa: E731
-    current_bucket = 0.0
-    active = np.array([source], dtype=np.int64)
-    while active.size:
-        # Settle the current bucket: repeatedly relax light edges of its
-        # members until nothing in this bucket improves.
-        settled: list[np.ndarray] = []
-        bucket = active[bucket_of(active) == current_bucket]
-        remainder = active[bucket_of(active) != current_bucket]
-        while bucket.size:
-            frontiers.append(bucket)
-            settled.append(bucket)
-            improved = relax(bucket, light_only=True)
-            in_bucket = improved[bucket_of(improved) == current_bucket]
-            out_bucket = improved[bucket_of(improved) > current_bucket]
-            remainder = frontier_union(remainder, out_bucket)
-            bucket = in_bucket
-        # Heavy edges of everything settled in this bucket, in one phase.
-        if settled:
-            all_settled = frontier_union(*settled)
-            frontiers.append(all_settled)
-            improved = relax(all_settled, light_only=False)
-            remainder = frontier_union(remainder, improved)
-        active = remainder
-        if active.size:
-            current_bucket = float(bucket_of(active).min())
-    trace = trace_from_frontiers(graph, frontiers, algorithm="sssp-delta")
-    return SSSPResult(
-        source=source,
-        distances=dist,
-        frontier_sizes=[f.size for f in frontiers],
-        trace=trace,
-    )
 
 
 def sssp_reference(graph: CSRGraph, source: int = 0) -> np.ndarray:

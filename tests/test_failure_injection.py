@@ -48,6 +48,7 @@ from repro.graph.csr import CSRGraph
 from repro.sim.des import DESConfig, simulate_step
 from repro.sim.events import Simulator
 from repro.sim.fluid import FluidParams, StepInput, step_time, trace_time
+from repro.traversal.bfs import bfs
 from repro.traversal.trace import AccessTrace, TraceStep
 from repro.units import MIOPS, USEC
 
@@ -363,6 +364,32 @@ class TestTransientFaultsAreSurvivable:
         assert stats.retries == 0
         assert stats.faults_injected == 0
         assert stats.retry_factor == 1.0
+
+    @pytest.mark.parametrize("method", [ZeroCopyMethod(), XLFDDMethod(16)])
+    @pytest.mark.parametrize("rate", [0.1, 0.3])
+    def test_retry_factor_is_attempts_per_read(self, urand_small, method, rate):
+        """``retry_factor`` counts attempts per sublist read, not per link
+        request, so it matches the model's truncated-geometric factor."""
+        policy = RetryPolicy(max_attempts=20)
+        engine = ExternalGraphEngine(
+            urand_small,
+            faulty_factory(
+                lambda data: ExternalMemoryBackend(data, method),
+                FaultPlan(seed=3, read_error_rate=rate),
+                policy,
+                num_devices=4,
+            ),
+        )
+        stats = workloads.get("bfs").run(engine, source=0).stats
+        reads = sum(
+            int(np.count_nonzero(step.lengths))
+            for step in bfs(urand_small, 0).trace
+        )
+        assert stats.reads == reads
+        assert stats.retry_factor == (reads + stats.retries) / reads
+        assert stats.retry_factor == pytest.approx(
+            expected_attempts(rate, policy.max_attempts), rel=0.05
+        )
 
 
 class TestRetryExhaustion:

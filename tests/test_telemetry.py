@@ -239,46 +239,11 @@ class TestMetrics:
 
 
 class TestMemoryStatsRegistry:
-    def test_counters_backed_by_registry(self):
-        stats = MemoryStats()
-        stats.requests += 3
-        stats.fetched_bytes += 128
-        stats.retry_wait_time += 0.5
-        assert stats.registry.counter("memory.requests").value == 3.0
-        assert stats.registry.counter("memory.fetched_bytes").value == 128.0
-        assert stats.requests == 3 and isinstance(stats.requests, int)
-        assert stats.retry_wait_time == pytest.approx(0.5)
-
     def test_constructor_kwargs_still_work(self):
         stats = MemoryStats(requests=5, fetched_bytes=100, useful_bytes=80)
         assert stats.requests == 5
         assert stats.read_amplification == pytest.approx(1.25)
         assert stats.avg_transfer_bytes == pytest.approx(20.0)
-
-    def test_record_latency_feeds_histogram(self):
-        stats = MemoryStats()
-        stats.record_latency([5 * USEC, 50 * USEC])
-        hist = stats.registry.histogram("memory.latency_us")
-        assert hist.total == 2
-        assert stats.latency_p50 > 0.0
-
-    def test_shared_registry_injection(self):
-        registry = MetricRegistry()
-        stats = MemoryStats(registry=registry)
-        stats.requests += 1
-        assert registry.counter("memory.requests").value == 1.0
-
-    def test_backend_accounting_visible_in_registry(self, tiny_graph):
-        engine = ExternalGraphEngine(
-            tiny_graph, lambda data: ExternalMemoryBackend(data, XLFDDMethod(16))
-        )
-        run = workloads.get("bfs").run(engine, source=0)
-        registry = run.stats.registry
-        assert registry.counter("memory.requests").value == run.stats.requests
-        assert (
-            registry.counter("memory.fetched_bytes").value
-            == run.stats.fetched_bytes
-        )
 
 
 def _golden_tracer():

@@ -1,40 +1,9 @@
-"""Frontier conversions and the vectorized neighbor gather."""
+"""The vectorized neighbor gather and the min-relax kernel."""
 
 import numpy as np
 import pytest
 
-from repro.errors import TraceError
-from repro.traversal.frontier import (
-    dense_to_sparse,
-    frontier_union,
-    gather_neighbors,
-    min_relax,
-    sparse_to_dense,
-)
-
-
-class TestConversions:
-    def test_sparse_dense_roundtrip(self):
-        vertices = np.array([1, 4, 7])
-        mask = sparse_to_dense(vertices, 10)
-        assert mask.sum() == 3
-        assert np.array_equal(dense_to_sparse(mask), vertices)
-
-    def test_dense_to_sparse_requires_bool(self):
-        with pytest.raises(TraceError, match="boolean"):
-            dense_to_sparse(np.array([0, 1]))
-
-    def test_sparse_to_dense_bounds_check(self):
-        with pytest.raises(TraceError, match="out-of-range"):
-            sparse_to_dense(np.array([10]), 5)
-
-    def test_union(self):
-        out = frontier_union(np.array([3, 1]), np.array([2, 3]), np.array([]))
-        assert out.tolist() == [1, 2, 3]
-
-    def test_union_of_nothing(self):
-        assert frontier_union().size == 0
-        assert frontier_union(np.array([], dtype=np.int64)).size == 0
+from repro.traversal.frontier import gather_neighbors, min_relax
 
 
 class TestGatherNeighbors:

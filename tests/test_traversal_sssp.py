@@ -1,6 +1,4 @@
-"""SSSP: both variants against Dijkstra, traces, input validation."""
-
-import functools
+"""SSSP: Bellman-Ford against Dijkstra, traces, input validation."""
 
 import numpy as np
 import pytest
@@ -12,7 +10,6 @@ from repro.traversal import sssp as sssp_module
 from repro.traversal.reader import TraceRecorder
 from repro.traversal.sssp import (
     sssp_bellman_ford,
-    sssp_delta_stepping,
     sssp_reference,
     sssp_steps,
 )
@@ -33,24 +30,12 @@ class TestCorrectness:
         g = weighted_diamond()
         expected = np.array([0.0, 1.0, 2.0, 3.0])
         assert np.allclose(sssp_bellman_ford(g, 0).distances, expected)
-        assert np.allclose(sssp_delta_stepping(g, 0).distances, expected)
         assert np.allclose(sssp_reference(g, 0), expected)
 
     @pytest.mark.parametrize("source", [0, 11, 101])
     def test_bellman_ford_matches_dijkstra(self, weighted_small, source):
         result = sssp_bellman_ford(weighted_small, source)
         assert np.allclose(result.distances, sssp_reference(weighted_small, source))
-
-    @pytest.mark.parametrize("source", [0, 11])
-    def test_delta_stepping_matches_dijkstra(self, weighted_small, source):
-        result = sssp_delta_stepping(weighted_small, source)
-        assert np.allclose(result.distances, sssp_reference(weighted_small, source))
-
-    @pytest.mark.parametrize("delta", [0.5, 5.0, 500.0])
-    def test_delta_stepping_delta_invariance(self, weighted_small, delta):
-        """Any positive delta yields the same distances."""
-        result = sssp_delta_stepping(weighted_small, 0, delta=delta)
-        assert np.allclose(result.distances, sssp_reference(weighted_small, 0))
 
     def test_unreachable_is_inf(self):
         g = build_csr(
@@ -65,8 +50,6 @@ class TestValidation:
     def test_unweighted_graph_rejected(self, urand_small):
         with pytest.raises(TraceError, match="weighted"):
             sssp_bellman_ford(urand_small, 0)
-        with pytest.raises(TraceError, match="weighted"):
-            sssp_delta_stepping(urand_small, 0)
 
     def test_negative_weights_rejected(self):
         g = build_csr(
@@ -77,7 +60,7 @@ class TestValidation:
 
     def test_nan_weight_rejected(self):
         g = path_graph(4).with_weights(np.array([1.0, 1.0, np.nan, 1.0, 1.0, 1.0]))
-        for run in (sssp_bellman_ford, sssp_delta_stepping, sssp_reference):
+        for run in (sssp_bellman_ford, sssp_reference):
             with pytest.raises(TraceError, match="NaN"):
                 run(g, 0)
 
@@ -95,11 +78,6 @@ class TestValidation:
         with pytest.raises(TraceError, match="out of range"):
             sssp_bellman_ford(weighted_small, 10**6)
 
-    def test_bad_delta_rejected(self, weighted_small):
-        with pytest.raises(TraceError, match="delta"):
-            sssp_delta_stepping(weighted_small, 0, delta=0.0)
-
-
 class TestTraces:
     def test_bellman_ford_first_step_is_source(self, weighted_small):
         trace = sssp_bellman_ford(weighted_small, 5).trace
@@ -113,12 +91,6 @@ class TestTraces:
         sssp_bytes = sssp_bellman_ford(weighted_small, 0).trace.useful_bytes
         bfs_bytes = bfs(weighted_small, 0).trace.useful_bytes
         assert sssp_bytes >= bfs_bytes
-
-    def test_delta_stepping_has_more_steps(self, weighted_small):
-        """Delta-stepping settles buckets serially -> more, smaller steps."""
-        bf_steps = sssp_bellman_ford(weighted_small, 0).trace.num_steps
-        ds_steps = sssp_delta_stepping(weighted_small, 0).trace.num_steps
-        assert ds_steps > bf_steps
 
     def test_frontier_sizes_recorded(self, weighted_small):
         result = sssp_bellman_ford(weighted_small, 0)
@@ -152,23 +124,3 @@ class TestFilteredRelax:
         assert got.frontier_sizes == want.frontier_sizes
         assert_same_trace(got.trace("sssp"), want.trace("sssp"))
         assert np.array_equal(got_dist, sssp_reference(g, seed))
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_delta_stepping_unchanged(
-        self, monkeypatch, relax_stress_graph, unfiltered_min_relax, seed
-    ):
-        """Filtered relax and ``frontier_union`` leave delta-stepping as it was
-        with the unfiltered relax and ``np.union1d``."""
-        g = relax_stress_graph(seed, symmetrize=True)
-        got = sssp_delta_stepping(g, seed)
-        monkeypatch.setattr(sssp_module, "min_relax", unfiltered_min_relax)
-        monkeypatch.setattr(
-            sssp_module,
-            "frontier_union",
-            lambda *fs: functools.reduce(np.union1d, fs),
-        )
-        want = sssp_delta_stepping(g, seed)
-        assert np.array_equal(got.distances, want.distances)
-        assert got.frontier_sizes == want.frontier_sizes
-        assert_same_trace(got.trace, want.trace)
-        assert np.array_equal(got.distances, sssp_reference(g, seed))
