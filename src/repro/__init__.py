@@ -57,8 +57,7 @@ Subpackages
     Name -> system-configuration registry shared by the CLI and sweeps.
 ``workloads``
     Name -> workload registry (algorithm kernel + engine memory mode +
-    access signature), streaming graph updates, and multi-tenant
-    serving (docs/WORKLOADS.md).
+    access signature) (docs/WORKLOADS.md).
 ``exec``
     Declarative :class:`ExperimentSpec` (YAML-loadable, ``extend:`` +
     dotted overrides) and the serial/process-pool sweep executors

@@ -23,10 +23,8 @@ Families
     starts from a cleared evaluation cache so memoization only counts
     within-run wins.
 ``workloads``
-    The workload registry's scenario classes: BFS through the engine in
-    both memory modes (the semi-vs-fully fetched-bytes ratio is pinned
-    in ``verify``), incremental BFS maintenance over a seeded edge
-    stream, and a two-tenant co-run on a shared DES pool.
+    BFS through the registry's engine in both memory modes (the
+    semi-vs-fully fetched-bytes ratio is pinned in ``verify``).
 ``sweep_parallel``
     Executor scaling on the planner's config-grid surface: the same
     build through ``SerialExecutor`` and ``ProcessPoolExecutor(4)``
@@ -38,8 +36,10 @@ Families
 
 from __future__ import annotations
 
+import shutil
+import weakref
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -578,75 +578,6 @@ def _prep_semi_vs_fully(quick: bool) -> Prepared:
     )
 
 
-def _prep_streaming_bfs(quick: bool) -> Prepared:
-    """Incremental BFS maintenance over a seeded edge-insertion stream."""
-    from ..workloads import edge_stream, streaming_bfs, streaming_write_traffic
-
-    graph = _dataset("urand", 10 if quick else 12, 3)
-    stream = edge_stream(
-        graph.num_vertices,
-        num_batches=4,
-        batch_size=64 if quick else 256,
-        seed=7,
-    )
-    inserted = sum(batch.size for batch in stream)
-
-    def run() -> dict[str, Any]:
-        result = streaming_bfs(graph, stream)
-        traffic = streaming_write_traffic(result)
-        return {
-            "digest": array_digest([result.values]),
-            "delta_vertices": int(result.delta_vertices),
-            "written_bytes": int(traffic.written_bytes),
-        }
-
-    return Prepared(
-        name="streaming_bfs",
-        family="workloads",
-        params={
-            "dataset": "urand",
-            "scale": graph_scale(graph),
-            "batches": len(stream),
-            "edges_inserted": inserted,
-        },
-        run=run,
-        work_unit="edges/s",
-        work_amount=float(inserted),
-    )
-
-
-def _prep_multi_tenant(quick: bool) -> Prepared:
-    """Two tenants co-running on one shared DES pool."""
-    from ..workloads import TenantSpec, run_multi_tenant
-
-    graph = _dataset("urand", 9 if quick else 11, 3)
-    tenants = [
-        TenantSpec(name="analytics", workload="pagerank", weight=1.0),
-        TenantSpec(name="search", workload="bfs", weight=2.0),
-    ]
-
-    def run() -> dict[str, Any]:
-        report = run_multi_tenant(graph, tenants)
-        return {
-            "fairness": _round(report.fairness),
-            "total_time_us": _round(report.total_time / USEC),
-            "requests": int(sum(t.requests for t in report.tenants)),
-        }
-
-    return Prepared(
-        name="multi_tenant_2",
-        family="workloads",
-        params={
-            "dataset": "urand",
-            "scale": graph_scale(graph),
-            "tenants": [f"{t.name}:{t.workload}:{t.weight:g}" for t in tenants],
-        },
-        run=run,
-        work_unit="tenants/s",
-        work_amount=float(len(tenants)),
-    )
-
-
 # --------------------------------------------------------------------------
 # lint family
 # --------------------------------------------------------------------------
@@ -712,36 +643,31 @@ def _lint_verify(result) -> dict[str, Any]:
     }
 
 
-def _prep_lint_cold(quick: bool) -> Prepared:
+def _prep_lint(quick: bool, *, warm: bool) -> Prepared:
+    """Dataflow lint of the fixture tree, cache off (cold) or primed (warm).
+
+    The tree is removed when the timed callable is collected, so a
+    scenario's fixture lives exactly as long as its :class:`Prepared`.
+    """
     modules = 24 if quick else 64
     root = _lint_fixture_tree(modules)
     config = LintConfig(dataflow_cache_dir=str(root.parent / ".simlint-cache"))
-    return Prepared(
-        name="lint_dataflow_cold",
-        family="lint",
-        params={"modules": modules, "cache": "off"},
-        run=lambda: _lint_verify(
-            lint_paths([root], config=config, dataflow=True, use_cache=False)
-        ),
-        work_unit="functions/s",
-        work_amount=float(modules * _LINT_FUNCS_PER_MODULE),
-    )
+    if warm:
+        # Prime the fingerprint cache (untimed); timed runs are pure
+        # replays and must analyse zero functions.
+        lint_paths([root], config=config, dataflow=True)
 
+    def run() -> dict[str, Any]:
+        return _lint_verify(
+            lint_paths([root], config=config, dataflow=True, use_cache=warm)
+        )
 
-def _prep_lint_warm(quick: bool) -> Prepared:
-    modules = 24 if quick else 64
-    root = _lint_fixture_tree(modules)
-    config = LintConfig(dataflow_cache_dir=str(root.parent / ".simlint-cache"))
-    # Prime the fingerprint cache (untimed); timed runs are pure replays
-    # and must analyse zero functions.
-    lint_paths([root], config=config, dataflow=True)
+    weakref.finalize(run, shutil.rmtree, root.parent, ignore_errors=True)
     return Prepared(
-        name="lint_dataflow_warm",
+        name="lint_dataflow_warm" if warm else "lint_dataflow_cold",
         family="lint",
-        params={"modules": modules, "cache": "warm"},
-        run=lambda: _lint_verify(
-            lint_paths([root], config=config, dataflow=True)
-        ),
+        params={"modules": modules, "cache": "warm" if warm else "off"},
+        run=run,
         work_unit="functions/s",
         work_amount=float(modules * _LINT_FUNCS_PER_MODULE),
     )
@@ -762,12 +688,8 @@ _FAMILIES: dict[str, list[Callable[[bool], Prepared]]] = {
         _prep_surface_workers4,
         _prep_plan_queries,
     ],
-    "lint": [_prep_lint_cold, _prep_lint_warm],
-    "workloads": [
-        _prep_semi_vs_fully,
-        _prep_streaming_bfs,
-        _prep_multi_tenant,
-    ],
+    "lint": [partial(_prep_lint, warm=False), partial(_prep_lint, warm=True)],
+    "workloads": [_prep_semi_vs_fully],
 }
 
 assert set(_FAMILIES) == set(KNOWN_FAMILIES)

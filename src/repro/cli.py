@@ -1002,6 +1002,8 @@ def _parse_tenant_mix(text: str | None) -> dict[str, float]:
             raise ConfigError(
                 f"--tenant-mix expects NAME=WEIGHT pairs, got {part!r}"
             )
+        if name in tenants:
+            raise ConfigError(f"--tenant-mix names {name!r} twice")
         try:
             tenants[name] = float(weight)
         except ValueError as exc:

@@ -42,7 +42,6 @@ from ..telemetry.clock import SimClock
 from ..telemetry.metrics import MetricRegistry, set_registry
 from ..telemetry.tracer import get_tracer
 from ..units import MIB, MSEC, USEC
-from ..workloads.tenancy import jain_fairness
 from .controller import ControllerPolicy, ServingController
 from .slo import Incident, SloReport, percentiles_us
 from .storm import FaultStorm
@@ -55,6 +54,17 @@ QUERY_LATENCY_BUCKETS_US: tuple[float, ...] = (
     250.0, 500.0, 1_000.0, 2_000.0, 4_000.0, 8_000.0,
     16_000.0, 32_000.0, 64_000.0, 128_000.0,
 )
+
+
+def jain_fairness(values: list[float]) -> float:
+    """Jain's index over per-tenant progress rates: 1.0 is perfectly fair."""
+    if not values:
+        return 1.0
+    arr = np.asarray(values, dtype=np.float64)
+    denom = float(arr.size * (arr**2).sum())
+    if denom == 0.0:  # simlint: disable=FLOAT001
+        return 1.0
+    return float(arr.sum() ** 2 / denom)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -29,6 +30,17 @@ __all__ = ["BurstEpisode", "Query", "TrafficModel"]
 #: Algorithm mix weights used when none are given: mostly point lookups
 #: (BFS reachability), some heavier analytics.
 DEFAULT_MIX: dict[str, float] = {"bfs": 0.6, "cc": 0.25, "sssp": 0.15}
+
+
+def _valid_weights(weights: Iterable[float]) -> bool:
+    """Finite, non-negative weights with a finite positive sum."""
+    values = list(weights)
+    total = sum(values)
+    return (
+        all(math.isfinite(w) and w >= 0 for w in values)
+        and math.isfinite(total)
+        and total > 0
+    )
 
 
 @dataclass(frozen=True)
@@ -116,16 +128,17 @@ class TrafficModel:
             raise ConfigError("day_length must be positive and finite")
         if not self.mix:
             raise ConfigError("query mix must not be empty")
-        if any(w < 0 for w in self.mix.values()) or sum(self.mix.values()) <= 0:
-            raise ConfigError("query mix weights must be >= 0 and sum > 0")
+        if not _valid_weights(self.mix.values()):
+            raise ConfigError(
+                "query mix weights must be finite, >= 0 and sum > 0"
+            )
         if self.tenants:
             if any(not name for name in self.tenants):
                 raise ConfigError("tenant names must be non-empty")
-            if (
-                any(w < 0 for w in self.tenants.values())
-                or sum(self.tenants.values()) <= 0
-            ):
-                raise ConfigError("tenant weights must be >= 0 and sum > 0")
+            if not _valid_weights(self.tenants.values()):
+                raise ConfigError(
+                    "tenant weights must be finite, >= 0 and sum > 0"
+                )
 
     # -- rate model ----------------------------------------------------------
 

@@ -18,15 +18,14 @@ candidate vertices into the mask chunk by chunk, then
 :func:`drain_mask` it once per step — which is O(E_f + n) per round and
 replaces the O(E_f log E_f) ``np.unique`` sort each round used to pay;
 the result is the same sorted unique vertex set, bit for bit.  The
-min-relaxing kernels (SSSP, CC, streaming) share :func:`min_scatter`,
+min-relaxing kernels (SSSP, CC) share :func:`min_scatter`,
 which compares every candidate with its target's current value once and
 scatters only the improving ones through ``np.minimum.at``: most edges
 of a late round improve nothing, so the unbuffered scatter and the mark
 array see a fraction of E_f, and the "what improved" re-gather of the
 whole edge set is gone.  SSSP and CC run it per chunk, with candidates
 built from a snapshot of the frontier's values taken before the first
-chunk, and drain once; :func:`min_relax` is the same pair on a single
-chunk (streaming).  Where a sort is still the right tool (the
+chunk, and drain once.  Where a sort is still the right tool (the
 direction-optimising BFS's top-down step, random-walk positions), the
 shared :func:`repro.graph.csr.sorted_unique` does it: one ``np.sort`` and an
 adjacent-difference mask, without the hash pass ``np.unique`` makes
@@ -43,7 +42,6 @@ __all__ = [
     "gather_neighbors",
     "min_scatter",
     "drain_mask",
-    "min_relax",
 ]
 
 
@@ -100,21 +98,3 @@ def drain_mask(mask: np.ndarray) -> np.ndarray:
     mask[marked] = False
     return marked
 
-
-def min_relax(
-    values: np.ndarray,
-    targets: np.ndarray,
-    candidate: np.ndarray,
-    changed: np.ndarray,
-) -> np.ndarray:
-    """Lower ``values[targets]`` to ``candidate``; return the improved targets.
-
-    One :func:`min_scatter` and one :func:`drain_mask`: a target's new
-    value is the minimum of its improving candidates, and it improved
-    exactly when it has one, so values and the returned set (sorted,
-    unique) equal those of an unfiltered scatter over every edge for any
-    NaN-free input.  ``changed`` is an all-False scratch mask of
-    ``values``' length and is all-False again on return.
-    """
-    min_scatter(values, targets, candidate, changed)
-    return drain_mask(changed)

@@ -14,12 +14,6 @@ Eight workloads ship built in: the original five traversals (``bfs``,
 classes — ``triangle_count`` (two-phase neighborhood join),
 ``label_propagation`` (dense synchronous sweeps), and ``random_walk``
 (tiny-frontier pointer chase).
-
-The subpackage also hosts the scenario machinery the registry feeds:
-:mod:`~repro.workloads.streaming` (seeded edge-insertion streams with
-incremental BFS/CC maintenance and write-traffic pricing) and
-:mod:`~repro.workloads.tenancy` (multi-tenant co-runs on one shared
-DES pool with fairness metrics).
 """
 
 from __future__ import annotations
@@ -44,24 +38,6 @@ from ..traversal.triangles import triangle_count_steps
 from ..traversal.walks import random_walk_steps
 from .registry import Workload, available, describe, get, register
 from .signature import FRONTIER_PROFILES, REUSE_CLASSES, AccessSignature
-from .streaming import (
-    EdgeBatch,
-    StreamingContention,
-    StreamingRun,
-    default_pool_config,
-    edge_stream,
-    streaming_bfs,
-    streaming_cc,
-    streaming_contention,
-    streaming_write_traffic,
-)
-from .tenancy import (
-    MultiTenantReport,
-    TenantReport,
-    TenantSpec,
-    jain_fairness,
-    run_multi_tenant,
-)
 
 __all__ = [
     "AccessSignature",
@@ -73,20 +49,6 @@ __all__ = [
     "available",
     "describe",
     "build_engine",
-    "EdgeBatch",
-    "StreamingRun",
-    "StreamingContention",
-    "edge_stream",
-    "streaming_bfs",
-    "streaming_cc",
-    "streaming_contention",
-    "streaming_write_traffic",
-    "default_pool_config",
-    "TenantSpec",
-    "TenantReport",
-    "MultiTenantReport",
-    "jain_fairness",
-    "run_multi_tenant",
 ]
 
 

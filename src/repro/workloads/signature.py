@@ -37,8 +37,8 @@ class AccessSignature:
         Share of read traffic issued in ascending-address order (dense
         full-vertex sweeps are ~sequential; frontier expansion is not).
     write_fraction:
-        Share of total traffic that is property write-back (streaming
-        maintenance writes through :mod:`repro.memsim.writes`).
+        Share of total traffic that is vertex-property write-back (BFS
+        depths, SSSP distances, CC labels, PageRank ranks).
     frontier_profile:
         One of :data:`FRONTIER_PROFILES` — the step-size shape.
     reuse:

@@ -101,24 +101,10 @@ def _unfiltered_min_scatter(values, targets, candidate, changed):
     changed[targets[values[targets] < before]] = True
 
 
-def _unfiltered_min_relax(values, targets, candidate, changed):
-    """Oracle relax: the unfiltered scatter, then re-gather what improved."""
-    _unfiltered_min_scatter(values, targets, candidate, changed)
-    improved = np.flatnonzero(changed)
-    changed[improved] = False
-    return improved
-
-
 @pytest.fixture
 def unfiltered_min_scatter():
     """The unfiltered ``before`` / ``minimum.at`` / ``after`` scatter."""
     return _unfiltered_min_scatter
-
-
-@pytest.fixture
-def unfiltered_min_relax():
-    """The unfiltered ``before`` / ``minimum.at`` / ``after`` relax."""
-    return _unfiltered_min_relax
 
 
 def _relax_stress_graph(seed: int, *, symmetrize: bool, n: int = 300):

@@ -41,7 +41,9 @@ class TestGraphGeneration:
 class TestTraversal:
     def test_default_source_is_max_degree(self, urand):
         from repro.core.experiment import default_source
+        from repro.workloads import registry
 
+        assert default_source is registry.default_source
         assert default_source(urand) == 1_486
 
     def test_bfs_frontier_profile(self, urand_bfs):

@@ -27,6 +27,7 @@ from repro.ops import (
     named_storm,
     run_serving_scenario,
 )
+from repro.ops.scenario import jain_fairness
 from repro.telemetry import Tracer, use_tracer
 from repro.units import MSEC, USEC
 
@@ -78,6 +79,11 @@ class TestTrafficModel:
             TrafficModel(diurnal_amplitude=1.5)
         with pytest.raises(ConfigError):
             TrafficModel(mix={})
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ConfigError):
+                TrafficModel(mix={"bfs": bad})
+            with pytest.raises(ConfigError):
+                TrafficModel(mix={"bfs": 1.0, "cc": bad})
         with pytest.raises(ConfigError):
             BurstEpisode(start=0.0, duration=0.0, multiplier=2.0)
 
@@ -154,6 +160,10 @@ class TestSloReport:
         assert report.shed_fraction == pytest.approx(0.2)
         assert report.attainment == pytest.approx(0.7)
         assert "attainment 70.0%" in report.describe()
+
+    def test_jain_index(self):
+        assert jain_fairness([1.0, 1.0, 1.0]) == pytest.approx(1.0)
+        assert jain_fairness([1.0, 0.0]) == pytest.approx(0.5)
 
     def test_compare_rejects_mismatched_scenarios(self, storm_reports):
         on, off = storm_reports

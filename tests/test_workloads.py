@@ -1,12 +1,11 @@
-"""The workload registry: algorithms, memory modes, streaming, tenancy.
+"""The workload registry: algorithms, memory modes, tenant-tagged traffic.
 
 Pins the registry surface: ``repro.workloads`` as the single dispatch
 point (typed errors, one step loop per algorithm run over both the
 engine and the in-memory recorder, engine bytes equal to model bytes),
-the semi-/fully-external engine memory modes, incremental streaming
-maintenance equivalence, multi-tenant determinism, the
-``workload:`` spec section, tenant-tagged traffic, and the bench gate's
-missing-baseline behaviour.
+the semi-/fully-external engine memory modes, the ``workload:`` spec
+section, tenant-tagged traffic, and the bench gate's missing-baseline
+behaviour.
 """
 
 from __future__ import annotations
@@ -26,24 +25,13 @@ from repro.engine.engine import (
 )
 from repro.errors import ConfigError, ModelError, WorkloadError
 from repro.gpu import AccessMethod, BaMMethod, UVMMethod, XLFDDMethod, ZeroCopyMethod
-from repro.graph.generators import uniform_random_graph
 from repro.memsim.cache import IdealCache, LRUCache
 from repro.traversal import bfs, connected_components, pagerank
 from repro.traversal.kcore import kcore
 from repro.traversal.labelprop import label_propagation
 from repro.traversal.triangles import triangle_count, triangle_count_reference
 from repro.traversal.walks import random_walks
-from repro.workloads import (
-    TenantSpec,
-    Workload,
-    edge_stream,
-    jain_fairness,
-    run_multi_tenant,
-    streaming_bfs,
-    streaming_cc,
-    streaming_contention,
-    streaming_write_traffic,
-)
+from repro.workloads import Workload
 from repro.workloads.signature import AccessSignature
 
 ALL_WORKLOADS = (
@@ -346,79 +334,18 @@ class TestMemoryModes:
 
 
 class TestStreaming:
-    def test_incremental_bfs_equals_from_scratch(self):
-        base = uniform_random_graph(9, 10.0, seed=11)
-        stream = edge_stream(
-            base.num_vertices, num_batches=4, batch_size=48, seed=2
-        )
-        run = streaming_bfs(base, stream, source=0)
-        np.testing.assert_array_equal(run.values, bfs(run.graph, 0).depths)
-        assert run.edges_inserted > 0
+    """Source-free runs start at the registry's one default-source policy."""
 
     def test_default_source_is_the_registry_policy(self):
         from repro.core import experiment
+        from repro.graph.generators import uniform_random_graph
         from repro.workloads.registry import default_source
 
         assert experiment.default_source is default_source
         base = uniform_random_graph(9, 10.0, seed=11)
-        run = streaming_bfs(base, [])
-        np.testing.assert_array_equal(
-            run.values, bfs(base, default_source(base)).depths
-        )
-
-    def test_incremental_cc_equals_from_scratch(self):
-        base = uniform_random_graph(9, 4.0, seed=12)
-        stream = edge_stream(
-            base.num_vertices, num_batches=3, batch_size=64, seed=3
-        )
-        run = streaming_cc(base, stream)
-        np.testing.assert_array_equal(
-            run.values, connected_components(run.graph).labels
-        )
-
-    def test_stream_is_seeded_and_self_loop_free(self):
-        a = edge_stream(64, num_batches=3, batch_size=16, seed=9)
-        b = edge_stream(64, num_batches=3, batch_size=16, seed=9)
-        for ba, bb in zip(a, b):
-            np.testing.assert_array_equal(ba.src, bb.src)
-            np.testing.assert_array_equal(ba.dst, bb.dst)
-            assert not np.any(ba.src == ba.dst)
-
-    def test_write_traffic_and_contention(self):
-        base = uniform_random_graph(9, 8.0, seed=13)
-        stream = edge_stream(
-            base.num_vertices, num_batches=2, batch_size=32, seed=4
-        )
-        run = streaming_bfs(base, stream, source=0)
-        cxl = streaming_write_traffic(run, media="cxl")
-        flash = streaming_write_traffic(run, media="flash")
-        assert cxl.user_bytes == flash.user_bytes > 0
-        assert flash.written_bytes >= flash.user_bytes
-        contention = streaming_contention(run)
-        assert contention.slowdown >= 1.0
-
-
-class TestMultiTenant:
-    def test_deterministic_report(self, urand_small):
-        tenants = [
-            TenantSpec("analytics", workload="pagerank", weight=1.0),
-            TenantSpec("search", workload="bfs", weight=2.0),
-        ]
-        r1 = run_multi_tenant(urand_small, tenants)
-        r2 = run_multi_tenant(urand_small, tenants)
-        assert r1.to_json() == r2.to_json()
-
-    def test_fairness_bounds(self, urand_small):
-        report = run_multi_tenant(urand_small, [
-            TenantSpec("a", workload="bfs"),
-            TenantSpec("b", workload="cc"),
-        ])
-        assert 0.0 < report.fairness <= 1.0
-        assert all(t.slowdown >= 1.0 for t in report.tenants)
-
-    def test_jain_index(self):
-        assert jain_fairness([1.0, 1.0, 1.0]) == pytest.approx(1.0)
-        assert jain_fairness([1.0, 0.0]) == pytest.approx(0.5)
+        expected = bfs(base, default_source(base)).depths
+        run = workloads.get("bfs").run(make_engine(base))
+        np.testing.assert_array_equal(run.values, expected)
 
 
 class TestTenantTraffic:
@@ -444,6 +371,11 @@ class TestTenantTraffic:
             TrafficModel(tenants={"a": -1.0})
         with pytest.raises(ConfigError):
             TrafficModel(tenants={"a": 0.0})
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                TrafficModel(tenants={"a": bad, "b": 1.0})
+        with pytest.raises(ConfigError):
+            TrafficModel(tenants={"a": 1e308, "b": 1e308})
 
     def test_slo_report_tolerates_legacy_json(self):
         from repro.ops import ServingConfig, TrafficModel, run_serving_scenario
@@ -589,6 +521,17 @@ class TestCli:
         )
         assert code == 1
         assert "tenant-mix" in err
+        code, _, err = self.run_cli(
+            capsys, "serve", "--duration", "0.3", "--tenant-mix", "a=1,a=3",
+        )
+        assert code == 1
+        assert "'a' twice" in err
+        for mix in ("a=nan,b=1", "a=inf,b=1"):
+            code, _, err = self.run_cli(
+                capsys, "serve", "--duration", "0.3", "--tenant-mix", mix,
+            )
+            assert code == 1
+            assert err.startswith("error: tenant weights must be finite")
 
     def test_bench_check_missing_baseline(self, capsys, tmp_path):
         from repro.bench import canonical_json, run_family
