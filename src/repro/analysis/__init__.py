@@ -10,37 +10,31 @@ mechanically with a small, self-contained ``ast``-based lint framework:
 * a rule registry (:mod:`repro.analysis.core`) with one module per rule
   under :mod:`repro.analysis.rules`;
 * a per-file driver (:mod:`repro.analysis.driver`) that parses each file
-  once and runs every applicable rule over the tree;
-* configuration from ``pyproject.toml`` under ``[tool.simlint]``
-  (:mod:`repro.analysis.config`);
+  once and runs every rule whose scope covers it;
 * inline ``# simlint: disable=RULE`` suppressions
   (:mod:`repro.analysis.suppress`);
-* text / JSON / SARIF reporters (:mod:`repro.analysis.reporters`).
+* text / JSON reporters (:mod:`repro.analysis.reporters`).
 
 It is exposed as the ``repro lint`` CLI subcommand and runs self-hosted
 over ``src/repro`` in CI (see ``tests/test_self_lint.py``), so every
 future change is checked automatically.  ``docs/ANALYSIS.md`` documents
-each rule and how to add one.
+each rule, the seeded defects each one catches, and how to add one.
 """
 
 from __future__ import annotations
 
-from .config import LintConfig, load_config
 from .core import Finding, Rule, all_rules, get_rule
 from .driver import LintResult, lint_paths, lint_source
-from .reporters import render_json, render_sarif, render_text
+from .reporters import render_json, render_text
 
 __all__ = [
     "Finding",
     "Rule",
-    "LintConfig",
     "LintResult",
     "all_rules",
     "get_rule",
     "lint_paths",
     "lint_source",
-    "load_config",
     "render_json",
-    "render_sarif",
     "render_text",
 ]

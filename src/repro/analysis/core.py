@@ -19,7 +19,6 @@ __all__ = [
     "AnalysisError",
     "FileContext",
     "Finding",
-    "RelatedLocation",
     "Rule",
     "all_rules",
     "get_rule",
@@ -32,29 +31,13 @@ class AnalysisError(ReproError, ValueError):
 
 
 @dataclass(frozen=True)
-class RelatedLocation:
-    """One step of a finding's supporting trail (e.g. a taint path).
-
-    Interprocedural rules attach the chain of locations a tainted value
-    travelled through — source, intermediate assignments/calls, sink —
-    so a report can show *how* the flagged value reached the sink.
-    Rendered as SARIF ``relatedLocations`` by the SARIF reporter.
-    """
-
-    path: str
-    line: int
-    note: str = ""
-
-
-@dataclass(frozen=True)
 class Finding:
     """One lint finding, anchored to a source location.
 
     ``suppressed`` is set by the driver when an inline
     ``# simlint: disable=RULE`` comment covers the finding's line;
     suppressed findings are kept (reporters can show them) but never
-    affect the exit code.  ``related`` is the (possibly empty) taint
-    path of an interprocedural finding, source first.
+    affect the exit code.
     """
 
     rule: str
@@ -63,7 +46,6 @@ class Finding:
     line: int
     col: int
     suppressed: bool = False
-    related: tuple[RelatedLocation, ...] = ()
 
     def suppress(self) -> "Finding":
         """A copy of this finding marked as suppressed."""
@@ -110,8 +92,7 @@ class Rule:
     ``default_paths`` limits where the rule applies (glob fragments
     matched against the file's POSIX path, e.g. ``"sim"`` matches any
     file under a ``sim/`` directory); an empty tuple means everywhere.
-    ``default_excludes`` carves out files even inside the scope.  Both
-    can be overridden from ``[tool.simlint]`` in ``pyproject.toml``.
+    ``default_excludes`` carves out files even inside the scope.
     """
 
     id: ClassVar[str] = ""

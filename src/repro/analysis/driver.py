@@ -6,23 +6,30 @@ whose scope covers the file, then mark findings covered by inline
 directives as suppressed.  Exit-code policy lives here too:
 :meth:`LintResult.exit_code` is non-zero iff any *unsuppressed* finding
 exists, which is exactly what CI and the self-hosting test enforce.
+
+Scope is code, not configuration: :data:`EXCLUDE` carves test and
+benchmark code out of every rule, and each rule's ``default_paths`` /
+``default_excludes`` say where it applies.  Path entries are matched
+against the POSIX form of each file path: a bare fragment ``"sim"``
+matches any file under a directory named ``sim`` (or a file of that
+name); anything containing a glob character is an ``fnmatch`` pattern.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from fnmatch import fnmatch
+from pathlib import Path, PurePosixPath
+from typing import Iterator, Sequence
 
-from .config import LintConfig, load_config
 from .core import AnalysisError, FileContext, Finding, Rule, all_rules, collect_aliases
 from .suppress import parse_suppressions
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from .dataflow.engine import DataflowStats
+__all__ = ["EXCLUDE", "LintResult", "lint_paths", "lint_source"]
 
-__all__ = ["LintResult", "lint_paths", "lint_source"]
+#: Paths no rule applies to: test and benchmark code.
+EXCLUDE = ("*/tests/*", "tests/*", "*/benchmarks/*", "benchmarks/*")
 
 
 @dataclass
@@ -31,7 +38,6 @@ class LintResult:
 
     findings: list[Finding] = field(default_factory=list)
     files_scanned: int = 0
-    dataflow_stats: "DataflowStats | None" = None
 
     @property
     def unsuppressed(self) -> list[Finding]:
@@ -49,6 +55,28 @@ class LintResult:
         return 1 if self.unsuppressed else 0
 
 
+def _match_one(path: PurePosixPath, pattern: str) -> bool:
+    """Match ``pattern`` against ``path`` (fragment or fnmatch glob)."""
+    if any(ch in pattern for ch in "*?["):
+        return fnmatch(str(path), pattern)
+    return pattern in path.parts[:-1] or path.name == pattern
+
+
+def _matches(path: str, patterns: tuple[str, ...]) -> bool:
+    posix = PurePosixPath(Path(path).as_posix())
+    return any(_match_one(posix, pattern) for pattern in patterns)
+
+
+def _rule_applies(rule: Rule, path: str) -> bool:
+    """Whether ``rule`` runs on ``path``: outside :data:`EXCLUDE`, inside
+    the rule's ``default_paths`` (when set), outside its ``default_excludes``."""
+    if _matches(path, EXCLUDE):
+        return False
+    if rule.default_paths and not _matches(path, rule.default_paths):
+        return False
+    return not _matches(path, rule.default_excludes)
+
+
 def _iter_python_files(paths: Sequence[Path | str]) -> Iterator[Path]:
     for entry in paths:
         path = Path(entry)
@@ -60,12 +88,7 @@ def _iter_python_files(paths: Sequence[Path | str]) -> Iterator[Path]:
             raise AnalysisError(f"no such file or directory: {path}")
 
 
-def _check_file(
-    path_label: str,
-    source: str,
-    rules: Iterable[Rule],
-    config: LintConfig,
-) -> list[Finding]:
+def _check_file(path_label: str, source: str, rules: list[Rule]) -> list[Finding]:
     try:
         tree = ast.parse(source, filename=path_label)
     except SyntaxError as exc:
@@ -87,7 +110,7 @@ def _check_file(
     suppressions = parse_suppressions(source)
     findings: list[Finding] = []
     for rule in rules:
-        if not config.rule_applies(rule, path_label):
+        if not _rule_applies(rule, path_label):
             continue
         for finding in rule.check(ctx):
             if suppressions.covers(finding.rule, finding.line):
@@ -97,128 +120,26 @@ def _check_file(
     return findings
 
 
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    config: LintConfig | None = None,
-    rules: Sequence[Rule] | None = None,
-) -> LintResult:
+def lint_source(source: str, path: str = "<string>") -> LintResult:
     """Lint one in-memory module (the unit-test entry point).
 
-    With an explicit ``rules`` sequence the config's path scoping still
-    applies, so tests that want a rule to fire regardless of location
-    should pass a config whose scope covers ``path`` — or use a ``path``
-    inside the rule's default scope.
+    Rule scoping still applies, so a test that wants a rule to fire
+    passes a ``path`` inside the rule's scope.
     """
-    config = config if config is not None else LintConfig.default()
-    rules = list(rules) if rules is not None else all_rules()
     result = LintResult(files_scanned=1)
-    result.findings = _check_file(path, source, rules, config)
+    result.findings = _check_file(path, source, all_rules())
     return result
 
 
-def lint_paths(
-    paths: Sequence[Path | str],
-    config: LintConfig | None = None,
-    rules: Sequence[Rule] | None = None,
-    dataflow: bool = False,
-    use_cache: bool = True,
-    report_only: Sequence[Path | str] | None = None,
-) -> LintResult:
-    """Lint files and directory trees; the CLI's workhorse.
-
-    ``config`` defaults to the ``[tool.simlint]`` table of the nearest
-    ``pyproject.toml`` (searched upward from the first path).  With
-    ``dataflow`` the interprocedural engine also runs over the whole
-    tree (cached by content fingerprint unless ``use_cache`` is off).
-    ``report_only`` restricts *reported* findings to the given files —
-    the ``--changed`` mode; the analysis itself still sees everything.
-    """
-    file_list = list(_iter_python_files(paths))
-    if config is None:
-        anchor = Path(paths[0]) if paths else Path.cwd()
-        config = load_config(anchor)
-    rule_list = list(rules) if rules is not None else all_rules()
-    per_file = [
-        rule for rule in rule_list if not getattr(rule, "is_dataflow", False)
-    ]
+def lint_paths(paths: Sequence[Path | str]) -> LintResult:
+    """Lint files and directory trees; the CLI's workhorse."""
+    rules = all_rules()
     result = LintResult()
-    sources: dict[str, str] = {}
-    for path in file_list:
+    for path in _iter_python_files(paths):
         try:
             source = path.read_text(encoding="utf-8")
         except UnicodeDecodeError:
             continue
         result.files_scanned += 1
-        sources[path.as_posix()] = source
-        result.findings.extend(
-            _check_file(path.as_posix(), source, per_file, config)
-        )
-    if dataflow:
-        flow_findings, result.dataflow_stats = _run_dataflow(
-            sources, rule_list, config, use_cache
-        )
-        result.findings.extend(flow_findings)
-        result.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    if report_only is not None:
-        # Findings carry paths in whatever form the caller passed
-        # (absolute or cwd-relative); changed-file lists are repo-root
-        # relative.  Resolve both sides so the forms can't disagree.
-        keep = {Path(p).resolve().as_posix() for p in report_only}
-        result.findings = [
-            f
-            for f in result.findings
-            if Path(f.path).resolve().as_posix() in keep
-        ]
+        result.findings.extend(_check_file(path.as_posix(), source, rules))
     return result
-
-
-def _run_dataflow(
-    sources: dict[str, str],
-    rule_list: Sequence[Rule],
-    config: LintConfig,
-    use_cache: bool,
-) -> "tuple[list[Finding], DataflowStats]":
-    """Run (or replay) the interprocedural engine over ``sources``."""
-    from .dataflow.cache import DataflowCache, tree_fingerprint
-    from .dataflow.engine import DataflowAnalysis, DataflowRule, DataflowStats
-    from .dataflow.symbols import ProjectIndex
-
-    flow_rules = [r for r in rule_list if isinstance(r, DataflowRule)]
-    fingerprint = tree_fingerprint(
-        sources,
-        tuple(rule.id for rule in flow_rules),
-        config.digest_parts(),
-    )
-    cache = DataflowCache(Path(config.dataflow_cache_dir)) if use_cache else None
-    findings: list[Finding] | None = None
-    stats = DataflowStats()
-    if cache is not None:
-        findings = cache.load(fingerprint)
-    if findings is None:
-        index = ProjectIndex()
-        for path, source in sources.items():
-            try:
-                tree = ast.parse(source, filename=path)
-            except SyntaxError:
-                continue  # the per-file pass already reported PARSE
-            index.add_module(path, tree)
-        analysis = DataflowAnalysis(index, flow_rules, config)
-        findings = analysis.run()
-        stats = analysis.stats
-        if cache is not None:
-            cache.store(fingerprint, findings)
-    if cache is not None:
-        stats.cache = cache.stats
-    # Inline directives silence dataflow findings exactly like per-file
-    # ones; suppressions are per sink file.
-    suppressions = {
-        path: parse_suppressions(source) for path, source in sources.items()
-    }
-    out = []
-    for finding in findings:
-        cover = suppressions.get(finding.path)
-        if cover is not None and cover.covers(finding.rule, finding.line):
-            finding = finding.suppress()
-        out.append(finding)
-    return out, stats

@@ -1,9 +1,6 @@
-"""Render a lint run as text, JSON, or SARIF 2.1.0.
+"""Render a lint run as text or JSON.
 
-The SARIF output targets the subset GitHub code scanning ingests: one
-run, one driver with per-rule metadata, one result per finding with a
-physical location.  Suppressed findings carry an ``inSource``
-suppression object (SARIF) / ``"suppressed": true`` (JSON) and are
+Suppressed findings carry ``"suppressed": true`` in JSON and are
 omitted from the text reporter unless asked for.
 """
 
@@ -11,16 +8,9 @@ from __future__ import annotations
 
 import json
 
-from .core import all_rules
 from .driver import LintResult
 
-__all__ = ["render_text", "render_json", "render_sarif", "FORMATS"]
-
-_SARIF_VERSION = "2.1.0"
-_SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
+__all__ = ["render_text", "render_json"]
 
 
 def render_text(result: LintResult, *, show_suppressed: bool = False) -> str:
@@ -33,9 +23,6 @@ def render_text(result: LintResult, *, show_suppressed: bool = False) -> str:
         lines.append(
             f"{finding.location()}: {finding.rule} {finding.message}{tag}"
         )
-        for step in finding.related:
-            note = f" ({step.note})" if step.note else ""
-            lines.append(f"    via {step.path}:{step.line}{note}")
     active = len(result.unsuppressed)
     summary = (
         f"{active} finding{'s' if active != 1 else ''} "
@@ -63,82 +50,8 @@ def render_json(result: LintResult) -> str:
                 "line": finding.line,
                 "col": finding.col,
                 "suppressed": finding.suppressed,
-                "related": [
-                    {"path": step.path, "line": step.line, "note": step.note}
-                    for step in finding.related
-                ],
             }
             for finding in result.findings
         ],
     }
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def render_sarif(result: LintResult) -> str:
-    """SARIF 2.1.0 log with rule metadata and one result per finding."""
-    rules_meta = [
-        {
-            "id": rule.id,
-            "name": rule.title.replace(" ", ""),
-            "shortDescription": {"text": rule.title},
-            "fullDescription": {"text": rule.rationale},
-            "defaultConfiguration": {"level": "error"},
-        }
-        for rule in all_rules()
-    ]
-    results = []
-    for finding in result.findings:
-        entry: dict[str, object] = {
-            "ruleId": finding.rule,
-            "level": "error",
-            "message": {"text": finding.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {"uri": finding.path},
-                        "region": {
-                            "startLine": finding.line,
-                            "startColumn": finding.col + 1,
-                        },
-                    }
-                }
-            ],
-        }
-        if finding.related:
-            entry["relatedLocations"] = [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {"uri": step.path},
-                        "region": {"startLine": step.line},
-                    },
-                    "message": {"text": step.note or "related location"},
-                }
-                for step in finding.related
-            ]
-        if finding.suppressed:
-            entry["suppressions"] = [{"kind": "inSource"}]
-        results.append(entry)
-    log = {
-        "$schema": _SARIF_SCHEMA,
-        "version": _SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "simlint",
-                        "informationUri": "docs/ANALYSIS.md",
-                        "rules": rules_meta,
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(log, indent=2, sort_keys=True)
-
-
-FORMATS = {
-    "text": render_text,
-    "json": render_json,
-    "sarif": render_sarif,
-}

@@ -9,35 +9,19 @@ is cross-checked by ``tests/test_analysis_rules.py``).
 from __future__ import annotations
 
 from . import (  # noqa: F401
-    determinism,
     dtypes,
     errors_rule,
     floats,
     obs_rule,
-    stats_rule,
+    spans,
     units_rule,
 )
 
-# The interprocedural FLOW rules live in repro.analysis.dataflow but
-# register in the same registry (their per-file ``check`` is a no-op;
-# they only produce findings under ``repro lint --dataflow``).
-from ..dataflow import (  # noqa: F401
-    flow_clock,
-    flow_seed,
-    flow_span,
-    flow_units,
-)
-
 __all__ = [
-    "determinism",
     "dtypes",
     "errors_rule",
     "floats",
     "obs_rule",
-    "stats_rule",
+    "spans",
     "units_rule",
-    "flow_clock",
-    "flow_seed",
-    "flow_span",
-    "flow_units",
 ]

@@ -9,8 +9,7 @@ that regime.  Inside the simulation packages every allocation therefore
 states its dtype, making the width a reviewed decision instead of a
 platform accident.
 
-Scope: ``sim/``, ``faults/``, ``traversal/``, ``gpu/`` by default
-(override under ``[tool.simlint.paths]``).
+Scope: ``sim/``, ``faults/``, ``traversal/``, ``gpu/``.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ The telemetry layer exists so every duration and count flows through one
 pluggable pipeline: spans read their timestamps from a tracer clock
 (wall *or* simulated), counters live in a :class:`MetricRegistry`, and
 the exporters/profilers see everything.  An instrumented module that
-reads the host clock directly (``time.perf_counter`` et al. — the reads
-DET001 deliberately allows) or keeps ad-hoc tallies in a
+reads the monotonic host clock directly (``time.perf_counter`` et al.)
+or keeps ad-hoc tallies in a
 ``collections.Counter`` is invisible to every trace, profile, and
 metrics snapshot, and on the DES it reports wall time where simulated
 time is the truth.
@@ -24,9 +24,8 @@ from ..core import FileContext, Finding, Rule, canonical_chain, register
 
 __all__ = ["TelemetryObservabilityRule"]
 
-#: Host-clock reads for *measurement*.  DET001 bans the absolute-time
-#: reads (time.time, datetime.now); these monotonic ones are fine for a
-#: clock implementation but not for scattered ad-hoc timing.
+#: Monotonic host-clock reads for *measurement*: fine for a clock
+#: implementation but not for scattered ad-hoc timing.
 _HOST_CLOCKS = {
     ("time", "perf_counter"),
     ("time", "perf_counter_ns"),

@@ -1,4 +1,4 @@
-"""FLOW004 — span hygiene (tracer spans must be entered, never leaked).
+"""SPAN001 — span hygiene (tracer spans must be entered, never leaked).
 
 ``tracer.span(...)`` returns a context manager; the duration is only
 recorded between ``__enter__`` and ``__exit__``.  A span created but
@@ -15,16 +15,17 @@ name that is never subsequently entered in the same function.
 from __future__ import annotations
 
 import ast
+from typing import Iterator
 
-from ..core import register
-from .engine import DataflowRule, EmitFn
-from .symbols import FunctionInfo, ProjectIndex
+from ..core import FileContext, Finding, Rule, register
 
 __all__ = ["SpanHygieneRule"]
 
 #: Receiver names that identify a tracer object ("tracer", "_tracer",
 #: "self._sim_tracer", a ``with_clock``/``get_tracer`` result, ...).
 _TRACER_CALLS = {"with_clock", "get_tracer", "Tracer"}
+
+_FunctionNode = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _is_tracer_receiver(node: ast.expr) -> bool:
@@ -61,16 +62,14 @@ def _is_enter_context(call: ast.Call) -> bool:
     )
 
 
-def _own_statements(info: FunctionInfo) -> list[ast.stmt]:
+def _own_statements(func: ast.FunctionDef | ast.AsyncFunctionDef) -> list[ast.stmt]:
     """Statements of the function body, not descending into nested defs."""
     out: list[ast.stmt] = []
-    stack: list[ast.stmt] = list(info.node.body)
+    stack: list[ast.stmt] = list(func.body)
     while stack:
         stmt = stack.pop()
-        if isinstance(
-            stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            continue  # nested definitions are indexed and checked separately
+        if isinstance(stmt, (*_FunctionNode, ast.ClassDef)):
+            continue  # nested definitions are checked on their own
         out.append(stmt)
         for child in ast.iter_child_nodes(stmt):
             if isinstance(child, ast.stmt):
@@ -85,10 +84,10 @@ def _own_statements(info: FunctionInfo) -> list[ast.stmt]:
 
 
 @register
-class SpanHygieneRule(DataflowRule):
-    """FLOW004: tracer spans record nothing unless entered via `with`."""
+class SpanHygieneRule(Rule):
+    """SPAN001: tracer spans record nothing unless entered via `with`."""
 
-    id = "FLOW004"
+    id = "SPAN001"
     title = "Span hygiene"
     rationale = (
         "A tracer span that is never entered records nothing, and one "
@@ -97,10 +96,15 @@ class SpanHygieneRule(DataflowRule):
     )
     default_excludes = ("tracer.py",)
 
-    def check_function(
-        self, info: FunctionInfo, index: ProjectIndex, emit: EmitFn
-    ) -> None:
-        statements = _own_statements(info)
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, _FunctionNode):
+                yield from self._check_function(ctx, node)
+
+    def _check_function(
+        self, ctx: FileContext, func: ast.FunctionDef | ast.AsyncFunctionDef
+    ) -> Iterator[Finding]:
+        statements = _own_statements(func)
         entered: set[str] = set()
         created: dict[str, ast.stmt] = {}
 
@@ -121,14 +125,16 @@ class SpanHygieneRule(DataflowRule):
         for stmt in statements:
             if isinstance(stmt, ast.Return):
                 if stmt.value is not None and _is_span_call(stmt.value):
-                    emit(
+                    yield ctx.finding(
+                        self,
                         stmt,
                         "span leaked across a return; enter it in a `with` "
                         "block instead of handing the context manager out",
                     )
                 continue
             if isinstance(stmt, ast.Expr) and _is_span_call(stmt.value):
-                emit(
+                yield ctx.finding(
+                    self,
                     stmt,
                     "span created but never entered; wrap the call in a "
                     "`with` block or it records nothing",
@@ -148,7 +154,8 @@ class SpanHygieneRule(DataflowRule):
 
         for name, stmt in created.items():
             if name not in entered:
-                emit(
+                yield ctx.finding(
+                    self,
                     stmt,
                     f"span bound to {name!r} but never entered in this "
                     "function; enter it via `with` or "

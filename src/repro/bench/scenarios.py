@@ -36,16 +36,12 @@ Families
 
 from __future__ import annotations
 
-import shutil
-import weakref
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from ..analysis.config import LintConfig
-from ..analysis.driver import lint_paths
 from ..core.evalcache import clear_evaluation_cache
 from ..core.experiment import default_source, run_algorithm
 from ..core.suite import run_evaluation
@@ -578,101 +574,6 @@ def _prep_semi_vs_fully(quick: bool) -> Prepared:
     )
 
 
-# --------------------------------------------------------------------------
-# lint family
-# --------------------------------------------------------------------------
-
-#: Functions emitted per synthetic fixture module (see the template).
-_LINT_FUNCS_PER_MODULE = 4
-
-
-def _lint_fixture_module(index: int) -> str:
-    """One synthetic module of the lint-benchmark fixture tree.
-
-    Modules chain imports (``modN`` calls ``modN-1``) so the engine has
-    real interprocedural work, and every fourth module plants an
-    unseeded generator so the finding count is known and non-zero.
-    """
-    lines = ["import time", "from numpy.random import default_rng"]
-    if index > 0:
-        lines.append(f"from pkg.mod{index - 1} import stamp")
-        stamp_body = "    return stamp() + time.perf_counter()"
-    else:
-        stamp_body = "    return time.perf_counter()"
-    seed_expr = "" if index % 4 == 0 else f"{index}"
-    lines += [
-        "",
-        "def stamp() -> float:",
-        stamp_body,
-        "",
-        "def elapsed(t0):",
-        "    return stamp() - t0",
-        "",
-        "def make_stream():",
-        f"    return default_rng({seed_expr})",
-        "",
-        "def use(items, rng):",
-        "    return rng.permutation(items)",
-        "",
-    ]
-    return "\n".join(lines)
-
-
-def _lint_fixture_tree(modules: int) -> "Path":
-    """Write the synthetic project under a tempdir; returns its src root."""
-    import tempfile
-    from pathlib import Path
-
-    root = Path(tempfile.mkdtemp(prefix="repro-bench-lint-")) / "src"
-    pkg = root / "pkg"
-    pkg.mkdir(parents=True)
-    (pkg / "__init__.py").write_text("", encoding="utf-8")
-    for index in range(modules):
-        (pkg / f"mod{index}.py").write_text(
-            _lint_fixture_module(index), encoding="utf-8"
-        )
-    return root
-
-
-def _lint_verify(result) -> dict[str, Any]:
-    stats = result.dataflow_stats
-    return {
-        "findings": len(result.unsuppressed),
-        "functions_analyzed": stats.functions_analyzed,
-        "modules": stats.modules,
-    }
-
-
-def _prep_lint(quick: bool, *, warm: bool) -> Prepared:
-    """Dataflow lint of the fixture tree, cache off (cold) or primed (warm).
-
-    The tree is removed when the timed callable is collected, so a
-    scenario's fixture lives exactly as long as its :class:`Prepared`.
-    """
-    modules = 24 if quick else 64
-    root = _lint_fixture_tree(modules)
-    config = LintConfig(dataflow_cache_dir=str(root.parent / ".simlint-cache"))
-    if warm:
-        # Prime the fingerprint cache (untimed); timed runs are pure
-        # replays and must analyse zero functions.
-        lint_paths([root], config=config, dataflow=True)
-
-    def run() -> dict[str, Any]:
-        return _lint_verify(
-            lint_paths([root], config=config, dataflow=True, use_cache=warm)
-        )
-
-    weakref.finalize(run, shutil.rmtree, root.parent, ignore_errors=True)
-    return Prepared(
-        name="lint_dataflow_warm" if warm else "lint_dataflow_cold",
-        family="lint",
-        params={"modules": modules, "cache": "warm" if warm else "off"},
-        run=run,
-        work_unit="functions/s",
-        work_amount=float(modules * _LINT_FUNCS_PER_MODULE),
-    )
-
-
 _FAMILIES: dict[str, list[Callable[[bool], Prepared]]] = {
     "des": [_prep_des_step_mixed, _prep_des_step_uniform, _prep_des_trace],
     "traversal": [_prep_bfs, _prep_sssp, _prep_cc],
@@ -688,7 +589,6 @@ _FAMILIES: dict[str, list[Callable[[bool], Prepared]]] = {
         _prep_surface_workers4,
         _prep_plan_queries,
     ],
-    "lint": [partial(_prep_lint, warm=False), partial(_prep_lint, warm=True)],
     "workloads": [_prep_semi_vs_fully],
 }
 

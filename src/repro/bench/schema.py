@@ -58,7 +58,6 @@ KNOWN_FAMILIES = (
     "memsim",
     "sweep",
     "sweep_parallel",
-    "lint",
     "workloads",
 )
 

@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: src)",
     )
     lint.add_argument(
-        "--format", default="text", choices=["text", "json", "sarif"],
+        "--format", default="text", choices=["text", "json"],
         dest="output_format", help="report format",
     )
     lint.add_argument(
@@ -269,29 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalogue and exit",
-    )
-    lint.add_argument(
-        "--dataflow", action="store_true",
-        help="also run the interprocedural dataflow engine (FLOW rules)",
-    )
-    lint.add_argument(
-        "--changed", action="store_true",
-        help="report findings only for files changed vs git HEAD "
-        "(pre-commit mode; falls back to a full report outside git)",
-    )
-    lint.add_argument(
-        "--no-cache", action="store_true",
-        help="ignore and don't write the dataflow finding cache",
-    )
-    lint.add_argument(
-        "--check-ratchet", action="store_true",
-        help="with --dataflow: fail only on findings not in the committed "
-        "ratchet baseline (.simlint-ratchet.json)",
-    )
-    lint.add_argument(
-        "--update-ratchet", action="store_true",
-        help="with --dataflow: rewrite the ratchet baseline to the "
-        "current finding set",
     )
 
     serve = sub.add_parser(
@@ -778,90 +755,21 @@ def _cmd_evaluate(args: argparse.Namespace) -> str:
 def _cmd_lint(args: argparse.Namespace) -> tuple[str, int]:
     from pathlib import Path
 
-    from .analysis import all_rules, lint_paths, load_config
-    from .analysis.changed import changed_python_files
-    from .analysis.reporters import render_json, render_sarif, render_text
+    from .analysis import all_rules, lint_paths
+    from .analysis.reporters import render_json, render_text
 
     if args.list_rules:
         lines = [f"{rule.id}  {rule.title}\n    {rule.rationale}" for rule in all_rules()]
         return "\n".join(lines), 0
-    report_only = None
-    if args.changed:
-        changed = changed_python_files()
-        if changed:
-            scope = {Path(p).resolve() for p in args.paths}
-            report_only = [
-                path
-                for path in changed
-                if any(
-                    root == path.resolve() or root in path.resolve().parents
-                    for root in scope
-                )
-            ]
-    config = load_config(Path(args.paths[0]) if args.paths else None)
-    result = lint_paths(
-        args.paths,
-        config=config,
-        dataflow=args.dataflow,
-        use_cache=not args.no_cache,
-        report_only=report_only,
-    )
-    code = result.exit_code
-    tail = []
-    if args.dataflow and (args.check_ratchet or args.update_ratchet):
-        from .analysis.dataflow import RatchetBaseline
-
-        baseline = RatchetBaseline.load(config.dataflow_baseline)
-        flow = [
-            f for f in result.unsuppressed if f.rule.startswith("FLOW")
-        ]
-        # The ratchet governs FLOW findings only; per-file findings keep
-        # their normal pass/fail semantics.
-        others_fail = any(
-            not f.rule.startswith("FLOW") for f in result.unsuppressed
-        )
-        if args.update_ratchet:
-            baseline.update(flow)
-            tail.append(
-                f"ratchet baseline rewritten: {len(baseline.entries)} "
-                f"entries in {config.dataflow_baseline}"
-            )
-            code = 1 if others_fail else 0
-        else:
-            new = baseline.new_findings(flow)
-            if new:
-                tail.append(
-                    f"RATCHET FAILED: {len(new)} finding(s) not in "
-                    f"{config.dataflow_baseline}"
-                )
-                code = 1
-            else:
-                tail.append(
-                    "ratchet passed: no findings beyond the baseline "
-                    f"({len(baseline.entries)} accepted)"
-                )
-                code = 1 if others_fail else 0
+    result = lint_paths(args.paths)
     if args.output_format == "json":
         report = render_json(result)
-    elif args.output_format == "sarif":
-        report = render_sarif(result)
     else:
         report = render_text(result, show_suppressed=args.show_suppressed)
-        if result.dataflow_stats is not None:
-            stats = result.dataflow_stats
-            cache = stats.cache or {}
-            report += (
-                f"\ndataflow: {stats.functions_analyzed} functions analyzed "
-                f"over {stats.modules} modules ({stats.call_edges} call "
-                f"edges, {stats.passes} passes; cache hits="
-                f"{cache.get('hits', 0)} misses={cache.get('misses', 0)})"
-            )
     if args.output:
         Path(args.output).write_text(report + "\n", encoding="utf-8")
         report = f"report written to {args.output}"
-    if tail:
-        report += "\n" + "\n".join(tail)
-    return report, code
+    return report, result.exit_code
 
 
 def _cmd_profile(args: argparse.Namespace) -> str:

@@ -193,8 +193,7 @@ class SpanProfile:
 
     Aggregation is *per timeline*: a wall-clock second and a simulated
     second measure different things, so summing them into one total
-    would corrupt every number in the profile (the same class of bug
-    FLOW001 flags in arithmetic).
+    would corrupt every number in the profile.
     """
 
     name: str

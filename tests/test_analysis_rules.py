@@ -2,69 +2,31 @@
 
 Every rule gets at least one positive fixture (the target snippet must
 be caught) and one negative fixture (the corrected version must stay
-silent), plus suppression handling and golden JSON/SARIF output shapes.
+silent), plus suppression handling and golden text/JSON output shapes.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.analysis import LintConfig, lint_source
+from repro.analysis import lint_source
 from repro.analysis.core import all_rules, get_rule
-from repro.analysis.reporters import render_json, render_sarif, render_text
+from repro.analysis.reporters import render_json, render_text
 
 # Paths chosen to fall inside each rule's default scope.
 SIM_PATH = "src/repro/sim/example.py"
 ENGINE_PATH = "src/repro/engine/example.py"
 CORE_PATH = "src/repro/core/example.py"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def findings_for(source, path=CORE_PATH, rule=None, config=None):
-    result = lint_source(source, path=path, config=config)
+def findings_for(source, path=CORE_PATH, rule=None):
+    result = lint_source(source, path=path)
     found = result.unsuppressed
     if rule is not None:
         found = [f for f in found if f.rule == rule]
     return found
-
-
-# -- DET001 ------------------------------------------------------------------
-
-
-class TestDET001:
-    def test_catches_numpy_global_rng(self):
-        src = "import numpy as np\nx = np.random.rand(10)\n"
-        (finding,) = findings_for(src, rule="DET001")
-        assert "numpy.random.rand" in finding.message
-        assert finding.line == 2
-
-    def test_catches_numpy_global_seed(self):
-        src = "import numpy as np\nnp.random.seed(0)\n"
-        assert findings_for(src, rule="DET001")
-
-    def test_catches_stdlib_random(self):
-        src = "import random\nx = random.random()\n"
-        (finding,) = findings_for(src, rule="DET001")
-        assert "random.random" in finding.message
-
-    def test_catches_wall_clock(self):
-        src = "import time\nstart = time.time()\n"
-        assert findings_for(src, rule="DET001")
-
-    def test_catches_datetime_now(self):
-        src = "from datetime import datetime\nstamp = datetime.now()\n"
-        assert findings_for(src, rule="DET001")
-
-    def test_allows_seeded_generator(self):
-        src = (
-            "import numpy as np\n"
-            "rng = np.random.default_rng(42)\n"
-            "x = rng.random(10)\n"
-        )
-        assert not findings_for(src, rule="DET001")
-
-    def test_allows_seeded_stdlib_instance(self):
-        src = "import random\nrng = random.Random(7)\nx = rng.random()\n"
-        assert not findings_for(src, rule="DET001")
 
 
 # -- UNIT001 -----------------------------------------------------------------
@@ -127,11 +89,6 @@ class TestDTYPE001:
     def test_scoped_to_simulation_packages(self):
         src = "import numpy as np\ndef f(n):\n    return np.zeros(n)\n"
         assert not findings_for(src, path=CORE_PATH, rule="DTYPE001")
-
-    def test_scope_overridable_from_config(self):
-        config = LintConfig(paths={"DTYPE001": ("core",)})
-        src = "import numpy as np\ndef f(n):\n    return np.zeros(n)\n"
-        assert findings_for(src, path=CORE_PATH, rule="DTYPE001", config=config)
 
 
 # -- FLOAT001 ----------------------------------------------------------------
@@ -217,40 +174,6 @@ class TestERR001:
         assert not findings_for(src, rule="ERR001")
 
 
-# -- STAT001 -----------------------------------------------------------------
-
-
-class TestSTAT001:
-    UNACCOUNTED = (
-        "class SneakyBackend:\n"
-        "    def __init__(self, inner):\n"
-        "        self.inner = inner\n"
-        "    def read(self, starts, lengths):\n"
-        "        return self.inner._gather(starts, lengths)\n"
-    )
-
-    def test_catches_unaccounted_read(self):
-        (finding,) = findings_for(
-            self.UNACCOUNTED, path=ENGINE_PATH, rule="STAT001"
-        )
-        assert "SneakyBackend" in finding.message
-
-    def test_allows_accounting_read(self):
-        src = (
-            "class HonestBackend:\n"
-            "    def read(self, starts, lengths):\n"
-            "        self._account(starts, lengths)\n"
-            "        self.stats.useful_bytes += int(lengths.sum())\n"
-            "        return self._gather(starts, lengths)\n"
-            "    def _account(self, starts, lengths):\n"
-            "        self.stats.requests += len(starts)\n"
-        )
-        assert not findings_for(src, path=ENGINE_PATH, rule="STAT001")
-
-    def test_scoped_to_backend_packages(self):
-        assert not findings_for(self.UNACCOUNTED, path=CORE_PATH, rule="STAT001")
-
-
 # -- OBS001 ------------------------------------------------------------------
 
 
@@ -294,6 +217,75 @@ class TestOBS001:
         assert not findings_for(
             src, path="src/repro/telemetry/clock.py", rule="OBS001"
         )
+
+
+# -- SPAN001 -----------------------------------------------------------------
+
+
+class TestSPAN001:
+    def test_catches_span_bound_but_never_entered(self):
+        src = (
+            "def work(tracer):\n"
+            "    span = tracer.span('work')\n"
+            "    do_work()\n"
+        )
+        (finding,) = findings_for(src, rule="SPAN001")
+        assert "never entered" in finding.message
+        assert finding.line == 2
+
+    def test_catches_returned_span(self):
+        src = "def start(tracer):\n    return tracer.span('work')\n"
+        (finding,) = findings_for(src, rule="SPAN001")
+        assert "leaked across a return" in finding.message
+
+    def test_catches_bare_expression_span(self):
+        src = "def work(tracer):\n    tracer.span('work')\n"
+        (finding,) = findings_for(src, rule="SPAN001")
+        assert "never entered" in finding.message
+
+    def test_allows_with_block(self):
+        src = (
+            "def work(tracer):\n"
+            "    with tracer.span('work'):\n"
+            "        do_work()\n"
+            "    span = tracer.span('second')\n"
+            "    with span:\n"
+            "        more_work()\n"
+        )
+        assert not findings_for(src, rule="SPAN001")
+
+    def test_allows_enter_context(self):
+        src = (
+            "from contextlib import ExitStack\n"
+            "def work(tracer):\n"
+            "    with ExitStack() as stack:\n"
+            "        span = tracer.span('work')\n"
+            "        stack.enter_context(span)\n"
+            "        do_work()\n"
+        )
+        assert not findings_for(src, rule="SPAN001")
+
+    def test_tracer_module_is_exempt(self):
+        src = "def start(tracer):\n    return tracer.span('work')\n"
+        assert not findings_for(
+            src, path="src/repro/telemetry/tracer.py", rule="SPAN001"
+        )
+
+    def test_catches_unentered_evaluate_workload_span(self):
+        # The evaluate.workload span in exec/tasks.py, bound instead of
+        # entered: no tier-1 test notices the span going missing.
+        path = SRC / "repro" / "exec" / "tasks.py"
+        header = '    with get_tracer().span("evaluate.workload", **cell):\n'
+        source = path.read_text(encoding="utf-8")
+        assert source.count(header) == 1
+        assert not findings_for(source, path=path.as_posix(), rule="SPAN001")
+        seeded = source.replace(
+            header,
+            '    span = get_tracer().span("evaluate.workload", **cell)\n'
+            "    if True:\n",
+        )
+        (finding,) = findings_for(seeded, path=path.as_posix(), rule="SPAN001")
+        assert "'span'" in finding.message
 
 
 # -- suppressions ------------------------------------------------------------
@@ -387,37 +379,17 @@ class TestReporters:
             "line": 2,
             "col": 11,
             "suppressed": False,
-            "related": [],
         }
         assert suppressed["line"] == 4 and suppressed["suppressed"] is True
-
-    def test_sarif_golden(self, result):
-        log = json.loads(render_sarif(result))
-        assert log["version"] == "2.1.0"
-        (run,) = log["runs"]
-        driver = run["tool"]["driver"]
-        assert driver["name"] == "simlint"
-        assert {r["id"] for r in driver["rules"]} == {
-            "DET001", "DTYPE001", "ERR001", "FLOAT001", "OBS001", "STAT001",
-            "UNIT001", "FLOW001", "FLOW002", "FLOW003", "FLOW004",
-        }
-        active, suppressed = run["results"]
-        assert active["ruleId"] == "FLOAT001"
-        location = active["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"] == "pkg/mod.py"
-        assert location["region"] == {"startLine": 2, "startColumn": 12}
-        assert "suppressions" not in active
-        assert suppressed["suppressions"] == [{"kind": "inSource"}]
 
 
 # -- framework ---------------------------------------------------------------
 
 
 class TestFramework:
-    def test_registry_has_all_eleven_rules(self):
+    def test_registry_has_every_rule(self):
         assert {rule.id for rule in all_rules()} == {
-            "DET001", "DTYPE001", "ERR001", "FLOAT001", "OBS001", "STAT001",
-            "UNIT001", "FLOW001", "FLOW002", "FLOW003", "FLOW004",
+            "DTYPE001", "ERR001", "FLOAT001", "OBS001", "SPAN001", "UNIT001",
         }
         for rule in all_rules():
             assert rule.title and rule.rationale
@@ -434,21 +406,11 @@ class TestFramework:
         assert finding.rule == "PARSE"
         assert result.exit_code == 1
 
-    def test_disable_from_config(self):
-        config = LintConfig(disable=("FLOAT001",))
-        src = "def f(x):\n    return x == 0.5\n"
-        assert not findings_for(src, config=config)
-
     def test_global_exclude_skips_test_code(self):
         src = "def f(x):\n    return x == 0.5\n"
-        config = LintConfig.default()
-        assert not findings_for(
-            src, path="tests/test_example.py", config=config
-        )
+        assert not findings_for(src, path="tests/test_example.py")
 
     def test_rules_documented_in_analysis_md(self):
-        from pathlib import Path
-
         doc = Path(__file__).resolve().parent.parent / "docs" / "ANALYSIS.md"
         text = doc.read_text(encoding="utf-8")
         for rule in all_rules():

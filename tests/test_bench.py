@@ -15,9 +15,7 @@ Three guarantees ride on these tests:
 """
 
 import functools
-import gc
 import json
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -162,18 +160,6 @@ class TestDeterminism:
         rows = scenario_catalog()
         assert {r["family"] for r in rows} == set(KNOWN_FAMILIES)
         assert len({r["benchmark"] for r in rows}) == len(rows)
-
-    def test_lint_fixture_tree_lives_as_long_as_its_scenario(
-        self, monkeypatch, tmp_path
-    ):
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        prepared = prepare_family("lint", quick=True)
-        assert len(list(tmp_path.glob("repro-bench-lint-*"))) == len(prepared)
-        del prepared
-        rows = scenario_catalog()
-        del rows
-        gc.collect()
-        assert list(tmp_path.glob("repro-bench-lint-*")) == []
 
     def test_verify_blocks_identical_across_runs(self):
         """Two full timed runs of one scenario return the same verify."""

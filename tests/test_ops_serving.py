@@ -256,7 +256,7 @@ class TestServingScenario:
     def test_shed_events_report_p99_in_microseconds(self):
         """Regression: shed_on/shed_off once emitted the windowed p99 in
         *seconds* under a suffix-less ``p99`` attribute, off by 1e6 from
-        every other ``*_us`` telemetry field (caught by FLOW002)."""
+        every other ``*_us`` telemetry field."""
         tracer = Tracer()
         with use_tracer(tracer):
             run_serving_scenario(
@@ -272,6 +272,28 @@ class TestServingScenario:
             # Shedding toggles around the 4000 us SLO: a microsecond
             # magnitude, not a seconds one (which would be < 1).
             assert p99_us > 100.0
+
+    def test_incident_events_report_p99_in_microseconds(self):
+        """ops.incident.start/end carry the windowed p99 in microseconds:
+        above the SLO when an incident opens, at or below the clearing
+        fraction of it when it closes."""
+        config = ServingConfig()
+        slo_us = config.slo_p99 / USEC
+        tracer = Tracer()
+        with use_tracer(tracer):
+            run_serving_scenario(
+                "xlfdd", storm=named_storm("storm"), controller=True
+            )
+        starts = tracer.events("ops.incident.start")
+        ends = tracer.events("ops.incident.end")
+        assert starts and ends, "the storm scenario must open and close an incident"
+        for event in starts:
+            assert event.attrs["p99_us"] > slo_us
+        for event in ends:
+            p99_us = event.attrs["p99_us"]
+            # A seconds value would be < 1; the clearing p99 is a
+            # microsecond magnitude below the clearing threshold.
+            assert 100.0 < p99_us <= config.incident_clear_fraction * slo_us
 
     def test_traced_and_untraced_runs_agree(self, storm_reports):
         on, _ = storm_reports

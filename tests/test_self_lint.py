@@ -1,8 +1,8 @@
 """Self-hosting gate: the repository's own sources must lint clean.
 
 This is the acceptance criterion for the simlint framework — every rule
-runs over ``src/`` with the ``pyproject.toml`` configuration, and any
-unsuppressed finding fails tier-1.  Reintroducing a violation (a
+runs over ``src/`` in its own scope, and any unsuppressed finding fails
+tier-1.  Reintroducing a violation (a
 dtype-less allocation, a magic unit literal, a bare ``except``) breaks
 this test, not just CI.
 """
@@ -55,7 +55,7 @@ def test_cli_exit_code_is_zero():
 
 def test_reintroduced_violation_is_caught(tmp_path):
     # Simulate a regression: drop a dtype-less allocation into a file
-    # under the DTYPE001 scope and lint it with the repo config.
+    # under the DTYPE001 scope and lint it.
     bad = tmp_path / "src" / "repro" / "sim" / "regression.py"
     bad.parent.mkdir(parents=True)
     bad.write_text("import numpy as np\nbuf = np.zeros(8)\n", encoding="utf-8")

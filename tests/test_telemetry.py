@@ -386,7 +386,7 @@ class TestExporters:
     def test_profiles_never_mix_timelines(self):
         """Regression: span_profiles/render_flamegraph once keyed by name
         alone, summing wall and sim durations of same-named spans into
-        one meaningless total (FLOW001's bug class at aggregation time).
+        one meaningless total.
         """
         clock = FrozenClock()
         tracer = Tracer(clock=clock)
