@@ -36,7 +36,6 @@ __all__ = [
     "XLFDD_ALIGNMENT_BYTES",
     "XLFDD_MAX_TRANSFER_BYTES",
     "XLFDD_IOPS_PER_DRIVE",
-    "XLFDD_FLASH_LATENCY",
     "XLFDD_DRIVES",
     "BAM_SSD_COUNT",
     "BAM_AGGREGATE_IOPS",
@@ -130,9 +129,6 @@ XLFDD_MAX_TRANSFER_BYTES = 2 * KIB
 
 #: Random-read performance per drive: up to 11 MIOPS.
 XLFDD_IOPS_PER_DRIVE = 11 * MIOPS
-
-#: Latency of the low-latency flash chips: "under 5 usec".
-XLFDD_FLASH_LATENCY = 5 * USEC
 
 #: Drives used in the evaluation rig (Table 3).
 XLFDD_DRIVES = 16

@@ -116,7 +116,7 @@ class AccessMethod(ABC):
         starts: np.ndarray, lengths: np.ndarray, line_bytes: int, cache: CacheModel
     ) -> np.ndarray:
         """One ``line_bytes`` request per cache miss (BaM lines, UVM pages)."""
-        block_ids, _ = expand_to_blocks(starts, lengths, line_bytes)
+        block_ids = expand_to_blocks(starts, lengths, line_bytes)
         return np.full(cache.access(block_ids), line_bytes, dtype=np.int64)
 
     @staticmethod

@@ -17,7 +17,7 @@ import numpy as np
 from ..config import VERTEX_ID_BYTES
 from ..errors import GraphFormatError
 
-__all__ = ["CSRGraph", "ragged_index", "sorted_unique"]
+__all__ = ["CSRGraph", "is_ascending", "ragged_index", "sorted_unique"]
 
 
 def ragged_index(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -39,17 +39,32 @@ def ragged_index(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=np.int64) + np.repeat(offsets, counts)
 
 
+def is_ascending(values: np.ndarray) -> bool:
+    """Whether 1-D ``values`` never decrease (true for sizes 0 and 1).
+
+    One adjacent comparison, exact for every dtype (a wrapping difference
+    would misjudge unsigned or extreme values).  Traversal steps emit
+    their block and vertex streams in this order — sorted frontiers over
+    disjoint, ascending CSR sublists — so callers that would sort first
+    can skip it.
+    """
+    return not np.less(values[1:], values[:-1]).any()
+
+
 def sorted_unique(values: np.ndarray) -> np.ndarray:
     """The distinct values of ``values``, ascending — ``np.unique`` without options.
 
-    One ``np.sort`` of a flattened copy, then an adjacent-difference mask
-    keeps the first of each run.  Since NumPy 2.3, ``np.unique`` hashes
-    before it sorts, which is many times slower for integer ids; for any
-    NaN-free input the output (values and dtype) is the same.
+    A flattened copy is sorted unless it is already non-decreasing
+    (:func:`is_ascending`), then an adjacent-difference mask keeps the
+    first of each run; the result is always a fresh array.  Since NumPy
+    2.3, ``np.unique`` hashes before it sorts, which is many times slower
+    for integer ids; for any NaN-free input the output (values and dtype)
+    is the same.
     """
-    ordered = np.sort(np.asarray(values), axis=None)
+    flat = np.asarray(values).ravel()
+    ordered = flat if is_ascending(flat) else np.sort(flat)
     if ordered.size < 2:
-        return ordered
+        return ordered.copy()
     keep = np.empty(ordered.size, dtype=bool)
     keep[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])

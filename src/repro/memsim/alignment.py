@@ -80,21 +80,20 @@ def blocks_per_request(
 
 def expand_to_blocks(
     starts: np.ndarray, lengths: np.ndarray, alignment: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Flatten requests into their touched block IDs, in request order.
 
-    Returns ``(block_ids, request_idx)`` where ``block_ids[k]`` is the
-    ``k``-th block reference of the access stream and ``request_idx[k]``
-    identifies the originating request.  This is the reference stream fed
-    to cache models.
+    ``block_ids[k]`` is the ``k``-th block reference of the access
+    stream: request ``i`` contributes the
+    :func:`blocks_per_request` ``[i]`` consecutive IDs from
+    ``starts[i] // alignment``.  This is the reference stream fed to cache
+    models.
     """
     alignment = _check_alignment(alignment)
     starts = np.asarray(starts, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
     counts = blocks_per_request(starts, lengths, alignment)
-    block_ids = ragged_index(starts // alignment, counts)
-    request_idx = np.repeat(np.arange(starts.size, dtype=np.int64), counts)
-    return block_ids, request_idx
+    return ragged_index(starts // alignment, counts)
 
 
 def split_by_max_transfer(

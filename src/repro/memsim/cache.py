@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ModelError
-from ..graph.csr import sorted_unique
+from ..graph.csr import is_ascending, sorted_unique
 
 __all__ = [
     "CacheStats",
@@ -115,9 +115,12 @@ class StepLocalCache(CacheModel):
     """
 
     def access(self, block_ids: np.ndarray) -> int:
-        # Distinct count from the sorted copy: one plus the number of
+        # Distinct count from the ordered stream: one plus the number of
         # adjacent changes, without compressing out the distinct values.
-        ordered = np.sort(np.asarray(block_ids, dtype=np.int64), axis=None)
+        # A step's stream is usually ascending already; only others sort.
+        ordered = np.asarray(block_ids, dtype=np.int64).ravel()
+        if not is_ascending(ordered):
+            ordered = np.sort(ordered)
         misses = 0
         if ordered.size:
             misses = 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
@@ -135,11 +138,11 @@ class IdealCache(CacheModel):
     The seen set is a dense boolean mask indexed by block ID (block IDs
     are byte offsets over alignment, so they are small non-negative
     integers): each batch is deduplicated with
-    :func:`~repro.graph.csr.sorted_unique` (one sort and an
-    adjacent-difference mask, O(batch log batch)), then membership is one
-    fancy gather, marking is one fancy scatter, and the mask grows
-    geometrically — no per-block Python loop and no re-sorting of the
-    ever-growing seen set.
+    :func:`~repro.graph.csr.sorted_unique` (an adjacent-difference mask,
+    sorting first only a batch that is not already ascending), then
+    membership is one fancy gather, marking is one fancy scatter, and the
+    mask grows geometrically — no per-block Python loop and no re-sorting
+    of the ever-growing seen set.
     """
 
     def __init__(self) -> None:

@@ -23,7 +23,7 @@ import numpy as np
 from ..config import GPU_CACHE_LINE_BYTES, GPU_SECTOR_BYTES
 from ..errors import ModelError
 from ..traversal.trace import TraceStep
-from .alignment import direct_requests, expand_to_blocks
+from .alignment import blocks_per_request, direct_requests, expand_to_blocks
 
 __all__ = [
     "CoalesceResult",
@@ -86,10 +86,10 @@ def coalesced_sizes(
             f"sector {sector_bytes}"
         )
     a_starts, a_lengths = direct_requests(starts, lengths, sector_bytes)
-    line_ids, request_idx = expand_to_blocks(a_starts, a_lengths, line_bytes)
-    line_start = line_ids * line_bytes
-    req_start = a_starts[request_idx]
-    req_end = req_start + a_lengths[request_idx]
+    counts = blocks_per_request(a_starts, a_lengths, line_bytes)
+    line_start = expand_to_blocks(a_starts, a_lengths, line_bytes) * line_bytes
+    req_start = np.repeat(a_starts, counts)
+    req_end = req_start + np.repeat(a_lengths, counts)
     return np.minimum(req_end, line_start + line_bytes) - np.maximum(
         req_start, line_start
     )

@@ -126,7 +126,7 @@ def cache_line_misses(
     cache.reset()
     misses = np.zeros(trace.num_steps, dtype=np.int64)
     for i, step in enumerate(trace):
-        block_ids, _ = expand_to_blocks(step.starts, step.lengths, line_bytes)
+        block_ids = expand_to_blocks(step.starts, step.lengths, line_bytes)
         misses[i] = cache.access(block_ids)
     return misses
 

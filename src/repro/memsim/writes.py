@@ -119,7 +119,7 @@ def cxl_write_traffic(
         user += int(lengths.sum())
         if starts.size == 0:
             continue
-        block_ids, _ = expand_to_blocks(starts, lengths, flit_bytes)
+        block_ids = expand_to_blocks(starts, lengths, flit_bytes)
         # Bytes of each line covered by writes: each write's overlap with
         # each line it touches, i.e. its 1 B sectors coalesced per line.
         overlap = coalesced_sizes(starts, lengths, 1, flit_bytes)
@@ -172,7 +172,7 @@ def flash_write_traffic(
         user += int(lengths.sum())
         if starts.size == 0:
             continue
-        block_ids, _ = expand_to_blocks(starts, lengths, page_bytes)
+        block_ids = expand_to_blocks(starts, lengths, page_bytes)
         pages_touched += int(sorted_unique(block_ids).size)
     page_writes = pages_touched * page_bytes
     return WriteTraffic(

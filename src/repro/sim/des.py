@@ -20,7 +20,11 @@ Fast-path notes (benchmarked by the ``des`` family, docs/PERFORMANCE.md):
 a fault-free step first runs :func:`_index_order_step`, a heap-free
 recurrence that is exact while requests complete in index order; it
 checks that order as it goes and hands the step to the event loop on
-the first break.
+the first break.  The recurrence is table-driven: each request's media
+and link service times and the earlier request whose completion gates
+its grant are numpy arrays built before the loop, so the loop itself is
+scalar float arithmetic over list lookups, with no per-device lists of
+completions.
 
 The event loop is the general path: it runs every fault plan, every step
 whose order breaks, every step with an event budget (``max_events``) and
@@ -88,6 +92,11 @@ class DESConfig:
             raise SimulationError("bandwidths, IOPS and latency must be positive")
         if self.num_devices < 1 or self.gpu_concurrency < 1:
             raise SimulationError("num_devices and gpu_concurrency must be >= 1")
+        if any(
+            cap is not None and cap < 1
+            for cap in (self.link_outstanding, self.device_outstanding)
+        ):
+            raise SimulationError("outstanding-request limits must be >= 1 or None")
 
     @classmethod
     def from_fluid(cls, params: FluidParams, num_devices: int = 1) -> "DESConfig":
@@ -146,10 +155,14 @@ def _index_order_step(
     tag is granted at ``max(completion[i - min(G, L)], completion of the
     request D earlier on its device)`` (a ``None`` capacity drops its
     term), and it books admission, media and the link exactly as the
-    event loop would.  Two conditions make the event loop book the link
-    in index order too, and both are checked per request: link arrivals
-    never decrease, and equal arrivals come with non-decreasing grants
-    (same-time events fire in scheduling order, which is grant order).
+    event loop would.  Completions then increase with the index, so the
+    grant is the completion of the later of those two requests, and that
+    index is precomputed: ``i - min(G, L)`` by index, the same-device one
+    by a stable argsort of ``devices``.  Two conditions make the event
+    loop book the link in index order too, and both are checked per
+    request: link arrivals never decrease, and equal arrivals come with
+    non-decreasing grants (same-time events fire in scheduling order,
+    which is grant order).
     Completions must strictly increase.  The first violation returns
     ``None`` and the caller runs the event loop from scratch.
     """
@@ -158,51 +171,59 @@ def _index_order_step(
     if config.link_outstanding is not None:
         window = min(window, config.link_outstanding)
     device_window = config.device_outstanding
+    # Per-request tables: service times (the same IEEE divisions the
+    # scalar expressions make) and the request whose completion gates
+    # the grant.  Of the two candidates, ``window`` earlier and
+    # ``device_window`` earlier on the same device, the later index wins:
+    # completions strictly increase while the recurrence holds.
+    # ``completion`` is offset by one behind a sentinel slot 0 that stays
+    # 0.0, the gate of a request that neither candidate holds back.
+    media_times = (sizes / config.device_internal_bandwidth).tolist()
+    link_times = (sizes / config.link_bandwidth).tolist()
+    gate = np.maximum(np.arange(1 - window, n + 1 - window, dtype=np.int64), 0)
+    if device_window is not None and device_window < n:
+        by_device = np.argsort(devices, kind="stable")
+        later, earlier = by_device[device_window:], by_device[:-device_window]
+        same = devices[later] == devices[earlier]
+        later, earlier = later[same], earlier[same]
+        gate[later] = np.maximum(gate[later], earlier + 1)
     op_time = 1.0 / config.device_iops
-    media_bw = config.device_internal_bandwidth
     latency = config.latency
-    link_bw = config.link_bandwidth
     admit_free = [0.0] * config.num_devices
     media_free = [0.0] * config.num_devices
-    # Completion times of each device's requests so far, in index order.
-    device_done: list[list[float]] = [[] for _ in range(config.num_devices)]
-    completion = [0.0] * n
+    completion = [0.0]
+    append = completion.append
     link_free = link_busy = 0.0
     last_arrival = last_grant = 0.0
-    for i, (size, dev) in enumerate(zip(sizes.tolist(), devices.tolist())):
-        grant = completion[i - window] if i >= window else 0.0
-        done_on_dev = device_done[dev]
-        if device_window is not None and len(done_on_dev) >= device_window:
-            earlier = done_on_dev[-device_window]
-            if earlier > grant:
-                grant = earlier
+    for dev, media_time, service, gated_by in zip(
+        devices.tolist(), media_times, link_times, gate.tolist()
+    ):
+        grant = completion[gated_by]
         # Admission at the op rate, then the media channel: FifoServer.book.
         free = admit_free[dev]
         admitted = (grant if grant > free else free) + op_time
         admit_free[dev] = admitted
         free = media_free[dev]
-        media_done = (admitted if admitted > free else free) + size / media_bw
+        media_done = (admitted if admitted > free else free) + media_time
         media_free[dev] = media_done
         arrival = media_done + latency
         if arrival < last_arrival or (arrival == last_arrival and grant < last_grant):
             return None
         last_arrival = arrival
         last_grant = grant
-        service = size / link_bw
         done = (arrival if arrival > link_free else link_free) + service
         if done <= link_free:
             return None
         link_free = done
         link_busy += service
-        completion[i] = done
-        done_on_dev.append(done)
+        append(done)
     return DESResult(
         time=link_free,
         requests=n,
         link_busy_time=link_busy,
         max_link_tags=min(n, window),
         max_warps=min(n, config.gpu_concurrency),
-        completion_times=np.array(completion, dtype=np.float64),
+        completion_times=np.array(completion, dtype=np.float64)[1:],
     )
 
 

@@ -27,9 +27,9 @@ whole edge set is gone.  SSSP and CC run it per chunk, with candidates
 built from a snapshot of the frontier's values taken before the first
 chunk, and drain once.  Where a sort is still the right tool (the
 direction-optimising BFS's top-down step, random-walk positions), the
-shared :func:`repro.graph.csr.sorted_unique` does it: one ``np.sort`` and an
-adjacent-difference mask, without the hash pass ``np.unique`` makes
-before its sort since NumPy 2.3.
+shared :func:`repro.graph.csr.sorted_unique` does it: one ``np.sort``
+(skipped for ascending input) and an adjacent-difference mask, without
+the hash pass ``np.unique`` makes before its sort since NumPy 2.3.
 """
 
 from __future__ import annotations

@@ -391,6 +391,49 @@ class TestTransientFaultsAreSurvivable:
             expected_attempts(rate, policy.max_attempts), rel=0.05
         )
 
+    @pytest.mark.parametrize("method", [ZeroCopyMethod(), XLFDDMethod(16)])
+    def test_reissued_reads_cross_the_discipline(self, method):
+        """A faulty run's requests and fetched bytes exceed the fault-free
+        run's by exactly the method's request sizes over the reissued reads."""
+        rng = np.random.default_rng(7)
+        data = rng.integers(0, 256, 1 << 16, dtype=np.uint8)
+        batches = [
+            (np.sort(rng.integers(0, (1 << 16) - 600, 50)), rng.integers(0, 600, 50))
+            for _ in range(4)
+        ]
+        plan = FaultPlan(seed=4, read_error_rate=0.3)
+
+        def run(plan):
+            backend = FaultyBackend(
+                ExternalMemoryBackend(data, method),
+                plan,
+                RetryPolicy(max_attempts=20),
+                num_devices=4,
+            )
+            for starts, lengths in batches:
+                backend.read(starts, lengths)
+            return backend.stats
+
+        clean, faulty = run(FaultPlan(seed=4)), run(plan)
+        # Replay the plan's draws: each round reissues the reads that failed.
+        extra_requests = extra_bytes = seen = 0
+        for starts, lengths in batches:
+            active = lengths > 0
+            starts, lengths = starts[active], lengths[active]
+            ids = seen + np.arange(starts.size, dtype=np.int64)
+            seen += starts.size
+            pending, attempt = np.arange(starts.size), 1
+            while pending.size:
+                pending = pending[plan.transient_failures(ids[pending], attempt)]
+                sizes = method.request_sizes(starts[pending], lengths[pending])
+                extra_requests += sizes.size
+                extra_bytes += int(sizes.sum())
+                attempt += 1
+        assert extra_requests > 0
+        assert faulty.retries > 0
+        assert faulty.requests - clean.requests == extra_requests
+        assert faulty.fetched_bytes - clean.fetched_bytes == extra_bytes
+
 
 class TestRetryExhaustion:
     def test_hopeless_plan_raises_typed_error(self, urand_small):

@@ -80,32 +80,38 @@ class TestBlocksAndExpansion:
         counts = blocks_per_request(np.array([0, 90, 100]), np.array([50, 20, 0]), 100)
         assert counts.tolist() == [1, 2, 0]
 
+    @staticmethod
+    def segments(starts, lengths, a):
+        """Each request's slice of the block stream, from its block count."""
+        counts = blocks_per_request(starts, lengths, a)
+        ends = np.cumsum(counts)
+        return [slice(int(e - c), int(e)) for c, e in zip(counts, ends)]
+
     def test_expand_to_blocks_ids(self):
-        block_ids, request_idx = expand_to_blocks(
-            np.array([0, 250]), np.array([150, 100]), 100
-        )
+        starts, lengths = np.array([0, 250]), np.array([150, 100])
+        block_ids = expand_to_blocks(starts, lengths, 100)
         assert block_ids.tolist() == [0, 1, 2, 3]
-        assert request_idx.tolist() == [0, 0, 1, 1]
+        segs = self.segments(starts, lengths, 100)
+        assert [block_ids[seg].tolist() for seg in segs] == [[0, 1], [2, 3]]
 
     def test_expand_skips_zero_length(self):
-        block_ids, request_idx = expand_to_blocks(
-            np.array([0, 500]), np.array([0, 50]), 100
-        )
+        starts, lengths = np.array([0, 500]), np.array([0, 50])
+        block_ids = expand_to_blocks(starts, lengths, 100)
         assert block_ids.tolist() == [5]
-        assert request_idx.tolist() == [1]
+        segs = self.segments(starts, lengths, 100)
+        assert [block_ids[seg].tolist() for seg in segs] == [[], [5]]
 
     def test_expand_empty(self):
-        block_ids, request_idx = expand_to_blocks(
-            np.array([], dtype=np.int64), np.array([], dtype=np.int64), 100
-        )
-        assert block_ids.size == request_idx.size == 0
+        empty = np.array([], dtype=np.int64)
+        block_ids = expand_to_blocks(empty, empty, 100)
+        assert block_ids.size == blocks_per_request(empty, empty, 100).size == 0
 
     def test_expansion_consistent_with_span(self):
         rng = np.random.default_rng(3)
         starts = rng.integers(0, 5_000, 300)
         lengths = rng.integers(0, 700, 300)
         for a in (64, 512):
-            block_ids, _ = expand_to_blocks(starts, lengths, a)
+            block_ids = expand_to_blocks(starts, lengths, a)
             _, a_lengths = aligned_span(starts, lengths, a)
             assert block_ids.size * a == a_lengths.sum()
 

@@ -236,6 +236,35 @@ class TestServingScenario:
         assert on.attainment >= off.attainment
         assert on.controller_actions == {}  # nothing to remediate
 
+    def test_memory_latency_histogram_is_in_microseconds(self, monkeypatch):
+        """A healthy member's access observation is ``base_latency / USEC``."""
+        from repro import systems
+        from repro.ops.scenario import ServingScenario
+        from repro.telemetry.metrics import Histogram
+
+        observed: list[float] = []
+        observe = Histogram.observe
+
+        def record(hist, value):
+            if hist.name == "memory.latency_us":
+                observed.append(value)
+            observe(hist, value)
+
+        monkeypatch.setattr(Histogram, "observe", record)
+        system = systems.get("xlfdd")
+        scenario = ServingScenario(
+            system.pool,
+            ServingConfig(duration=0.2),
+            TrafficModel(),
+            named_storm("none"),
+            base_latency=system.total_latency,
+        )
+        scenario.run()
+        assert observed
+        assert set(observed) == {system.total_latency / USEC}
+        hist = scenario.registry.histogram("memory.latency_us")
+        assert hist.total == len(observed)
+
     def test_every_remediation_is_visible_in_telemetry(self):
         tracer = Tracer()
         with use_tracer(tracer):

@@ -3,6 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.graph.csr import sorted_unique
 from repro.memsim.alignment import (
     aligned_span,
     blocks_per_request,
@@ -56,12 +57,14 @@ def test_aligned_span_is_minimal_cover(reqs, a):
 @settings(max_examples=80, deadline=None)
 def test_block_expansion_consistent(reqs, a):
     starts, lengths = reqs
-    blocks, request_idx = expand_to_blocks(starts, lengths, a)
+    blocks = expand_to_blocks(starts, lengths, a)
     counts = blocks_per_request(starts, lengths, a)
     assert blocks.size == counts.sum()
-    # Each request's blocks are consecutive and start at start//a.
-    for i in np.unique(request_idx):
-        mine = blocks[request_idx == i]
+    # Each request's blocks are consecutive and start at start//a; its
+    # segment of the stream follows the earlier requests' counts.
+    ends = np.cumsum(counts)
+    for i in np.flatnonzero(counts):
+        mine = blocks[ends[i] - counts[i] : ends[i]]
         assert mine[0] == starts[i] // a
         assert np.all(np.diff(mine) == 1)
 
@@ -180,6 +183,31 @@ def test_cache_stats_conservation(batches):
             cache.access(batch)
         total = sum(b.size for b in batches)
         assert cache.stats.hits + cache.stats.misses == total
+
+
+@given(block_streams, st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_order_does_not_change_set_semantics(batches, seed):
+    """Ascending batches skip the sort; any order must count the same."""
+    rng = np.random.default_rng(seed)
+    orders = {
+        "drawn": batches,
+        "ascending": [np.sort(b) for b in batches],
+        "shuffled": [rng.permutation(b) for b in batches],
+    }
+
+    def misses(cache, stream):
+        return [cache.access(b) for b in stream]
+
+    for make in (StepLocalCache, IdealCache):
+        got = {name: misses(make(), stream) for name, stream in orders.items()}
+        assert got["ascending"] == got["drawn"] == got["shuffled"]
+    for stream in orders.values():
+        for batch in stream:
+            got = sorted_unique(batch)
+            assert np.array_equal(got, np.unique(batch))
+            assert got.dtype == batch.dtype
+            assert not np.shares_memory(got, batch)
 
 
 @st.composite

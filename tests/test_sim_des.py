@@ -101,6 +101,9 @@ class TestValidation:
             make_config(link_bandwidth=0)
         with pytest.raises(SimulationError):
             make_config(num_devices=0)
+        for limit in ("link_outstanding", "device_outstanding"):
+            with pytest.raises(SimulationError, match="outstanding"):
+                make_config(**{limit: 0})
 
     def test_device_array_shape_checked(self):
         with pytest.raises(SimulationError, match="shape"):
@@ -244,3 +247,114 @@ class TestIndexOrderStep:
         got = simulate_step(sizes, config, devices)
         assert got.completion_times.tolist() == [3.0, 8.0, 7.5]
         assert_same_result(got, oracle(sizes, config, devices))
+
+    # Random device maps at up to 3,000 requests, so the grant's
+    # same-device lag (``device_outstanding`` requests earlier on one
+    # device) binds and not only the window lag.
+
+    @staticmethod
+    def device_map(rng, n, num_devices, kind):
+        if kind == "uniform":
+            return rng.integers(0, num_devices, size=n)
+        if kind == "runs":
+            return np.sort(rng.integers(0, num_devices, size=n))
+        # A shuffled round-robin: a random device order, repeated.
+        return rng.permutation(num_devices)[round_robin(n, num_devices)]
+
+    @staticmethod
+    def same_device_lag_binds(devices, completion, window, device_window):
+        """Requests whose grant waits on the one ``device_window`` earlier
+        on their device rather than on the one ``window`` earlier."""
+        earlier: dict[int, list[int]] = {}
+        binds = 0
+        for i, dev in enumerate(devices.tolist()):
+            mine = earlier.setdefault(dev, [])
+            by_window = completion[i - window] if i >= window else 0.0
+            if len(mine) >= device_window and completion[mine[-device_window]] > by_window:
+                binds += 1
+            mine.append(i)
+        return binds
+
+    @pytest.mark.parametrize("device_outstanding", [1, 8, 64])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_device_maps_match_event_loop(self, seed, device_outstanding):
+        rng = np.random.default_rng(1_000 + seed)
+        n = int(rng.integers(300, 3_001))
+        num_devices = int(rng.integers(1, 9))
+        kind = ("uniform", "runs", "shuffled")[seed % 3]
+        devices = self.device_map(rng, n, num_devices, kind)
+        sizes = np.full(n, int(rng.choice([32, 512, 4096])), dtype=np.int64)
+        config = make_config(
+            link_bandwidth=float(rng.choice([8e9, 24e9])),
+            latency=float(rng.choice([1.0, 5.0, 10.0])) * USEC,
+            device_iops=float(rng.choice([1, 4, 8])) * MIOPS,
+            device_internal_bandwidth=float(rng.choice([6e9, 24e9])),
+            num_devices=num_devices,
+            link_outstanding=rng.choice([None, 16, 256, 768]),
+            device_outstanding=device_outstanding,
+            gpu_concurrency=int(rng.choice([64, 2048])),
+        )
+        expected = oracle(sizes, config, devices)
+        fast = _index_order_step(sizes, config, devices)
+        if fast is not None:
+            assert_same_result(fast, expected)
+        assert_same_result(simulate_step(sizes, config, devices), expected)
+
+    @pytest.mark.parametrize("device_outstanding", [1, 8, 64])
+    @pytest.mark.parametrize("num_devices", [3, 5])
+    def test_same_device_lag_binds_on_shuffled_round_robin(
+        self, num_devices, device_outstanding
+    ):
+        rng = np.random.default_rng(num_devices * device_outstanding)
+        n = 3_000
+        devices = self.device_map(rng, n, num_devices, "shuffled")
+        sizes = np.full(n, 4_096, dtype=np.int64)
+        config = make_config(
+            num_devices=num_devices,
+            device_outstanding=device_outstanding,
+            device_iops=4 * MIOPS,
+            device_internal_bandwidth=6e9,
+            latency=5 * USEC,
+        )
+        fast = _index_order_step(sizes, config, devices)
+        assert fast is not None
+        binds = self.same_device_lag_binds(
+            devices, fast.completion_times, config.link_outstanding, device_outstanding
+        )
+        assert binds > n // 2
+        assert_same_result(fast, oracle(sizes, config, devices))
+
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_device_outstanding_at_least_n(self, n):
+        # Every same-device lag points at the sentinel: no grant waits on it.
+        rng = np.random.default_rng(n)
+        devices = rng.integers(0, 3, size=n)
+        sizes = np.full(n, 512, dtype=np.int64)
+        unbounded = make_config(num_devices=3, gpu_concurrency=4, link_outstanding=None)
+        for device_outstanding in (n, n + 1):
+            config = make_config(
+                num_devices=3,
+                device_outstanding=device_outstanding,
+                gpu_concurrency=4,
+                link_outstanding=None,
+            )
+            got = _index_order_step(sizes, config, devices)
+            assert got is not None
+            assert_same_result(got, oracle(sizes, config, devices))
+            assert_same_result(got, simulate_step(sizes, unbounded, devices))
+
+    @pytest.mark.parametrize("device_outstanding", [None, 1, 2])
+    def test_fewer_requests_than_the_window(self, device_outstanding):
+        # Every window lag points at the sentinel: only devices gate grants.
+        n = 40
+        sizes = np.full(n, 4_096, dtype=np.int64)
+        config = make_config(
+            num_devices=2,
+            device_outstanding=device_outstanding,
+            link_outstanding=n + 1,
+        )
+        devices = round_robin(n, 2)
+        fast = _index_order_step(sizes, config, devices)
+        assert fast is not None
+        assert fast.max_link_tags == fast.max_warps == n
+        assert_same_result(fast, oracle(sizes, config, devices))
