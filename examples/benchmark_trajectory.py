@@ -68,7 +68,7 @@ def main() -> None:
 
     summary = {
         "benchmarks": len(base["benchmarks"]),
-        "gate_threshold": "15% (override: REPRO_BENCH_GATE_THRESHOLD)",
+        "gate_threshold": "15% (override: --threshold)",
     }
     print(f"\n{json.dumps(summary, indent=2)}")
 

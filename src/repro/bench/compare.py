@@ -4,8 +4,7 @@
 table; ``repro bench --check base.json cand.json`` additionally applies
 the regression gate: any matched benchmark whose candidate time exceeds
 the baseline by more than the threshold (default 15%, override with
-``--threshold`` or the ``REPRO_BENCH_GATE_THRESHOLD`` environment
-variable) fails the gate, as does one whose ``verify`` block differs
+``--threshold``) fails the gate, as does one whose ``verify`` block differs
 from the baseline's (a faster run of different outputs is no win) or a
 benchmark present in the baseline but missing from the candidate.
 
@@ -18,7 +17,6 @@ same-machine trajectories.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -42,19 +40,8 @@ _METRIC_KEYS = {"normalized": "normalized_best", "raw": "best_s"}
 
 
 def gate_threshold(override: float | None = None) -> float:
-    """Resolve the gate threshold: CLI flag > environment > default."""
-    if override is not None:
-        value = override
-    else:
-        env = os.environ.get("REPRO_BENCH_GATE_THRESHOLD")
-        if env is None:
-            return DEFAULT_THRESHOLD
-        try:
-            value = float(env)
-        except ValueError as exc:
-            raise BenchError(
-                f"REPRO_BENCH_GATE_THRESHOLD={env!r} is not a number"
-            ) from exc
+    """Resolve the gate threshold: the ``--threshold`` value or the default."""
+    value = DEFAULT_THRESHOLD if override is None else override
     if not 0 < value < 10:
         raise BenchError(f"gate threshold must be in (0, 10), got {value}")
     return value

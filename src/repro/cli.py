@@ -362,8 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--threshold", type=float, default=None, metavar="X",
-        help="regression gate threshold as a fraction (default 0.15; "
-        "env REPRO_BENCH_GATE_THRESHOLD also overrides)",
+        help="regression gate threshold as a fraction (default 0.15)",
     )
     bench.add_argument(
         "--metric", default="normalized", choices=["normalized", "raw"],

@@ -20,12 +20,12 @@ cache keyed by two content fingerprints:
   every discipline resets its cache before a trace.
 
 Every memo in the process is a :class:`Memo` (bounded, FIFO eviction).
-Three live here: physical traces (:func:`cached_physical_trace`),
-deterministic RAF results (:mod:`repro.memsim.raf`) and built workloads
-(:func:`repro.exec.tasks.workload_for`).  :func:`clear_evaluation_cache`
-flushes every memo — the benchmark harness does so at the start of every
-timed repeat so memoization only gets credit for *within-run* duplicate
-pricing, never for state left by a warmup.
+Two live here: physical traces (:func:`cached_physical_trace`) and built
+workloads (:func:`repro.exec.tasks.workload_for`).
+:func:`clear_evaluation_cache` flushes every memo; the bench scenarios
+that price through a memo call it inside their timed ``run``, so
+memoization gets credit only for *within-run* duplicate pricing, never
+for state left by a warmup.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from ..memsim.cache import CacheModel
 __all__ = [
     "Memo",
     "physical_trace_memo",
-    "raf_memo",
     "workload_memo",
     "config_fingerprint",
     "trace_fingerprint",
@@ -103,8 +102,6 @@ class Memo:
 #: (trace, method) -> PhysicalTrace; sweeps touch a handful of pairs, so
 #: this is generous while still capping memory for long-lived processes.
 physical_trace_memo = Memo(capacity=256)
-#: Deterministic RAF evaluations, keyed by trace and alignment parameters.
-raf_memo = Memo(capacity=128)
 #: (dataset, scale, seed, algorithm, source) -> (graph, trace) built by
 #: :func:`repro.exec.tasks.workload_for`; one build per workload per process.
 workload_memo = Memo(capacity=8)

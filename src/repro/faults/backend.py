@@ -31,6 +31,7 @@ from ..devices.base import DevicePool
 from ..engine.backend import ExternalMemoryBackend, MemoryStats
 from ..errors import DeviceError, FaultExhaustedError
 from ..graph.csr import sorted_unique
+from ..graph.partition import StripedLayout
 from ..telemetry.tracer import get_tracer
 from ..units import USEC
 from .health import PoolHealthTracker
@@ -54,7 +55,8 @@ class FaultyBackend:
         What goes wrong, and how hard the system fights back.
     num_devices:
         Stripe members the byte range is spread over; requests map to
-        members by ``(start // stripe_bytes) % num_devices``.
+        members through a
+        :class:`~repro.graph.partition.StripedLayout` of ``stripe_bytes``.
     base_latency:
         Healthy per-attempt service latency in simulated seconds (the
         GPU-observed round trip); spikes and stuck-slow multipliers add
@@ -79,12 +81,9 @@ class FaultyBackend:
         pool: DevicePool | None = None,
         failure_threshold: int = 3,
     ) -> None:
-        if num_devices < 1:
-            raise DeviceError(f"num_devices must be >= 1, got {num_devices}")
         if base_latency <= 0 or not np.isfinite(base_latency):
             raise DeviceError("base_latency must be positive and finite")
-        if stripe_bytes < 1:
-            raise DeviceError("stripe_bytes must be >= 1")
+        self.layout = StripedLayout(num_devices, stripe_bytes)
         if pool is not None and pool.count != num_devices:
             raise DeviceError(
                 f"pool has {pool.count} members but num_devices={num_devices}"
@@ -92,16 +91,14 @@ class FaultyBackend:
         self.inner = inner
         self.plan = plan
         self.policy = policy if policy is not None else RetryPolicy()
-        self.num_devices = num_devices
         self.base_latency = base_latency
-        self.stripe_bytes = stripe_bytes
         self.pool = pool
         self._failure_threshold = failure_threshold
         self._reset_fault_state()
 
     def _reset_fault_state(self) -> None:
         self.health = PoolHealthTracker(
-            self.num_devices, failure_threshold=self._failure_threshold
+            self.layout.num_devices, failure_threshold=self._failure_threshold
         )
         self.clock = 0.0
         self._requests_seen = 0
@@ -128,7 +125,7 @@ class FaultyBackend:
 
     def _map_devices(self, starts: np.ndarray) -> np.ndarray:
         """Stripe mapping with failed members remapped onto survivors."""
-        base = (starts // self.stripe_bytes) % self.num_devices
+        base = self.layout.device_of(starts)
         if not self.health.failed:
             return base
         survivors = np.array(self.health.surviving, dtype=np.int64)
@@ -139,7 +136,7 @@ class FaultyBackend:
 
     def _update_drop_trigger(self) -> None:
         dev = self.plan.drop_device_index
-        if dev < self.num_devices and self.plan.device_dropped(
+        if dev < self.layout.num_devices and self.plan.device_dropped(
             dev, self._requests_seen, self.clock
         ):
             self._dropped.add(dev)

@@ -32,23 +32,26 @@ class XLFDDMethod(AccessMethod):
     """Direct, cache-less, sublist-granular storage access.
 
     ``alignment_bytes`` is swept in Figure 5 (16 B up to 4 kB); the
-    transfer ceiling stays at the device's 2 kB.
+    transfer ceiling stays at the device's 2 kB (``None``: no ceiling).
     """
 
     alignment_bytes: int = XLFDD_ALIGNMENT_BYTES
-    max_transfer_bytes: int = XLFDD_MAX_TRANSFER_BYTES
+    max_transfer_bytes: int | None = XLFDD_MAX_TRANSFER_BYTES
 
     def __post_init__(self) -> None:
         if self.alignment_bytes < 1:
             raise ModelError("alignment_bytes must be >= 1")
-        if self.max_transfer_bytes < 1:
-            raise ModelError("max transfer must be >= 1")
+        ceiling = self.max_transfer_bytes
         # An alignment above the transfer ceiling forces every request to
         # the alignment size (reads come in whole aligned units).
-        self.effective_max_transfer = max(self.max_transfer_bytes, self.alignment_bytes)
-        if self.effective_max_transfer % self.alignment_bytes != 0:
+        self.effective_max_transfer = (
+            None if ceiling is None else max(ceiling, self.alignment_bytes)
+        )
+        if ceiling is not None and (
+            ceiling < 1 or self.effective_max_transfer % self.alignment_bytes
+        ):
             raise ModelError(
-                f"max transfer {self.effective_max_transfer} not a multiple of "
+                f"max transfer {ceiling} must be a positive multiple of "
                 f"alignment {self.alignment_bytes}"
             )
         self.name = f"xlfdd-{self.alignment_bytes}B"

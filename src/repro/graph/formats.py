@@ -107,15 +107,14 @@ def padding_tradeoff(
 
     rows = []
     for alignment in alignments:
-        max_transfer = max_transfer_bytes
-        if max_transfer is not None and max_transfer % alignment != 0:
-            max_transfer = align_up(max_transfer, alignment)
         natural = direct_access_amplification(
-            trace, alignment, max_transfer=max_transfer
+            trace, alignment, max_transfer=max_transfer_bytes
         )
         layout = padded_layout(graph, alignment)
         padded = direct_access_amplification(
-            padded_trace(trace, graph, layout), alignment, max_transfer=max_transfer
+            padded_trace(trace, graph, layout),
+            alignment,
+            max_transfer=max_transfer_bytes,
         )
         rows.append(
             {

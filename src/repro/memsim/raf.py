@@ -1,25 +1,19 @@
 """Read-amplification factor (RAF) engine — Section 3.1, Figure 3.
 
 ``RAF = D / E``: total bytes fetched from external memory over bytes the
-algorithm actually uses.  Two access disciplines are modelled:
+algorithm actually uses.  Two access disciplines are modelled, each read
+off the :meth:`~repro.gpu.base.AccessMethod.physical_trace` of the
+access method that defines it — this module keeps no loop of its own:
 
 * **cache-line access** (:func:`read_amplification`) — requests are split
   into alignment-sized blocks and served through a cache model; external
-  memory sees one block read per miss.  This is how EMOGI (hardware 32 B
-  sectors / 128 B lines) and BaM (software cache, d = a) behave, and it is
-  the paper's Figure 3 methodology.
+  memory sees one block read per miss.  This is
+  :class:`~repro.gpu.bam.BaMMethod` with ``cacheline_bytes = a`` (BaM's
+  software cache, ``d = a``), and it is the paper's Figure 3 methodology.
 * **direct access** (:func:`direct_access_amplification`) — each edge
   sublist is fetched with one aligned request and nothing is cached; this
-  is the XLFDD discipline (Section 4.1.1).
-
-Both entry points are memoized when their result is a pure function of
-their arguments — cache-line RAF with the default (stateless-across-calls)
-step-local cache, and direct access always — keyed by the trace's content
-fingerprint plus the alignment parameters.  Sweeps price the same trace
-at the same alignment through several systems, so the O(trace bytes)
-block expansion runs once per distinct key and is an O(1) dict hit after.
-The memo is :data:`repro.core.evalcache.raf_memo`, which
-:func:`repro.core.evalcache.clear_evaluation_cache` flushes.
+  is :class:`~repro.gpu.xlfdd_driver.XLFDDMethod`, the XLFDD discipline
+  (Section 4.1.1).
 """
 
 from __future__ import annotations
@@ -29,14 +23,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..errors import ModelError, TraceError
+from ..errors import TraceError
+from ..gpu.bam import BaMMethod
+from ..gpu.base import AccessMethod
+from ..gpu.xlfdd_driver import XLFDDMethod
 from ..traversal.trace import AccessTrace
-from .alignment import direct_requests, expand_to_blocks
 from .cache import CacheModel, StepLocalCache
 
 __all__ = [
     "RAFResult",
-    "cache_line_misses",
     "read_amplification",
     "direct_access_amplification",
     "raf_curve",
@@ -71,22 +66,21 @@ class RAFResult:
         return self.fetched_bytes / self.requests if self.requests else 0.0
 
 
-def _check_trace(trace: AccessTrace) -> None:
+def _raf(trace: AccessTrace, alignment: int, method: AccessMethod) -> RAFResult:
+    """The :class:`RAFResult` of ``method.physical_trace(trace)``."""
     if trace.num_steps == 0:
         raise TraceError("cannot compute amplification of an empty trace")
-
-
-def _memoized(
-    compute: Callable[[], RAFResult], kind: str, trace: AccessTrace, *params: object
-) -> RAFResult:
-    """``compute()`` through the RAF memo; uncached if unfingerprintable."""
-    from ..core.evalcache import raf_memo, trace_fingerprint
-
-    try:
-        key = (kind, trace_fingerprint(trace), *params)
-    except (ModelError, AttributeError, TypeError):
-        return compute()
-    return raf_memo.get_or_compute(key, compute)
+    steps = method.physical_trace(trace).steps
+    per_step_fetched = np.array([s.link_bytes for s in steps], dtype=np.int64)
+    per_step_requests = np.array([s.requests for s in steps], dtype=np.int64)
+    return RAFResult(
+        alignment=alignment,
+        useful_bytes=trace.useful_bytes,
+        fetched_bytes=int(per_step_fetched.sum()),
+        requests=int(per_step_requests.sum()),
+        per_step_fetched=per_step_fetched,
+        per_step_requests=per_step_requests,
+    )
 
 
 def read_amplification(
@@ -102,48 +96,11 @@ def read_amplification(
     :class:`IdealCache` for the cache ablation.  Each miss costs one
     ``alignment``-sized fetch, so ``d = a`` exactly as in Section 3.3.2.
     """
-    _check_trace(trace)
-    if cache is not None:
-        return _cache_line_raf(trace, alignment, cache)
-    # Pure function of (trace, alignment): the default step-local cache
-    # carries no state across calls and nobody observes its stats.
-    return _memoized(
-        lambda: _cache_line_raf(trace, alignment, StepLocalCache()),
-        "steplocal",
-        trace,
-        alignment,
+    method = BaMMethod(
+        cacheline_bytes=alignment,
+        cache=cache if cache is not None else StepLocalCache(),
     )
-
-
-def cache_line_misses(
-    trace: AccessTrace, line_bytes: int, cache: CacheModel
-) -> np.ndarray:
-    """The cache-line discipline: per-step misses of ``trace`` through ``cache``.
-
-    The cache is reset first; every miss is one ``line_bytes`` external
-    read (BaM cache lines, UVM pages, Figure 3's cache-line RAF).
-    """
-    cache.reset()
-    misses = np.zeros(trace.num_steps, dtype=np.int64)
-    for i, step in enumerate(trace):
-        block_ids = expand_to_blocks(step.starts, step.lengths, line_bytes)
-        misses[i] = cache.access(block_ids)
-    return misses
-
-
-def _cache_line_raf(
-    trace: AccessTrace, alignment: int, cache: CacheModel
-) -> RAFResult:
-    per_step_requests = cache_line_misses(trace, alignment, cache)
-    per_step_fetched = per_step_requests * alignment
-    return RAFResult(
-        alignment=alignment,
-        useful_bytes=trace.useful_bytes,
-        fetched_bytes=int(per_step_fetched.sum()),
-        requests=int(per_step_requests.sum()),
-        per_step_fetched=per_step_fetched,
-        per_step_requests=per_step_requests,
-    )
+    return _raf(trace, alignment, method)
 
 
 def direct_access_amplification(
@@ -152,36 +109,12 @@ def direct_access_amplification(
     """Direct (cache-less) RAF: one aligned read per edge sublist.
 
     ``max_transfer`` splits large sublists into multiple requests (XLFDD
-    caps a request at 2 kB); splitting changes the request count and hence
-    ``d``, but not the fetched bytes.
+    caps a request at 2 kB; ``None``: no ceiling); splitting changes the
+    request count and hence ``d``, but not the fetched bytes.  A ceiling
+    below the alignment rounds up to it, as in Figure 5's 4 kB point.
     """
-    _check_trace(trace)
-    return _memoized(
-        lambda: _direct_raf(trace, alignment, max_transfer),
-        "direct",
-        trace,
-        alignment,
-        max_transfer,
-    )
-
-
-def _direct_raf(
-    trace: AccessTrace, alignment: int, max_transfer: int | None
-) -> RAFResult:
-    per_step_fetched = np.zeros(trace.num_steps, dtype=np.int64)
-    per_step_requests = np.zeros(trace.num_steps, dtype=np.int64)
-    for i, step in enumerate(trace):
-        _, sizes = direct_requests(step.starts, step.lengths, alignment, max_transfer)
-        per_step_fetched[i] = sizes.sum()
-        per_step_requests[i] = sizes.size
-    return RAFResult(
-        alignment=alignment,
-        useful_bytes=trace.useful_bytes,
-        fetched_bytes=int(per_step_fetched.sum()),
-        requests=int(per_step_requests.sum()),
-        per_step_fetched=per_step_fetched,
-        per_step_requests=per_step_requests,
-    )
+    method = XLFDDMethod(alignment_bytes=alignment, max_transfer_bytes=max_transfer)
+    return _raf(trace, alignment, method)
 
 
 def raf_curve(

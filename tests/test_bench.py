@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.bench import (
+    DEFAULT_THRESHOLD,
     KNOWN_FAMILIES,
     SCHEMA_VERSION,
     canonical_json,
@@ -256,18 +257,13 @@ class TestCompare:
         assert not ok
         assert rows[0]["status"] == "VERIFY MISMATCH"
 
-    def test_threshold_override_and_env(self, monkeypatch):
+    def test_threshold_override(self):
         base = payload_with_bench("a", 2.0)
         cand = payload_with_bench("a", 2.4)
         ok, _ = check_regression(base, cand, threshold=0.30)
         assert ok
-        monkeypatch.setenv("REPRO_BENCH_GATE_THRESHOLD", "0.30")
-        assert gate_threshold() == 0.30
-        ok, _ = check_regression(base, cand)
-        assert ok
-        monkeypatch.setenv("REPRO_BENCH_GATE_THRESHOLD", "bogus")
-        with pytest.raises(BenchError, match="not a number"):
-            gate_threshold()
+        assert gate_threshold() == DEFAULT_THRESHOLD
+        assert gate_threshold(0.30) == 0.30
 
     def test_family_mismatch_raises(self):
         with pytest.raises(BenchError, match="family"):

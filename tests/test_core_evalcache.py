@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core import evalcache
 from repro.core.evalcache import (
     Memo,
     cached_physical_trace,
     clear_evaluation_cache,
     evaluation_cache_stats,
-    raf_memo,
+    physical_trace_memo,
     workload_memo,
 )
 from repro.core.experiment import run_algorithm
@@ -17,7 +18,7 @@ from repro.errors import ModelError
 from repro.gpu.bam import BaMMethod
 from repro.gpu.uvm import UVMMethod
 from repro.gpu.xlfdd_driver import XLFDDMethod
-from repro.memsim.cache import IdealCache, LRUCache
+from repro.memsim.cache import LRUCache
 from repro.memsim.raf import read_amplification
 from repro.traversal.trace import TraceStep
 
@@ -98,17 +99,17 @@ class TestCachedPhysicalTrace:
         assert evaluation_cache_stats()["hits"] == 2
 
 
-class TestRafMemo:
-    def test_default_cache_repeat_hits(self, bfs_trace):
+class TestModuleMemos:
+    def test_two_memos(self):
+        memos = [v for v in vars(evalcache).values() if isinstance(v, Memo)]
+        assert memos == [physical_trace_memo, workload_memo]
+
+    def test_raf_is_computed_on_every_call(self, bfs_trace):
         first = read_amplification(bfs_trace, 512)
         second = read_amplification(bfs_trace, 512)
-        assert second is first
-        assert raf_memo.stats() == {"hits": 1, "misses": 1, "entries": 1}
-
-    def test_explicit_cache_bypasses_memo(self, bfs_trace):
-        read_amplification(bfs_trace, 512, cache=IdealCache())
-        read_amplification(bfs_trace, 512, cache=IdealCache())
-        assert raf_memo.stats() == {"hits": 0, "misses": 0, "entries": 0}
+        assert second is not first
+        assert second.per_step_fetched.tolist() == first.per_step_fetched.tolist()
+        assert physical_trace_memo.stats() == {"hits": 0, "misses": 0, "entries": 0}
 
 
 class TestWorkloadMemo:

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from repro import systems
 from repro.errors import ModelError, TraceError
+from repro.gpu.bam import BaMMethod
+from repro.gpu.xlfdd_driver import XLFDDMethod
 from repro.memsim.cache import IdealCache, LRUCache, NoCache
 from repro.memsim.raf import (
     direct_access_amplification,
@@ -11,6 +14,17 @@ from repro.memsim.raf import (
     read_amplification,
 )
 from repro.traversal.trace import AccessTrace, TraceStep
+
+#: Figure 3's alignment sweep.
+FIG3_ALIGNMENTS = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
+
+#: Cache models of the equivalence checks (``None``: the default).
+CACHES = {
+    "default": lambda: None,
+    "none": NoCache,
+    "ideal": IdealCache,
+    "lru": lambda: LRUCache(64),
+}
 
 
 def make_trace(steps):
@@ -116,6 +130,55 @@ class TestDirectAccess:
             direct = direct_access_amplification(bfs_trace, a)
             cached = read_amplification(bfs_trace, a)
             assert direct.fetched_bytes >= cached.fetched_bytes
+
+
+def _per_step(physical):
+    return (
+        [s.link_bytes for s in physical.steps],
+        [s.requests for s in physical.steps],
+    )
+
+
+@pytest.mark.parametrize("trace_name", ["bfs_trace", "sssp_trace"])
+class TestMatchesAccessMethods:
+    """RAF equals the physical trace of the matching access method."""
+
+    @pytest.mark.parametrize("cache_name", sorted(CACHES))
+    @pytest.mark.parametrize("alignment", FIG3_ALIGNMENTS)
+    def test_cache_line_equals_bam(self, request, trace_name, cache_name, alignment):
+        trace = request.getfixturevalue(trace_name)
+        make_cache = CACHES[cache_name]
+        result = read_amplification(trace, alignment, make_cache())
+        method_cache = make_cache()
+        method = (
+            BaMMethod(cacheline_bytes=alignment)
+            if method_cache is None
+            else BaMMethod(cacheline_bytes=alignment, cache=method_cache)
+        )
+        fetched, requests = _per_step(method.physical_trace(trace))
+        assert result.per_step_fetched.tolist() == fetched
+        assert result.per_step_requests.tolist() == requests
+        assert result.useful_bytes == trace.useful_bytes
+
+    @pytest.mark.parametrize("max_transfer", [None, 2048])
+    @pytest.mark.parametrize("alignment", FIG3_ALIGNMENTS)
+    def test_direct_equals_xlfdd(self, request, trace_name, max_transfer, alignment):
+        trace = request.getfixturevalue(trace_name)
+        result = direct_access_amplification(trace, alignment, max_transfer)
+        method = XLFDDMethod(alignment_bytes=alignment, max_transfer_bytes=max_transfer)
+        fetched, requests = _per_step(method.physical_trace(trace))
+        assert result.per_step_fetched.tolist() == fetched
+        assert result.per_step_requests.tolist() == requests
+
+    def test_direct_4096_matches_figure5_pricing(self, request, trace_name):
+        # Figure 5 prices XLFDD at 4 kB alignment under its 2 kB ceiling:
+        # whole aligned units, so the ceiling rounds up to the alignment.
+        trace = request.getfixturevalue(trace_name)
+        result = direct_access_amplification(trace, 4096, max_transfer=2048)
+        method = systems.get("xlfdd", alignment_bytes=4096).method
+        fetched, requests = _per_step(method.physical_trace(trace))
+        assert result.per_step_fetched.tolist() == fetched
+        assert result.per_step_requests.tolist() == requests
 
 
 class TestRafCurve:
