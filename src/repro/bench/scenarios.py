@@ -37,7 +37,6 @@ Families
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -90,12 +89,6 @@ class Prepared:
     run: Callable[[], Mapping[str, Any]] = field(repr=False)
     work_unit: str | None = None
     work_amount: float | None = None
-
-
-@lru_cache(maxsize=4)
-def _dataset(name: str, scale: int, seed: int) -> CSRGraph:
-    """Memoized dataset load: scenario setup shares graphs within a run."""
-    return load_dataset(name, scale=scale, seed=seed)
 
 
 # --------------------------------------------------------------------------
@@ -191,7 +184,7 @@ def _prep_des_trace(quick: bool) -> Prepared:
 
 
 def _traversal_graph(quick: bool) -> CSRGraph:
-    return _dataset("urand", 14 if quick else 17, 1)
+    return load_dataset("urand", 14 if quick else 17, 1)
 
 
 def _prep_bfs(quick: bool) -> Prepared:
@@ -286,7 +279,7 @@ def graph_scale(graph) -> int:
 
 
 def _memsim_trace(quick: bool) -> AccessTrace:
-    graph = _dataset("urand", 13 if quick else 16, 1)
+    graph = load_dataset("urand", 13 if quick else 16, 1)
     return run_algorithm(graph, "bfs")
 
 
@@ -398,7 +391,7 @@ def _prep_evaluation_matrix(quick: bool) -> Prepared:
 
 
 def _prep_trajectory_sweeps(quick: bool) -> Prepared:
-    graph = _dataset("urand", 12 if quick else 14, 0)
+    graph = load_dataset("urand", 12 if quick else 14, 0)
     trace = run_algorithm(graph, "bfs")
 
     def run() -> dict[str, Any]:
@@ -541,7 +534,7 @@ def _prep_semi_vs_fully(quick: bool) -> Prepared:
     """
     from .. import systems, workloads
 
-    graph = _dataset("urand", 10 if quick else 12, 3)
+    graph = load_dataset("urand", 10 if quick else 12, 3)
     workload = workloads.get("bfs")
     system = systems.get("emogi")
     source = default_source(graph)

@@ -20,8 +20,9 @@ cache keyed by two content fingerprints:
   every discipline resets its cache before a trace.
 
 Every memo in the process is a :class:`Memo` (bounded, FIFO eviction).
-Two live here: physical traces (:func:`cached_physical_trace`) and built
-workloads (:func:`repro.exec.tasks.workload_for`).
+Three live here: physical traces (:func:`cached_physical_trace`), built
+workloads (:func:`repro.exec.tasks.workload_for`) and built dataset graphs
+(:func:`repro.graph.datasets.load_dataset`).
 :func:`clear_evaluation_cache` flushes every memo; the bench scenarios
 that price through a memo call it inside their timed ``run``, so
 memoization gets credit only for *within-run* duplicate pricing, never
@@ -45,6 +46,7 @@ __all__ = [
     "Memo",
     "physical_trace_memo",
     "workload_memo",
+    "graph_memo",
     "config_fingerprint",
     "trace_fingerprint",
     "cached_physical_trace",
@@ -105,6 +107,10 @@ physical_trace_memo = Memo(capacity=256)
 #: (dataset, scale, seed, algorithm, source) -> (graph, trace) built by
 #: :func:`repro.exec.tasks.workload_for`; one build per workload per process.
 workload_memo = Memo(capacity=8)
+#: (dataset key, scale, seed) -> CSRGraph built by
+#: :func:`repro.graph.datasets.load_dataset`; the BFS and SSSP workloads of
+#: a dataset share one immutable graph.  Room for the three paper datasets.
+graph_memo = Memo(capacity=4)
 
 
 def _update_hash(h: "hashlib._Hash", obj: Any) -> None:

@@ -100,14 +100,24 @@ def load_dataset(name: str, scale: int = DEFAULT_SCALE, seed: int = 0) -> CSRGra
 
     ``name`` accepts the registry key (``"urand"``) or the paper's suffixed
     form (``"urand27"``, in which case the suffix is ignored in favour of
-    ``scale``).
+    ``scale``).  Builds go through
+    :data:`repro.core.evalcache.graph_memo`, so every caller asking for the
+    same ``(key, scale, seed)`` gets the *same* graph object: it is shared
+    and immutable (read-only arrays; derive a new graph, e.g. with
+    :meth:`~repro.graph.csr.CSRGraph.with_uniform_random_weights`, rather
+    than changing it).
     """
+    # Imported here: repro.core imports this module during package init.
+    from ..core.evalcache import graph_memo
+
     key = name.rstrip("0123456789")
     if key not in DATASETS:
         raise GraphGenerationError(
             f"unknown dataset {name!r}; available: {sorted(DATASETS)}"
         )
-    return DATASETS[key].build(scale=scale, seed=seed)
+    return graph_memo.get_or_compute(
+        (key, scale, seed), lambda: DATASETS[key].build(scale=scale, seed=seed)
+    )
 
 
 def paper_table1() -> list[dict[str, float | str]]:

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from repro import workloads as registry
 from repro.core import evalcache
 from repro.core.evalcache import (
     Memo,
     cached_physical_trace,
     clear_evaluation_cache,
     evaluation_cache_stats,
+    graph_memo,
     physical_trace_memo,
     workload_memo,
 )
@@ -18,6 +20,7 @@ from repro.errors import ModelError
 from repro.gpu.bam import BaMMethod
 from repro.gpu.uvm import UVMMethod
 from repro.gpu.xlfdd_driver import XLFDDMethod
+from repro.graph.datasets import DatasetSpec, load_dataset
 from repro.memsim.cache import LRUCache
 from repro.memsim.raf import read_amplification
 from repro.traversal.trace import TraceStep
@@ -100,9 +103,9 @@ class TestCachedPhysicalTrace:
 
 
 class TestModuleMemos:
-    def test_two_memos(self):
+    def test_physical_trace_workload_and_graph_memos(self):
         memos = [v for v in vars(evalcache).values() if isinstance(v, Memo)]
-        assert memos == [physical_trace_memo, workload_memo]
+        assert memos == [physical_trace_memo, workload_memo, graph_memo]
 
     def test_raf_is_computed_on_every_call(self, bfs_trace):
         first = read_amplification(bfs_trace, 512)
@@ -118,3 +121,37 @@ class TestWorkloadMemo:
         assert workload_memo.stats()["entries"] > 0
         clear_evaluation_cache()
         assert workload_memo.stats() == {"hits": 0, "misses": 0, "entries": 0}
+
+
+class TestGraphMemo:
+    def test_run_evaluation_builds_each_dataset_once(self, monkeypatch):
+        built = []
+        build = DatasetSpec.build
+
+        def counting_build(spec, *args, **kwargs):
+            built.append(spec.name)
+            return build(spec, *args, **kwargs)
+
+        monkeypatch.setattr(DatasetSpec, "build", counting_build)
+        run_evaluation(scale=8)
+        assert sorted(built) == ["friendster", "kron", "urand"]
+
+    def test_suffixed_and_bare_names_share_one_read_only_graph(self):
+        graph = load_dataset("urand27", 8)
+        assert load_dataset("urand", 8) is graph
+        assert graph_memo.stats() == {"hits": 1, "misses": 1, "entries": 1}
+        for array in (graph.indptr, graph.indices, graph.degrees):
+            assert not array.flags.writeable
+
+    def test_weighted_prepare_leaves_the_shared_graph_unweighted(self):
+        graph = load_dataset("urand", 8)
+        weighted = registry.get("sssp").prepare(graph)
+        assert weighted.is_weighted
+        assert not graph.is_weighted
+        assert not load_dataset("urand", 8).is_weighted
+
+    def test_cleared_by_clear_evaluation_cache(self):
+        load_dataset("kron", 8)
+        assert graph_memo.stats()["entries"] == 1
+        clear_evaluation_cache()
+        assert graph_memo.stats() == {"hits": 0, "misses": 0, "entries": 0}
