@@ -12,6 +12,17 @@ so engine bytes equal model bytes by construction.  The backend reads
 through a private copy of the method, so its cache state never leaks
 into (or picks up) the model's pricing.
 
+A read has two jobs, and the backend exposes each: :meth:`request`
+checks a batch and prices it as one device batch (the counters move, no
+bytes come back), and :meth:`gather` returns the bytes of any ranges.
+:meth:`read` is ``request`` then ``gather``.  The engine requests a
+step's whole frontier at once and gathers it chunk by chunk, so the
+pricing sees the step's batch while the step holds one chunk of bytes.
+
+The store shares a read-only input buffer (the graph's edge list, or a
+payload its builder marked read-only and let go of) and copies a
+writeable one, so a caller's later writes never reach the store.
+
 Fast-path notes: the data a read returns is gathered at word granularity.
 ``_gather`` picks the widest word (8/4/2/1 B) dividing every start, every
 length and the store size, views the store as that unsigned dtype and
@@ -57,9 +68,9 @@ class MemoryStats:
     ``requests`` and ``fetched_bytes`` count what crossed the link under
     the access method's rules, reissued attempts included; ``reads`` and
     ``useful_bytes`` count what the traversal asked for: the non-empty
-    byte ranges :meth:`ExternalMemoryBackend.read` served and their
+    byte ranges :meth:`ExternalMemoryBackend.request` priced and their
     bytes.  A reissue is priced through ``_account`` and never reaches
-    ``read``, so ``reads`` counts each logical read once.
+    ``request``, so ``reads`` counts each logical read once.
 
     The fault-exposure counters (``retries``, ``timeouts``, ``evictions``,
     ``faults_injected``) and the observed-latency samples stay zero/empty
@@ -86,9 +97,9 @@ class MemoryStats:
     faults_injected: int = 0
     #: Total backoff wait in seconds.
     retry_wait_time: float = 0.0
-    #: Non-empty byte ranges served by ``read`` (reissues excluded).
+    #: Non-empty byte ranges priced by ``request`` (reissues excluded).
     reads: int = 0
-    #: Completed-read latencies in seconds.
+    #: Completed-read latencies in seconds, one float64 array per batch.
     latency_samples: list = field(default_factory=list, repr=False)
 
     @property
@@ -108,13 +119,20 @@ class MemoryStats:
 
     def record_latency(self, seconds) -> None:
         """Record completed-request latencies (scalar or array)."""
-        self.latency_samples.extend(np.atleast_1d(np.asarray(seconds, float)))
+        self.latency_samples.append(np.atleast_1d(np.asarray(seconds, np.float64)))
+
+    @property
+    def latencies(self) -> np.ndarray:
+        """Every recorded latency, in recording order."""
+        if not self.latency_samples:
+            return np.empty(0, dtype=np.float64)
+        return np.concatenate(self.latency_samples)
 
     def latency_percentile(self, q: float) -> float:
         """Observed completion-latency percentile (0.0 with no samples)."""
         if not self.latency_samples:
             return 0.0
-        return float(np.percentile(np.asarray(self.latency_samples), q))
+        return float(np.percentile(self.latencies, q))
 
     @property
     def latency_p50(self) -> float:
@@ -135,17 +153,19 @@ class MemoryStats:
 class ExternalMemoryBackend:
     """A byte store served through an access method's discipline.
 
-    ``read`` returns exactly the requested bytes, concatenated in request
-    order, while the stats record what the device actually moved: the
-    count and sum of ``method.request_sizes`` for each batch.  A batch is
+    ``request`` prices a batch: the stats record what the device actually
+    moved, the count and sum of ``method.request_sizes``.  A batch is
     what a step-local cache shares fetches within (see
     :class:`repro.memsim.cache.StepLocalCache`), so step boundaries need
-    no signal of their own.
+    no signal of their own.  ``gather`` returns exactly the requested
+    bytes, concatenated in request order, and prices nothing.
     """
 
     def __init__(self, data: np.ndarray | bytes, method: AccessMethod) -> None:
-        # One copy of any contiguous buffer (bytes or an array's raw bytes).
-        self._data = np.frombuffer(data, dtype=np.uint8).copy()
+        # Any contiguous buffer (bytes or an array's raw bytes).  A
+        # read-only one is shared: its owner no longer writes it.
+        store = np.frombuffer(data, dtype=np.uint8)
+        self._data = store.copy() if store.flags.writeable else store
         self._method = copy.deepcopy(method)
         self._method.reset()
         self.stats = MemoryStats()
@@ -155,8 +175,30 @@ class ExternalMemoryBackend:
         """Capacity of the stored byte range."""
         return self._data.size
 
+    def request(self, starts: np.ndarray, lengths: np.ndarray) -> None:
+        """Price a batch of byte-range reads as one device batch; no data."""
+        starts, lengths = self._checked(starts, lengths)
+        self._account(starts, lengths)
+        self.stats.reads += int(np.count_nonzero(lengths))
+        self.stats.useful_bytes += int(lengths.sum())
+
+    def gather(self, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """The bytes of the ranges, concatenated; prices nothing."""
+        return self._gather(*self._checked(starts, lengths))
+
     def read(self, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """Serve a batch of byte-range reads; returns the gathered bytes."""
+        self.request(starts, lengths)
+        return self.gather(starts, lengths)
+
+    def reset_stats(self) -> None:
+        """Zero the traffic counters and empty the method's cache."""
+        self.stats = MemoryStats()
+        self._method.reset()
+
+    def _checked(
+        self, starts: np.ndarray, lengths: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         starts = np.asarray(starts, dtype=np.int64)
         lengths = np.asarray(lengths, dtype=np.int64)
         if starts.shape != lengths.shape:
@@ -167,15 +209,7 @@ class ExternalMemoryBackend:
             raise DeviceError("read outside the stored byte range")
         if lengths.size and lengths.min() < 0:
             raise DeviceError("lengths must be non-negative")
-        self._account(starts, lengths)
-        self.stats.reads += int(np.count_nonzero(lengths))
-        self.stats.useful_bytes += int(lengths.sum())
-        return self._gather(starts, lengths)
-
-    def reset_stats(self) -> None:
-        """Zero the traffic counters and empty the method's cache."""
-        self.stats = MemoryStats()
-        self._method.reset()
+        return starts, lengths
 
     def _account(self, starts: np.ndarray, lengths: np.ndarray) -> None:
         """Add this batch's link requests under the method's rules."""

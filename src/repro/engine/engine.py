@@ -4,10 +4,10 @@ Mirrors the paper's system structure (Section 2.1): the vertex list
 (``indptr``) lives "in GPU memory" (plain numpy arrays) and the edge
 list's *bytes* live behind an
 :class:`~repro.engine.backend.ExternalMemoryBackend`; every neighbor
-access goes through its ``read`` API, priced by the backend's
-:mod:`repro.gpu` access method.  Algorithms therefore produce both their
-results *and* a measured traffic profile, priced by the same kernel as
-that method's physical trace.
+access goes through its ``request``/``gather`` API, priced by the
+backend's :mod:`repro.gpu` access method.  Algorithms therefore produce
+both their results *and* a measured traffic profile, priced by the same
+kernel as that method's physical trace.
 
 Two :data:`MEMORY_MODES` control where per-vertex *state* (depths,
 labels, ranks, ...) lives:
@@ -17,7 +17,7 @@ labels, ranks, ...) lives:
   is the configuration every earlier figure used.
 * ``"fully-external"``: a vertex-state region follows the edge records
   on the backend, and kernels fetch the 8-byte state slot of every
-  vertex they touch through the same ``read`` path, so RAF/cache
+  vertex they touch through the same ``request`` path, so RAF/cache
   accounting sees the extra fine-grained traffic.
 
 The engine is a *reader* (:mod:`repro.traversal.reader`): the
@@ -72,12 +72,13 @@ class ExternalGraphEngine:
     Parameters
     ----------
     graph:
-        The CSR graph; its ``indices`` (and ``weights`` if present) are
-        serialised into the backend, its ``indptr`` stays host-side.
+        The CSR graph; its ``indices`` (and ``weights`` if present) back
+        the store (an unweighted semi-external engine hands over
+        ``indices`` itself), its ``indptr`` stays host-side.
     backend_factory:
-        Callable building a backend from the raw payload (one contiguous
-        ``uint8`` array), e.g.
-        ``lambda data: ExternalMemoryBackend(data, XLFDDMethod(16))``.
+        Callable building a backend from the raw payload (one contiguous,
+        read-only ``uint8`` array the backend may share rather than copy),
+        e.g. ``lambda data: ExternalMemoryBackend(data, XLFDDMethod(16))``.
     memory_mode:
         One of :data:`MEMORY_MODES`; see the module docstring.
 
@@ -98,28 +99,32 @@ class ExternalGraphEngine:
         self.memory_mode = memory_mode
         self._weighted = graph.is_weighted
         self._record_bytes = VERTEX_ID_BYTES * (2 if self._weighted else 1)
-        if self._weighted:
-            records = np.empty(graph.num_edges * 2, dtype=np.int64)
-            records[0::2] = graph.indices
-            records[1::2] = graph.weights.view(np.int64)  # raw float64 bits
-        else:
-            records = graph.indices
-        payload = records.view(np.uint8)
         self._state_base = graph.num_edges * self._record_bytes
-        expected = self._state_base
-        if memory_mode == FULLY_EXTERNAL:
-            # The vertex-state region follows the edge records; its
-            # initial contents are irrelevant (kernels only measure the
-            # traffic of fetching the slots), so zeros suffice.
-            state = np.zeros(graph.num_vertices * VERTEX_ID_BYTES, dtype=np.uint8)
-            payload = np.concatenate([payload, state])
-            expected += graph.num_vertices * VERTEX_ID_BYTES
+        fully = memory_mode == FULLY_EXTERNAL
+        state_bytes = graph.num_vertices * VERTEX_ID_BYTES if fully else 0
+        expected = self._state_base + state_bytes
+        # The payload is read-only, so the backend shares it rather than
+        # copying: the graph's own edge list, or a buffer built here.
+        if self._weighted or state_bytes:
+            # Edge records, then the vertex-state region; its contents are
+            # irrelevant (kernels only measure the traffic of fetching the
+            # slots), so zeros suffice.
+            payload = np.zeros(expected, dtype=np.uint8)
+            records = payload[: self._state_base].view(np.int64)
+            if self._weighted:
+                records[0::2] = graph.indices
+                records[1::2] = graph.weights.view(np.int64)  # raw float64 bits
+            else:
+                records[:] = graph.indices
+            payload.setflags(write=False)
+        else:
+            payload = graph.indices.view(np.uint8)
         self.backend: ExternalMemoryBackend = backend_factory(payload)
         #: Steps closed since the last :meth:`reset_stats`.
         self.steps = 0
         self._frontier_size = 0
         if self.backend.size_bytes != expected:
-            if memory_mode == FULLY_EXTERNAL:
+            if fully:
                 raise DeviceError(
                     "backend does not hold the edge list plus vertex state"
                 )
@@ -132,10 +137,10 @@ class ExternalGraphEngine:
         lengths = self.graph.degrees[vertices] * self._record_bytes
         return starts, lengths
 
-    def _read_records(
+    def _request_frontier(
         self, frontier: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """``(frontier, neighbors, weights)``: one backend read of the sublists."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(frontier, starts, lengths)``, the sublists priced as one batch."""
         frontier = np.asarray(frontier, dtype=np.int64)
         if frontier.size and (
             frontier.min() < 0 or frontier.max() >= self.graph.num_vertices
@@ -143,10 +148,17 @@ class ExternalGraphEngine:
             raise TraceError("frontier contains out-of-range vertex IDs")
         self._frontier_size = frontier.size
         starts, lengths = self._sublist_ranges(frontier)
-        records = self.backend.read(starts, lengths).view(np.int64)
+        self.backend.request(starts, lengths)
+        return frontier, starts, lengths
+
+    def _gather_records(
+        self, starts: np.ndarray, lengths: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """``(neighbors, weights)`` of the sublists at ``starts``/``lengths``."""
+        records = self.backend.gather(starts, lengths).view(np.int64)
         if self._weighted:
-            return frontier, records[0::2], records[1::2].view(np.float64)
-        return frontier, records, None
+            return records[0::2], records[1::2].view(np.float64)
+        return records, None
 
     def read_neighbors(
         self, frontier: np.ndarray
@@ -157,30 +169,28 @@ class ExternalGraphEngine:
         in-memory gather would, but with every byte served by the device
         model.
         """
-        frontier, neighbors, weights = self._read_records(frontier)
+        frontier, starts, lengths = self._request_frontier(frontier)
+        neighbors, weights = self._gather_records(starts, lengths)
         return neighbors, np.repeat(frontier, self.graph.degrees[frontier]), weights
 
     def neighbor_chunks(self, frontier: np.ndarray) -> Iterator[NeighborChunk]:
-        """Fetch ``frontier``'s sublists in one backend read; yield them in chunks.
+        """Request ``frontier``'s sublists now; gather them chunk by chunk.
 
-        The read happens now, as one request batch, so the backend's
+        The request happens at the call, as one batch, so the backend's
         per-read accounting (clock, fault retries, ``MemoryStats``) is the
-        same as :meth:`read_neighbors`'.  Each chunk's neighbors and
-        weights are views of the fetched records; only its ``sources``
-        column is built per chunk.
+        same as :meth:`read_neighbors`'.  Each chunk's records are
+        gathered only when it is handed out, so a step holds one chunk's
+        records and word index, never the whole frontier's.
         """
-        frontier, neighbors, weights = self._read_records(frontier)
+        return self._chunks(*self._request_frontier(frontier))
+
+    def _chunks(
+        self, frontier: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+    ) -> Iterator[NeighborChunk]:
         counts = self.graph.degrees[frontier]
-        return (
-            (
-                lo,
-                hi,
-                neighbors[a:b],
-                np.repeat(frontier[lo:hi], counts[lo:hi]),
-                None if weights is None else weights[a:b],
-            )
-            for lo, hi, a, b in frontier_slices(counts)
-        )
+        for lo, hi, _, _ in frontier_slices(counts):
+            neighbors, weights = self._gather_records(starts[lo:hi], lengths[lo:hi])
+            yield lo, hi, neighbors, np.repeat(frontier[lo:hi], counts[lo:hi]), weights
 
     @contextmanager
     def step(self) -> Iterator[None]:
@@ -223,5 +233,5 @@ class ExternalGraphEngine:
             raise TraceError("vertex state touch is out of range")
         starts = self._state_base + vertices * VERTEX_ID_BYTES
         lengths = np.full(vertices.size, VERTEX_ID_BYTES, dtype=np.int64)
-        self.backend.read(starts, lengths)
+        self.backend.request(starts, lengths)
         return int(lengths.sum())

@@ -144,16 +144,25 @@ class FaultyBackend:
     # -- the retry loop ------------------------------------------------------
 
     def read(self, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """Serve a batch of byte-range reads under the fault plan.
+        """Serve a batch of byte-range reads under the fault plan."""
+        self.request(starts, lengths)
+        return self.gather(starts, lengths)
 
-        Data comes back exactly as from the inner backend; what faults
-        change is the accounting (extra attempts re-cross the discipline),
-        the recorded completion latencies, and the pool health state.
+    def gather(self, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """The inner backend's bytes of the ranges; faults never touch data."""
+        return self.inner.gather(starts, lengths)
+
+    def request(self, starts: np.ndarray, lengths: np.ndarray) -> None:
+        """Price a batch of byte-range reads under the fault plan; no data.
+
+        What faults change is the accounting (extra attempts re-cross the
+        discipline), the recorded completion latencies, and the pool
+        health state.
         """
         starts = np.asarray(starts, dtype=np.int64)
         lengths = np.asarray(lengths, dtype=np.int64)
         self._update_drop_trigger()
-        data = self.inner.read(starts, lengths)
+        self.inner.request(starts, lengths)
 
         active = np.flatnonzero(lengths > 0)
         n = active.size
@@ -164,7 +173,7 @@ class FaultyBackend:
                 )
                 self._requests_seen += n
                 self.clock += self.base_latency
-            return data
+            return
 
         tracer = get_tracer()
         ids = self._requests_seen + np.arange(n, dtype=np.int64)
@@ -262,7 +271,6 @@ class FaultyBackend:
         # A step's batch runs in parallel; the batch costs its slowest request.
         self.clock += float(elapsed.max()) if n else 0.0
         self._requests_seen += n
-        return data
 
     # -- degradation surface -------------------------------------------------
 

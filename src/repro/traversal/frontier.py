@@ -11,10 +11,10 @@ reader for one :data:`~repro.traversal.reader.EDGE_CHUNK`-bounded slice
 at a time (``neighbor_chunks``), so no step holds all E_f edges: the shared
 :func:`repro.graph.csr.ragged_index` builds the edge indices with one
 ``repeat``, then one fancy gather reads them.  The engine's backend
-gathers edge records through the same helper, one 8 B word per record
-(:mod:`repro.engine.backend`).  The traversal algorithms deduplicate
-their next frontier with a *reused* boolean mark array — scatter
-candidate vertices into the mask chunk by chunk, then
+gathers each chunk's edge records through the same helper, one 8 B word
+per record (:mod:`repro.engine.backend`).  The traversal algorithms
+deduplicate their next frontier with a *reused* boolean mark array —
+scatter candidate vertices into the mask chunk by chunk, then
 :func:`drain_mask` it once per step — which is O(E_f + n) per round and
 replaces the O(E_f log E_f) ``np.unique`` sort each round used to pay;
 the result is the same sorted unique vertex set, bit for bit.  The

@@ -15,13 +15,16 @@ a *reader* with four methods:
   reads or writes;
 * ``step()`` — a context manager around one synchronous step.
 
-Either read call reads the whole frontier at once, as one step's
-external-memory fetch; only the hand-out of its edges is chunked.  A
-kernel that consumes chunks must stay exact whatever the budget: a
-scatter whose candidates depend on frontier state (SSSP distances, CC
-labels) takes a *snapshot* of that state, ``values[frontier]``, before
-the first chunk and builds every chunk's candidates from it, so a later
-chunk never sees a value an earlier chunk of the same step lowered.
+Either read call reads the whole frontier when it is called, as one
+step's external-memory fetch: one trace step, one priced request batch.
+``neighbor_chunks`` then materialises the edges one chunk at a time, as
+each chunk is handed out, so a step that consumes chunks never holds
+the frontier's E_f edges at once.  A kernel that consumes chunks must
+stay exact whatever the budget: a scatter whose candidates depend on
+frontier state (SSSP distances, CC labels) takes a *snapshot* of that
+state, ``values[frontier]``, before the first chunk and builds every
+chunk's candidates from it, so a later chunk never sees a value an
+earlier chunk of the same step lowered.
 
 :class:`TraceRecorder` serves the reads from the in-memory CSR arrays
 and records each step's frontier for the access trace;

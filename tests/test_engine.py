@@ -6,6 +6,8 @@ must match the oracles and in-memory runs, and its measured traffic the
 independently written analytic traffic models, exactly.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.errors import DeviceError, ModelError, TraceError
 from repro.faults import FaultPlan, FaultyBackend
 from repro.gpu import BaMMethod, XLFDDMethod, ZeroCopyMethod
 from repro.graph.csr import ragged_index
+from repro.graph.datasets import load_dataset
 from repro.memsim.cache import LRUCache
 from repro.memsim.coalesce import coalesce_trace
 from repro.memsim.raf import direct_access_amplification, read_amplification
@@ -302,3 +305,48 @@ class TestWordGather:
         again = [a for a in engine.read_neighbors(frontier) if a is not None]
         assert all(np.array_equal(a, b) for a, b in zip(again, kept))
         assert np.array_equal(again[0], graph.indices[: again[0].size])
+
+
+class TestStoreSharing:
+    """A read-only payload is shared with the backend; a writeable one is copied."""
+
+    @pytest.mark.parametrize("kind", ["ndarray", "bytearray"])
+    def test_writeable_buffer_is_copied(self, kind):
+        original = np.arange(16, dtype=np.int64)
+        if kind == "ndarray":
+            buffer = original.copy()
+        else:
+            buffer = bytearray(original.tobytes())
+        backend = ExternalMemoryBackend(buffer, XLFDDMethod())
+        np.frombuffer(buffer, dtype=np.uint8)[...] = 0xFF  # the caller overwrites
+        out = backend.read(np.array([0]), np.array([original.nbytes]))
+        assert out.tobytes() == original.tobytes()
+
+    def test_read_only_buffer_is_shared(self):
+        words = np.arange(16, dtype=np.int64)
+        words.setflags(write=False)
+        backend = ExternalMemoryBackend(words, XLFDDMethod())
+        assert np.shares_memory(backend._data, words)
+
+    def test_engine_shares_the_graph_edge_list(self):
+        graph = load_dataset("urand", scale=12, seed=0)
+        tracemalloc.start()
+        try:
+            engine = ExternalGraphEngine(
+                graph, lambda d: ExternalMemoryBackend(d, XLFDDMethod())
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < graph.indices.nbytes / 2
+        assert np.shares_memory(engine.backend._data, graph.indices)
+
+    @pytest.mark.parametrize("memory_mode", ["semi-external", "fully-external"])
+    def test_engine_payloads_are_read_only(self, weighted_small, memory_mode):
+        payloads = []
+        ExternalGraphEngine(
+            weighted_small,
+            lambda d: payloads.append(d) or ExternalMemoryBackend(d, XLFDDMethod()),
+            memory_mode=memory_mode,
+        )
+        assert not payloads[0].flags.writeable

@@ -142,7 +142,7 @@ class TestChunkExactness:
             assert run.steps == want.steps
             for field in STAT_FIELDS:
                 assert getattr(run.stats, field) == getattr(want.stats, field), field
-            assert run.stats.latency_samples == want.stats.latency_samples
+            assert np.array_equal(run.stats.latencies, want.stats.latencies)
         if backend == "faulty":
             assert want.stats.faults_injected > 0
 
@@ -181,19 +181,35 @@ class TestNeighborChunks:
                     assert np.array_equal(np.concatenate(got), column)
 
     def test_engine_reads_each_frontier_once(self, monkeypatch, graphs):
-        monkeypatch.setattr(reader_module, "EDGE_CHUNK", 1)
-        engine = ExternalGraphEngine(
-            graphs["star"], lambda d: ExternalMemoryBackend(d, XLFDDMethod())
-        )
-        reads = []
-        read = engine.backend.read
-        monkeypatch.setattr(
-            engine.backend, "read", lambda s, n: reads.append(s.size) or read(s, n)
-        )
-        chunks = engine.neighbor_chunks(np.arange(10, dtype=np.int64))
-        assert reads == [10]  # the read happens at the call, not per chunk
-        assert len(list(chunks)) == 10
-        assert reads == [10]
+        """One ``request`` per step, at the call; one chunk per ``gather``."""
+        graph = graphs["star"]
+        frontier = np.arange(12, dtype=np.int64)  # the hub, then 11 leaves
+        for budget in (1, 5):
+            monkeypatch.setattr(reader_module, "EDGE_CHUNK", budget)
+            for factory in BACKENDS.values():
+                engine = ExternalGraphEngine(graph, factory)
+                calls = []
+                for name in ("request", "gather"):
+                    method = getattr(engine.backend, name)
+                    monkeypatch.setattr(
+                        engine.backend,
+                        name,
+                        lambda s, n, name=name, method=method: (
+                            calls.append((name, n // 8)) or method(s, n)
+                        ),
+                    )
+                chunks = engine.neighbor_chunks(frontier)
+                # The request happens at the call, for the whole frontier.
+                assert [(name, n.size) for name, n in calls] == [
+                    ("request", frontier.size)
+                ]
+                handed = [chunk[2].size for chunk in chunks]
+                gathers = calls[1:]
+                assert [name for name, _ in gathers] == ["gather"] * len(handed)
+                assert [int(n.sum()) for _, n in gathers] == handed
+                # Each gather is one chunk: within budget, or one sublist.
+                assert all(n.sum() <= budget or n.size == 1 for _, n in gathers)
+                assert sum(handed) == graph.degrees[frontier].sum()
 
 
 class TestOneReadPerStep:
@@ -227,7 +243,7 @@ class TestOneReadPerStep:
 
 
 class TestTransientMemory:
-    """Tracing kron@14 holds a bounded transient, not E-sized arrays."""
+    """Traces and engine runs at scale 14 hold a bounded transient, not E_f arrays."""
 
     @pytest.fixture(scope="class")
     def kron14(self):
@@ -249,3 +265,18 @@ class TestTransientMemory:
     def test_sssp_trace(self, kron14):
         # About half of the peak is the weights the workload attaches.
         assert self._peak_mib(lambda: workloads.get("sssp").trace(kron14)) <= 16
+
+    def test_engine_sssp_holds_one_chunk(self):
+        """An engine step gathers one chunk of 16 B records at a time.
+
+        urand@14 has 524k edges (8 MiB of 16 B records); the run peaks near
+        5x one chunk's records (the gathered words, their ragged index and
+        the chunk's candidates), not at E_f-sized arrays.
+        """
+        sssp = workloads.get("sssp")
+        graph = sssp.prepare(load_dataset("urand", scale=14, seed=0))
+        engine = ExternalGraphEngine(
+            graph, lambda d: ExternalMemoryBackend(d, XLFDDMethod(16))
+        )
+        chunk_mib = reader_module.EDGE_CHUNK * 16 / 2**20
+        assert self._peak_mib(lambda: sssp.run(engine)) <= 6 * chunk_mib
