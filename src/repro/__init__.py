@@ -25,6 +25,15 @@ registered algorithm kernels — docs/WORKLOADS.md); telemetry lives in
 :mod:`repro.telemetry` (``Tracer``, ``use_tracer``, exporters — see
 docs/TELEMETRY.md).
 
+``import repro`` loads no subpackage.  Every package namespace is lazy
+(PEP 562): it maps each public name to the submodule that defines it
+and imports that submodule on first access, so a run loads only the
+modules it uses.  Two kinds of name stay eager: registries whose import
+registers entries (:mod:`repro.workloads`, ``repro.analysis.rules``)
+and exports named like their own submodule (``repro.traversal.bfs``,
+``kcore``, ``pagerank``).  Code inside the package imports from the
+defining submodule, never through a package namespace.
+
 Subpackages
 -----------
 ``graph``
@@ -67,71 +76,9 @@ Subpackages
     (``repro plan``, docs/SCALING.md).
 """
 
-from .graph import (
-    CSRGraph,
-    build_csr,
-    uniform_random_graph,
-    kronecker_graph,
-    chung_lu_graph,
-    load_dataset,
-    graph_stats,
-)
-from .traversal import (
-    bfs,
-    sssp_bellman_ford,
-    connected_components,
-    pagerank,
-    AccessTrace,
-)
-from .core import (
-    emogi_system,
-    bam_system,
-    xlfdd_system,
-    cxl_system,
-    run_algorithm,
-    run_experiment,
-    run_evaluation,
-    predict_runtime,
-    requirements_for,
-)
-from .engine.engine import ExternalGraphEngine
-from .faults import (
-    FaultPlan,
-    RetryPolicy,
-    FaultyBackend,
-    faulty_factory,
-    run_fault_experiment,
-)
-from .telemetry import (
-    MetricRegistry,
-    NullTracer,
-    Tracer,
-    get_registry,
-    get_tracer,
-    use_tracer,
-)
-from .ops import (
-    ControllerPolicy,
-    FaultStorm,
-    ServingConfig,
-    SloReport,
-    TrafficModel,
-    compare_reports,
-    named_storm,
-    run_serving_scenario,
-)
-from . import systems
-from . import workloads
-from .exec import (
-    ExperimentSpec,
-    GraphSpec,
-    SystemSpec,
-    SweepConfig,
-    SerialExecutor,
-    ProcessPoolExecutor,
-    load_spec,
-)
-from .core.sweep import SweepResult, run_sweep
+import importlib
+import sys
+from typing import Any, Callable, Mapping, Sequence
 
 __version__ = "1.0.0"
 
@@ -190,3 +137,74 @@ __all__ = [
     "run_sweep",
     "__version__",
 ]
+
+
+def _attach(
+    package: str, table: Mapping[str, Sequence[str]]
+) -> tuple[Callable[[str], Any], Callable[[], list[str]]]:
+    """``(__getattr__, __dir__)`` making ``package`` a lazy namespace (PEP 562).
+
+    ``table`` maps a relative submodule (``".csr"``) to the names it
+    defines.  A name's submodule is imported on first access and the
+    name is cached in the package globals, so later lookups are plain
+    attribute reads; a name equal to its submodule's own name
+    (``".systems": ("systems",)``) resolves to the submodule itself.
+    """
+    home = {name: module for module, names in table.items() for name in names}
+    namespace = vars(sys.modules[package])
+
+    def __getattr__(name: str) -> Any:
+        module = home.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        sub = importlib.import_module(module, package)
+        value = sub if sub.__name__ == f"{package}.{name}" else getattr(sub, name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(namespace.keys() | home.keys())
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _attach(
+    __name__,
+    {
+        ".graph": (
+            "CSRGraph", "build_csr", "uniform_random_graph",
+            "kronecker_graph", "chung_lu_graph", "load_dataset",
+            "graph_stats",
+        ),
+        ".traversal": (
+            "bfs", "sssp_bellman_ford", "connected_components", "pagerank",
+            "AccessTrace",
+        ),
+        ".core": (
+            "emogi_system", "bam_system", "xlfdd_system", "cxl_system",
+            "run_algorithm", "run_experiment", "run_evaluation",
+            "predict_runtime", "requirements_for",
+        ),
+        ".engine.engine": ("ExternalGraphEngine",),
+        ".faults": (
+            "FaultPlan", "RetryPolicy", "FaultyBackend", "faulty_factory",
+            "run_fault_experiment",
+        ),
+        ".telemetry": (
+            "MetricRegistry", "NullTracer", "Tracer", "get_registry",
+            "get_tracer", "use_tracer",
+        ),
+        ".ops": (
+            "ControllerPolicy", "FaultStorm", "ServingConfig", "SloReport",
+            "TrafficModel", "compare_reports", "named_storm",
+            "run_serving_scenario",
+        ),
+        ".systems": ("systems",),
+        ".workloads": ("workloads",),
+        ".exec": (
+            "ExperimentSpec", "GraphSpec", "SystemSpec", "SweepConfig",
+            "SerialExecutor", "ProcessPoolExecutor", "load_spec",
+        ),
+        ".core.sweep": ("SweepResult", "run_sweep"),
+    },
+)

@@ -23,9 +23,7 @@ each rule, the seeded defects each one catches, and how to add one.
 
 from __future__ import annotations
 
-from .core import Finding, Rule, all_rules, get_rule
-from .driver import LintResult, lint_paths, lint_source
-from .reporters import render_json, render_text
+from .. import _attach
 
 __all__ = [
     "Finding",
@@ -38,3 +36,12 @@ __all__ = [
     "render_json",
     "render_text",
 ]
+
+__getattr__, __dir__ = _attach(
+    __name__,
+    {
+        ".core": ("Finding", "Rule", "all_rules", "get_rule"),
+        ".driver": ("LintResult", "lint_paths", "lint_source"),
+        ".reporters": ("render_json", "render_text"),
+    },
+)

@@ -3,8 +3,9 @@
 A *rule* is a class with an id, human-facing metadata, and a ``check``
 method that walks a parsed module and yields :class:`Finding` objects.
 Rules register themselves on import via the :func:`register` decorator;
-:mod:`repro.analysis.rules` imports every rule module so that
-``all_rules()`` is complete after ``import repro.analysis``.
+:func:`all_rules` and :func:`get_rule` import :mod:`repro.analysis.rules`,
+whose package init imports every rule module, so the registry is
+complete whichever module was imported first.
 """
 
 from __future__ import annotations

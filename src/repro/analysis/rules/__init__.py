@@ -8,6 +8,8 @@ is cross-checked by ``tests/test_analysis_rules.py``).
 
 from __future__ import annotations
 
+# Eager, unlike the other package namespaces: these imports are what
+# registers the rules, so a lazy namespace would leave the registry empty.
 from . import (  # noqa: F401
     dtypes,
     errors_rule,

@@ -11,24 +11,7 @@ against the committed baseline fails).  See ``docs/PERFORMANCE.md`` for
 the schema, methodology, and the measured trajectory.
 """
 
-from .compare import (
-    DEFAULT_THRESHOLD,
-    baseline_missing_rows,
-    check_regression,
-    compare_results,
-    gate_threshold,
-    load_result,
-    render_comparison,
-)
-from .runner import calibrate, machine_info, run_benchmarks, run_family, run_scenario
-from .scenarios import Prepared, prepare_family, scenario_catalog
-from .schema import (
-    KNOWN_FAMILIES,
-    SCHEMA_VERSION,
-    array_digest,
-    canonical_json,
-    validate_payload,
-)
+from .. import _attach
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -52,3 +35,23 @@ __all__ = [
     "scenario_catalog",
     "validate_payload",
 ]
+
+__getattr__, __dir__ = _attach(
+    __name__,
+    {
+        ".compare": (
+            "DEFAULT_THRESHOLD", "baseline_missing_rows", "check_regression",
+            "compare_results", "gate_threshold", "load_result",
+            "render_comparison",
+        ),
+        ".runner": (
+            "calibrate", "machine_info", "run_benchmarks", "run_family",
+            "run_scenario",
+        ),
+        ".scenarios": ("Prepared", "prepare_family", "scenario_catalog"),
+        ".schema": (
+            "KNOWN_FAMILIES", "SCHEMA_VERSION", "array_digest",
+            "canonical_json", "validate_payload",
+        ),
+    },
+)

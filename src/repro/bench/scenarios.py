@@ -49,7 +49,8 @@ from ..errors import BenchError
 from ..graph.datasets import CSRGraph, load_dataset
 from ..exec.executor import ProcessPoolExecutor
 from ..interconnect.pcie import PCIeLink
-from ..planner import build_surface, default_grid, plan_query
+from ..planner.query import plan_query
+from ..planner.surface import build_surface, default_grid
 from ..memsim.cache import IdealCache, LRUCache
 from ..memsim.raf import direct_access_amplification, read_amplification
 from ..sim.des import DESConfig, simulate_step, simulate_trace

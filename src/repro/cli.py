@@ -54,19 +54,22 @@ import sys
 from typing import Sequence
 
 from . import figures, systems
-from .ops.storm import available_storms
 from .core.experiment import run_experiment
 from .core.report import format_table
-from .core.requirements import requirements_for
-from .engine import MEMORY_MODES
+from .engine.engine import MEMORY_MODES
 from .errors import ReproError
 from .exec.spec import KNOWN_ALGORITHMS
 from .graph.datasets import DEFAULT_SCALE, load_dataset
-from .graph.stats import graph_stats
 from .interconnect.pcie import PCIeLink
 from .units import MSEC, USEC, to_usec
 
 __all__ = ["main", "build_parser"]
+
+#: ``repro serve --fault-storm`` choices, the names
+#: :func:`repro.ops.storm.available_storms` returns.  They are spelled
+#: out so that building the parser does not import :mod:`repro.ops`;
+#: ``tests/test_cli.py`` keeps the two equal.
+_FAULT_STORMS = ("dropout", "none", "storm", "stuck")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="p99 latency objective in microseconds (default 4000)",
     )
     serve.add_argument(
-        "--fault-storm", default="storm", choices=available_storms(),
+        "--fault-storm", default="storm", choices=list(_FAULT_STORMS),
         help="named fault storm to replay (default: storm)",
     )
     serve.add_argument(
@@ -440,6 +443,8 @@ def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_stats(args: argparse.Namespace) -> str:
+    from .graph.stats import graph_stats
+
     graph = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
     return format_table([graph_stats(graph).as_dict()], title="dataset statistics")
 
@@ -458,7 +463,7 @@ def _system_from_args(args: argparse.Namespace):
 
 def _write_trace(tracer, args: argparse.Namespace) -> str:
     """Write the tracer's records to ``args.trace`` in the chosen format."""
-    from .telemetry import write_chrome_trace, write_jsonl
+    from .telemetry.export import write_chrome_trace, write_jsonl
 
     if args.trace_format == "chrome":
         path = write_chrome_trace(tracer.records, args.trace)
@@ -471,7 +476,7 @@ def _write_trace(tracer, args: argparse.Namespace) -> str:
 
 
 def _cmd_run(args: argparse.Namespace) -> str:
-    from .telemetry import NULL_TRACER, Tracer, use_tracer
+    from .telemetry.tracer import NULL_TRACER, Tracer, use_tracer
 
     graph = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
     system = _system_from_args(args)
@@ -490,7 +495,9 @@ def _run_experiment_body(args: argparse.Namespace, graph, system) -> str:
         or args.fault_drop_device_at is not None
     )
     if fault_mode:
-        from .faults import FaultPlan, RetryPolicy, run_fault_experiment
+        from .faults.experiment import run_fault_experiment
+        from .faults.plan import FaultPlan
+        from .faults.retry import RetryPolicy
 
         plan = FaultPlan(
             seed=args.fault_seed if args.fault_seed is not None else 0,
@@ -563,6 +570,8 @@ def _cmd_figure(args: argparse.Namespace) -> str:
 
 
 def _cmd_requirements(args: argparse.Namespace) -> str:
+    from .core.requirements import requirements_for
+
     link = PCIeLink.from_name(args.link)
     req = requirements_for(link, transfer_bytes=args.transfer_bytes)
     return req.describe()
@@ -667,13 +676,9 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
 
 def _cmd_plan(args: argparse.Namespace):
     from .errors import PlannerError
-    from .planner import (
-        build_surface,
-        load_surface,
-        plan_query,
-        save_surface,
-        serve_queries,
-    )
+    from .planner.query import plan_query
+    from .planner.service import serve_queries
+    from .planner.surface import build_surface, load_surface, save_surface
 
     if args.build:
         with _make_executor(args) as executor:
@@ -754,7 +759,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> str:
 def _cmd_lint(args: argparse.Namespace) -> tuple[str, int]:
     from pathlib import Path
 
-    from .analysis import all_rules, lint_paths
+    from .analysis.core import all_rules
+    from .analysis.driver import lint_paths
     from .analysis.reporters import render_json, render_text
 
     if args.list_rules:
@@ -774,12 +780,8 @@ def _cmd_lint(args: argparse.Namespace) -> tuple[str, int]:
 def _cmd_profile(args: argparse.Namespace) -> str:
     from . import workloads
     from .core.experiment import default_source
-    from .telemetry import (
-        Tracer,
-        render_flamegraph,
-        render_profile,
-        use_tracer,
-    )
+    from .telemetry.export import render_flamegraph, render_profile
+    from .telemetry.tracer import Tracer, use_tracer
 
     workload = workloads.get(args.workload)
     graph = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
@@ -809,15 +811,15 @@ def _cmd_profile(args: argparse.Namespace) -> str:
 def _cmd_bench(args: argparse.Namespace) -> tuple[str, int]:
     from pathlib import Path
 
-    from .bench import (
+    from .bench.compare import (
         baseline_missing_rows,
         check_regression,
         compare_results,
         load_result,
         render_comparison,
-        run_benchmarks,
-        scenario_catalog,
     )
+    from .bench.runner import run_benchmarks
+    from .bench.scenarios import scenario_catalog
 
     if args.list_scenarios:
         return format_table(scenario_catalog(), title="benchmark scenarios"), 0
@@ -931,14 +933,11 @@ def _serve_report_path(base: str, mode: str) -> str:
 def _cmd_serve(args: argparse.Namespace) -> tuple[str, int]:
     from pathlib import Path
 
-    from .ops import (
-        ServingConfig,
-        TrafficModel,
-        compare_reports,
-        named_storm,
-        run_serving_scenario,
-    )
-    from .telemetry import NULL_TRACER, Tracer, use_tracer
+    from .ops.scenario import ServingConfig, run_serving_scenario
+    from .ops.slo import compare_reports
+    from .ops.storm import named_storm
+    from .ops.traffic import TrafficModel
+    from .telemetry.tracer import NULL_TRACER, Tracer, use_tracer
 
     config = ServingConfig(duration=args.duration, slo_p99=args.slo_p99 * USEC)
     tenants = _parse_tenant_mix(args.tenant_mix)

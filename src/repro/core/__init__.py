@@ -9,57 +9,7 @@ configurations; ``sweep`` drives the figure-generating parameter sweeps;
 ``report`` renders results next to the paper's numbers.
 """
 
-from .equations import (
-    ThroughputModel,
-    runtime,
-    throughput,
-    throughput_slope,
-    optimal_transfer_size,
-    example_throughput_model,
-)
-from .requirements import (
-    ExternalMemoryRequirements,
-    requirements_for,
-    paper_gen4_requirements,
-    paper_gen3_requirements,
-    xlfdd_requirements,
-)
-from .analysis import (
-    MethodAnalysis,
-    analyze_emogi,
-    analyze_bam,
-    runtime_vs_transfer_size,
-    interpolate_fetched_bytes,
-)
-from .runtime_model import SystemModel, RuntimeResult, predict_runtime, predict_runtime_des
-from .experiment import (
-    ExperimentResult,
-    emogi_system,
-    bam_system,
-    xlfdd_system,
-    cxl_system,
-    flash_cxl_system,
-    uvm_system,
-    default_source,
-    run_experiment,
-    run_algorithm,
-)
-from .sweep import (
-    SweepPoint,
-    SweepResult,
-    alignment_grid,
-    comparison_grid,
-    cxl_latency_grid,
-    normalized,
-    run_sweep,
-    sweep_trace,
-)
-from .report import format_table, format_series, geometric_mean, markdown_table
-from .cost import MediaCost, MEDIA_COSTS, media_for, system_memory_cost, cost_performance
-from .export import rows_to_csv, rows_to_json, save_rows, load_rows
-from .plot import sparkline, ascii_chart
-from .placement import PlacementReport, placement_report, stripe_size_sweep
-from .suite import EvaluationReport, run_evaluation
+from .. import _attach
 
 __all__ = [
     "ThroughputModel",
@@ -121,3 +71,49 @@ __all__ = [
     "EvaluationReport",
     "run_evaluation",
 ]
+
+__getattr__, __dir__ = _attach(
+    __name__,
+    {
+        ".equations": (
+            "ThroughputModel", "runtime", "throughput", "throughput_slope",
+            "optimal_transfer_size", "example_throughput_model",
+        ),
+        ".requirements": (
+            "ExternalMemoryRequirements", "requirements_for",
+            "paper_gen4_requirements", "paper_gen3_requirements",
+            "xlfdd_requirements",
+        ),
+        ".analysis": (
+            "MethodAnalysis", "analyze_emogi", "analyze_bam",
+            "runtime_vs_transfer_size", "interpolate_fetched_bytes",
+        ),
+        ".runtime_model": (
+            "SystemModel", "RuntimeResult", "predict_runtime",
+            "predict_runtime_des",
+        ),
+        ".experiment": (
+            "ExperimentResult", "emogi_system", "bam_system", "xlfdd_system",
+            "cxl_system", "flash_cxl_system", "uvm_system", "default_source",
+            "run_experiment", "run_algorithm",
+        ),
+        ".sweep": (
+            "SweepPoint", "SweepResult", "alignment_grid", "comparison_grid",
+            "cxl_latency_grid", "normalized", "run_sweep", "sweep_trace",
+        ),
+        ".report": (
+            "format_table", "format_series", "geometric_mean",
+            "markdown_table",
+        ),
+        ".cost": (
+            "MediaCost", "MEDIA_COSTS", "media_for", "system_memory_cost",
+            "cost_performance",
+        ),
+        ".export": ("rows_to_csv", "rows_to_json", "save_rows", "load_rows"),
+        ".plot": ("sparkline", "ascii_chart"),
+        ".placement": (
+            "PlacementReport", "placement_report", "stripe_size_sweep",
+        ),
+        ".suite": ("EvaluationReport", "run_evaluation"),
+    },
+)

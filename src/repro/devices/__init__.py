@@ -7,19 +7,7 @@ BaM's NVMe SSDs — plus the flash-die timing substrate the two flash
 devices are built from.
 """
 
-from .base import AccessKind, DeviceProfile, DevicePool
-from .flash import FlashDieSpec, FlashArray, LOW_LATENCY_FLASH_DIE, CONVENTIONAL_TLC_DIE
-from .dram import host_dram_device, HOST_DRAM_CHANNEL_BANDWIDTH
-from .cxl import (
-    CXLMemoryDevice,
-    LatencyBridge,
-    OutOfOrderLatencyBridge,
-    head_of_line_penalty,
-    agilex_prototype,
-    cxl_memory_pool,
-)
-from .xlfdd import xlfdd_device, xlfdd_array
-from .nvme import nvme_device, bam_ssd_array
+from .. import _attach
 
 __all__ = [
     "AccessKind",
@@ -42,3 +30,21 @@ __all__ = [
     "nvme_device",
     "bam_ssd_array",
 ]
+
+__getattr__, __dir__ = _attach(
+    __name__,
+    {
+        ".base": ("AccessKind", "DeviceProfile", "DevicePool"),
+        ".flash": (
+            "FlashDieSpec", "FlashArray", "LOW_LATENCY_FLASH_DIE",
+            "CONVENTIONAL_TLC_DIE",
+        ),
+        ".dram": ("host_dram_device", "HOST_DRAM_CHANNEL_BANDWIDTH"),
+        ".cxl": (
+            "CXLMemoryDevice", "LatencyBridge", "OutOfOrderLatencyBridge",
+            "head_of_line_penalty", "agilex_prototype", "cxl_memory_pool",
+        ),
+        ".xlfdd": ("xlfdd_device", "xlfdd_array"),
+        ".nvme": ("nvme_device", "bam_ssd_array"),
+    },
+)

@@ -14,14 +14,7 @@ the access method's physical trace by construction (one
 equal the in-memory algorithms'.  Both are asserted in the test suite.
 """
 
-from .backend import MemoryStats, ExternalMemoryBackend
-from .engine import (
-    FULLY_EXTERNAL,
-    MEMORY_MODES,
-    SEMI_EXTERNAL,
-    EngineRun,
-    ExternalGraphEngine,
-)
+from .. import _attach
 
 __all__ = [
     "MemoryStats",
@@ -32,3 +25,14 @@ __all__ = [
     "FULLY_EXTERNAL",
     "MEMORY_MODES",
 ]
+
+__getattr__, __dir__ = _attach(
+    __name__,
+    {
+        ".backend": ("MemoryStats", "ExternalMemoryBackend"),
+        ".engine": (
+            "FULLY_EXTERNAL", "MEMORY_MODES", "SEMI_EXTERNAL", "EngineRun",
+            "ExternalGraphEngine",
+        ),
+    },
+)

@@ -17,21 +17,7 @@ package imports before (and is imported by) ``repro.core.sweep``.
 
 from __future__ import annotations
 
-from .executor import (
-    Executor,
-    ProcessPoolExecutor,
-    SerialExecutor,
-    default_chunk_size,
-    make_executor,
-)
-from .spec import (
-    ExperimentSpec,
-    GraphSpec,
-    SweepAxis,
-    SweepConfig,
-    SystemSpec,
-)
-from .yamlspec import LoadedSpec, deep_merge, load_spec, parse_spec_document
+from .. import _attach
 
 __all__ = [
     "ExperimentSpec",
@@ -49,3 +35,20 @@ __all__ = [
     "default_chunk_size",
     "make_executor",
 ]
+
+__getattr__, __dir__ = _attach(
+    __name__,
+    {
+        ".executor": (
+            "Executor", "ProcessPoolExecutor", "SerialExecutor",
+            "default_chunk_size", "make_executor",
+        ),
+        ".spec": (
+            "ExperimentSpec", "GraphSpec", "SweepAxis", "SweepConfig",
+            "SystemSpec",
+        ),
+        ".yamlspec": (
+            "LoadedSpec", "deep_merge", "load_spec", "parse_spec_document",
+        ),
+    },
+)

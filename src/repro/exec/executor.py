@@ -23,11 +23,13 @@ from __future__ import annotations
 
 import os
 import pickle
-from concurrent import futures
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..errors import ExecError
 from ..telemetry.tracer import get_tracer
+
+if TYPE_CHECKING:
+    from concurrent import futures
 
 __all__ = [
     "Executor",
@@ -129,6 +131,10 @@ class ProcessPoolExecutor(Executor):
 
     def _ensure_pool(self) -> futures.ProcessPoolExecutor:
         if self._pool is None:
+            # Imported here: only a process pool needs it (it pulls in
+            # ``logging``), and serial runs never build one.
+            from concurrent import futures
+
             self._pool = futures.ProcessPoolExecutor(max_workers=self.workers)
         return self._pool
 

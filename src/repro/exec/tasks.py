@@ -14,8 +14,9 @@ ships once per chunk).
 declarative sweeps, the planner's surfaces and the evaluation suite's
 workers — pays each traversal once.  All heavy imports
 (:mod:`repro.core`, :mod:`repro.systems`) stay inside function bodies:
-this module is imported by ``repro.core.sweep`` during package init, and
-a top-level back-import would cycle.
+``repro.core.sweep`` imports this module at its top, so a top-level
+import back would cycle, and the rest load only for the task that
+needs them.
 
 :func:`evaluate_workload` (one ``repro evaluate`` cell) prices through
 :func:`~repro.core.sweep.sweep_trace`, the one code path that

@@ -24,18 +24,7 @@ when devices misbehave, and does the system degrade gracefully?*
   ``t = f·D / T'`` with the degraded pool's ``T'`` (docs/MODEL.md §6).
 """
 
-from .plan import FaultPlan
-from .retry import RetryPolicy
-from .backend import FaultyBackend, faulty_factory
-from .health import PoolHealthTracker
-from .model import (
-    expected_attempts,
-    retry_inflated_step,
-    degraded_fluid_params,
-    effective_throughput_under_faults,
-    faulty_trace_time,
-)
-from .experiment import FaultExperimentResult, run_fault_experiment
+from .. import _attach
 
 __all__ = [
     "FaultPlan",
@@ -51,3 +40,19 @@ __all__ = [
     "FaultExperimentResult",
     "run_fault_experiment",
 ]
+
+__getattr__, __dir__ = _attach(
+    __name__,
+    {
+        ".plan": ("FaultPlan",),
+        ".retry": ("RetryPolicy",),
+        ".backend": ("FaultyBackend", "faulty_factory"),
+        ".health": ("PoolHealthTracker",),
+        ".model": (
+            "expected_attempts", "retry_inflated_step",
+            "degraded_fluid_params", "effective_throughput_under_faults",
+            "faulty_trace_time",
+        ),
+        ".experiment": ("FaultExperimentResult", "run_fault_experiment"),
+    },
+)

@@ -11,6 +11,9 @@ every experiment.
 
 Scale/seed defaults keep every figure under a few seconds; pass a larger
 ``scale`` to tighten the match with the paper's billion-edge graphs.
+A module only one figure needs (the DES and pointer chase of Figure 9,
+the requirement calculator, ...) is imported inside that figure's
+function, so importing this module for :data:`ALL_FIGURES` stays cheap.
 """
 
 from __future__ import annotations
@@ -25,15 +28,8 @@ from .config import (
     CXL_BASE_ADDED_LATENCY,
     EMOGI_AVG_TRANSFER_BYTES,
 )
-from .core.analysis import runtime_vs_transfer_size
-from .core.equations import example_throughput_model
 from .core.experiment import run_algorithm
 from .core.report import format_table, system_geomean
-from .core.requirements import (
-    paper_gen3_requirements,
-    paper_gen4_requirements,
-    xlfdd_requirements,
-)
 from .core.sweep import (
     alignment_grid,
     comparison_grid,
@@ -42,12 +38,8 @@ from .core.sweep import (
 )
 from .devices.cxl import agilex_prototype
 from .graph.datasets import DATASETS, load_dataset
-from .graph.stats import table1_row
 from .interconnect.pcie import PCIeLink
-from .interconnect.topology import paper_topology
 from .memsim.raf import raf_curve
-from .sim.des import DESConfig
-from .sim.pointer_chase import pointer_chase_latency
 from .traversal.bfs import bfs
 from .units import MB, MB_PER_S, USEC, to_mb_per_s, to_miops, to_usec
 
@@ -92,6 +84,8 @@ class FigureResult:
 
 def table1(scale: int = DEFAULT_SCALE, seed: int = 0) -> FigureResult:
     """Table 1: dataset statistics, paper values vs scaled equivalents."""
+    from .graph.stats import table1_row
+
     rows = []
     for name, spec in DATASETS.items():
         graph = load_dataset(name, scale=scale, seed=seed)
@@ -170,6 +164,9 @@ def figure3(
 
 def figure4(scale: int = DEFAULT_SCALE, seed: int = 0) -> FigureResult:
     """Figure 4: D(d), T(d), t(d) for BFS/urand under the Eq. 4 example."""
+    from .core.analysis import runtime_vs_transfer_size
+    from .core.equations import example_throughput_model
+
     graph = load_dataset("urand", scale=scale, seed=seed)
     trace = run_algorithm(graph, "bfs")
     raf_results = raf_curve(trace, _ALIGNMENTS)
@@ -271,6 +268,10 @@ def figure6(
 
 def figure9(hops: int = 256) -> FigureResult:
     """Figure 9: GPU-observed latency by target (pointer chase)."""
+    from .interconnect.topology import paper_topology
+    from .sim.des import DESConfig
+    from .sim.pointer_chase import pointer_chase_latency
+
     topology = paper_topology()
     targets = [
         ("dram1", 0.0, "host DRAM, GPU socket"),
@@ -380,6 +381,12 @@ def figure11(
 
 def requirements_table() -> FigureResult:
     """Equation 6's requirement numbers (Sections 3.4, 4.1.1, 4.2.2)."""
+    from .core.requirements import (
+        paper_gen3_requirements,
+        paper_gen4_requirements,
+        xlfdd_requirements,
+    )
+
     entries = [
         ("gen4 @ d_EMOGI", paper_gen4_requirements(), 268.0, 2.87),
         ("gen3 @ d_EMOGI", paper_gen3_requirements(), 134.0, 1.91),

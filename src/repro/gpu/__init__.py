@@ -15,12 +15,7 @@ The three access disciplines the paper studies, as trace transformers:
 Plus the warp/occupancy model bounding GPU-side concurrency (Section 3.5.2).
 """
 
-from .base import AccessMethod, PhysicalTrace
-from .zerocopy import ZeroCopyMethod
-from .bam import BaMMethod
-from .xlfdd_driver import XLFDDMethod
-from .uvm import UVMMethod, UVM_PAGE_BYTES, UVM_FAULT_LATENCY
-from .warp import GPUSpec, KernelResources, RTX_A5000, active_warps
+from .. import _attach
 
 __all__ = [
     "AccessMethod",
@@ -36,3 +31,15 @@ __all__ = [
     "RTX_A5000",
     "active_warps",
 ]
+
+__getattr__, __dir__ = _attach(
+    __name__,
+    {
+        ".base": ("AccessMethod", "PhysicalTrace"),
+        ".zerocopy": ("ZeroCopyMethod",),
+        ".bam": ("BaMMethod",),
+        ".xlfdd_driver": ("XLFDDMethod",),
+        ".uvm": ("UVMMethod", "UVM_PAGE_BYTES", "UVM_FAULT_LATENCY"),
+        ".warp": ("GPUSpec", "KernelResources", "RTX_A5000", "active_warps"),
+    },
+)

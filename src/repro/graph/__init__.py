@@ -6,28 +6,7 @@ memory (Section 2.1).  This subpackage provides that representation plus
 the synthetic generators standing in for the paper's datasets (Table 1).
 """
 
-from .csr import CSRGraph
-from .builder import build_csr, symmetrize_edges, dedupe_edges
-from .generators import (
-    uniform_random_graph,
-    kronecker_graph,
-    chung_lu_graph,
-    path_graph,
-    star_graph,
-    complete_graph,
-    grid_graph,
-)
-from .datasets import DATASETS, DatasetSpec, load_dataset, paper_table1
-from .stats import GraphStats, graph_stats, table1_row
-from .partition import StripedLayout, stripe_layout
-from .formats import PaddedLayout, padded_layout, padded_trace, padding_tradeoff
-from .reorder import (
-    degree_sort_order,
-    bfs_order,
-    random_order,
-    apply_order,
-    relabel_gain,
-)
+from .. import _attach
 
 __all__ = [
     "CSRGraph",
@@ -60,3 +39,28 @@ __all__ = [
     "padded_trace",
     "padding_tradeoff",
 ]
+
+__getattr__, __dir__ = _attach(
+    __name__,
+    {
+        ".csr": ("CSRGraph",),
+        ".builder": ("build_csr", "symmetrize_edges", "dedupe_edges"),
+        ".generators": (
+            "uniform_random_graph", "kronecker_graph", "chung_lu_graph",
+            "path_graph", "star_graph", "complete_graph", "grid_graph",
+        ),
+        ".datasets": (
+            "DATASETS", "DatasetSpec", "load_dataset", "paper_table1",
+        ),
+        ".stats": ("GraphStats", "graph_stats", "table1_row"),
+        ".partition": ("StripedLayout", "stripe_layout"),
+        ".formats": (
+            "PaddedLayout", "padded_layout", "padded_trace",
+            "padding_tradeoff",
+        ),
+        ".reorder": (
+            "degree_sort_order", "bfs_order", "random_order", "apply_order",
+            "relabel_gain",
+        ),
+    },
+)

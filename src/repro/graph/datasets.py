@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from ..config import VERTEX_ID_BYTES
+from ..core.evalcache import graph_memo
 from ..errors import GraphGenerationError
 from ..units import GB
 from .csr import CSRGraph
@@ -107,9 +108,6 @@ def load_dataset(name: str, scale: int = DEFAULT_SCALE, seed: int = 0) -> CSRGra
     :meth:`~repro.graph.csr.CSRGraph.with_uniform_random_weights`, rather
     than changing it).
     """
-    # Imported here: repro.core imports this module during package init.
-    from ..core.evalcache import graph_memo
-
     key = name.rstrip("0123456789")
     if key not in DATASETS:
         raise GraphGenerationError(

@@ -8,15 +8,7 @@ halve the GPU-visible tag budget (Section 4.2.2), and the NUMA topology
 that produces Figure 9's latency deltas.
 """
 
-from .pcie import PCIeGeneration, PCIeLink, PCIE_GEN3, PCIE_GEN4, PCIE_GEN5
-from .cxl_proto import (
-    flits_per_request,
-    split_into_flits,
-    device_side_bytes,
-    gpu_visible_outstanding,
-    check_tag_budget,
-)
-from .topology import SystemTopology, DeviceAttachment, paper_topology
+from .. import _attach
 
 __all__ = [
     "PCIeGeneration",
@@ -33,3 +25,18 @@ __all__ = [
     "DeviceAttachment",
     "paper_topology",
 ]
+
+__getattr__, __dir__ = _attach(
+    __name__,
+    {
+        ".pcie": (
+            "PCIeGeneration", "PCIeLink", "PCIE_GEN3", "PCIE_GEN4",
+            "PCIE_GEN5",
+        ),
+        ".cxl_proto": (
+            "flits_per_request", "split_into_flits", "device_side_bytes",
+            "gpu_visible_outstanding", "check_tag_budget",
+        ),
+        ".topology": ("SystemTopology", "DeviceAttachment", "paper_topology"),
+    },
+)

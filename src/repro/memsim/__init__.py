@@ -7,37 +7,7 @@ paper's read-amplification study (Section 3.1, Figure 3) and the
 transfer-size distributions of Section 3.3.
 """
 
-from .alignment import (
-    align_down,
-    align_up,
-    aligned_span,
-    blocks_per_request,
-    expand_to_blocks,
-    split_by_max_transfer,
-)
-from .cache import (
-    CacheModel,
-    CacheStats,
-    NoCache,
-    StepLocalCache,
-    IdealCache,
-    LRUCache,
-    make_cache,
-)
-from .raf import RAFResult, read_amplification, raf_curve, direct_access_amplification
-from .coalesce import (
-    CoalesceResult,
-    coalesce_step,
-    coalesce_trace,
-    transfer_size_distribution,
-)
-from .writes import (
-    writeback_trace,
-    WriteTraffic,
-    cxl_write_traffic,
-    gc_write_amplification,
-    flash_write_traffic,
-)
+from .. import _attach
 
 __all__ = [
     "align_down",
@@ -67,3 +37,29 @@ __all__ = [
     "gc_write_amplification",
     "flash_write_traffic",
 ]
+
+__getattr__, __dir__ = _attach(
+    __name__,
+    {
+        ".alignment": (
+            "align_down", "align_up", "aligned_span", "blocks_per_request",
+            "expand_to_blocks", "split_by_max_transfer",
+        ),
+        ".cache": (
+            "CacheModel", "CacheStats", "NoCache", "StepLocalCache",
+            "IdealCache", "LRUCache", "make_cache",
+        ),
+        ".raf": (
+            "RAFResult", "read_amplification", "raf_curve",
+            "direct_access_amplification",
+        ),
+        ".coalesce": (
+            "CoalesceResult", "coalesce_step", "coalesce_trace",
+            "transfer_size_distribution",
+        ),
+        ".writes": (
+            "writeback_trace", "WriteTraffic", "cxl_write_traffic",
+            "gc_write_amplification", "flash_write_traffic",
+        ),
+    },
+)

@@ -13,11 +13,7 @@ standby set, token-bucket admission control.  The scenario harness
 for identical seeds — ``repro serve`` is the CLI face.
 """
 
-from .controller import ControllerPolicy, ServingController, TokenBucket
-from .scenario import ServingConfig, ServingScenario, run_serving_scenario
-from .slo import Incident, SloReport, compare_reports
-from .storm import FaultStorm, StormEvent, available_storms, named_storm
-from .traffic import BurstEpisode, Query, TrafficModel
+from .. import _attach
 
 __all__ = [
     "BurstEpisode",
@@ -37,3 +33,20 @@ __all__ = [
     "named_storm",
     "run_serving_scenario",
 ]
+
+__getattr__, __dir__ = _attach(
+    __name__,
+    {
+        ".controller": (
+            "ControllerPolicy", "ServingController", "TokenBucket",
+        ),
+        ".scenario": (
+            "ServingConfig", "ServingScenario", "run_serving_scenario",
+        ),
+        ".slo": ("Incident", "SloReport", "compare_reports"),
+        ".storm": (
+            "FaultStorm", "StormEvent", "available_storms", "named_storm",
+        ),
+        ".traffic": ("BurstEpisode", "Query", "TrafficModel"),
+    },
+)

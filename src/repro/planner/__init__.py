@@ -12,17 +12,7 @@ loaded surface without re-running the model, and
 
 from __future__ import annotations
 
-from .query import plan_query
-from .service import serve_queries
-from .surface import (
-    SURFACE_SCHEMA,
-    build_surface,
-    default_grid,
-    default_workload,
-    load_surface,
-    save_surface,
-    validate_surface,
-)
+from .. import _attach
 
 __all__ = [
     "SURFACE_SCHEMA",
@@ -35,3 +25,16 @@ __all__ = [
     "plan_query",
     "serve_queries",
 ]
+
+__getattr__, __dir__ = _attach(
+    __name__,
+    {
+        ".query": ("plan_query",),
+        ".service": ("serve_queries",),
+        ".surface": (
+            "SURFACE_SCHEMA", "build_surface", "default_grid",
+            "default_workload", "load_surface", "save_surface",
+            "validate_surface",
+        ),
+    },
+)

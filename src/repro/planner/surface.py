@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from .. import systems as systems_registry
+from ..bench.schema import canonical_json
 from ..core.cost import media_for
 from ..core.sweep import sweep_trace
 from ..errors import PlannerError
@@ -202,10 +203,6 @@ def build_surface(
 
 def save_surface(surface: Mapping[str, Any], path: str | Path) -> Path:
     """Write ``surface`` as canonical JSON; returns the path."""
-    # Deferred: repro.bench imports this package at import time (the
-    # sweep_parallel scenarios), so a top-level back-import would cycle.
-    from ..bench.schema import canonical_json
-
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(canonical_json(surface), encoding="utf-8")

@@ -14,18 +14,7 @@ Two complementary engines price the physical request streams produced by
 microbenchmark on the DES.
 """
 
-from .events import EventQueue, Simulator
-from .resources import FifoServer, Semaphore, RateServer
-from .fluid import FluidParams, StepInput, StepTiming, TraceTiming, step_time, trace_time
-from .des import DESConfig, DESResult, simulate_step, simulate_trace
-from .pointer_chase import PointerChaseResult, pointer_chase_latency
-from .calibration import (
-    CalibrationResult,
-    calibrate_throughput_profile,
-    fit_base_latency,
-    fit_channel_bandwidth,
-    fit_outstanding_limit,
-)
+from .. import _attach
 
 __all__ = [
     "EventQueue",
@@ -51,3 +40,22 @@ __all__ = [
     "fit_channel_bandwidth",
     "fit_outstanding_limit",
 ]
+
+__getattr__, __dir__ = _attach(
+    __name__,
+    {
+        ".events": ("EventQueue", "Simulator"),
+        ".resources": ("FifoServer", "Semaphore", "RateServer"),
+        ".fluid": (
+            "FluidParams", "StepInput", "StepTiming", "TraceTiming",
+            "step_time", "trace_time",
+        ),
+        ".des": ("DESConfig", "DESResult", "simulate_step", "simulate_trace"),
+        ".pointer_chase": ("PointerChaseResult", "pointer_chase_latency"),
+        ".calibration": (
+            "CalibrationResult", "calibrate_throughput_profile",
+            "fit_base_latency", "fit_channel_bandwidth",
+            "fit_outstanding_limit",
+        ),
+    },
+)

@@ -18,37 +18,7 @@ or plain-text profile/flamegraph summaries.  See docs/TELEMETRY.md for
 the span taxonomy and metric naming scheme.
 """
 
-from .clock import Clock, FrozenClock, SimClock, WallClock
-from .export import (
-    SpanProfile,
-    render_flamegraph,
-    render_jsonl,
-    render_profile,
-    span_profiles,
-    to_chrome_trace,
-    validate_chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
-)
-from .metrics import (
-    DEFAULT_LATENCY_BUCKETS_US,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricRegistry,
-    get_registry,
-    set_registry,
-)
-from .tracer import (
-    NULL_TRACER,
-    NullTracer,
-    SpanHandle,
-    TraceRecord,
-    Tracer,
-    get_tracer,
-    set_tracer,
-    use_tracer,
-)
+from .. import _attach
 
 __all__ = [
     # clocks
@@ -84,3 +54,23 @@ __all__ = [
     "render_profile",
     "render_flamegraph",
 ]
+
+__getattr__, __dir__ = _attach(
+    __name__,
+    {
+        ".clock": ("Clock", "FrozenClock", "SimClock", "WallClock"),
+        ".export": (
+            "SpanProfile", "render_flamegraph", "render_jsonl",
+            "render_profile", "span_profiles", "to_chrome_trace",
+            "validate_chrome_trace", "write_chrome_trace", "write_jsonl",
+        ),
+        ".metrics": (
+            "DEFAULT_LATENCY_BUCKETS_US", "Counter", "Gauge", "Histogram",
+            "MetricRegistry", "get_registry", "set_registry",
+        ),
+        ".tracer": (
+            "NULL_TRACER", "NullTracer", "SpanHandle", "TraceRecord",
+            "Tracer", "get_tracer", "set_tracer", "use_tracer",
+        ),
+    },
+)

@@ -14,23 +14,15 @@ the public functions here run it over a :class:`TraceRecorder`, and
 :class:`~repro.engine.engine.ExternalGraphEngine`.
 """
 
-from .trace import AccessTrace, TraceStep, trace_from_frontiers
-from .reader import GraphReader, TraceRecorder
-from .frontier import gather_neighbors
+from .. import _attach
+
+# Eager: these three functions share their submodule's name.  Once any
+# import binds ``repro.traversal.bfs`` (etc.) as a module attribute, the
+# lazy ``__getattr__`` would never run again, so the function has to be
+# bound here, after its submodule has been imported.
 from .bfs import BFSResult, bfs, bfs_reference
-from .bfs_direction import BFSDirectionResult, bfs_direction_optimizing
 from .kcore import KCoreResult, kcore, core_numbers
-from .sssp import SSSPResult, sssp_bellman_ford, sssp_reference
-from .cc import CCResult, connected_components, cc_reference
 from .pagerank import PageRankResult, pagerank, pagerank_reference
-from .triangles import TriangleCountResult, triangle_count, triangle_count_reference
-from .labelprop import (
-    LabelPropagationResult,
-    label_propagation,
-    label_propagation_reference,
-    mode_label_update,
-)
-from .walks import RandomWalkResult, random_walks
 
 __all__ = [
     "AccessTrace",
@@ -66,3 +58,24 @@ __all__ = [
     "RandomWalkResult",
     "random_walks",
 ]
+
+__getattr__, __dir__ = _attach(
+    __name__,
+    {
+        ".trace": ("AccessTrace", "TraceStep", "trace_from_frontiers"),
+        ".reader": ("GraphReader", "TraceRecorder"),
+        ".frontier": ("gather_neighbors",),
+        ".bfs_direction": ("BFSDirectionResult", "bfs_direction_optimizing"),
+        ".sssp": ("SSSPResult", "sssp_bellman_ford", "sssp_reference"),
+        ".cc": ("CCResult", "connected_components", "cc_reference"),
+        ".triangles": (
+            "TriangleCountResult", "triangle_count",
+            "triangle_count_reference",
+        ),
+        ".labelprop": (
+            "LabelPropagationResult", "label_propagation",
+            "label_propagation_reference", "mode_label_update",
+        ),
+        ".walks": ("RandomWalkResult", "random_walks"),
+    },
+)

@@ -20,6 +20,9 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
+# Eager, unlike the other package namespaces: importing this package runs
+# the register() calls below, so every get()/available() caller sees all
+# eight built-in workloads.
 from ..engine.backend import ExternalMemoryBackend
 from ..engine.engine import (
     FULLY_EXTERNAL,
