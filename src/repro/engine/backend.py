@@ -24,11 +24,11 @@ payload its builder marked read-only and let go of) and copies a
 writeable one, so a caller's later writes never reach the store.
 
 Fast-path notes: the data a read returns is gathered at word granularity.
-``_gather`` picks the widest word (8/4/2/1 B) dividing every start, every
-length and the store size, views the store as that unsigned dtype and
-builds one index per *word* with :func:`repro.graph.csr.ragged_index` —
-the same helper as the in-memory ``gather_neighbors``.  Engine edge
-records (8 B or 16 B) and state slots (8 B) always take the 8 B path;
+``_gather`` picks the widest word (16/8/4/2/1 B) dividing every start,
+every length and the store size, views the store as that word and
+builds one index per *word* with :func:`repro.graph.csr.ragged_index`.
+A weighted 16 B edge record is one opaque ``void`` word, copied whole
+whatever its bits; 8 B records and state slots take the 8 B path, and
 unaligned byte ranges stay correct on the 1 B path.  The gather copies,
 so returned arrays never alias the store.  Accounting (``_account``) is
 independent of how the bytes are gathered.
@@ -55,10 +55,19 @@ from ..memsim.alignment import (  # noqa: F401
 
 __all__ = ["MemoryStats", "ExternalMemoryBackend"]
 
-#: Unsigned word dtype per gather width; the widest is the engine's
-#: record and state-slot granularity.
-_WORD_DTYPES = {8: np.uint64, 4: np.uint32, 2: np.uint16, 1: np.uint8}
+#: Word dtype per gather width: a weighted edge record is one opaque
+#: 16 B word, an unweighted record or a state slot one 8 B word.
+_WORD_DTYPES = {
+    16: np.dtype("V16"), 8: np.uint64, 4: np.uint32, 2: np.uint16, 1: np.uint8
+}
 _WIDEST_WORD = max(_WORD_DTYPES)
+
+
+def _word_bytes(starts: np.ndarray, lengths: np.ndarray, size: int) -> int:
+    """The widest gather word dividing every start, every length and ``size``."""
+    # The lowest set bit of their bitwise OR, capped at the widest word.
+    common = int(np.bitwise_or.reduce(starts | lengths)) | size | _WIDEST_WORD
+    return common & -common
 
 
 @dataclass
@@ -218,10 +227,6 @@ class ExternalMemoryBackend:
         self.stats.fetched_bytes += int(sizes.sum())
 
     def _gather(self, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        # The widest word dividing every start, every length and the store
-        # size is the lowest set bit of their OR (capped at the widest).
-        common = int(np.bitwise_or.reduce(starts | lengths)) | self._data.size
-        common |= _WIDEST_WORD
-        word = common & -common
+        word = _word_bytes(starts, lengths, self._data.size)
         words = self._data.view(_WORD_DTYPES[word])
         return words[ragged_index(starts // word, lengths // word)].view(np.uint8)

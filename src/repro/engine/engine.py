@@ -84,7 +84,8 @@ class ExternalGraphEngine:
 
     Weighted graphs interleave each edge's weight with its target ID
     (16 B per edge), so one sublist read returns both — matching how an
-    SSSP kernel would lay out its edge records.
+    SSSP kernel would lay out its edge records — and the backend gathers
+    each record as one 16 B word.
     """
 
     def __init__(
@@ -180,17 +181,14 @@ class ExternalGraphEngine:
         per-read accounting (clock, fault retries, ``MemoryStats``) is the
         same as :meth:`read_neighbors`'.  Each chunk's records are
         gathered only when it is handed out, so a step holds one chunk's
-        records and word index, never the whole frontier's.
+        records and word index, never the whole frontier's.  Chunks are
+        ``(lo, hi, neighbors, weights)``, with no per-edge ``sources``.
         """
-        return self._chunks(*self._request_frontier(frontier))
-
-    def _chunks(
-        self, frontier: np.ndarray, starts: np.ndarray, lengths: np.ndarray
-    ) -> Iterator[NeighborChunk]:
-        counts = self.graph.degrees[frontier]
-        for lo, hi, _, _ in frontier_slices(counts):
-            neighbors, weights = self._gather_records(starts[lo:hi], lengths[lo:hi])
-            yield lo, hi, neighbors, np.repeat(frontier[lo:hi], counts[lo:hi]), weights
+        frontier, starts, lengths = self._request_frontier(frontier)
+        return (
+            (lo, hi, *self._gather_records(starts[lo:hi], lengths[lo:hi]))
+            for lo, hi, _, _ in frontier_slices(self.graph.degrees[frontier])
+        )
 
     @contextmanager
     def step(self) -> Iterator[None]:

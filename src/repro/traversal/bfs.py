@@ -91,19 +91,25 @@ def bfs_steps(reader: GraphReader, source: int = 0) -> tuple[np.ndarray, np.ndar
     # Reused discovery mask: O(n) bytes once, instead of an O(E_f log E_f)
     # np.unique sort per level to deduplicate the next frontier.
     discovered = np.zeros(n, dtype=bool)
+    degrees = reader.graph.degrees
     depth = 0
     while frontier.size:
         with reader.step():
             reader.touch_vertex_state(frontier)
-            for _, _, neighbors, sources, _ in reader.neighbor_chunks(frontier):
+            # The step's edge e comes from frontier[searchsorted(ends, e)].
+            ends = np.cumsum(degrees[frontier])
+            for lo, _, neighbors, _ in reader.neighbor_chunks(frontier):
                 idx = np.flatnonzero(depths[neighbors] < 0)
                 unseen = neighbors[idx]
+                if lo:
+                    idx += ends[lo - 1]
+                owner = np.searchsorted(ends, idx, side="right")
                 # A vertex may be discovered by several frontier vertices
                 # at once; keep the first discoverer as parent (any is
                 # valid).  Fancy assignment keeps the *last* write per
                 # index, so assigning reversed arrays leaves the first
                 # discoverer; a later chunk sees the vertex's depth set.
-                parents[unseen[::-1]] = sources[idx[::-1]]
+                parents[unseen[::-1]] = frontier[owner[::-1]]
                 depths[unseen] = depth + 1
                 discovered[unseen] = True
             frontier = drain_mask(discovered)

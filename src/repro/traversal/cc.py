@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph.csr import CSRGraph, sorted_unique
-from .frontier import drain_mask, min_scatter
 from .reader import GraphReader, TraceRecorder
 from .trace import AccessTrace
 
@@ -59,17 +58,17 @@ def cc_steps(reader: GraphReader, source: int = 0) -> tuple[np.ndarray]:
     n = reader.graph.num_vertices
     labels = np.arange(n, dtype=np.int64)
     frontier = np.arange(n, dtype=np.int64)
-    changed = np.zeros(n, dtype=bool)
     degrees = reader.graph.degrees
     while frontier.size:
         with reader.step():
             reader.touch_vertex_state(frontier)
             # Labels at the step's start: exact under any chunking.
-            snapshot = labels[frontier]
-            for lo, hi, neighbors, _, _ in reader.neighbor_chunks(frontier):
+            start = labels.copy()
+            snapshot = start[frontier]
+            for lo, hi, neighbors, _ in reader.neighbor_chunks(frontier):
                 candidate = np.repeat(snapshot[lo:hi], degrees[frontier[lo:hi]])
-                min_scatter(labels, neighbors, candidate, changed)
-            frontier = drain_mask(changed)
+                np.minimum.at(labels, neighbors, candidate)
+            frontier = np.flatnonzero(labels < start)
             reader.touch_vertex_state(frontier)
     return (labels,)
 

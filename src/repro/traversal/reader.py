@@ -7,10 +7,13 @@ a *reader* with four methods:
   concatenated out-edges of ``frontier`` (``weights`` is ``None`` on an
   unweighted graph);
 * ``neighbor_chunks(frontier)`` — the same edges, streamed as
-  ``(lo, hi, neighbors, sources, weights)`` for consecutive slices
+  ``(lo, hi, neighbors, weights)`` for consecutive slices
   ``frontier[lo:hi]`` of at most :data:`EDGE_CHUNK` edges each (a vertex
   of higher degree is a slice of its own), so a step's transient memory
-  is bounded by the chunk, not by the frontier's edge count;
+  is bounded by the chunk, not by the frontier's edge count.  A chunk
+  carries no ``sources``: edge ``j`` of the slice belongs to the
+  frontier vertex whose cumulative degree first exceeds it, which a
+  kernel can repeat or look up for just the edges it needs;
 * ``touch_vertex_state(vertices)`` — the per-vertex state slots the step
   reads or writes;
 * ``step()`` — a context manager around one synchronous step.
@@ -21,10 +24,11 @@ step's external-memory fetch: one trace step, one priced request batch.
 each chunk is handed out, so a step that consumes chunks never holds
 the frontier's E_f edges at once.  A kernel that consumes chunks must
 stay exact whatever the budget: a scatter whose candidates depend on
-frontier state (SSSP distances, CC labels) takes a *snapshot* of that
-state, ``values[frontier]``, before the first chunk and builds every
-chunk's candidates from it, so a later chunk never sees a value an
-earlier chunk of the same step lowered.
+frontier state (SSSP distances, CC labels) copies that state before
+the first chunk and builds every chunk's candidates from the copy's
+``start[frontier]``, so a later chunk never sees a value an earlier
+chunk of the same step lowered; the step's next frontier is then the
+vertices whose value ends below the copy.
 
 :class:`TraceRecorder` serves the reads from the in-memory CSR arrays
 and records each step's frontier for the access trace;
@@ -44,8 +48,7 @@ from typing import ContextManager, Iterator, Protocol
 import numpy as np
 
 from ..errors import TraceError
-from ..graph.csr import CSRGraph
-from .frontier import gather_neighbors
+from ..graph.csr import CSRGraph, ragged_index
 from .trace import AccessTrace, trace_from_frontiers
 
 __all__ = [
@@ -59,8 +62,8 @@ __all__ = [
 #: Most edges one :meth:`GraphReader.neighbor_chunks` chunk carries.
 EDGE_CHUNK = 1 << 16
 
-#: ``(lo, hi, neighbors, sources, weights)`` of the slice ``frontier[lo:hi]``.
-NeighborChunk = tuple[int, int, np.ndarray, np.ndarray, np.ndarray | None]
+#: ``(lo, hi, neighbors, weights)`` of the slice ``frontier[lo:hi]``.
+NeighborChunk = tuple[int, int, np.ndarray, np.ndarray | None]
 
 
 def frontier_slices(counts: np.ndarray) -> Iterator[tuple[int, int, int, int]]:
@@ -129,20 +132,20 @@ class TraceRecorder:
         self.frontiers.append(frontier)
         return frontier
 
-    def _gather(
-        self, frontier: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        neighbors, sources, edge_idx = gather_neighbors(
-            self.graph, frontier, with_sources=True
-        )
-        weights = None if self.graph.weights is None else self.graph.weights[edge_idx]
-        return neighbors, sources, weights
+    def _gather(self, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """``(neighbors, weights)`` of ``frontier``'s out-edges, in CSR order."""
+        graph = self.graph
+        edge_idx = ragged_index(graph.indptr[frontier], graph.degrees[frontier])
+        weights = None if graph.weights is None else graph.weights[edge_idx]
+        return graph.indices[edge_idx], weights
 
     def read_neighbors(
         self, frontier: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Gather ``frontier``'s out-edges from the CSR arrays and record it."""
-        return self._gather(self._record(frontier))
+        frontier = self._record(frontier)
+        neighbors, weights = self._gather(frontier)
+        return neighbors, np.repeat(frontier, self.graph.degrees[frontier]), weights
 
     def neighbor_chunks(self, frontier: np.ndarray) -> Iterator[NeighborChunk]:
         """Record ``frontier`` now; gather its out-edges one chunk at a time."""

@@ -19,7 +19,6 @@ import numpy as np
 
 from ..errors import TraceError
 from ..graph.csr import CSRGraph
-from .frontier import drain_mask, min_scatter
 from .reader import GraphReader, TraceRecorder
 from .trace import AccessTrace
 
@@ -85,18 +84,20 @@ def sssp_steps(reader: GraphReader, source: int = 0) -> tuple[np.ndarray]:
     dist = np.full(n, np.inf, dtype=np.float64)
     dist[source] = 0.0
     frontier = np.array([source], dtype=np.int64)
-    changed = np.zeros(n, dtype=bool)
     degrees = reader.graph.degrees
     while frontier.size:
         with reader.step():
             reader.touch_vertex_state(frontier)
             # Candidates come from the distances at the step's start, so
-            # chunking cannot let a chunk see an earlier chunk's update.
-            snapshot = dist[frontier]
-            for lo, hi, neighbors, _, weights in reader.neighbor_chunks(frontier):
-                base = np.repeat(snapshot[lo:hi], degrees[frontier[lo:hi]])
-                min_scatter(dist, neighbors, base + weights, changed)
-            frontier = drain_mask(changed)
+            # chunking cannot let a chunk see an earlier chunk's update;
+            # a distance improved this step iff it ends below its start.
+            start = dist.copy()
+            snapshot = start[frontier]
+            for lo, hi, neighbors, weights in reader.neighbor_chunks(frontier):
+                candidate = np.repeat(snapshot[lo:hi], degrees[frontier[lo:hi]])
+                candidate += weights
+                np.minimum.at(dist, neighbors, candidate)
+            frontier = np.flatnonzero(dist < start)
             reader.touch_vertex_state(frontier)
     return (dist,)
 

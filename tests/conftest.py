@@ -94,17 +94,39 @@ def emogi_gen4():
     return emogi_system()
 
 
-def _unfiltered_min_scatter(values, targets, candidate, changed):
-    """Oracle scatter: scatter every candidate, then mark what improved."""
-    before = values[targets].copy()
-    np.minimum.at(values, targets, candidate)
-    changed[targets[values[targets] < before]] = True
+def _reference_min_relax(graph, values, frontier, *, weighted: bool):
+    """Plain per-edge min-relax rounds from ``frontier``: ``(values, frontiers)``.
+
+    Each round keeps the values it started with, walks the frontier in
+    ascending order and each sublist in CSR order, and lowers a target
+    when its candidate (the source's start value, plus the edge weight
+    when ``weighted``) beats the target's current value.  The next
+    frontier is every vertex that ended the round below its start.
+    Python scalars throughout, so it shares no kernel with the
+    vectorised step loops it checks.
+    """
+    indptr, indices = graph.indptr.tolist(), graph.indices.tolist()
+    weights = graph.weights.tolist() if weighted else None
+    current = values.tolist()
+    frontier = sorted(int(v) for v in frontier)
+    frontiers = []
+    while frontier:
+        frontiers.append(frontier)
+        start = list(current)
+        for v in frontier:
+            for e in range(indptr[v], indptr[v + 1]):
+                candidate = start[v] + weights[e] if weighted else start[v]
+                u = indices[e]
+                if candidate < current[u]:
+                    current[u] = candidate
+        frontier = [u for u, (a, b) in enumerate(zip(current, start)) if a < b]
+    return np.array(current, dtype=values.dtype), frontiers
 
 
 @pytest.fixture
-def unfiltered_min_scatter():
-    """The unfiltered ``before`` / ``minimum.at`` / ``after`` scatter."""
-    return _unfiltered_min_scatter
+def reference_min_relax():
+    """The plain per-edge min-relax oracle of SSSP and CC rounds."""
+    return _reference_min_relax
 
 
 def _relax_stress_graph(seed: int, *, symmetrize: bool, n: int = 300):

@@ -14,6 +14,7 @@ import pytest
 from repro import workloads
 from repro.core.experiment import run_algorithm
 from repro.engine import ExternalGraphEngine, ExternalMemoryBackend
+from repro.engine import backend as backend_module
 from repro.errors import DeviceError, ModelError, TraceError
 from repro.faults import FaultPlan, FaultyBackend
 from repro.gpu import BaMMethod, XLFDDMethod, ZeroCopyMethod
@@ -249,7 +250,7 @@ class TestWordGather:
     """``read`` returns exactly the requested bytes at every gather width."""
 
     @pytest.mark.parametrize("name", sorted(BACKEND_FACTORIES))
-    @pytest.mark.parametrize("word", [1, 2, 4, 8])
+    @pytest.mark.parametrize("word", [1, 2, 4, 8, 16])
     def test_aligned_ranges(self, name, word):
         size = 1_024
         rng = np.random.default_rng(word)
@@ -274,6 +275,58 @@ class TestWordGather:
         lengths = np.append(lengths, [1, 0, size, 0])
         out = BACKEND_FACTORIES[name](data).read(starts, lengths)
         assert out.tobytes() == _expected(data, starts, lengths)
+
+    def test_16_byte_words_keep_every_bit_pattern(self):
+        """Whole-record gathers copy bytes, never float values."""
+        patterns = [
+            0x7FF0_0000_0000_0001,  # signalling NaN
+            0xFFF4_0000_0000_0ABC,  # signalling NaN, sign bit and payload
+            0x7FF8_0000_0000_0000,  # quiet NaN
+            0xFFF8_0000_0000_1234,  # quiet NaN, sign bit and payload
+            0x8000_0000_0000_0000,  # -0.0
+            0x7FF0_0000_0000_0000,  # +inf
+            0xFFF0_0000_0000_0000,  # -inf
+            0x0000_0000_0000_0001,  # smallest subnormal
+        ]
+        words = np.array(patterns * 4, dtype=np.uint64)
+        data = words.tobytes()
+        backend = ExternalMemoryBackend(data, XLFDDMethod())
+        starts = np.array([0, 16, 48, 96, 240])
+        lengths = np.array([16, 32, 48, 0, 16])
+        assert backend_module._word_bytes(starts, lengths, len(data)) == 16
+        out = backend.gather(starts, lengths)
+        assert out.tobytes() == _expected(data, starts, lengths)
+        assert np.array_equal(out.view(np.uint64)[:2], words[:2])
+
+    @pytest.mark.parametrize(
+        "starts, lengths, size, word",
+        [
+            ([0, 32], [16, 48], 1_024, 16),
+            ([0, 32], [16, 48], 1_016, 8),  # the store ends off a 16 B word
+            ([0, 40], [16, 48], 1_024, 8),
+            ([0, 32], [16, 12], 1_024, 4),
+            ([2, 32], [16, 48], 1_024, 2),
+            ([0, 33], [16, 48], 1_024, 1),
+            ([], [], 1_024, 16),
+        ],
+    )
+    def test_widest_dividing_word_is_chosen(
+        self, monkeypatch, starts, lengths, size, word
+    ):
+        starts = np.array(starts, dtype=np.int64)
+        lengths = np.array(lengths, dtype=np.int64)
+        assert backend_module._word_bytes(starts, lengths, size) == word
+        # The gather indexes one entry per word of that width.
+        counts = []
+        monkeypatch.setattr(
+            backend_module,
+            "ragged_index",
+            lambda s, n: counts.append(int(n.sum())) or ragged_index(s, n),
+        )
+        data = np.random.default_rng(word).integers(0, 256, size, dtype=np.uint8)
+        out = ExternalMemoryBackend(data, XLFDDMethod()).gather(starts, lengths)
+        assert counts == [int(lengths.sum()) // word]
+        assert out.tobytes() == _expected(data.tobytes(), starts, lengths)
 
     @pytest.mark.parametrize("name", sorted(BACKEND_FACTORIES))
     def test_empty_batch(self, name):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.graph.builder import build_csr
 from repro.graph.generators import path_graph, uniform_random_graph
-from repro.traversal import cc as cc_module
+from repro.traversal import reader as reader_module
 from repro.traversal.cc import cc_reference, cc_steps, connected_components
 from repro.traversal.reader import TraceRecorder
 
@@ -76,20 +76,24 @@ def test_path_takes_many_rounds():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_filtered_relax_matches_unfiltered(
-    monkeypatch, relax_stress_graph, unfiltered_min_scatter, seed
+    monkeypatch, relax_stress_graph, reference_min_relax, seed
 ):
-    """``cc_steps``' filtered relax equals the unfiltered one, bit for bit."""
+    """The filtered per-edge relax matches ``cc_steps``' unfiltered one, bit for bit.
+
+    Labels, frontier sizes and every step's trace vertices equal the
+    per-edge reference rounds of ``tests/conftest.py`` at every budget.
+    """
     g = relax_stress_graph(seed, symmetrize=True, n=400)
-    got = TraceRecorder(g)
-    (got_labels,) = cc_steps(got)
-    monkeypatch.setattr(cc_module, "min_scatter", unfiltered_min_scatter)
-    want = TraceRecorder(g)
-    (want_labels,) = cc_steps(want)
-    assert np.array_equal(got_labels, want_labels)
-    assert got.frontier_sizes == want.frontier_sizes
-    got_trace, want_trace = got.trace("cc"), want.trace("cc")
-    assert got_trace.num_steps == want_trace.num_steps
-    for a, b in zip(got_trace.steps, want_trace.steps):
-        assert np.array_equal(a.vertices, b.vertices)
-        assert np.array_equal(a.lengths, b.lengths)
-    assert np.array_equal(got_labels, cc_reference(g))
+    n = g.num_vertices
+    want, frontiers = reference_min_relax(
+        g, np.arange(n, dtype=np.int64), range(n), weighted=False
+    )
+    assert np.array_equal(want, cc_reference(g))
+    for budget in [1, 7, reader_module.EDGE_CHUNK]:
+        monkeypatch.setattr(reader_module, "EDGE_CHUNK", budget)
+        recorder = TraceRecorder(g)
+        (got,) = cc_steps(recorder)
+        assert got.dtype == want.dtype and np.array_equal(got, want), budget
+        assert recorder.frontier_sizes == [len(f) for f in frontiers]
+        steps = recorder.trace("cc").steps
+        assert [step.vertices.tolist() for step in steps] == frontiers

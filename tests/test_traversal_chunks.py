@@ -22,6 +22,7 @@ from repro.gpu import BaMMethod, XLFDDMethod, ZeroCopyMethod
 from repro.graph.datasets import load_dataset
 from repro.graph.generators import kronecker_graph, star_graph, uniform_random_graph
 from repro.traversal import reader as reader_module
+from repro.traversal.bfs import bfs_steps
 from repro.traversal.reader import TraceRecorder, frontier_slices
 
 BUDGETS = [1, 7, reader_module.EDGE_CHUNK, sys.maxsize]
@@ -76,6 +77,30 @@ def _engine_run(graph, algorithm, backend):
     return workload.run(engine, source=_source(graph))
 
 
+def _first_discoverer_bfs(graph, source):
+    """Plain-Python BFS ``(depths, parents)``; the first discoverer is the parent.
+
+    Each level scans its frontier in ascending order and each sublist in
+    CSR order; a vertex's parent is the frontier vertex whose edge
+    reached it first.
+    """
+    indptr, indices = graph.indptr.tolist(), graph.indices.tolist()
+    depths = [-1] * graph.num_vertices
+    parents = [-1] * graph.num_vertices
+    depths[source] = 0
+    frontier = [source]
+    while frontier:
+        found = []
+        for v in frontier:
+            for u in indices[indptr[v] : indptr[v + 1]]:
+                if depths[u] < 0:
+                    depths[u] = depths[v] + 1
+                    parents[u] = v
+                    found.append(u)
+        frontier = sorted(found)
+    return depths, parents
+
+
 class TestFrontierSlices:
     @pytest.mark.parametrize("budget", [1, 3, 7, 100])
     def test_slices_tile_the_frontier_within_budget(self, monkeypatch, budget):
@@ -117,9 +142,31 @@ class TestChunkExactness:
                 assert np.array_equal(a.starts, b.starts)
                 assert np.array_equal(a.lengths, b.lengths)
 
-    def test_bfs_parents_match_across_budgets(self, monkeypatch, graphs):
-        from repro.traversal.bfs import bfs_steps
+    @pytest.mark.parametrize(
+        "name", ["kron", "star", "stress", "stress-symmetric"]
+    )
+    def test_bfs_parents_equal_first_discoverer(
+        self, monkeypatch, graphs, relax_stress_graph, name
+    ):
+        """Depths and parents equal a plain first-discoverer BFS at every budget."""
+        if name.startswith("stress"):
+            graph = relax_stress_graph(1, symmetrize=name.endswith("symmetric"))
+        else:
+            graph = graphs[name]
+        source = _source(graph)
+        want = _first_discoverer_bfs(graph, source)
+        for budget in [1, 7, reader_module.EDGE_CHUNK]:
+            monkeypatch.setattr(reader_module, "EDGE_CHUNK", budget)
+            readers = [
+                TraceRecorder(graph),
+                ExternalGraphEngine(graph, BACKENDS["direct"]),
+            ]
+            for reader in readers:
+                depths, parents = bfs_steps(reader, source)
+                assert depths.tolist() == want[0], budget
+                assert parents.tolist() == want[1], budget
 
+    def test_bfs_parents_match_across_budgets(self, monkeypatch, graphs):
         parents = []
         for budget in BUDGETS:
             monkeypatch.setattr(reader_module, "EDGE_CHUNK", budget)
@@ -167,18 +214,24 @@ class TestNeighborChunks:
             TraceRecorder(graph),
             ExternalGraphEngine(graph, lambda d: ExternalMemoryBackend(d, XLFDDMethod())),
         ]
+        ends = np.cumsum(graph.degrees[frontier])
         for reader in readers:
-            want = reader.read_neighbors(frontier)
+            neighbors, sources, weights = reader.read_neighbors(frontier)
+            # Chunks carry no sources: edge e belongs to the first
+            # frontier vertex whose cumulative degree exceeds e.
+            owner = np.searchsorted(ends, np.arange(ends[-1]), side="right")
+            assert np.array_equal(sources, frontier[owner])
             chunks = list(reader.neighbor_chunks(frontier))
             assert [c[:2] for c in chunks] == [
                 (lo, hi) for lo, hi, _, _ in frontier_slices(graph.degrees[frontier])
             ]
-            for i, column in enumerate(want):
-                got = [c[2 + i] for c in chunks]
-                if column is None:
-                    assert all(g is None for g in got)
-                else:
-                    assert np.array_equal(np.concatenate(got), column)
+            assert all(len(c) == 4 for c in chunks)
+            assert np.array_equal(np.concatenate([c[2] for c in chunks]), neighbors)
+            if weights is None:
+                assert all(c[3] is None for c in chunks)
+            else:
+                got = np.concatenate([c[3] for c in chunks])
+                assert np.array_equal(got.view(np.int64), weights.view(np.int64))
 
     def test_engine_reads_each_frontier_once(self, monkeypatch, graphs):
         """One ``request`` per step, at the call; one chunk per ``gather``."""
@@ -270,8 +323,8 @@ class TestTransientMemory:
         """An engine step gathers one chunk of 16 B records at a time.
 
         urand@14 has 524k edges (8 MiB of 16 B records); the run peaks near
-        5x one chunk's records (the gathered words, their ragged index and
-        the chunk's candidates), not at E_f-sized arrays.
+        4x one chunk's records (the gathered 16 B words, their one-per-record
+        ragged index and the chunk's candidates), not at E_f-sized arrays.
         """
         sssp = workloads.get("sssp")
         graph = sssp.prepare(load_dataset("urand", scale=14, seed=0))
@@ -279,4 +332,4 @@ class TestTransientMemory:
             graph, lambda d: ExternalMemoryBackend(d, XLFDDMethod(16))
         )
         chunk_mib = reader_module.EDGE_CHUNK * 16 / 2**20
-        assert self._peak_mib(lambda: sssp.run(engine)) <= 6 * chunk_mib
+        assert self._peak_mib(lambda: sssp.run(engine)) <= 5 * chunk_mib

@@ -1,9 +1,8 @@
-"""The vectorized neighbor gather and the min-scatter / drain kernels."""
+"""The vectorized neighbor gather and the mark-array drain."""
 
 import numpy as np
-import pytest
 
-from repro.traversal.frontier import drain_mask, gather_neighbors, min_scatter
+from repro.traversal.frontier import drain_mask, gather_neighbors
 
 
 class TestGatherNeighbors:
@@ -50,34 +49,16 @@ class TestGatherNeighbors:
         assert neighbors.tolist() == [1, 2, 1, 2]
 
 
-class TestMinScatterDrain:
-    """Filtered scatter + drain equals the unfiltered scatter-then-compare."""
+class TestDrainMask:
+    def test_returns_marked_positions_ascending_and_clears(self):
+        mask = np.zeros(10, dtype=bool)
+        mask[[7, 2, 2, 9]] = True
+        got = drain_mask(mask)
+        assert got.tolist() == [2, 7, 9]
+        assert got.dtype == np.intp
+        assert not mask.any()
 
-    @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
-    def test_equals_unfiltered(self, seed, dtype, unfiltered_min_scatter):
-        rng = np.random.default_rng(seed)
-        n = 50
-        values = rng.integers(0, 8, size=n).astype(dtype)
-        if dtype is np.float64:
-            values[rng.random(n) < 0.3] = np.inf
-        targets = rng.integers(0, n, size=400)  # heavy repetition
-        candidate = rng.integers(0, 8, size=400).astype(dtype)  # ties
-        got_values, want_values = values.copy(), values.copy()
-        changed = np.zeros(n, dtype=bool)
-        min_scatter(got_values, targets, candidate, changed)
-        got = drain_mask(changed)
-        assert not changed.any()
-        want_changed = np.zeros(n, dtype=bool)
-        unfiltered_min_scatter(want_values, targets, candidate, want_changed)
-        want = np.flatnonzero(want_changed)
-        assert np.array_equal(got_values, want_values)
-        assert np.array_equal(got, want)
-        assert got.dtype == want.dtype
-
-    def test_nothing_improves(self):
-        values = np.array([0.0, 1.0, 2.0])
-        changed = np.zeros(3, dtype=bool)
-        min_scatter(values, np.array([1, 2, 2]), np.array([1.0, 2.0, 5.0]), changed)
-        assert drain_mask(changed).size == 0
-        assert values.tolist() == [0.0, 1.0, 2.0]
+    def test_empty_mask_drains_nothing(self):
+        mask = np.zeros(4, dtype=bool)
+        assert drain_mask(mask).size == 0
+        assert not mask.any()

@@ -6,7 +6,7 @@ import pytest
 from repro.errors import TraceError
 from repro.graph.builder import build_csr
 from repro.graph.generators import path_graph
-from repro.traversal import sssp as sssp_module
+from repro.traversal import reader as reader_module
 from repro.traversal.reader import TraceRecorder
 from repro.traversal.sssp import (
     sssp_bellman_ford,
@@ -98,29 +98,47 @@ class TestTraces:
         assert len(result.frontier_sizes) == result.trace.num_steps
 
 
-def assert_same_trace(got, want):
-    assert got.num_steps == want.num_steps
-    for a, b in zip(got.steps, want.steps):
-        assert np.array_equal(a.vertices, b.vertices)
-        assert np.array_equal(a.starts, b.starts)
-        assert np.array_equal(a.lengths, b.lengths)
-
-
 class TestFilteredRelax:
-    """``sssp_steps``' filtered relax equals the unfiltered one, bit for bit."""
+    """The filtered per-edge relax matches ``sssp_steps``' unfiltered one, bit for bit.
+
+    Each ``sssp_steps`` chunk scatters every candidate unfiltered; the
+    per-edge reference round of ``tests/conftest.py`` lowers a target
+    only when its candidate beats the current value.  Distances, frontier
+    sizes and every step's trace vertices must agree at every edge budget.
+    """
+
+    @staticmethod
+    def _check(monkeypatch, reference_min_relax, g, source):
+        start = np.full(g.num_vertices, np.inf)
+        start[source] = 0.0
+        want, frontiers = reference_min_relax(g, start, [source], weighted=True)
+        for budget in [1, 7, reader_module.EDGE_CHUNK]:
+            monkeypatch.setattr(reader_module, "EDGE_CHUNK", budget)
+            recorder = TraceRecorder(g)
+            (got,) = sssp_steps(recorder, source)
+            assert got.tobytes() == want.tobytes(), budget
+            assert recorder.frontier_sizes == [len(f) for f in frontiers]
+            steps = recorder.trace("sssp").steps
+            assert [step.vertices.tolist() for step in steps] == frontiers
+        return want, frontiers
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("symmetrize", [False, True])
     def test_matches_unfiltered_relax(
-        self, monkeypatch, relax_stress_graph, unfiltered_min_scatter, seed, symmetrize
+        self, monkeypatch, relax_stress_graph, reference_min_relax, seed, symmetrize
     ):
         g = relax_stress_graph(seed, symmetrize=symmetrize)
-        got = TraceRecorder(g)
-        (got_dist,) = sssp_steps(got, seed)
-        monkeypatch.setattr(sssp_module, "min_scatter", unfiltered_min_scatter)
-        want = TraceRecorder(g)
-        (want_dist,) = sssp_steps(want, seed)
-        assert np.array_equal(got_dist, want_dist)
-        assert got.frontier_sizes == want.frontier_sizes
-        assert_same_trace(got.trace("sssp"), want.trace("sssp"))
-        assert np.array_equal(got_dist, sssp_reference(g, seed))
+        want, _ = self._check(monkeypatch, reference_min_relax, g, seed)
+        assert np.array_equal(want, sssp_reference(g, seed))
+
+    def test_tied_candidates_improve_nothing(self, monkeypatch, reference_min_relax):
+        """A candidate equal to its target's value neither lowers nor marks it."""
+        g = build_csr(
+            np.array([0, 0, 1, 1]),
+            np.array([1, 1, 1, 0]),  # a repeated target, a self-loop, a back-edge
+            num_vertices=2,
+            weights=np.array([1.0, 1.0, 0.0, 0.0]),
+        )
+        want, frontiers = self._check(monkeypatch, reference_min_relax, g, 0)
+        assert want.tolist() == [0.0, 1.0]
+        assert frontiers == [[0], [1]]
