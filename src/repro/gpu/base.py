@@ -13,6 +13,12 @@ byte-range reads turns into.  Everything that accounts reads calls it:
   :class:`~repro.engine.backend.ExternalMemoryBackend` calls it once per
   read batch, so engine bytes equal model bytes by construction.
 
+The cache-bearing methods (BaM cache lines, UVM pages) share one kernel,
+``_cache_line_sizes``: each read references the span of lines it touches,
+the batch's spans go to the cache model in one
+:meth:`~repro.memsim.cache.CacheModel.access_spans` call, and every miss
+costs one line.  No per-line id is materialised on the way.
+
 The performance models downstream (:mod:`repro.sim.fluid`,
 :mod:`repro.sim.des`) consume only the physical trace.
 """
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..interconnect.cxl_proto import flits_per_request
-from ..memsim.alignment import expand_to_blocks
+from ..memsim.alignment import blocks_per_request
 from ..memsim.cache import CacheModel
 from ..sim.fluid import StepInput
 from ..traversal.trace import AccessTrace
@@ -115,9 +121,15 @@ class AccessMethod(ABC):
     def _cache_line_sizes(
         starts: np.ndarray, lengths: np.ndarray, line_bytes: int, cache: CacheModel
     ) -> np.ndarray:
-        """One ``line_bytes`` request per cache miss (BaM lines, UVM pages)."""
-        block_ids = expand_to_blocks(starts, lengths, line_bytes)
-        return np.full(cache.access(block_ids), line_bytes, dtype=np.int64)
+        """One ``line_bytes`` request per cache miss (BaM lines, UVM pages).
+
+        Each read references the span of lines it touches, so the cache
+        sees one span per read, not one id per line.
+        """
+        misses = cache.access_spans(
+            starts // line_bytes, blocks_per_request(starts, lengths, line_bytes)
+        )
+        return np.full(misses, line_bytes, dtype=np.int64)
 
     @staticmethod
     def _sizes_to_step(

@@ -48,6 +48,18 @@ def align_up(offsets: np.ndarray | int, alignment: int) -> np.ndarray | int:
     return -(-offsets // alignment) * alignment
 
 
+def _checked_requests(
+    starts: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    starts = np.asarray(starts, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if starts.shape != lengths.shape:
+        raise ModelError("starts and lengths must have the same shape")
+    if lengths.size and lengths.min() < 0:
+        raise ModelError("request lengths must be non-negative")
+    return starts, lengths
+
+
 def aligned_span(
     starts: np.ndarray, lengths: np.ndarray, alignment: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -58,14 +70,9 @@ def aligned_span(
     Figure 2's example, with no cross-request sharing.
     """
     alignment = _check_alignment(alignment)
-    starts = np.asarray(starts, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if starts.shape != lengths.shape:
-        raise ModelError("starts and lengths must have the same shape")
-    if lengths.size and lengths.min() < 0:
-        raise ModelError("request lengths must be non-negative")
-    a_starts = align_down(starts, alignment)
-    ends = align_up(starts + lengths, alignment)
+    starts, lengths = _checked_requests(starts, lengths)
+    a_starts = (starts // alignment) * alignment
+    ends = -(-(starts + lengths) // alignment) * alignment
     a_lengths = np.where(lengths > 0, ends - a_starts, 0)
     return a_starts, a_lengths
 
@@ -73,9 +80,18 @@ def aligned_span(
 def blocks_per_request(
     starts: np.ndarray, lengths: np.ndarray, alignment: int
 ) -> np.ndarray:
-    """Number of alignment-sized blocks each request touches."""
-    _, a_lengths = aligned_span(starts, lengths, alignment)
-    return a_lengths // alignment
+    """Number of alignment-sized blocks each request touches.
+
+    Request ``i`` touches the blocks from ``starts[i] // alignment`` up to
+    the one holding its last byte: the :func:`aligned_span` length over
+    ``alignment``, and none for an empty request.  With those first
+    blocks, these counts are the block spans the cache models consume
+    (:meth:`repro.memsim.cache.CacheModel.access_spans`).
+    """
+    alignment = _check_alignment(alignment)
+    starts, lengths = _checked_requests(starts, lengths)
+    ends = -(-(starts + lengths) // alignment)
+    return np.where(lengths > 0, ends - starts // alignment, 0)
 
 
 def expand_to_blocks(
@@ -86,12 +102,13 @@ def expand_to_blocks(
     ``block_ids[k]`` is the ``k``-th block reference of the access
     stream: request ``i`` contributes the
     :func:`blocks_per_request` ``[i]`` consecutive IDs from
-    ``starts[i] // alignment``.  This is the reference stream fed to cache
-    models.
+    ``starts[i] // alignment``.  It materialises one id per touched
+    block, so it serves the analyses that need the ids themselves
+    (write-back flits and pages, coalescing into cache lines); the cache
+    models price the same stream from its spans, without expanding it.
     """
     alignment = _check_alignment(alignment)
     starts = np.asarray(starts, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
     counts = blocks_per_request(starts, lengths, alignment)
     return ragged_index(starts // alignment, counts)
 

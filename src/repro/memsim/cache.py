@@ -3,7 +3,7 @@
 The paper computes read amplification with "a CPU simulation implementing
 a software cache" (Section 3.1) — BaM likewise keeps a software cache in
 GPU memory (Section 3.3.2), while the XLFDD path runs cache-less (Section
-4.1.1).  Three models cover those cases:
+4.1.1).  Four models cover those cases:
 
 * :class:`NoCache` — every block reference is a miss (XLFDD direct access);
 * :class:`StepLocalCache` — blocks are shared within one traversal step but
@@ -14,21 +14,26 @@ GPU memory (Section 3.3.2), while the XLFDD path runs cache-less (Section
 * :class:`LRUCache` — exact fully-associative LRU with finite capacity
   (the BaM-style software cache).
 
-All models consume a *reference stream* of block IDs (see
-:func:`repro.memsim.alignment.expand_to_blocks`) and report hit/miss
-statistics; misses are what external memory must serve.
+Every model has one entry point, :meth:`CacheModel.access_spans`: a batch
+of *block spans*, span ``i`` referencing the ``counts[i]`` consecutive
+blocks from block ``first[i]``, in order.  A read of a byte range touches
+exactly such a span (:func:`repro.memsim.alignment.blocks_per_request`),
+so a step's reads are priced from one span per read, never from one id
+per touched block.  :meth:`CacheModel.access` feeds a plain block-id
+stream as spans of one block.  Misses are what external memory must
+serve.
 """
 
 from __future__ import annotations
 
 import heapq
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ModelError
-from ..graph.csr import is_ascending, sorted_unique
+from ..graph.csr import is_ascending, ragged_index
 
 __all__ = [
     "CacheStats",
@@ -59,15 +64,38 @@ class CacheStats:
         return self.hits / self.references if self.references else 0.0
 
 
+def _by_first(first: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The spans ``(first, counts)`` ordered by ``first``.
+
+    A step's spans are usually ascending already (a sorted frontier over
+    ascending CSR sublists); only others sort.  The sort is stable, so
+    two ascending halves merge in one linear pass.
+    """
+    if is_ascending(first):
+        return first, counts
+    order = np.argsort(first, kind="stable")
+    return first[order], counts[order]
+
+
 class CacheModel(ABC):
-    """Interface: feed block-ID reference streams, count misses."""
+    """Interface: feed block spans (or block-id streams), count misses."""
 
     def __init__(self) -> None:
         self.stats = CacheStats()
 
     @abstractmethod
+    def access_spans(self, first: np.ndarray, counts: np.ndarray) -> int:
+        """Reference ``counts[i]`` blocks from ``first[i]``, span by span.
+
+        The references are processed in order, block ``first[i]`` up to
+        ``first[i] + counts[i] - 1`` for each span in turn; zero counts
+        reference nothing.  Returns the number of misses.
+        """
+
     def access(self, block_ids: np.ndarray) -> int:
-        """Process references in order; return the number of misses."""
+        """Process block references in order; return the number of misses."""
+        block_ids = np.asarray(block_ids, dtype=np.int64).ravel()
+        return self.access_spans(block_ids, np.ones(block_ids.size, dtype=np.int64))
 
     @abstractmethod
     def reset(self) -> None:
@@ -90,43 +118,53 @@ class CacheModel(ABC):
         fresh.reset()
         return fresh
 
+    def _count(self, references: int, misses: int) -> int:
+        self.stats.misses += misses
+        self.stats.hits += references - misses
+        return misses
+
 
 class NoCache(CacheModel):
     """Every reference misses: models direct device access without caching."""
 
-    def access(self, block_ids: np.ndarray) -> int:
-        block_ids = np.asarray(block_ids, dtype=np.int64)
-        self.stats.misses += block_ids.size
-        return block_ids.size
+    def access_spans(self, first: np.ndarray, counts: np.ndarray) -> int:
+        references = int(np.sum(counts, dtype=np.int64))
+        return self._count(references, references)
 
     def reset(self) -> None:
         self.stats = CacheStats()
 
 
 class StepLocalCache(CacheModel):
-    """Within-batch sharing only: one miss per distinct block per ``access``.
+    """Within-batch sharing only: one miss per distinct block per call.
 
-    Callers feed one traversal step per :meth:`access` call, so blocks are
-    deduplicated within a step (massively parallel requests of the same
-    step hit each other's fetches) but nothing survives to the next step.
-    This is the paper's software-cache behaviour in the regime it reports —
-    per-step working sets far exceed realistic cache capacities, so
-    cross-step reuse is lost to eviction.  Fully vectorized.
+    Callers feed one traversal step per call, so blocks are deduplicated
+    within a step (massively parallel requests of the same step hit each
+    other's fetches) but nothing survives to the next step.  This is the
+    paper's software-cache behaviour in the regime it reports — per-step
+    working sets far exceed realistic cache capacities, so cross-step
+    reuse is lost to eviction.
+
+    The misses are the size of the union of the step's block intervals
+    ``[first, last]``, ``last = first + count - 1``.  Ordered by
+    ``first``, the blocks earlier intervals cover at or above ``first_i``
+    are exactly those up to their ``reach``, the running maximum of
+    ``last``; so interval ``i`` adds ``min(count_i, last_i - reach_{i-1})``
+    new blocks, or none when that is negative.  An empty interval adds
+    nothing and never lifts the reach over a block a later one holds.
     """
 
-    def access(self, block_ids: np.ndarray) -> int:
-        # Distinct count from the ordered stream: one plus the number of
-        # adjacent changes, without compressing out the distinct values.
-        # A step's stream is usually ascending already; only others sort.
-        ordered = np.asarray(block_ids, dtype=np.int64).ravel()
-        if not is_ascending(ordered):
-            ordered = np.sort(ordered)
-        misses = 0
-        if ordered.size:
-            misses = 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
-        self.stats.misses += misses
-        self.stats.hits += ordered.size - misses
-        return misses
+    def access_spans(self, first: np.ndarray, counts: np.ndarray) -> int:
+        first = np.asarray(first, dtype=np.int64)
+        counts = np.asarray(counts, dtype=np.int64)
+        if first.size == 0:
+            return 0
+        first, counts = _by_first(first, counts)
+        last = first + (counts - 1)
+        reach = np.maximum.accumulate(last)
+        fresh = np.minimum(counts[1:], last[1:] - reach[:-1])
+        misses = int(counts[0]) + int(np.maximum(fresh, 0, out=fresh).sum())
+        return self._count(int(counts.sum()), misses)
 
     def reset(self) -> None:
         self.stats = CacheStats()
@@ -135,44 +173,53 @@ class StepLocalCache(CacheModel):
 class IdealCache(CacheModel):
     """Infinite cache: each distinct block misses exactly once.
 
-    The seen set is a dense boolean mask indexed by block ID (block IDs
-    are byte offsets over alignment, so they are small non-negative
-    integers): each batch is deduplicated with
-    :func:`~repro.graph.csr.sorted_unique` (an adjacent-difference mask,
-    sorting first only a batch that is not already ascending), then
-    membership is one fancy gather, marking is one fancy scatter, and the
-    mask grows geometrically — no per-block Python loop and no re-sorting
-    of the ever-growing seen set.
+    The seen set is held as sorted, disjoint, non-adjacent runs of blocks
+    (``_lo``: first block, ``_len``: length) and their total size, so it
+    grows with the number of gaps in what was read, not with the highest
+    block id.  A call merges its non-empty spans into the runs, and its
+    misses are how much the set grew: each block of the call that was not
+    yet seen joins the set once.  Ordered by first block, a span opens a
+    new run exactly when it starts past ``reach + 1``, where ``reach`` is
+    the running maximum of the span ends; a run ends at the reach of its
+    last span.
     """
 
     def __init__(self) -> None:
         super().__init__()
-        self._seen = np.zeros(0, dtype=bool)
+        self._clear()
 
-    def access(self, block_ids: np.ndarray) -> int:
-        block_ids = np.asarray(block_ids, dtype=np.int64)
-        if block_ids.size == 0:
+    def _clear(self) -> None:
+        self._lo = np.zeros(0, dtype=np.int64)
+        self._len = np.zeros(0, dtype=np.int64)
+        self._size = 0
+
+    def access_spans(self, first: np.ndarray, counts: np.ndarray) -> int:
+        first = np.asarray(first, dtype=np.int64)
+        counts = np.asarray(counts, dtype=np.int64)
+        references = int(counts.sum())
+        if references == 0:
             return 0
-        # First occurrence within this batch, then filter already-seen.
-        unique = sorted_unique(block_ids)
-        if unique[0] < 0:
-            raise ModelError(f"negative block id {unique[0]} in cache access")
-        top = int(unique[-1]) + 1
-        seen = self._seen
-        if top > seen.size:
-            grown = np.zeros(max(top, 2 * seen.size), dtype=bool)
-            grown[: seen.size] = seen
-            self._seen = seen = grown
-        new_blocks = unique[~seen[unique]]
-        seen[new_blocks] = True
-        misses = int(new_blocks.size)
-        self.stats.misses += misses
-        self.stats.hits += block_ids.size - misses
-        return misses
+        keep = counts > 0
+        if not keep.all():
+            first, counts = first[keep], counts[keep]
+        if first.min() < 0:
+            raise ModelError(f"negative block id {first.min()} in cache access")
+        first, counts = _by_first(
+            np.concatenate([self._lo, first]), np.concatenate([self._len, counts])
+        )
+        reach = np.maximum.accumulate(first + (counts - 1))
+        opens = np.empty(first.size, dtype=bool)
+        opens[0] = True
+        np.greater(first[1:], reach[:-1] + 1, out=opens[1:])
+        heads = np.flatnonzero(opens)
+        self._lo = first[heads]
+        self._len = reach[np.append(heads[1:] - 1, first.size - 1)] - self._lo + 1
+        size, self._size = self._size, int(self._len.sum())
+        return self._count(references, self._size - size)
 
     def reset(self) -> None:
         self.stats = CacheStats()
-        self._seen = np.zeros(0, dtype=bool)
+        self._clear()
 
 
 class LRUCache(CacheModel):
@@ -180,7 +227,9 @@ class LRUCache(CacheModel):
 
     Exactness matters here — the paper validates its RAF simulation
     against BaM's hardware measurements, so approximate caches would
-    undermine the Figure 3 reproduction.
+    undermine the Figure 3 reproduction.  Recency is per block, so the
+    spans are expanded to their block-id stream
+    (:func:`~repro.graph.csr.ragged_index`) and walked in order.
 
     Implemented as a last-access-tick dict plus a lazy-deletion min-heap
     of ``(tick, block)`` entries: a hit just bumps the block's tick (no
@@ -204,8 +253,8 @@ class LRUCache(CacheModel):
         self._heap: list[tuple[int, int]] | None = None
         self._tick = 0
 
-    def access(self, block_ids: np.ndarray) -> int:
-        block_ids = np.asarray(block_ids, dtype=np.int64)
+    def access_spans(self, first: np.ndarray, counts: np.ndarray) -> int:
+        block_ids = ragged_index(first, counts)
         tick_of = self._tick_of
         heap = self._heap
         push = heapq.heappush
@@ -235,9 +284,7 @@ class LRUCache(CacheModel):
             if heap is not None:
                 push(heap, (tick, block))
         self._tick = tick
-        self.stats.misses += misses
-        self.stats.hits += block_ids.size - misses
-        return misses
+        return self._count(block_ids.size, misses)
 
     def config(self) -> dict[str, int]:
         return {"capacity_blocks": self.capacity_blocks}

@@ -144,6 +144,10 @@ class DESResult:
         return self.link_busy_time / self.time if self.time > 0 else 0.0
 
 
+#: Requests :func:`_index_order_step` checks before a whole step's tables.
+_ORDER_PREFIX = 32
+
+
 def _index_order_step(
     sizes: np.ndarray, config: DESConfig, devices: np.ndarray
 ) -> DESResult | None:
@@ -164,9 +168,18 @@ def _index_order_step(
     non-decreasing grants (same-time events fire in scheduling order,
     which is grant order).
     Completions must strictly increase.  The first violation returns
-    ``None`` and the caller runs the event loop from scratch.
+    ``None`` and the caller runs the event loop from scratch.  A step
+    that breaks order does so within its first few requests, so a long
+    step first runs its first :data:`_ORDER_PREFIX` requests alone (the
+    recurrence of a prefix is the prefix of the recurrence) and hands
+    off without building its own tables if they break order.
     """
     n = sizes.size
+    if n > _ORDER_PREFIX and (
+        _index_order_step(sizes[:_ORDER_PREFIX], config, devices[:_ORDER_PREFIX])
+        is None
+    ):
+        return None
     window = config.gpu_concurrency
     if config.link_outstanding is not None:
         window = min(window, config.link_outstanding)

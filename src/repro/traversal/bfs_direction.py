@@ -85,7 +85,7 @@ def _bottom_up_step(
     if active.size == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy(), empty.copy(), empty.copy()
-    (neighbors,) = gather_neighbors(graph, active)
+    neighbors = gather_neighbors(graph, active)
     # Previous-depth frontier membership of each scanned neighbor.
     hit = depths[neighbors] == depth - 1
     # For each active vertex: position (0-based) of the first hit in its
@@ -156,7 +156,7 @@ def bfs_direction_optimizing(
             step_modes.append("top-down")
             starts, lengths = graph.sublist_byte_ranges(frontier)
             trace.append(TraceStep(frontier, starts, lengths))
-            (neighbors,) = gather_neighbors(graph, frontier)
+            neighbors = gather_neighbors(graph, frontier)
             unseen = neighbors[depths[neighbors] < 0]
             next_frontier = sorted_unique(unseen)
             depths[next_frontier] = depth

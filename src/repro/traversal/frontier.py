@@ -41,30 +41,16 @@ __all__ = [
 ]
 
 
-def gather_neighbors(
-    graph: CSRGraph, frontier: np.ndarray, *, with_sources: bool = False
-) -> tuple[np.ndarray, ...]:
+def gather_neighbors(graph: CSRGraph, frontier: np.ndarray) -> np.ndarray:
     """Concatenated out-neighbors of every frontier vertex (vectorized).
-
-    Returns ``(neighbors,)`` or ``(neighbors, sources)`` where ``sources``
-    repeats each frontier vertex once per out-edge.  For weighted graphs the
-    matching edge weights can be recovered by also returning the flat edge
-    indices — pass ``with_sources=True`` and use the third element:
-
-    ``neighbors, sources, edge_idx = gather_neighbors(g, f, with_sources=True)``
 
     The index array selecting every frontier vertex's CSR slice — for
     vertex ``v`` with degree ``k`` the indices ``indptr[v] .. indptr[v]+k-1``
     — comes from :func:`~repro.graph.csr.ragged_index`.
     """
     frontier = np.asarray(frontier, dtype=np.int64)
-    counts = graph.degrees[frontier]
-    edge_idx = ragged_index(graph.indptr[frontier], counts)
-    neighbors = graph.indices[edge_idx]
-    if not with_sources:
-        return (neighbors,)
-    sources = np.repeat(frontier, counts)
-    return neighbors, sources, edge_idx
+    edge_idx = ragged_index(graph.indptr[frontier], graph.degrees[frontier])
+    return graph.indices[edge_idx]
 
 
 def drain_mask(mask: np.ndarray) -> np.ndarray:

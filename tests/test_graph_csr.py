@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import VERTEX_ID_BYTES
 from repro.errors import GraphFormatError
-from repro.graph.csr import CSRGraph, sorted_unique
+from repro.graph.csr import CSRGraph, ragged_index, sorted_unique
 
 
 def make_graph(weighted=False):
@@ -185,3 +185,36 @@ class TestSortedUnique:
         values = np.array([3, 1, 2, 1])
         sorted_unique(values)
         assert values.tolist() == [3, 1, 2, 1]
+
+
+def _segments(starts, counts):
+    """``ragged_index`` as a loop: each segment's ``arange``, concatenated."""
+    pieces = [np.arange(s, s + c, dtype=np.int64) for s, c in zip(starts, counts)]
+    return np.concatenate([np.empty(0, dtype=np.int64), *pieces])
+
+
+class TestRaggedIndex:
+    @pytest.mark.parametrize(
+        "starts, counts",
+        [
+            ([], []),
+            ([5], [0]),
+            ([3, 9, 4], [0, 0, 0]),
+            ([7, 2, 40], [0, 0, 3]),  # leading zero counts
+            ([7, 2, 40], [2, 0, 0]),  # trailing zero counts
+            ([10, 0, 1, 2], [3, 2, 0, 4]),  # starts below their output position
+            ([5, 5, 5], [2, 2, 2]),  # repeated segments
+            ([100, 50, 0], [1, 1, 1]),
+        ],
+    )
+    def test_matches_concatenated_segments(self, starts, counts):
+        got = ragged_index(np.array(starts, dtype=np.int64), np.array(counts, dtype=np.int64))
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _segments(starts, counts))
+
+    @pytest.mark.parametrize("mean", [0.5, 2, 32])
+    def test_random_segments(self, mean):
+        rng = np.random.default_rng(int(mean * 10))
+        counts = rng.poisson(mean, 500)
+        starts = rng.integers(0, 10_000, 500)
+        assert np.array_equal(ragged_index(starts, counts), _segments(starts, counts))

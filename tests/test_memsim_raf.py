@@ -1,13 +1,17 @@
 """Read-amplification engine: Figure 3's properties."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro import systems
+from repro import workloads as registry
 from repro.errors import ModelError, TraceError
 from repro.gpu.bam import BaMMethod
 from repro.gpu.xlfdd_driver import XLFDDMethod
-from repro.memsim.cache import IdealCache, LRUCache, NoCache
+from repro.graph.datasets import load_dataset
+from repro.memsim.cache import IdealCache, LRUCache, NoCache, StepLocalCache
 from repro.memsim.raf import (
     direct_access_amplification,
     raf_curve,
@@ -208,3 +212,37 @@ class TestRafCurve:
         worst = raf_curve(bfs_trace, (512,), cache_factory=lambda a: NoCache())[0]
         default = raf_curve(bfs_trace, (512,))[0]
         assert worst.fetched_bytes >= default.fetched_bytes
+
+
+#: Digests of ``read_amplification`` over Figure 3's nine alignments, per
+#: paper dataset at scale 10 (seed 0), algorithm and cache model, as the
+#: block-stream cache models computed them.
+RAF_DIGESTS = {
+    ("urand", "bfs", "step"): "6f0ec542f83ec37b",
+    ("urand", "bfs", "ideal"): "dce30f6051c95996",
+    ("urand", "sssp", "step"): "195ce309faa1ab5b",
+    ("urand", "sssp", "ideal"): "16a97e36259a5915",
+    ("kron", "bfs", "step"): "49b53974e9f9007f",
+    ("kron", "bfs", "ideal"): "0deda4b7cf6e236a",
+    ("kron", "sssp", "step"): "1a3a13c9534b2447",
+    ("kron", "sssp", "ideal"): "1e4f83e05d9d2859",
+    ("friendster", "bfs", "step"): "697cfc732d988e86",
+    ("friendster", "bfs", "ideal"): "c6434c987b42d29d",
+    ("friendster", "sssp", "step"): "bb2dcdd5ee022c04",
+    ("friendster", "sssp", "ideal"): "f5d3c0761316f6bc",
+}
+
+
+@pytest.mark.parametrize("dataset, algorithm, cache_name", sorted(RAF_DIGESTS))
+def test_raf_results_match_recorded_digests(dataset, algorithm, cache_name):
+    """Every field of every Figure 3 ``RAFResult``, per-step arrays included."""
+    trace = registry.get(algorithm).trace(load_dataset(dataset, scale=10, seed=0))
+    make_cache = {"step": StepLocalCache, "ideal": IdealCache}[cache_name]
+    digest = hashlib.sha256()
+    for alignment in FIG3_ALIGNMENTS:
+        r = read_amplification(trace, alignment, make_cache())
+        fields = (r.alignment, r.useful_bytes, r.fetched_bytes, r.requests)
+        digest.update(repr(fields).encode())
+        digest.update(r.per_step_fetched.astype("<i8").tobytes())
+        digest.update(r.per_step_requests.astype("<i8").tobytes())
+    assert digest.hexdigest()[:16] == RAF_DIGESTS[dataset, algorithm, cache_name]

@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.graph.csr import sorted_unique
+from repro.graph.csr import ragged_index, sorted_unique
 from repro.memsim.alignment import (
     aligned_span,
     blocks_per_request,
@@ -208,6 +208,53 @@ def test_order_does_not_change_set_semantics(batches, seed):
             assert np.array_equal(got, np.unique(batch))
             assert got.dtype == batch.dtype
             assert not np.shares_memory(got, batch)
+
+
+span_batches = st.lists(
+    st.lists(st.tuples(st.integers(0, 40), st.integers(0, 6)), max_size=20).map(
+        lambda spans: (
+            np.array([f for f, _ in spans], dtype=np.int64),
+            np.array([c for _, c in spans], dtype=np.int64),
+        )
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+#: Every model, built fresh; LRU small enough to evict within a batch.
+SPAN_CACHES = (NoCache, StepLocalCache, IdealCache, lambda: LRUCache(capacity_blocks=5))
+
+
+@given(span_batches)
+@settings(max_examples=120, deadline=None)
+def test_spans_equal_their_block_stream(batches):
+    """``access_spans(first, counts)`` is ``access`` of the expanded stream:
+    same misses and hits per call, and the same state for later calls,
+    whatever the order, overlap, duplication or zero counts of the spans."""
+    probe = np.arange(60, dtype=np.int64)
+    for make in SPAN_CACHES:
+        spans, stream = make(), make()
+        for first, counts in batches:
+            assert spans.access_spans(first, counts) == stream.access(
+                ragged_index(first, counts)
+            )
+            assert spans.stats == stream.stats
+        assert spans.access(probe) == stream.access(probe)
+        assert spans.stats == stream.stats
+
+
+@given(span_batches)
+@settings(max_examples=120, deadline=None)
+def test_span_misses_match_a_set_of_blocks(batches):
+    """The interval kernels against a plain set of block ids: a step-local
+    call misses its distinct blocks, an ideal cache those never seen."""
+    step, ideal, seen = StepLocalCache(), IdealCache(), set()
+    for first, counts in batches:
+        blocks = set(ragged_index(first, counts).tolist())
+        assert step.access_spans(first, counts) == len(blocks)
+        assert ideal.access_spans(first, counts) == len(blocks - seen)
+        seen |= blocks
+    assert ideal.access(np.array(sorted(seen), dtype=np.int64)) == 0
 
 
 @st.composite

@@ -6,7 +6,13 @@ import pytest
 from repro.errors import SimulationError
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy
-from repro.sim.des import DESConfig, _index_order_step, simulate_step, simulate_trace
+from repro.sim.des import (
+    _ORDER_PREFIX,
+    DESConfig,
+    _index_order_step,
+    simulate_step,
+    simulate_trace,
+)
 from repro.sim.fluid import FluidParams
 from repro.units import MB_PER_S, MIOPS, USEC
 
@@ -342,6 +348,40 @@ class TestIndexOrderStep:
             assert got is not None
             assert_same_result(got, oracle(sizes, config, devices))
             assert_same_result(got, simulate_step(sizes, unbounded, devices))
+
+    @pytest.mark.parametrize("n", [_ORDER_PREFIX - 1, _ORDER_PREFIX, _ORDER_PREFIX + 1, 200])
+    @pytest.mark.parametrize("device_outstanding", [None, 1, 8])
+    def test_gates_across_the_prefix_boundary(self, n, device_outstanding):
+        # Requests after the checked prefix are gated by ones inside it.
+        rng = np.random.default_rng(n)
+        devices = rng.permutation(3)[round_robin(n, 3)]
+        sizes = np.full(n, 512, dtype=np.int64)
+        config = make_config(
+            num_devices=3,
+            device_outstanding=device_outstanding,
+            gpu_concurrency=_ORDER_PREFIX // 2 + 3,
+            device_iops=4 * MIOPS,
+        )
+        fast = _index_order_step(sizes, config, devices)
+        assert fast is not None
+        assert_same_result(fast, oracle(sizes, config, devices))
+
+    @pytest.mark.parametrize("position", [0, _ORDER_PREFIX - 1, _ORDER_PREFIX, 3 * _ORDER_PREFIX])
+    def test_break_before_or_after_the_prefix_hands_off(self, position):
+        # Large reads on device 0 and one small read on device 1: the small
+        # read overtakes the large one issued just before it.
+        n = 4 * _ORDER_PREFIX
+        sizes = np.full(n, 4_096, dtype=np.int64)
+        devices = np.zeros(n, dtype=np.int64)
+        sizes[position + 1] = 32
+        devices[position + 1] = 1
+        config = make_config(num_devices=2, device_internal_bandwidth=6e9)
+        head = position + 1
+        assert _index_order_step(sizes[:head], config, devices[:head]) is not None
+        assert _index_order_step(sizes, config, devices) is None
+        assert_same_result(
+            simulate_step(sizes, config, devices), oracle(sizes, config, devices)
+        )
 
     @pytest.mark.parametrize("device_outstanding", [None, 1, 2])
     def test_fewer_requests_than_the_window(self, device_outstanding):

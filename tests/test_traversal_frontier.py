@@ -7,30 +7,20 @@ from repro.traversal.frontier import drain_mask, gather_neighbors
 
 class TestGatherNeighbors:
     def test_matches_per_vertex_neighbors(self, tiny_graph):
-        (neighbors,) = gather_neighbors(tiny_graph, np.array([0, 1, 3]))
+        neighbors = gather_neighbors(tiny_graph, np.array([0, 1, 3]))
         expected = np.concatenate(
             [tiny_graph.neighbors(v) for v in (0, 1, 3)]
         )
         assert np.array_equal(neighbors, expected)
 
-    def test_with_sources_repeats_frontier_vertices(self, tiny_graph):
-        neighbors, sources, edge_idx = gather_neighbors(
-            tiny_graph, np.array([0, 3]), with_sources=True
-        )
-        assert sources.tolist() == [0, 0, 3]
-        assert neighbors.tolist() == [1, 2, 4]
-        assert np.array_equal(tiny_graph.indices[edge_idx], neighbors)
-
     def test_empty_frontier(self, tiny_graph):
-        (neighbors,) = gather_neighbors(tiny_graph, np.array([], dtype=np.int64))
+        neighbors = gather_neighbors(tiny_graph, np.array([], dtype=np.int64))
         assert neighbors.size == 0
 
     def test_all_zero_degree_frontier(self, tiny_graph):
         # Vertices 4 and 5 have no out-edges.
-        neighbors, sources, edge_idx = gather_neighbors(
-            tiny_graph, np.array([4, 5]), with_sources=True
-        )
-        assert neighbors.size == sources.size == edge_idx.size == 0
+        neighbors = gather_neighbors(tiny_graph, np.array([4, 5]))
+        assert neighbors.size == 0
 
     def test_large_graph_consistency(self, urand_small):
         """Vectorized gather equals the per-vertex loop on a real graph."""
@@ -38,14 +28,14 @@ class TestGatherNeighbors:
         frontier = np.unique(
             rng.integers(0, urand_small.num_vertices, 100)
         )
-        (neighbors,) = gather_neighbors(urand_small, frontier)
+        neighbors = gather_neighbors(urand_small, frontier)
         expected = np.concatenate(
             [urand_small.neighbors(v) for v in frontier]
         )
         assert np.array_equal(neighbors, expected)
 
     def test_duplicated_frontier_vertices_gather_twice(self, tiny_graph):
-        (neighbors,) = gather_neighbors(tiny_graph, np.array([0, 0]))
+        neighbors = gather_neighbors(tiny_graph, np.array([0, 0]))
         assert neighbors.tolist() == [1, 2, 1, 2]
 
 
