@@ -22,7 +22,9 @@ cache keyed by two content fingerprints:
 Every memo in the process is a :class:`Memo` (bounded, FIFO eviction).
 Three live here: physical traces (:func:`cached_physical_trace`), built
 workloads (:func:`repro.exec.tasks.workload_for`) and built dataset graphs
-(:func:`repro.graph.datasets.load_dataset`).
+(:func:`repro.graph.datasets.load_dataset`).  A fourth, the DES step
+times of :func:`repro.core.runtime_model.predict_runtime_des`, lives
+beside its one user as :data:`repro.core.runtime_model.des_step_memo`.
 :func:`clear_evaluation_cache` flushes every memo; the bench scenarios
 that price through a memo call it inside their timed ``run``, so
 memoization gets credit only for *within-run* duplicate pricing, never

@@ -19,9 +19,14 @@ from ..gpu.base import AccessMethod, PhysicalTrace
 from ..interconnect.pcie import PCIeLink
 from ..sim.fluid import FluidParams, TraceTiming, trace_time
 from ..traversal.trace import AccessTrace
-from .evalcache import cached_physical_trace
+from .evalcache import Memo, cached_physical_trace
 
 __all__ = ["SystemModel", "RuntimeResult", "predict_runtime", "predict_runtime_des"]
+
+#: (requests, size, DESConfig) -> simulated time of one uniform
+#: round-robin step, for :func:`predict_runtime_des`; one Figure 11
+#: sweep of the paper datasets simulates about 120 distinct steps.
+des_step_memo = Memo(capacity=1024)
 
 
 @dataclass(frozen=True)
@@ -157,6 +162,14 @@ def predict_runtime_des(
     ``max_requests_per_step`` subsamples huge steps — the simulated time
     is scaled back up linearly, exact in the rate-bound regimes that
     dominate large steps.  Returns the total runtime in seconds.
+
+    A step's simulated time is then a pure function of its (capped)
+    request count, its request size and the
+    :class:`~repro.sim.des.DESConfig`, so each distinct step is simulated
+    once per process through :data:`des_step_memo`, keyed by
+    ``(requests, size, config)``;
+    :func:`~repro.core.evalcache.clear_evaluation_cache` flushes it.  The
+    sweeps of Figure 11 repeat a third of their steps.
     """
     import numpy as np
 
@@ -177,7 +190,11 @@ def predict_runtime_des(
             scale = requests / max_requests_per_step
             requests = max_requests_per_step
         size = max(1, step.link_bytes // step.requests)
-        sizes = np.full(requests, size, dtype=np.int64)
-        result = simulate_step(sizes, config)
-        total += result.time * scale + params.step_overhead
+        time = des_step_memo.get_or_compute(
+            (requests, size, config),
+            lambda: simulate_step(
+                np.full(requests, size, dtype=np.int64), config
+            ).time,
+        )
+        total += time * scale + params.step_overhead
     return total

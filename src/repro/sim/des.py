@@ -20,11 +20,15 @@ Fast-path notes (benchmarked by the ``des`` family, docs/PERFORMANCE.md):
 a fault-free step first runs :func:`_index_order_step`, a heap-free
 recurrence that is exact while requests complete in index order; it
 checks that order as it goes and hands the step to the event loop on
-the first break.  The recurrence is table-driven: each request's media
-and link service times and the earlier request whose completion gates
-its grant are numpy arrays built before the loop, so the loop itself is
-scalar float arithmetic over list lookups, with no per-device lists of
-completions.
+the first break.  The loop is scalar float arithmetic over four feeds:
+each request's device, its media and link service times, and the
+earlier request whose completion gates its grant, with no per-device
+lists of completions.  For general steps the feeds are tables built
+before the loop.  A uniform round-robin step (one request size, no
+``devices`` map) needs no tables: the service times are constants, the
+devices cycle ``0..D-1``, and the gate lags a constant
+``min(G, L, D·d)`` requests behind, so the same loop body reads
+``itertools.repeat``/``cycle``/``range`` iterators instead.
 
 The event loop is the general path: it runs every fault plan, every step
 whose order breaks, every step with an event budget (``max_events``) and
@@ -44,6 +48,7 @@ equals event order).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, cycle, repeat
 
 import numpy as np
 
@@ -149,11 +154,16 @@ _ORDER_PREFIX = 32
 
 
 def _index_order_step(
-    sizes: np.ndarray, config: DESConfig, devices: np.ndarray
+    sizes: np.ndarray,
+    config: DESConfig,
+    devices: np.ndarray,
+    *,
+    round_robin: bool = False,
 ) -> DESResult | None:
     """The fault-free step as a recurrence, or ``None`` if order breaks.
 
-    ``sizes`` are positive and ``devices`` validated, one per request.
+    ``sizes`` are positive and ``devices`` validated, one per request;
+    ``round_robin`` says ``devices`` is ``arange(n) % num_devices``.
     Valid while requests complete in index order: then every semaphore's
     waiters arrive and leave in index order, so request ``i``'s device
     tag is granted at ``max(completion[i - min(G, L)], completion of the
@@ -162,11 +172,13 @@ def _index_order_step(
     event loop would.  Completions then increase with the index, so the
     grant is the completion of the later of those two requests, and that
     index is precomputed: ``i - min(G, L)`` by index, the same-device one
-    by a stable argsort of ``devices``.  Two conditions make the event
-    loop book the link in index order too, and both are checked per
-    request: link arrivals never decrease, and equal arrivals come with
-    non-decreasing grants (same-time events fire in scheduling order,
-    which is grant order).
+    by a stable argsort of ``devices``.  On a round-robin step of one
+    request size both are constant lags (the same-device request is
+    ``num_devices * device_outstanding`` earlier), so nothing is
+    precomputed.  Two conditions make the event loop book the link in
+    index order too, and both are checked per request: link arrivals
+    never decrease, and equal arrivals come with non-decreasing grants
+    (same-time events fire in scheduling order, which is grant order).
     Completions must strictly increase.  The first violation returns
     ``None`` and the caller runs the event loop from scratch.  A step
     that breaks order does so within its first few requests, so a long
@@ -176,7 +188,12 @@ def _index_order_step(
     """
     n = sizes.size
     if n > _ORDER_PREFIX and (
-        _index_order_step(sizes[:_ORDER_PREFIX], config, devices[:_ORDER_PREFIX])
+        _index_order_step(
+            sizes[:_ORDER_PREFIX],
+            config,
+            devices[:_ORDER_PREFIX],
+            round_robin=round_robin,
+        )
         is None
     ):
         return None
@@ -184,22 +201,36 @@ def _index_order_step(
     if config.link_outstanding is not None:
         window = min(window, config.link_outstanding)
     device_window = config.device_outstanding
-    # Per-request tables: service times (the same IEEE divisions the
-    # scalar expressions make) and the request whose completion gates
-    # the grant.  Of the two candidates, ``window`` earlier and
-    # ``device_window`` earlier on the same device, the later index wins:
-    # completions strictly increase while the recurrence holds.
-    # ``completion`` is offset by one behind a sentinel slot 0 that stays
-    # 0.0, the gate of a request that neither candidate holds back.
-    media_times = (sizes / config.device_internal_bandwidth).tolist()
-    link_times = (sizes / config.link_bandwidth).tolist()
-    gate = np.maximum(np.arange(1 - window, n + 1 - window, dtype=np.int64), 0)
-    if device_window is not None and device_window < n:
-        by_device = np.argsort(devices, kind="stable")
-        later, earlier = by_device[device_window:], by_device[:-device_window]
-        same = devices[later] == devices[earlier]
-        later, earlier = later[same], earlier[same]
-        gate[later] = np.maximum(gate[later], earlier + 1)
+    # The loop's feeds: each request's device, its service times (the
+    # same IEEE divisions the scalar expressions make) and the request
+    # whose completion gates the grant.  Of the two candidates,
+    # ``window`` earlier and ``device_window`` earlier on the same
+    # device, the later index wins: completions strictly increase while
+    # the recurrence holds.  ``completion`` is offset by one behind a
+    # sentinel slot 0 that stays 0.0, the gate of a request that neither
+    # candidate holds back.
+    if round_robin and (sizes == sizes[0]).all():
+        size = int(sizes[0])
+        lag = window
+        if device_window is not None:
+            lag = min(lag, config.num_devices * device_window)
+        lag = min(lag, n)
+        device_feed = cycle(range(config.num_devices))
+        media_times = repeat(size / config.device_internal_bandwidth)
+        link_times = repeat(size / config.link_bandwidth)
+        gate = chain(repeat(0, lag), range(1, n - lag + 1))
+    else:
+        device_feed = devices.tolist()
+        media_times = (sizes / config.device_internal_bandwidth).tolist()
+        link_times = (sizes / config.link_bandwidth).tolist()
+        table = np.maximum(np.arange(1 - window, n + 1 - window, dtype=np.int64), 0)
+        if device_window is not None and device_window < n:
+            by_device = np.argsort(devices, kind="stable")
+            later, earlier = by_device[device_window:], by_device[:-device_window]
+            same = devices[later] == devices[earlier]
+            later, earlier = later[same], earlier[same]
+            table[later] = np.maximum(table[later], earlier + 1)
+        gate = table.tolist()
     op_time = 1.0 / config.device_iops
     latency = config.latency
     admit_free = [0.0] * config.num_devices
@@ -208,8 +239,9 @@ def _index_order_step(
     append = completion.append
     link_free = link_busy = 0.0
     last_arrival = last_grant = 0.0
-    for dev, media_time, service, gated_by in zip(
-        devices.tolist(), media_times, link_times, gate.tolist()
+    # ``gate`` holds exactly n entries; the other feeds may be endless.
+    for gated_by, dev, media_time, service in zip(
+        gate, device_feed, media_times, link_times
     ):
         grant = completion[gated_by]
         # Admission at the op rate, then the media channel: FifoServer.book.
@@ -296,7 +328,8 @@ def simulate_step(
             max_warps=0,
             completion_times=np.empty(0, dtype=np.float64),
         )
-    if devices is None:
+    round_robin = devices is None
+    if round_robin:
         devices = np.arange(n, dtype=np.int64) % config.num_devices
     elif devices.min() < 0 or devices.max() >= config.num_devices:
         raise SimulationError("device index out of range")
@@ -304,7 +337,9 @@ def simulate_step(
     traced = tracer.enabled
     overhead = config.step_overhead if include_overhead else 0.0
     if plan is None and max_events is None and not traced:
-        result = _index_order_step(sizes, config, devices)
+        result = _index_order_step(
+            sizes, config, devices, round_robin=round_robin
+        )
         if result is not None:
             result.time += overhead
             return result

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro import systems
+from repro import workloads as registry
 from repro.core.cost import MEDIA_COSTS, MediaCost, cost_performance, system_memory_cost
 from repro.core.experiment import (
     bam_system,
@@ -12,13 +14,24 @@ from repro.core.experiment import (
     run_algorithm,
     xlfdd_system,
 )
-from repro.core.runtime_model import predict_runtime, predict_runtime_des
+from repro.core.evalcache import cached_physical_trace, clear_evaluation_cache
+from repro.core.runtime_model import (
+    des_step_memo,
+    predict_runtime,
+    predict_runtime_des,
+)
+from repro.core.sweep import cxl_latency_grid
 from repro.devices.cxl import (
     LatencyBridge,
     OutOfOrderLatencyBridge,
     head_of_line_penalty,
 )
 from repro.errors import DeviceError, ModelError
+from repro.graph.datasets import load_dataset
+from repro.interconnect.pcie import PCIeLink
+from repro.sim import des
+from repro.sim.des import DESConfig, simulate_step
+from repro.traversal.trace import AccessTrace, TraceStep
 from repro.units import USEC
 
 
@@ -81,6 +94,146 @@ class TestDESPrediction:
             paper_bfs_trace, cxl_system(3 * USEC), max_requests_per_step=2_000
         )
         assert slow > 1.5 * fast
+
+
+def figure11_systems():
+    """The CXL pool of Figure 11 at each added device latency."""
+    gen3 = PCIeLink.from_name("gen3")
+    return [systems.get("cxl", gen3, **c["options"]) for c in cxl_latency_grid()]
+
+
+@pytest.fixture
+def cold_caches():
+    clear_evaluation_cache()
+    yield
+    clear_evaluation_cache()
+
+
+class TestDESStepMemo:
+    """predict_runtime_des simulates each distinct step once."""
+
+    def test_flushed_by_clear_evaluation_cache(self, cold_caches, paper_bfs_trace):
+        predict_runtime_des(
+            paper_bfs_trace, cxl_system(0.0), max_requests_per_step=4_000
+        )
+        assert des_step_memo.stats()["entries"] > 0
+        clear_evaluation_cache()
+        assert des_step_memo.stats() == {"hits": 0, "misses": 0, "entries": 0}
+
+    def test_repeat_equals_fresh(self, cold_caches, paper_bfs_trace):
+        system = cxl_system(1 * USEC)
+        fresh = predict_runtime_des(
+            paper_bfs_trace, system, max_requests_per_step=4_000
+        )
+        entries = des_step_memo.stats()["entries"]
+        repeat = predict_runtime_des(
+            paper_bfs_trace, system, max_requests_per_step=4_000
+        )
+        assert des_step_memo.stats()["entries"] == entries
+        assert des_step_memo.stats()["hits"] >= entries
+        assert repeat == fresh
+        clear_evaluation_cache()
+        assert (
+            predict_runtime_des(paper_bfs_trace, system, max_requests_per_step=4_000)
+            == fresh
+        )
+
+    def test_cxl_latencies_never_share_an_entry(self, cold_caches, paper_bfs_trace):
+        alone = []
+        for system in figure11_systems():
+            clear_evaluation_cache()
+            predict_runtime_des(paper_bfs_trace, system, max_requests_per_step=4_000)
+            alone.append(des_step_memo.stats())
+        clear_evaluation_cache()
+        for system in figure11_systems():
+            predict_runtime_des(paper_bfs_trace, system, max_requests_per_step=4_000)
+        together = des_step_memo.stats()
+        assert len(alone) == 4
+        for counter in ("hits", "misses", "entries"):
+            assert together[counter] == sum(stats[counter] for stats in alone)
+
+    def test_capped_steps_are_keyed_on_the_capped_count(self, cold_caches):
+        # Two steps of 100 and 150 separate 128 B reads, both capped to 50.
+        trace = AccessTrace("bfs", "two-steps", edge_list_bytes=256 * 150)
+        for count in (100, 150):
+            starts = np.arange(count, dtype=np.int64) * 256
+            trace.append(TraceStep(np.arange(count), starts, np.full(count, 128)))
+        system = cxl_system(0.0)
+        steps = cached_physical_trace(system.method, trace).steps
+        assert [(s.requests, s.link_bytes) for s in steps] == [
+            (100, 100 * 128),
+            (150, 150 * 128),
+        ]
+        capped = predict_runtime_des(trace, system, max_requests_per_step=50)
+        assert des_step_memo.stats() == {"hits": 1, "misses": 1, "entries": 1}
+        params = system.fluid_params()
+        config = DESConfig.from_fluid(params, num_devices=system.pool.count)
+        time = simulate_step(np.full(50, 128), config).time
+        assert capped == (time * 2.0 + params.step_overhead) + (
+            time * 3.0 + params.step_overhead
+        )
+        clear_evaluation_cache()
+        predict_runtime_des(trace, system)
+        assert des_step_memo.stats() == {"hits": 0, "misses": 2, "entries": 2}
+
+    def test_simulate_step_itself_is_not_memoised(self, cold_caches, monkeypatch):
+        calls = []
+        index_order_step = des._index_order_step
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].size)
+            return index_order_step(*args, **kwargs)
+
+        monkeypatch.setattr(des, "_index_order_step", counted)
+        config = DESConfig(
+            link_bandwidth=24e9,
+            latency=1 * USEC,
+            device_iops=1e7,
+            device_internal_bandwidth=24e9,
+        )
+        sizes = np.full(16, 64, dtype=np.int64)
+        first = simulate_step(sizes, config)
+        second = simulate_step(sizes, config)
+        assert calls == [16, 16]
+        assert second is not first
+        assert des_step_memo.stats() == {"hits": 0, "misses": 0, "entries": 0}
+
+
+class TestFigure11Replay:
+    """Every distinct DES step of Figure 11, default path against event loop."""
+
+    def test_default_path_matches_event_loop(self, cold_caches, monkeypatch):
+        steps = {}
+        simulate = des.simulate_step
+
+        def record(sizes, config, *args, **kwargs):
+            steps[(sizes.size, int(sizes[0]), config)] = sizes
+            return simulate(sizes, config, *args, **kwargs)
+
+        # predict_runtime_des looks simulate_step up at call time.
+        monkeypatch.setattr(des, "simulate_step", record)
+        for dataset in ("urand", "kron", "friendster"):
+            graph = load_dataset(dataset, scale=12, seed=0)
+            for algorithm in ("bfs", "sssp"):
+                trace = registry.get(algorithm).trace(graph)
+                for system in figure11_systems():
+                    predict_runtime_des(trace, system, max_requests_per_step=4_000)
+        monkeypatch.undo()
+        assert len(steps) > 100
+        assert max(n for n, _, _ in steps) == 4_000
+        for (n, _, config), sizes in steps.items():
+            # The step keeps index order: the default path is the recurrence.
+            devices = np.arange(n, dtype=np.int64) % config.num_devices
+            assert des._index_order_step(
+                sizes, config, devices, round_robin=True
+            ) is not None
+            got = simulate_step(sizes, config)
+            loop = simulate_step(sizes, config, max_events=10**9)
+            assert got.time == loop.time
+            assert got.link_busy_time == loop.link_busy_time
+            assert np.array_equal(got.completion_times, loop.completion_times)
+            assert got.max_link_tags == loop.max_link_tags
+            assert got.max_warps == loop.max_warps
 
 
 class TestFlashCXL:

@@ -398,3 +398,82 @@ class TestIndexOrderStep:
         assert fast is not None
         assert fast.max_link_tags == fast.max_warps == n
         assert_same_result(fast, oracle(sizes, config, devices))
+
+
+def _uniform_round_robin_cases():
+    """(num_devices, device_outstanding, gpu_concurrency, link_outstanding):
+    the GPU window, the link window and ``num_devices * device_outstanding``
+    each bind in some case."""
+    for num_devices in (1, 3, 5):
+        for device_outstanding in (None, 1, 8, 64):
+            for gpu, link in ((6, 40), (2_048, 6), (48, None)):
+                yield num_devices, device_outstanding, gpu, link
+
+
+def _binding_window(num_devices, device_outstanding, gpu, link):
+    windows = {"gpu": gpu, "link": link}
+    if device_outstanding is not None:
+        windows["device"] = num_devices * device_outstanding
+    lag = min(w for w in windows.values() if w is not None)
+    return lag, [name for name, w in windows.items() if w == lag]
+
+
+class TestUniformRoundRobin:
+    """A round-robin step of one request size runs without tables."""
+
+    def test_every_window_binds_in_some_case(self):
+        binding = {
+            names[0]
+            for names in (
+                _binding_window(*case)[1] for case in _uniform_round_robin_cases()
+            )
+            if len(names) == 1
+        }
+        assert binding == {"gpu", "link", "device"}
+
+    @pytest.mark.parametrize("case", list(_uniform_round_robin_cases()))
+    def test_matches_tables_and_event_loop(self, case):
+        num_devices, device_outstanding, gpu, link = case
+        config = make_config(
+            num_devices=num_devices,
+            device_outstanding=device_outstanding,
+            gpu_concurrency=gpu,
+            link_outstanding=link,
+            device_iops=4 * MIOPS,
+            device_internal_bandwidth=6e9,
+            latency=5 * USEC,
+        )
+        lag, _ = _binding_window(*case)
+        # Below, at and above the window, and across the checked prefix.
+        lengths = {lag - 1, lag, lag + 1, 3 * _ORDER_PREFIX + 5}
+        lengths |= {_ORDER_PREFIX - 1, _ORDER_PREFIX, _ORDER_PREFIX + 1}
+        for n in sorted(lengths - {0}):
+            sizes = np.full(n, 512, dtype=np.int64)
+            devices = round_robin(n, num_devices)
+            fast = _index_order_step(sizes, config, devices, round_robin=True)
+            assert fast is not None
+            assert_same_result(fast, _index_order_step(sizes, config, devices))
+            assert_same_result(fast, oracle(sizes, config))
+            assert_same_result(simulate_step(sizes, config), fast)
+            assert_same_result(simulate_step(sizes, config, devices), fast)
+
+    def test_mixed_sizes_keep_the_tables(self):
+        # Round-robin alone does not select the constant feed.
+        sizes = np.array([4_096, 32, 4_096, 32], dtype=np.int64)
+        config = make_config(num_devices=2, device_internal_bandwidth=6e9)
+        devices = round_robin(4, 2)
+        assert _index_order_step(sizes, config, devices, round_robin=True) is None
+        assert_same_result(simulate_step(sizes, config), oracle(sizes, config))
+
+    @pytest.mark.parametrize("n", [2, 3 * _ORDER_PREFIX])
+    def test_rounded_away_service_hands_off(self, n):
+        # Two devices deliver requests 0 and 1 at the same instant, and a
+        # link service far below the clock's resolution leaves request 1
+        # completing with request 0: completions stop strictly increasing.
+        sizes = np.ones(n, dtype=np.int64)
+        config = make_config(num_devices=2, link_bandwidth=1e30)
+        devices = round_robin(n, 2)
+        assert _index_order_step(sizes, config, devices, round_robin=True) is None
+        got = simulate_step(sizes, config)
+        assert got.completion_times[1] == got.completion_times[0]
+        assert_same_result(got, oracle(sizes, config))
