@@ -58,10 +58,6 @@ Subpackages
 ``telemetry``
     Zero-dependency tracing (spans/events/counters) and metrics with
     JSONL / Chrome-trace / profile exporters.
-``ops``
-    Traffic-driven serving scenarios: open-arrival load, fault storms,
-    a self-healing controller, and SLO-attainment reports
-    (``repro serve``, docs/OPERATIONS.md).
 ``systems``
     Name -> system-configuration registry shared by the CLI and sweeps.
 ``workloads``
@@ -116,14 +112,6 @@ __all__ = [
     "get_tracer",
     "get_registry",
     "use_tracer",
-    "ControllerPolicy",
-    "FaultStorm",
-    "ServingConfig",
-    "SloReport",
-    "TrafficModel",
-    "compare_reports",
-    "named_storm",
-    "run_serving_scenario",
     "systems",
     "workloads",
     "ExperimentSpec",
@@ -193,11 +181,6 @@ __getattr__, __dir__ = _attach(
         ".telemetry": (
             "MetricRegistry", "NullTracer", "Tracer", "get_registry",
             "get_tracer", "use_tracer",
-        ),
-        ".ops": (
-            "ControllerPolicy", "FaultStorm", "ServingConfig", "SloReport",
-            "TrafficModel", "compare_reports", "named_storm",
-            "run_serving_scenario",
         ),
         ".systems": ("systems",),
         ".workloads": ("workloads",),

@@ -50,7 +50,7 @@ class TelemetryObservabilityRule(Rule):
         "snapshots stay complete — and so DES code reports simulated "
         "time, not wall time."
     )
-    default_paths = ("engine", "faults", "sim", "core", "telemetry", "ops", "cli.py")
+    default_paths = ("engine", "faults", "sim", "core", "telemetry", "cli.py")
     default_excludes = ("clock.py",)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:

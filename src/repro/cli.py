@@ -22,7 +22,7 @@ Subcommands
     Capacity planner: ``--build`` prices the device/alignment/link/
     striping grid into a surface file, then queries answer "which
     configs meet this size + SLO?" from the surface without re-running
-    the model; ``--serve`` turns that into a JSON-lines loop.
+    the model.
 ``chase``
     Run the pointer-chase latency microbenchmark for a target.
 ``lint``
@@ -30,20 +30,14 @@ Subcommands
 ``profile``
     Run a traced traversal on the functional engine and print the top
     spans by inclusive time (``repro profile --workload bfs``).
-``serve``
-    Run the traffic-driven serving scenario under a fault storm and
-    print the SLO report (``repro serve --fault-storm storm``);
-    ``--controller both`` compares self-healing on vs off, and
-    ``--tenant-mix 'a=0.7,b=0.3'`` adds per-tenant attainment and
-    fairness accounting.
 ``bench``
     Run the benchmark harness and write ``BENCH_<family>.json`` files
     (``repro bench --families des traversal``); ``--compare A B`` diffs
     two result files and ``--check BASE CAND`` applies the regression
     gate (see ``docs/PERFORMANCE.md``).
 
-``run``, ``profile`` and ``serve`` accept ``--trace PATH`` to write the
-collected telemetry as JSON-lines (``--trace-format jsonl``) or a Chrome
+``run`` and ``profile`` accept ``--trace PATH`` to write the collected
+telemetry as JSON-lines (``--trace-format jsonl``) or a Chrome
 trace-event file loadable in Perfetto (``--trace-format chrome``).
 """
 
@@ -64,13 +58,6 @@ from .interconnect.pcie import PCIeLink
 from .units import MSEC, USEC, to_usec
 
 __all__ = ["main", "build_parser"]
-
-#: ``repro serve --fault-storm`` choices, the names
-#: :func:`repro.ops.storm.available_storms` returns.  They are spelled
-#: out so that building the parser does not import :mod:`repro.ops`;
-#: ``tests/test_cli.py`` keeps the two equal.
-_FAULT_STORMS = ("dropout", "none", "storm", "stuck")
-
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser (exposed for tests and docs)."""
@@ -210,10 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --build: the thinned quick grid (tests/benchmarks)",
     )
     plan.add_argument(
-        "--serve", action="store_true",
-        help="answer JSON-lines queries from stdin until EOF/quit",
-    )
-    plan.add_argument(
         "--edge-bytes", type=float, default=None, metavar="N",
         help="graph edge-list size to plan for, in bytes",
     )
@@ -273,59 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-rules", action="store_true",
         help="print the rule catalogue and exit",
     )
-
-    serve = sub.add_parser(
-        "serve",
-        help="traffic-driven serving scenario with a self-healing controller",
-    )
-    serve.add_argument(
-        "--duration", type=float, default=3.0, metavar="S",
-        help="simulated seconds of traffic (default 3.0)",
-    )
-    serve.add_argument(
-        "--slo-p99", type=float, default=4000.0, metavar="US",
-        help="p99 latency objective in microseconds (default 4000)",
-    )
-    serve.add_argument(
-        "--fault-storm", default="storm", choices=list(_FAULT_STORMS),
-        help="named fault storm to replay (default: storm)",
-    )
-    serve.add_argument(
-        "--controller", default="both", choices=["on", "off", "both"],
-        help="run with the self-healing controller on, off, or both "
-        "(compared side by side; default both)",
-    )
-    serve.add_argument(
-        "--seed", type=int, default=0,
-        help="seed for both the traffic model and the fault storm",
-    )
-    serve.add_argument(
-        "--base-rate", type=float, default=800.0, metavar="QPS",
-        help="mean arrival rate before modulation (default 800)",
-    )
-    serve.add_argument(
-        "--tenant-mix", default=None, metavar="NAME=W,NAME=W",
-        help="tag queries with tenants drawn from these weights "
-        "(e.g. 'analytics=0.7,search=0.3'); the report gains per-tenant "
-        "attainment and a Jain fairness index",
-    )
-    serve.add_argument(
-        "--system",
-        default="xlfdd",
-        choices=systems.available(),
-        help="system whose pool serves the traffic",
-    )
-    serve.add_argument(
-        "--report", default=None, metavar="PATH",
-        help="write the SLO report(s) as canonical JSON; with "
-        "--controller both, PATH gains .on/.off infixes",
-    )
-    serve.add_argument(
-        "--check", action="store_true",
-        help="with --controller both: exit non-zero unless controller-on "
-        "attains at least controller-off (the CI gate)",
-    )
-    _add_trace_args(serve)
 
     bench = sub.add_parser(
         "bench",
@@ -677,7 +607,6 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
 def _cmd_plan(args: argparse.Namespace):
     from .errors import PlannerError
     from .planner.query import plan_query
-    from .planner.service import serve_queries
     from .planner.surface import build_surface, load_surface, save_surface
 
     if args.build:
@@ -689,9 +618,6 @@ def _cmd_plan(args: argparse.Namespace):
             f"({'quick' if args.quick else 'full'} grid) to {path}"
         )
     surface = load_surface(args.surface)
-    if args.serve:
-        served = serve_queries(surface, sys.stdin, sys.stdout)
-        return f"served {served} queries"
     if args.edge_bytes is not None:
         edge_bytes = args.edge_bytes
     elif args.dataset is not None:
@@ -897,98 +823,6 @@ def _cmd_bench(args: argparse.Namespace) -> tuple[str, int]:
     return "\n".join(f"wrote {p}" for p in paths), 0
 
 
-def _parse_tenant_mix(text: str | None) -> dict[str, float]:
-    """Parse ``--tenant-mix 'a=0.7,b=0.3'`` into a weight mapping."""
-    if not text:
-        return {}
-    from .errors import ConfigError
-
-    tenants: dict[str, float] = {}
-    for part in text.split(","):
-        name, sep, weight = part.partition("=")
-        name = name.strip()
-        if not sep or not name:
-            raise ConfigError(
-                f"--tenant-mix expects NAME=WEIGHT pairs, got {part!r}"
-            )
-        if name in tenants:
-            raise ConfigError(f"--tenant-mix names {name!r} twice")
-        try:
-            tenants[name] = float(weight)
-        except ValueError as exc:
-            raise ConfigError(
-                f"--tenant-mix weight for {name!r} is not a number: {weight!r}"
-            ) from exc
-    return tenants
-
-
-def _serve_report_path(base: str, mode: str) -> str:
-    """``slo.json`` -> ``slo.on.json`` when both modes write artifacts."""
-    from pathlib import Path
-
-    p = Path(base)
-    return str(p.with_name(f"{p.stem}.{mode}{p.suffix or '.json'}"))
-
-
-def _cmd_serve(args: argparse.Namespace) -> tuple[str, int]:
-    from pathlib import Path
-
-    from .ops.scenario import ServingConfig, run_serving_scenario
-    from .ops.slo import compare_reports
-    from .ops.storm import named_storm
-    from .ops.traffic import TrafficModel
-    from .telemetry.tracer import NULL_TRACER, Tracer, use_tracer
-
-    config = ServingConfig(duration=args.duration, slo_p99=args.slo_p99 * USEC)
-    tenants = _parse_tenant_mix(args.tenant_mix)
-    traffic = TrafficModel(
-        seed=args.seed, base_rate=args.base_rate, tenants=tenants
-    )
-    storm = named_storm(args.fault_storm, seed=args.seed)
-    modes = {"on": [True], "off": [False], "both": [True, False]}[args.controller]
-    tracer = Tracer() if args.trace else NULL_TRACER
-    reports = {}
-    with use_tracer(tracer):
-        for controller_on in modes:
-            reports[controller_on] = run_serving_scenario(
-                args.system,
-                config=config,
-                traffic=traffic,
-                storm=storm,
-                controller=controller_on,
-            )
-    parts = [report.describe() for report in reports.values()]
-    if args.report:
-        for controller_on, report in reports.items():
-            path = (
-                _serve_report_path(args.report, "on" if controller_on else "off")
-                if len(reports) > 1
-                else args.report
-            )
-            Path(path).write_text(report.to_json(), encoding="utf-8")
-            parts.append(f"report written to {path}")
-    code = 0
-    if len(reports) == 2:
-        deltas = compare_reports(reports[True], reports[False])
-        parts.append(
-            "controller-on vs off: "
-            f"attainment {deltas['attainment_gain']:+.3f}, "
-            f"shed {deltas['shed_delta']:+.3f}, "
-            f"p99 {deltas['p99_delta_us']:+.0f} us, "
-            f"recovery {deltas['recovery_delta_s']:+.2f} s"
-        )
-        if args.check and deltas["attainment_gain"] < 0:
-            parts.append("CHECK FAILED: controller-on lowered SLO attainment")
-            code = 1
-        elif args.check:
-            parts.append("check passed: controller-on attainment >= off")
-    elif args.check:
-        parts.append("note: --check needs --controller both; ignored")
-    if args.trace:
-        parts.append(_write_trace(tracer, args))
-    return "\n".join(parts), code
-
-
 _COMMANDS = {
     "stats": _cmd_stats,
     "run": _cmd_run,
@@ -1000,7 +834,6 @@ _COMMANDS = {
     "chase": _cmd_chase,
     "lint": _cmd_lint,
     "profile": _cmd_profile,
-    "serve": _cmd_serve,
     "bench": _cmd_bench,
 }
 

@@ -1,13 +1,11 @@
 """The capacity planner: precomputed model surfaces + sub-ms queries.
 
-ROADMAP item 2's "model as a service": :func:`build_surface` prices the
-device × alignment × topology × striping grid once (in parallel,
-through :mod:`repro.exec`), :func:`save_surface`/:func:`load_surface`
-persist it as canonical machine-independent JSON, :func:`plan_query`
-answers "given graph stats + an SLO, which configs meet it?" from the
-loaded surface without re-running the model, and
-:func:`serve_queries` wraps that in a long-running JSON-lines loop
-(``repro plan --serve``).
+:func:`build_surface` prices the device × alignment × topology ×
+striping grid once (in parallel, through :mod:`repro.exec`),
+:func:`save_surface`/:func:`load_surface` persist it as canonical
+machine-independent JSON, and :func:`plan_query` answers "given graph
+stats + an SLO, which configs meet it?" from the loaded surface without
+re-running the model (``repro plan``).
 """
 
 from __future__ import annotations
@@ -23,14 +21,12 @@ __all__ = [
     "load_surface",
     "validate_surface",
     "plan_query",
-    "serve_queries",
 ]
 
 __getattr__, __dir__ = _attach(
     __name__,
     {
         ".query": ("plan_query",),
-        ".service": ("serve_queries",),
         ".surface": (
             "SURFACE_SCHEMA", "build_surface", "default_grid",
             "default_workload", "load_surface", "save_surface",

@@ -9,8 +9,8 @@ Two complementary layers:
   no-op :data:`NULL_TRACER`, so instrumentation costs ~nothing unless a
   caller installs a real tracer (:func:`use_tracer`).
 * **Metrics** (:mod:`~repro.telemetry.metrics`): a
-  :class:`MetricRegistry` of counters, gauges and fixed-bucket
-  histograms that subsystems publish into regardless of tracing.
+  :class:`MetricRegistry` of counters and gauges that subsystems
+  publish into regardless of tracing.
 
 Exporters (:mod:`~repro.telemetry.export`) turn collected records into
 JSON-lines, Chrome trace-event files (open in https://ui.perfetto.dev),
@@ -38,11 +38,8 @@ __all__ = [
     # metrics
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricRegistry",
     "get_registry",
-    "set_registry",
-    "DEFAULT_LATENCY_BUCKETS_US",
     # export
     "render_jsonl",
     "write_jsonl",
@@ -65,8 +62,7 @@ __getattr__, __dir__ = _attach(
             "validate_chrome_trace", "write_chrome_trace", "write_jsonl",
         ),
         ".metrics": (
-            "DEFAULT_LATENCY_BUCKETS_US", "Counter", "Gauge", "Histogram",
-            "MetricRegistry", "get_registry", "set_registry",
+            "Counter", "Gauge", "MetricRegistry", "get_registry",
         ),
         ".tracer": (
             "NULL_TRACER", "NullTracer", "SpanHandle", "TraceRecord",

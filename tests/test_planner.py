@@ -1,6 +1,5 @@
-"""Capacity planner: surface build determinism, queries, the serve loop."""
+"""Capacity planner: surface build determinism and queries."""
 
-import io
 import json
 
 import pytest
@@ -15,7 +14,6 @@ from repro.planner import (
     load_surface,
     plan_query,
     save_surface,
-    serve_queries,
     validate_surface,
 )
 
@@ -204,39 +202,3 @@ class TestPlanQuery:
         a = plan_query(quick_surface, edge_bytes=ref, slo_runtime_s=1.0)
         b = plan_query(quick_surface, edge_bytes=ref, slo_runtime_s=1.0)
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-
-
-class TestServeQueries:
-    def test_serves_and_survives_bad_queries(self, quick_surface):
-        ref = float(quick_surface["workload"]["edge_list_bytes"])
-        lines = [
-            json.dumps({"edge_bytes": ref, "top": 2}),
-            "not json at all",
-            json.dumps({"edge_bytes": ref, "bogus": 1}),
-            json.dumps({"top": 2}),
-            "",  # blank lines are skipped, not answered
-            "quit",
-            json.dumps({"edge_bytes": ref}),  # never reached
-        ]
-        out = io.StringIO()
-        served = serve_queries(
-            quick_surface, io.StringIO("\n".join(lines) + "\n"), out
-        )
-        assert served == 4
-        answers = [json.loads(l) for l in out.getvalue().splitlines()]
-        assert len(answers) == 4
-        assert answers[0]["count"] == 2
-        assert len(answers[0]["results"]) == 2
-        assert "malformed JSON" in answers[1]["error"]
-        assert "bogus" in answers[2]["error"]
-        assert "edge_bytes" in answers[3]["error"]
-
-    def test_responses_are_replayable(self, quick_surface):
-        ref = float(quick_surface["workload"]["edge_list_bytes"])
-        line = json.dumps({"edge_bytes": ref, "top": 3}) + "\n"
-        outs = []
-        for _ in range(2):
-            out = io.StringIO()
-            serve_queries(quick_surface, io.StringIO(line), out)
-            outs.append(out.getvalue())
-        assert outs[0] == outs[1]

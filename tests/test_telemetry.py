@@ -12,7 +12,6 @@ from repro.errors import TelemetryError
 from repro.gpu import XLFDDMethod
 from repro.sim.des import DESConfig, simulate_step
 from repro.telemetry import (
-    DEFAULT_LATENCY_BUCKETS_US,
     FrozenClock,
     MetricRegistry,
     NULL_TRACER,
@@ -187,55 +186,17 @@ class TestMetrics:
         registry.counter("x")
         with pytest.raises(TelemetryError):
             registry.gauge("x")
+        registry.gauge("g")
         with pytest.raises(TelemetryError):
-            registry.histogram("x")
-
-    def test_histogram_buckets_must_increase(self):
-        registry = MetricRegistry()
-        with pytest.raises(TelemetryError):
-            registry.histogram("h", buckets=[1.0, 1.0])
-        with pytest.raises(TelemetryError):
-            registry.histogram("empty", buckets=[])
-
-    def test_histogram_observe_cumulative_quantile(self):
-        registry = MetricRegistry()
-        hist = registry.histogram("lat", buckets=[1.0, 10.0, 100.0])
-        for value in (0.5, 5.0, 5.0, 50.0, 1e6):
-            hist.observe(value)
-        assert hist.total == 5
-        assert hist.counts == [1, 2, 1, 1]  # last slot: +inf overflow
-        assert hist.cumulative() == [1, 3, 4, 5]
-        assert hist.mean == pytest.approx((0.5 + 5.0 + 5.0 + 50.0 + 1e6) / 5)
-        assert hist.quantile(0.5) == 10.0
-        assert hist.quantile(1.0) == 100.0  # overflow reports last bound
-        with pytest.raises(TelemetryError):
-            hist.quantile(1.5)
-
-    def test_histogram_bucket_mismatch_raises(self):
-        registry = MetricRegistry()
-        registry.histogram("h", buckets=[1.0, 2.0])
-        with pytest.raises(TelemetryError):
-            registry.histogram("h", buckets=[1.0, 3.0])
-        # No buckets argument re-fetches whatever exists.
-        assert registry.histogram("h").buckets == (1.0, 2.0)
-
-    def test_default_latency_buckets_cover_paper_regime(self):
-        registry = MetricRegistry()
-        hist = registry.histogram("lat_us")
-        assert hist.buckets == DEFAULT_LATENCY_BUCKETS_US
-        assert any(b <= 10.0 for b in hist.buckets)  # microsecond regime
+            registry.counter("g")
 
     def test_snapshot_and_names(self):
         registry = MetricRegistry()
         registry.counter("a").inc(2)
         registry.gauge("b").set(7.0)
-        registry.histogram("h", buckets=[1.0]).observe(0.5)
-        assert registry.names() == ["a", "b", "h"]
+        assert registry.names() == ["a", "b"]
         assert "a" in registry and "zzz" not in registry
-        snap = registry.snapshot()
-        assert snap["a"] == 2.0
-        assert snap["b"] == 7.0
-        assert snap["h"]["total"] == 1
+        assert registry.snapshot() == {"a": 2.0, "b": 7.0}
 
 
 class TestMemoryStatsRegistry:

@@ -1,16 +1,14 @@
-"""The workload registry: algorithms, memory modes, tenant-tagged traffic.
+"""The workload registry: algorithms, memory modes, the bench gate.
 
 Pins the registry surface: ``repro.workloads`` as the single dispatch
 point (typed errors, one step loop per algorithm run over both the
 engine and the in-memory recorder, engine bytes equal to model bytes),
 the semi-/fully-external engine memory modes, the ``workload:`` spec
-section, tenant-tagged traffic, and the bench gate's missing-baseline
-behaviour.
+section, and the bench gate's missing-baseline behaviour.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import replace
 
 import numpy as np
@@ -348,69 +346,6 @@ class TestStreaming:
         np.testing.assert_array_equal(run.values, expected)
 
 
-class TestTenantTraffic:
-    def test_empty_tenants_byte_identical(self):
-        from repro.ops.traffic import TrafficModel
-
-        plain = TrafficModel(seed=5, base_rate=300.0).arrivals(duration=0.4)
-        tagged = TrafficModel(
-            seed=5, base_rate=300.0, tenants={"a": 0.5, "b": 0.5}
-        ).arrivals(duration=0.4)
-        assert [(q.arrival, q.kind) for q in plain] == [
-            (q.arrival, q.kind) for q in tagged
-        ]
-        assert all(q.tenant == "default" for q in plain)
-        assert {q.tenant for q in tagged} <= {"a", "b"}
-
-    def test_tenant_validation(self):
-        from repro.ops.traffic import TrafficModel
-
-        with pytest.raises(ConfigError):
-            TrafficModel(tenants={"": 1.0})
-        with pytest.raises(ConfigError):
-            TrafficModel(tenants={"a": -1.0})
-        with pytest.raises(ConfigError):
-            TrafficModel(tenants={"a": 0.0})
-        for bad in (float("nan"), float("inf")):
-            with pytest.raises(ConfigError):
-                TrafficModel(tenants={"a": bad, "b": 1.0})
-        with pytest.raises(ConfigError):
-            TrafficModel(tenants={"a": 1e308, "b": 1e308})
-
-    def test_slo_report_tolerates_legacy_json(self):
-        from repro.ops import ServingConfig, TrafficModel, run_serving_scenario
-        from repro.ops.slo import SloReport
-
-        report = run_serving_scenario(
-            "xlfdd",
-            config=ServingConfig(duration=0.3),
-            traffic=TrafficModel(seed=2, base_rate=200.0),
-            controller=False,
-        )
-        data = json.loads(report.to_json())
-        data.pop("tenants")
-        data.pop("tenant_fairness")
-        legacy = SloReport.from_json(json.dumps(data))
-        assert legacy.tenants == {}
-        assert legacy.tenant_fairness == 1.0
-
-    def test_serving_reports_per_tenant_rows(self):
-        from repro.ops import ServingConfig, TrafficModel, run_serving_scenario
-
-        report = run_serving_scenario(
-            "xlfdd",
-            config=ServingConfig(duration=0.3),
-            traffic=TrafficModel(
-                seed=2, base_rate=300.0,
-                tenants={"analytics": 0.3, "search": 0.7},
-            ),
-            controller=False,
-        )
-        assert set(report.tenants) == {"analytics", "search"}
-        assert 0.0 < report.tenant_fairness <= 1.0
-        assert "tenant fairness" in report.describe()
-
-
 class TestPlannerWorkloadScaling:
     def test_workload_scales_reference_runtimes(self):
         from repro.exec import SerialExecutor
@@ -503,35 +438,6 @@ class TestCli:
         )
         assert code == 0
         assert "engine.triangle_count" in out
-
-    def test_serve_tenant_mix(self, capsys):
-        code, out, _ = self.run_cli(
-            capsys, "serve", "--duration", "0.3",
-            "--tenant-mix", "analytics=0.3,search=0.7",
-            "--controller", "off",
-        )
-        assert code == 0
-        assert "tenant analytics" in out
-        assert "tenant fairness" in out
-
-    def test_serve_bad_tenant_mix(self, capsys):
-        code, _, err = self.run_cli(
-            capsys, "serve", "--duration", "0.3",
-            "--tenant-mix", "analytics",
-        )
-        assert code == 1
-        assert "tenant-mix" in err
-        code, _, err = self.run_cli(
-            capsys, "serve", "--duration", "0.3", "--tenant-mix", "a=1,a=3",
-        )
-        assert code == 1
-        assert "'a' twice" in err
-        for mix in ("a=nan,b=1", "a=inf,b=1"):
-            code, _, err = self.run_cli(
-                capsys, "serve", "--duration", "0.3", "--tenant-mix", mix,
-            )
-            assert code == 1
-            assert err.startswith("error: tenant weights must be finite")
 
     def test_bench_check_missing_baseline(self, capsys, tmp_path):
         from repro.bench import canonical_json, run_family
