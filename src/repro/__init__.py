@@ -52,12 +52,9 @@ Subpackages
     Fluid step-time model, discrete-event simulator, pointer chase.
 ``core``
     Equations 1-6, requirement calculator, experiments, sweeps, reports.
-``faults``
-    Seeded fault injection (transient errors, latency spikes, device
-    dropout), retries, and pool-level graceful degradation.
 ``telemetry``
-    Zero-dependency tracing (spans/events/counters) and metrics with
-    JSONL / Chrome-trace / profile exporters.
+    Zero-dependency tracing (spans/events/counters) with JSONL /
+    Chrome-trace / profile exporters.
 ``systems``
     Name -> system-configuration registry shared by the CLI and sweeps.
 ``workloads``
@@ -101,16 +98,9 @@ __all__ = [
     "predict_runtime",
     "requirements_for",
     "ExternalGraphEngine",
-    "FaultPlan",
-    "RetryPolicy",
-    "FaultyBackend",
-    "faulty_factory",
-    "run_fault_experiment",
     "Tracer",
     "NullTracer",
-    "MetricRegistry",
     "get_tracer",
-    "get_registry",
     "use_tracer",
     "systems",
     "workloads",
@@ -174,14 +164,7 @@ __getattr__, __dir__ = _attach(
             "predict_runtime", "requirements_for",
         ),
         ".engine.engine": ("ExternalGraphEngine",),
-        ".faults": (
-            "FaultPlan", "RetryPolicy", "FaultyBackend", "faulty_factory",
-            "run_fault_experiment",
-        ),
-        ".telemetry": (
-            "MetricRegistry", "NullTracer", "Tracer", "get_registry",
-            "get_tracer", "use_tracer",
-        ),
+        ".telemetry": ("NullTracer", "Tracer", "get_tracer", "use_tracer"),
         ".systems": ("systems",),
         ".workloads": ("workloads",),
         ".exec": (

@@ -1,7 +1,7 @@
 """Static analysis for simulation correctness (``simlint``).
 
-The reproduction's claims — model-vs-DES agreement, bit-identical replay
-under transient faults, paper-matching ``t = D/T`` numbers — rest on
+The reproduction's claims — model-vs-DES agreement, bit-identical
+replay, paper-matching ``t = D/T`` numbers — rest on
 invariants the runtime never checks: seed-driven determinism, canonical
 units from :mod:`repro.units`, explicit NumPy dtypes, and the typed
 :class:`~repro.errors.ReproError` hierarchy.  This package enforces them

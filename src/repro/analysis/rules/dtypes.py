@@ -9,7 +9,7 @@ that regime.  Inside the simulation packages every allocation therefore
 states its dtype, making the width a reviewed decision instead of a
 platform accident.
 
-Scope: ``sim/``, ``faults/``, ``traversal/``, ``gpu/``.
+Scope: ``sim/``, ``traversal/``, ``gpu/``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ class ExplicitDtypeRule(Rule):
         "index math silently overflows on 32-bit-long platforms, so "
         "simulation-package allocations must state their dtype."
     )
-    default_paths = ("sim", "faults", "traversal", "gpu")
+    default_paths = ("sim", "traversal", "gpu")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):

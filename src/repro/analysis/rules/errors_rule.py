@@ -8,8 +8,7 @@ break that contract:
 
 * a bare ``except:`` (catches ``KeyboardInterrupt``/``SystemExit``), or
   an ``except Exception:`` whose body neither re-raises nor records the
-  exception — faults vanish instead of surfacing as typed errors, the
-  opposite of the fault-injection subsystem's design;
+  exception — failures vanish instead of surfacing as typed errors;
 * ``raise ValueError(...)`` and friends where a ``ReproError`` subclass
   fits (``ConfigError``, ``ModelError``, ``SimulationError``, ...).
 """
@@ -71,8 +70,8 @@ class ExceptionHygieneRule(Rule):
     title = "exception hygiene"
     rationale = (
         "Library failures must surface as typed ReproError subclasses; "
-        "swallowed exceptions and anonymous builtin raises defeat the "
-        "fault-injection subsystem's observable-failure contract."
+        "swallowed exceptions and anonymous builtin raises hide them "
+        "from callers."
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:

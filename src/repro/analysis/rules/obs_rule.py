@@ -2,17 +2,16 @@
 
 The telemetry layer exists so every duration and count flows through one
 pluggable pipeline: spans read their timestamps from a tracer clock
-(wall *or* simulated), counters live in a :class:`MetricRegistry`, and
-the exporters/profilers see everything.  An instrumented module that
-reads the monotonic host clock directly (``time.perf_counter`` et al.)
-or keeps ad-hoc tallies in a
-``collections.Counter`` is invisible to every trace, profile, and
-metrics snapshot, and on the DES it reports wall time where simulated
-time is the truth.
+(wall *or* simulated), counts travel as span attributes or counter
+samples, and the exporters/profilers see everything.  An instrumented
+module that reads the monotonic host clock directly
+(``time.perf_counter`` et al.) or keeps ad-hoc tallies in a
+``collections.Counter`` is invisible to every trace and profile, and on
+the DES it reports wall time where simulated time is the truth.
 
 ``repro/telemetry/clock.py`` is the single sanctioned host-clock site
 (``WallClock`` wraps ``perf_counter`` there); everything else in the
-instrumented packages goes through a clock, tracer, or registry.
+instrumented packages goes through a clock or a tracer.
 """
 
 from __future__ import annotations
@@ -46,11 +45,11 @@ class TelemetryObservabilityRule(Rule):
     title = "ad-hoc clock or counter outside repro.telemetry"
     rationale = (
         "Durations and counts in instrumented modules must flow through "
-        "the telemetry clocks/registry so traces, profiles and metric "
-        "snapshots stay complete — and so DES code reports simulated "
-        "time, not wall time."
+        "the telemetry clocks and tracer so traces and profiles stay "
+        "complete — and so DES code reports simulated time, not wall "
+        "time."
     )
-    default_paths = ("engine", "faults", "sim", "core", "telemetry", "cli.py")
+    default_paths = ("engine", "sim", "core", "telemetry", "cli.py")
     default_excludes = ("clock.py",)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -72,7 +71,7 @@ class TelemetryObservabilityRule(Rule):
                 yield ctx.finding(
                     self,
                     node,
-                    "ad-hoc collections.Counter tally; publish counts "
-                    "through repro.telemetry.MetricRegistry so they appear "
-                    "in metric snapshots",
+                    "ad-hoc collections.Counter tally; report counts as "
+                    "tracer span attributes or Tracer.counter_sample so "
+                    "they appear in traces",
                 )

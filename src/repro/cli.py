@@ -103,28 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--alignment", type=int, default=16, help="alignment (xlfdd system only)"
     )
     _add_trace_args(run)
-    fault = run.add_argument_group(
-        "fault injection",
-        "deterministic device-fault experiments (repro.faults); any of "
-        "these flags switches the run to the functional engine with a "
-        "FaultyBackend and echoes the full fault configuration",
-    )
-    fault.add_argument(
-        "--fault-seed", type=int, default=None, metavar="N",
-        help="seed of the deterministic fault plan (enables fault mode)",
-    )
-    fault.add_argument(
-        "--fault-read-error-rate", type=float, default=0.0, metavar="P",
-        help="per-attempt transient read-failure probability",
-    )
-    fault.add_argument(
-        "--fault-drop-device-at", type=int, default=None, metavar="N",
-        help="permanently drop one stripe member after N requests",
-    )
-    fault.add_argument(
-        "--fault-max-attempts", type=int, default=5, metavar="K",
-        help="retry budget per request (default 5)",
-    )
 
     figure = sub.add_parser("figure", help="regenerate a paper table/figure")
     figure.add_argument("name", choices=sorted(figures.ALL_FIGURES))
@@ -419,36 +397,6 @@ def _cmd_run(args: argparse.Namespace) -> str:
 
 
 def _run_experiment_body(args: argparse.Namespace, graph, system) -> str:
-    fault_mode = (
-        args.fault_seed is not None
-        or args.fault_read_error_rate > 0
-        or args.fault_drop_device_at is not None
-    )
-    if fault_mode:
-        from .faults.experiment import run_fault_experiment
-        from .faults.plan import FaultPlan
-        from .faults.retry import RetryPolicy
-
-        plan = FaultPlan(
-            seed=args.fault_seed if args.fault_seed is not None else 0,
-            read_error_rate=args.fault_read_error_rate,
-            drop_device_at=args.fault_drop_device_at,
-        )
-        policy = RetryPolicy(max_attempts=args.fault_max_attempts)
-        result = run_fault_experiment(
-            graph, args.workload, system, plan, policy,
-            memory_mode=args.memory_mode,
-        )
-        return "\n".join(
-            [
-                plan.describe()
-                + f" retry_policy: max_attempts={policy.max_attempts} "
-                f"backoff={to_usec(policy.backoff_base):g}us"
-                f"x{policy.backoff_factor:g}",
-                result.health_summary,
-                format_table([result.as_row()], title=system.describe()),
-            ]
-        )
     result = run_experiment(graph, args.workload, system)
     output = format_table([result.as_row()], title=system.describe())
     if args.memory_mode != "semi-external":

@@ -196,25 +196,6 @@ class DevicePool:
         """Aggregate deliverable throughput at a request size (bytes/s)."""
         return self.device.throughput(transfer_bytes, extra_latency) * self.count
 
-    def degraded(self, failed: int = 1) -> "DevicePool":
-        """The pool after ``failed`` stripe members dropped out.
-
-        Aggregate IOPS, bandwidth, outstanding budget and capacity all
-        shrink linearly with the survivors; losing the last device raises
-        :class:`~repro.errors.DeviceLostError` because there is nothing
-        left to degrade onto.
-        """
-        from ..errors import DeviceLostError
-
-        if failed < 0:
-            raise DeviceError(f"failed device count must be >= 0, got {failed}")
-        if failed >= self.count:
-            raise DeviceLostError(
-                f"{self.name}: losing {failed} of {self.count} devices leaves "
-                "no survivors"
-            )
-        return DevicePool(device=self.device, count=self.count - failed)
-
     def devices_required_for(self, target_iops: float) -> int:
         """Devices of this type needed to reach ``target_iops``."""
         if target_iops <= 0:

@@ -37,7 +37,7 @@ independent of how the bytes are gathered.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,19 +75,9 @@ class MemoryStats:
     """Running counters of external-memory traffic.
 
     ``requests`` and ``fetched_bytes`` count what crossed the link under
-    the access method's rules, reissued attempts included; ``reads`` and
-    ``useful_bytes`` count what the traversal asked for: the non-empty
-    byte ranges :meth:`ExternalMemoryBackend.request` priced and their
-    bytes.  A reissue is priced through ``_account`` and never reaches
-    ``request``, so ``reads`` counts each logical read once.
-
-    The fault-exposure counters (``retries``, ``timeouts``, ``evictions``,
-    ``faults_injected``) and the observed-latency samples stay zero/empty
-    for plain backends; :class:`repro.faults.FaultyBackend` populates them
-    so every experiment can report how much fault machinery it exercised.
-    ``retries`` counts reissued reads, so :attr:`retry_factor` is
-    ``1 + retries / reads``: issued attempts per logical read, the
-    quantity :func:`repro.faults.model.expected_attempts` predicts.
+    the access method's rules; ``useful_bytes`` counts what the
+    traversal asked for: the bytes of the ranges
+    :meth:`ExternalMemoryBackend.request` priced.
     """
 
     #: Issued device requests.
@@ -96,20 +86,6 @@ class MemoryStats:
     fetched_bytes: int = 0
     #: Bytes the traversal asked for.
     useful_bytes: int = 0
-    #: Reissued reads after failed attempts.
-    retries: int = 0
-    #: Attempts cut off at the retry timeout.
-    timeouts: int = 0
-    #: Pool members evicted by health tracking.
-    evictions: int = 0
-    #: Injected per-attempt faults.
-    faults_injected: int = 0
-    #: Total backoff wait in seconds.
-    retry_wait_time: float = 0.0
-    #: Non-empty byte ranges priced by ``request`` (reissues excluded).
-    reads: int = 0
-    #: Completed-read latencies in seconds, one float64 array per batch.
-    latency_samples: list = field(default_factory=list, repr=False)
 
     @property
     def read_amplification(self) -> float:
@@ -120,43 +96,6 @@ class MemoryStats:
     def avg_transfer_bytes(self) -> float:
         """Measured average request size d."""
         return self.fetched_bytes / self.requests if self.requests else 0.0
-
-    @property
-    def retry_factor(self) -> float:
-        """Issued attempts per logical read (1.0 when fault-free)."""
-        return (self.reads + self.retries) / self.reads if self.reads else 1.0
-
-    def record_latency(self, seconds) -> None:
-        """Record completed-request latencies (scalar or array)."""
-        self.latency_samples.append(np.atleast_1d(np.asarray(seconds, np.float64)))
-
-    @property
-    def latencies(self) -> np.ndarray:
-        """Every recorded latency, in recording order."""
-        if not self.latency_samples:
-            return np.empty(0, dtype=np.float64)
-        return np.concatenate(self.latency_samples)
-
-    def latency_percentile(self, q: float) -> float:
-        """Observed completion-latency percentile (0.0 with no samples)."""
-        if not self.latency_samples:
-            return 0.0
-        return float(np.percentile(self.latencies, q))
-
-    @property
-    def latency_p50(self) -> float:
-        """Median observed completion latency in seconds."""
-        return self.latency_percentile(50.0)
-
-    @property
-    def latency_p99(self) -> float:
-        """99th-percentile observed completion latency in seconds."""
-        return self.latency_percentile(99.0)
-
-    @property
-    def latency_p999(self) -> float:
-        """99.9th-percentile observed completion latency in seconds."""
-        return self.latency_percentile(99.9)
 
 
 class ExternalMemoryBackend:
@@ -188,7 +127,6 @@ class ExternalMemoryBackend:
         """Price a batch of byte-range reads as one device batch; no data."""
         starts, lengths = self._checked(starts, lengths)
         self._account(starts, lengths)
-        self.stats.reads += int(np.count_nonzero(lengths))
         self.stats.useful_bytes += int(lengths.sum())
 
     def gather(self, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

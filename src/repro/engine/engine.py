@@ -178,8 +178,8 @@ class ExternalGraphEngine:
         """Request ``frontier``'s sublists now; gather them chunk by chunk.
 
         The request happens at the call, as one batch, so the backend's
-        per-read accounting (clock, fault retries, ``MemoryStats``) is the
-        same as :meth:`read_neighbors`'.  Each chunk's records are
+        per-read accounting (``MemoryStats``) is the same as
+        :meth:`read_neighbors`'.  Each chunk's records are
         gathered only when it is handed out, so a step holds one chunk's
         records and word index, never the whole frontier's.  Chunks are
         ``(lo, hi, neighbors, weights)``, with no per-edge ``sources``.

@@ -15,10 +15,6 @@ __all__ = [
     "TraceError",
     "DeviceError",
     "CapacityError",
-    "FaultError",
-    "FaultExhaustedError",
-    "DeviceLostError",
-    "PoolExhaustedError",
     "SimulationError",
     "ModelError",
     "WorkloadError",
@@ -56,46 +52,6 @@ class DeviceError(ReproError, ValueError):
 
 class CapacityError(DeviceError):
     """Data does not fit on the configured device or device pool."""
-
-
-class FaultError(ReproError, RuntimeError):
-    """An injected device fault escalated beyond what the system absorbs."""
-
-
-class FaultExhaustedError(FaultError):
-    """A request kept failing until its retry budget ran out.
-
-    Carries enough context (request id, device, attempts) to reproduce the
-    failing request under the same :class:`~repro.faults.FaultPlan` seed.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        request_id: int | None = None,
-        device: int | None = None,
-        attempts: int | None = None,
-    ) -> None:
-        super().__init__(message)
-        self.request_id = request_id
-        self.device = device
-        self.attempts = attempts
-
-
-class DeviceLostError(FaultError):
-    """A permanent device loss could not be absorbed by the pool."""
-
-
-class PoolExhaustedError(DeviceError, DeviceLostError):
-    """Removing a stripe member would leave the pool with nothing in service.
-
-    Raised instead of ever producing an empty degraded pool: the caller
-    asked to evict (or suspend) the last member still serving requests.
-    Subclasses both :class:`DeviceError` (it is a misuse of the pool) and
-    :class:`DeviceLostError` (it is the unabsorbable-loss condition), so
-    existing handlers for either keep working.
-    """
 
 
 class SimulationError(ReproError, RuntimeError):

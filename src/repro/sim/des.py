@@ -8,16 +8,12 @@ moves its data across the shared PCIe link.  Completion of the last
 request ends the step.
 
 The DES exists to *validate* the fluid model (they must agree within a
-small tolerance — property-tested), healthy and under faults, and to run
-serialized microbenchmarks like Appendix B's pointer chase where a fluid
-model has nothing to say.  :func:`simulate_step` is the one step-level
-simulator: an optional fault plan and retry policy swap in the two
-stages that differ under faults (the device-tag grant and the
-after-latency stage), so retries run through the same resources, the
-same booking and the same event loop as the fault-free step.
+small tolerance — property-tested) and to run serialized
+microbenchmarks like Appendix B's pointer chase where a fluid model has
+nothing to say.  :func:`simulate_step` is the one step-level simulator.
 
 Fast-path notes (benchmarked by the ``des`` family, docs/PERFORMANCE.md):
-a fault-free step first runs :func:`_index_order_step`, a heap-free
+a step first runs :func:`_index_order_step`, a heap-free
 recurrence that is exact while requests complete in index order; it
 checks that order as it goes and hands the step to the event loop on
 the first break.  The loop is scalar float arithmetic over four feeds:
@@ -30,10 +26,10 @@ devices cycle ``0..D-1``, and the gate lags a constant
 ``min(G, L, D·d)`` requests behind, so the same loop body reads
 ``itertools.repeat``/``cycle``/``range`` iterators instead.
 
-The event loop is the general path: it runs every fault plan, every step
-whose order breaks, every step with an event budget (``max_events``) and
-every step while tracing is on (the per-device queue-depth samples are
-sim-time events).  Run with an empty plan it is also the oracle the
+The event loop is the general path: it runs every step whose order
+breaks, every step with an event budget (``max_events``) and every step
+while tracing is on (the per-device queue-depth samples are sim-time
+events).  Reached through ``max_events`` it is also the oracle the
 recurrence is tested against.  Per-request state travels as event
 arguments — one shared callback per stage for the whole step, no closure
 allocation per request — and the three FIFO stages between the
@@ -53,7 +49,7 @@ from itertools import chain, cycle, repeat
 import numpy as np
 
 from ..config import GPU_ACTIVE_WARPS_BFS, KERNEL_STEP_OVERHEAD
-from ..errors import FaultExhaustedError, SimulationError
+from ..errors import SimulationError
 from ..telemetry.clock import SimClock
 from ..telemetry.tracer import get_tracer
 from .events import Simulator
@@ -126,12 +122,7 @@ class DESConfig:
 
 @dataclass
 class DESResult:
-    """Outcome of one simulated step (or trace).
-
-    ``retries``/``timeouts``/``faults_injected`` count the failed
-    attempts :func:`simulate_step` replayed under a fault plan; they stay
-    zero for fault-free simulations.
-    """
+    """Outcome of one simulated step (or trace)."""
 
     time: float
     requests: int
@@ -139,9 +130,6 @@ class DESResult:
     max_link_tags: int
     max_warps: int
     completion_times: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
-    retries: int = 0
-    timeouts: int = 0
-    faults_injected: int = 0
 
     @property
     def link_utilization(self) -> float:
@@ -160,7 +148,7 @@ def _index_order_step(
     *,
     round_robin: bool = False,
 ) -> DESResult | None:
-    """The fault-free step as a recurrence, or ``None`` if order breaks.
+    """The step as a recurrence, or ``None`` if order breaks.
 
     ``sizes`` are positive and ``devices`` validated, one per request;
     ``round_robin`` says ``devices`` is ``arange(n) % num_devices``.
@@ -277,8 +265,6 @@ def simulate_step(
     config: DESConfig,
     devices: np.ndarray | None = None,
     *,
-    plan=None,
-    policy=None,
     include_overhead: bool = False,
     max_events: int | None = None,
 ) -> DESResult:
@@ -288,28 +274,10 @@ def simulate_step(
     default).  Returns the completion time of the last request.
     Zero-size requests are dropped, with their ``devices`` entries.
 
-    Without a plan, event budget or enabled tracer the step is priced by
+    Without an event budget or enabled tracer the step is priced by
     :func:`_index_order_step` whenever its index-order check holds; its
     result equals the event loop's bit for bit.
-
-    ``plan`` is a :class:`~repro.faults.plan.FaultPlan` and ``policy`` a
-    :class:`~repro.faults.retry.RetryPolicy` (duck-typed here to keep
-    :mod:`repro.sim` import-independent of :mod:`repro.faults`); they
-    come as a pair.  With them, faults replay as real extra events: a
-    failed attempt holds its warp and link tag, pays the (possibly
-    stuck-slow, spiked, cut-off-at-timeout) latency, releases its device
-    queue slot for the backoff wait, then reissues through device
-    admission, media and latency again — no link data moves until an
-    attempt succeeds.  Requests against a permanently dropped device fail
-    every attempt; exhausting the retry budget raises
-    :class:`~repro.errors.FaultExhaustedError` (pool-level eviction lives
-    a layer up, in :mod:`repro.faults.backend`).  The plan's
-    counter-based draws make this bit-reproducible and consistent with
-    :class:`~repro.faults.backend.FaultyBackend` for the same request ids,
-    and an empty plan reproduces the fault-free step bit for bit.
     """
-    if (plan is None) != (policy is None):
-        raise SimulationError("a fault plan and a retry policy go together")
     sizes = np.asarray(sizes, dtype=np.int64)
     keep = sizes > 0
     if devices is not None:
@@ -336,7 +304,7 @@ def simulate_step(
     tracer = get_tracer()
     traced = tracer.enabled
     overhead = config.step_overhead if include_overhead else 0.0
-    if plan is None and max_events is None and not traced:
+    if max_events is None and not traced:
         result = _index_order_step(
             sizes, config, devices, round_robin=round_robin
         )
@@ -360,7 +328,6 @@ def simulate_step(
     ]
     link = FifoServer(sim, "link-data")
     completion = np.zeros(n, dtype=np.float64)
-    retries = timeouts = faults = 0
     # Sim-time view: queue-depth samples land on the virtual timeline.
     sim_tracer = tracer.with_clock(SimClock(sim)) if traced else tracer
 
@@ -390,88 +357,19 @@ def simulate_step(
     def with_link_tag(i: int) -> None:
         device_tags[devices_list[i]].acquire(with_device_tag, i)
 
-    if plan is None:
+    def with_device_tag(i: int) -> None:
+        dev = devices_list[i]
+        if traced:
+            sample_depth(dev)
+        # Admission at the device's op rate, then the device's internal
+        # channel, then the access latency — all booked analytically.
+        admitted = device_ops[dev].book_op(sim.now)
+        media_done = device_bw[dev].book(admitted, sizes_list[i] / media_bw)
+        sim.schedule_at(media_done + latency, after_latency, i, dev)
 
-        def with_device_tag(i: int) -> None:
-            dev = devices_list[i]
-            if traced:
-                sample_depth(dev)
-            # Admission at the device's op rate, then the device's internal
-            # channel, then the access latency — all booked analytically.
-            admitted = device_ops[dev].book_op(sim.now)
-            media_done = device_bw[dev].book(admitted, sizes_list[i] / media_bw)
-            sim.schedule_at(media_done + latency, after_latency, i, dev)
-
-        def after_latency(i: int, dev: int) -> None:
-            # The response data serialises onto the shared link.
-            link.submit(sizes_list[i] / link_bw, finish, i, dev)
-
-    else:
-        # Faulty step: only the grant and the after-latency stage differ.
-        # Per-request state is the attempt number, indexed by request id.
-        attempts = [1] * n
-        device_latency = (
-            latency
-            * plan.latency_multipliers(np.arange(config.num_devices, dtype=np.int64))
-        ).tolist()
-        timeout = policy.timeout
-
-        def with_device_tag(i: int) -> None:
-            dev = devices_list[i]
-            if traced:
-                sample_depth(dev)
-            admitted = device_ops[dev].book_op(sim.now)
-            media_done = device_bw[dev].book(admitted, sizes_list[i] / media_bw)
-            # This attempt's latency: stuck-device multiplier plus any
-            # spike, abandoned at the policy's timeout.
-            wait = device_latency[dev] + plan.spike_latency(i, attempts[i])
-            timed_out = timeout is not None and wait > timeout
-            if timed_out:
-                wait = timeout
-            sim.schedule_at(media_done + wait, after_latency, i, dev, timed_out)
-
-        def after_latency(i: int, dev: int, timed_out: bool) -> None:
-            nonlocal retries, timeouts, faults
-            attempt = attempts[i]
-            if not (
-                timed_out
-                or plan.device_dropped(dev, i, sim.now)
-                or plan.transient_failure(i, attempt)
-            ):
-                link.submit(sizes_list[i] / link_bw, finish, i, dev)
-                return
-            faults += 1
-            if timed_out:
-                timeouts += 1
-                if traced:
-                    sim_tracer.event(
-                        "fault.timeout", request=i, attempt=attempt, device=dev
-                    )
-            if attempt >= policy.max_attempts:
-                raise FaultExhaustedError(
-                    f"request {i} failed {attempt} times (device {dev}); "
-                    "retry budget exhausted",
-                    request_id=i,
-                    device=dev,
-                    attempts=attempt,
-                )
-            retries += 1
-            if traced:
-                sim_tracer.event(
-                    "fault.retry", request=i, attempt=attempt, device=dev
-                )
-            attempts[i] = attempt + 1
-            # Free the device queue slot during the backoff, then reissue
-            # through admission, media and latency.  The jitter draw comes
-            # from the plan's seeded stream (a crisp policy ignores it), so
-            # the DES replays the backend's exact waits.
-            device_tags[dev].release()
-            sim.schedule(
-                policy.backoff(attempt, plan.backoff_jitter(i, attempt)),
-                device_tags[dev].acquire,
-                with_device_tag,
-                i,
-            )
+    def after_latency(i: int, dev: int) -> None:
+        # The response data serialises onto the shared link.
+        link.submit(sizes_list[i] / link_bw, finish, i, dev)
 
     def finish(i: int, dev: int) -> None:
         completion[i] = sim.now
@@ -481,10 +379,7 @@ def simulate_step(
         if traced:
             sample_depth(dev)
 
-    span_attrs = {"requests": n, "devices": config.num_devices}
-    if plan is not None:
-        span_attrs["faulty"] = True
-    with tracer.span("des.step", **span_attrs):
+    with tracer.span("des.step", requests=n, devices=config.num_devices):
         for i in range(n):
             warps.acquire(with_warp, i)
         end = sim.run(max_events=max_events)
@@ -495,9 +390,6 @@ def simulate_step(
         max_link_tags=link_tags.max_in_use,
         max_warps=warps.max_in_use,
         completion_times=completion,
-        retries=retries,
-        timeouts=timeouts,
-        faults_injected=faults,
     )
 
 

@@ -1,21 +1,17 @@
-"""Zero-dependency tracing and metrics for the repro package.
+"""Zero-dependency tracing for the repro package.
 
-Two complementary layers:
-
-* **Tracing** (:mod:`~repro.telemetry.tracer`): a :class:`Tracer` records
-  nestable spans, instant events and counter samples on a timeline read
-  from a pluggable clock — monotonic wall time by default, the DES's
-  virtual clock inside simulations.  The process-wide default is the
-  no-op :data:`NULL_TRACER`, so instrumentation costs ~nothing unless a
-  caller installs a real tracer (:func:`use_tracer`).
-* **Metrics** (:mod:`~repro.telemetry.metrics`): a
-  :class:`MetricRegistry` of counters and gauges that subsystems
-  publish into regardless of tracing.
+A :class:`Tracer` (:mod:`~repro.telemetry.tracer`) records nestable
+spans, instant events and counter samples on a timeline read from a
+pluggable clock — monotonic wall time by default, the DES's virtual
+clock inside simulations.  The process-wide default is the no-op
+:data:`NULL_TRACER`, so instrumentation costs ~nothing unless a caller
+installs a real tracer (:func:`use_tracer`).  Counts travel as span
+attributes and counter samples.
 
 Exporters (:mod:`~repro.telemetry.export`) turn collected records into
 JSON-lines, Chrome trace-event files (open in https://ui.perfetto.dev),
 or plain-text profile/flamegraph summaries.  See docs/TELEMETRY.md for
-the span taxonomy and metric naming scheme.
+the span taxonomy.
 """
 
 from .. import _attach
@@ -35,11 +31,6 @@ __all__ = [
     "get_tracer",
     "set_tracer",
     "use_tracer",
-    # metrics
-    "Counter",
-    "Gauge",
-    "MetricRegistry",
-    "get_registry",
     # export
     "render_jsonl",
     "write_jsonl",
@@ -60,9 +51,6 @@ __getattr__, __dir__ = _attach(
             "SpanProfile", "render_flamegraph", "render_jsonl",
             "render_profile", "span_profiles", "to_chrome_trace",
             "validate_chrome_trace", "write_chrome_trace", "write_jsonl",
-        ),
-        ".metrics": (
-            "Counter", "Gauge", "MetricRegistry", "get_registry",
         ),
         ".tracer": (
             "NULL_TRACER", "NullTracer", "SpanHandle", "TraceRecord",

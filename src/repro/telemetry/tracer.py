@@ -8,7 +8,7 @@ rebinds a view onto simulated time for DES runs).  Three record kinds:
   ``with tracer.span("engine.step", frontier_size=n) as sp:`` and closed
   on exit; spans nest, and each records both inclusive duration and self
   time (inclusive minus child spans);
-* **event** — an instant marker (``tracer.event("fault.retry", ...)``);
+* **event** — an instant marker (``tracer.event("checkpoint", step=n)``);
 * **counter** — a sampled series value
   (``tracer.counter_sample("des.dev0.queue_depth", depth)``).
 

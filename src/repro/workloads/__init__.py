@@ -64,9 +64,9 @@ def build_engine(
 ) -> ExternalGraphEngine:
     """Build an engine for ``graph`` on ``system`` in ``memory_mode``.
 
-    The backend reads through the system's own access method (as the
-    fault harness does) and, when ``workload`` is given, the graph is
-    prepared first (e.g. SSSP weights are attached).
+    The backend reads through the system's own access method and, when
+    ``workload`` is given, the graph is prepared first (e.g. SSSP
+    weights are attached).
     """
     if workload is not None:
         graph = workload.prepare(graph)

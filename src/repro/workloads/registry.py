@@ -3,8 +3,7 @@
 Mirrors :mod:`repro.systems`: one place maps the short names users type
 (``"bfs"``, ``"triangle_count"``, ``"label_propagation"``, ...) to a
 bundle of (algorithm step loop, access signature).  The CLI, the
-experiment runner, the fault harness, the sweeps, and the bench
-scenarios all resolve workload names here, so an unknown name fails the
+experiment runner, the sweeps, and the bench scenarios all resolve workload names here, so an unknown name fails the
 same way everywhere — with the valid choices spelled out in a typed
 :class:`~repro.errors.WorkloadError`.
 

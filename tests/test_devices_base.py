@@ -154,13 +154,3 @@ class TestPool:
     def test_count_validation(self):
         with pytest.raises(DeviceError):
             DevicePool(device=make_device(), count=0)
-
-    def test_degraded_pool_keeps_the_survivors(self):
-        from repro.errors import DeviceLostError
-
-        pool = DevicePool(device=make_device(), count=4)
-        degraded = pool.degraded(1)
-        assert degraded.count == 3
-        assert degraded.device is pool.device
-        with pytest.raises(DeviceLostError):
-            pool.degraded(4)

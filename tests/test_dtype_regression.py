@@ -1,8 +1,7 @@
 """Regression guard for the DTYPE001 explicit-dtype fixes.
 
 The dtype-less allocations flagged by ``repro lint`` (``sim/des.py``,
-``faults/backend.py``, ``faults/plan.py``, ``traversal/``) were replaced
-with explicit ``dtype=np.float64`` / ``dtype=np.int64``.  On platforms
+``traversal/``) were replaced with explicit ``dtype=np.float64`` / ``dtype=np.int64``.  On platforms
 where the default integer is 64-bit this must be a bit-identical no-op;
 these tests pin traversal results on a >64k-vertex graph (exact golden
 sums captured before the change, cross-checked against the independent

@@ -16,7 +16,6 @@ from repro.core.experiment import run_algorithm
 from repro.engine import ExternalGraphEngine, ExternalMemoryBackend
 from repro.engine import backend as backend_module
 from repro.errors import DeviceError, ModelError, TraceError
-from repro.faults import FaultPlan, FaultyBackend
 from repro.gpu import BaMMethod, XLFDDMethod, ZeroCopyMethod
 from repro.graph.csr import ragged_index
 from repro.graph.datasets import load_dataset
@@ -235,10 +234,6 @@ BACKEND_FACTORIES = {
     "direct": lambda d: ExternalMemoryBackend(d, XLFDDMethod(16)),
     "cached": lambda d: ExternalMemoryBackend(d, BaMMethod(512)),
     "zero_copy": lambda d: ExternalMemoryBackend(d, ZeroCopyMethod()),
-    "faulty": lambda d: FaultyBackend(
-        ExternalMemoryBackend(d, XLFDDMethod()),
-        FaultPlan(seed=3, read_error_rate=0.1, spike_rate=0.1),
-    ),
 }
 
 

@@ -37,9 +37,9 @@ def test_src_tree_was_actually_scanned(result):
 
 
 def test_suppressions_are_few_and_deliberate(result):
-    # Every suppression was individually audited (see docs/ANALYSIS.md).
+    # Every suppression is individually audited (see docs/ANALYSIS.md).
     # If this number grows, the new directive needs the same scrutiny.
-    assert len(result.suppressed) <= 6
+    assert len(result.suppressed) == 0
 
 
 def test_cli_exit_code_is_zero():

@@ -2,10 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.faults.plan import FaultPlan
-from repro.faults.retry import RetryPolicy
 from repro.sim.des import (
     _ORDER_PREFIX,
     DESConfig,
@@ -157,10 +156,8 @@ class TestTrace:
 
 
 def oracle(sizes, config, devices=None, **kwargs):
-    """The event loop: an empty fault plan forces it on a fault-free step."""
-    return simulate_step(
-        sizes, config, devices, plan=FaultPlan(), policy=RetryPolicy(), **kwargs
-    )
+    """The event loop: an event budget forces it on any step."""
+    return simulate_step(sizes, config, devices, max_events=10**9, **kwargs)
 
 
 def assert_same_result(got, expected):
@@ -170,7 +167,6 @@ def assert_same_result(got, expected):
     assert got.max_link_tags == expected.max_link_tags
     assert got.max_warps == expected.max_warps
     assert np.array_equal(got.completion_times, expected.completion_times)
-    assert got.retries == got.timeouts == got.faults_injected == 0
 
 
 def round_robin(n, num_devices):
@@ -179,6 +175,51 @@ def round_robin(n, num_devices):
 
 class TestIndexOrderStep:
     """The event-free recurrence equals the event loop bit for bit."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31),
+        n=st.integers(min_value=30, max_value=300),
+        num_devices=st.integers(min_value=1, max_value=4),
+        assign_devices=st.booleans(),
+        link_bandwidth=st.sampled_from([8e9, 24e9]),
+        latency_us=st.sampled_from([1.0, 5.0, 10.0]),
+        device_iops=st.sampled_from([1 * MIOPS, 4 * MIOPS, 8 * MIOPS]),
+        media_bandwidth=st.sampled_from([6e9, 24e9]),
+        device_outstanding=st.sampled_from([None, 1, 2, 8, 64]),
+        link_outstanding=st.sampled_from([None, 4, 16, 768]),
+        gpu_concurrency=st.sampled_from([1, 8, 64, 2048]),
+    )
+    def test_default_path_is_bit_identical_to_event_loop(
+        self,
+        seed,
+        n,
+        num_devices,
+        assign_devices,
+        link_bandwidth,
+        latency_us,
+        device_iops,
+        media_bandwidth,
+        device_outstanding,
+        link_outstanding,
+        gpu_concurrency,
+    ):
+        rng = np.random.default_rng(seed)
+        sizes = rng.choice(np.array([32, 64, 128, 512, 4096]), size=n)
+        devices = rng.integers(0, num_devices, size=n) if assign_devices else None
+        config = DESConfig(
+            link_bandwidth=link_bandwidth,
+            latency=latency_us * USEC,
+            device_iops=device_iops,
+            device_internal_bandwidth=media_bandwidth,
+            num_devices=num_devices,
+            link_outstanding=link_outstanding,
+            device_outstanding=device_outstanding,
+            gpu_concurrency=gpu_concurrency,
+        )
+        assert_same_result(
+            simulate_step(sizes, config, devices), oracle(sizes, config, devices)
+        )
 
     @pytest.mark.parametrize("seed", range(60))
     def test_matches_event_loop(self, seed):

@@ -1,4 +1,4 @@
-"""Telemetry layer: tracer semantics, metrics, exporters, instrumentation."""
+"""Telemetry layer: tracer semantics, exporters, instrumentation."""
 
 import json
 
@@ -13,7 +13,6 @@ from repro.gpu import XLFDDMethod
 from repro.sim.des import DESConfig, simulate_step
 from repro.telemetry import (
     FrozenClock,
-    MetricRegistry,
     NULL_TRACER,
     NullTracer,
     SimClock,
@@ -164,39 +163,6 @@ class TestNullTracer:
         )
         workloads.get("bfs").run(engine, source=0)
         assert len(NULL_TRACER.records) == baseline == 0
-
-
-class TestMetrics:
-    def test_counter_inc_and_negative_rejected(self):
-        registry = MetricRegistry()
-        counter = registry.counter("c")
-        counter.inc()
-        counter.inc(2.5)
-        assert counter.value == 3.5
-        with pytest.raises(TelemetryError):
-            counter.inc(-1)
-
-    def test_same_name_returns_same_instrument(self):
-        registry = MetricRegistry()
-        assert registry.counter("x") is registry.counter("x")
-        assert registry.gauge("g") is registry.gauge("g")
-
-    def test_type_conflict_raises(self):
-        registry = MetricRegistry()
-        registry.counter("x")
-        with pytest.raises(TelemetryError):
-            registry.gauge("x")
-        registry.gauge("g")
-        with pytest.raises(TelemetryError):
-            registry.counter("g")
-
-    def test_snapshot_and_names(self):
-        registry = MetricRegistry()
-        registry.counter("a").inc(2)
-        registry.gauge("b").set(7.0)
-        assert registry.names() == ["a", "b"]
-        assert "a" in registry and "zzz" not in registry
-        assert registry.snapshot() == {"a": 2.0, "b": 7.0}
 
 
 class TestMemoryStatsRegistry:
@@ -428,33 +394,6 @@ class TestInstrumentation:
         assert 0 <= min(depths) and max(depths) <= 64 // config.num_devices
         assert max(depths) > config.device_outstanding  # queueing visible
 
-    def test_faulty_des_emits_fault_events_on_sim_time(self):
-        from repro.faults import FaultPlan, RetryPolicy
-
-        config = DESConfig(
-            link_bandwidth=24_000 * MB_PER_S,
-            latency=5 * USEC,
-            device_iops=1e6,
-            device_internal_bandwidth=6_000 * MB_PER_S,
-            num_devices=2,
-        )
-        plan = FaultPlan(
-            seed=13, read_error_rate=0.05, spike_rate=0.2, spike_scale=20 * USEC
-        )
-        policy = RetryPolicy(max_attempts=10, timeout=15 * USEC)
-        tracer = Tracer()
-        with use_tracer(tracer):
-            result = simulate_step(
-                np.full(64, 512, dtype=np.int64), config, plan=plan, policy=policy
-            )
-        [span] = tracer.spans("des.step")
-        assert span.attrs == {"requests": 64, "devices": 2, "faulty": True}
-        retries = tracer.events("fault.retry")
-        timeouts = tracer.events("fault.timeout")
-        assert len(retries) == result.retries > 0
-        assert len(timeouts) == result.timeouts > 0
-        assert all(e.timeline == "sim" for e in retries + timeouts)
-
     def test_des_untraced_emits_nothing(self):
         config = DESConfig(
             link_bandwidth=24_000 * MB_PER_S,
@@ -464,28 +403,6 @@ class TestInstrumentation:
         )
         simulate_step(np.full(8, 512, dtype=np.int64), config)
         assert len(NULL_TRACER.records) == 0
-
-    def test_faulty_backend_emits_retry_events(self, urand_small):
-        from repro.faults import FaultPlan, RetryPolicy, faulty_factory
-
-        plan = FaultPlan(seed=3, read_error_rate=0.2)
-        tracer = Tracer()
-        engine = ExternalGraphEngine(
-            urand_small,
-            faulty_factory(
-                lambda data: ExternalMemoryBackend(data, XLFDDMethod(16)),
-                plan,
-                RetryPolicy(max_attempts=8),
-                num_devices=4,
-            ),
-        )
-        with use_tracer(tracer):
-            run = workloads.get("bfs").run(engine, source=0)
-        retries = tracer.events("fault.retry")
-        assert retries
-        assert sum(e.attrs["requests"] for e in retries) == run.stats.retries
-        # Events fire inside the engine's step span.
-        assert all("engine.step" in e.stack for e in retries)
 
     def test_experiment_and_sweep_spans(self, urand_small, bfs_trace):
         from repro.core.experiment import run_experiment

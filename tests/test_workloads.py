@@ -361,30 +361,6 @@ class TestPlannerWorkloadScaling:
         )
 
 
-class TestFaultDispatch:
-    def test_fault_experiment_runs_new_workloads(self, urand_small):
-        from repro import systems
-        from repro.faults import FaultPlan, run_fault_experiment
-
-        result = run_fault_experiment(
-            urand_small, "label_propagation", systems.get("emogi"),
-            FaultPlan(seed=4), memory_mode=FULLY_EXTERNAL,
-        )
-        assert result.algorithm == "label_propagation"
-        np.testing.assert_array_equal(
-            result.values, label_propagation(urand_small).labels
-        )
-
-    def test_fault_experiment_unknown_algorithm(self, urand_small):
-        from repro import systems
-        from repro.faults import FaultPlan, run_fault_experiment
-
-        with pytest.raises(ModelError, match="fault experiments support"):
-            run_fault_experiment(
-                urand_small, "nope", systems.get("emogi"), FaultPlan(seed=4)
-            )
-
-
 class TestBenchWorkloads:
     def test_baseline_missing_rows_all_new(self):
         from repro.bench import baseline_missing_rows
