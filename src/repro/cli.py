@@ -609,25 +609,23 @@ def _cmd_plan(args: argparse.Namespace):
     )
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> str:
+def _cmd_evaluate(args: argparse.Namespace) -> tuple[str, int]:
     from .core.suite import run_evaluation
-    from .errors import ReproError
 
     with _make_executor(args) as executor:
         report = run_evaluation(
             scale=args.scale, seed=args.seed, executor=executor
         )
     output = report.render()
-    if args.check:
-        checks = report.headline_checks()
-        lines = [
-            f"  [{'ok' if passed else 'FAIL'}] {name}"
-            for name, passed in checks.items()
-        ]
-        output += "\nheadline checks:\n" + "\n".join(lines)
-        if not all(checks.values()):
-            raise ReproError("headline checks failed")
-    return output
+    if not args.check:
+        return output, 0
+    checks = report.headline_checks()
+    lines = [
+        f"  [{'ok' if passed else 'FAIL'}] {name}"
+        for name, passed in checks.items()
+    ]
+    output += "\nheadline checks:\n" + "\n".join(lines)
+    return output, 0 if all(checks.values()) else 1
 
 
 def _cmd_lint(args: argparse.Namespace) -> tuple[str, int]:

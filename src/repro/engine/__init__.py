@@ -10,7 +10,7 @@ Section 2.1).
 
 The payoff is cross-validation: the backend's *measured* traffic equals
 the access method's physical trace by construction (one
-``request_sizes`` kernel serves both), and the engine's results must
+``step_input`` kernel serves both), and the engine's results must
 equal the in-memory algorithms'.  Both are asserted in the test suite.
 """
 

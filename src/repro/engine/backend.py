@@ -3,7 +3,7 @@
 The backend holds the raw bytes of the edge list and serves byte-range
 reads the way a real device would, keeping exact counts of what crossed
 the "link".  It defines no discipline of its own: every read batch is
-priced by the :meth:`~repro.gpu.base.AccessMethod.request_sizes` kernel of
+priced by the :meth:`~repro.gpu.base.AccessMethod.step_input` kernel of
 the :mod:`repro.gpu` access method it was built with — XLFDD direct reads
 (Section 4.1.1), BaM cache lines and UVM pages (Section 3.3.2), EMOGI
 zero-copy (Section 3.3.1) — the same kernel
@@ -102,8 +102,8 @@ class ExternalMemoryBackend:
     """A byte store served through an access method's discipline.
 
     ``request`` prices a batch: the stats record what the device actually
-    moved, the count and sum of ``method.request_sizes``.  A batch is
-    what a step-local cache shares fetches within (see
+    moved, the requests and link bytes of ``method.step_input``.  A
+    batch is what a step-local cache shares fetches within (see
     :class:`repro.memsim.cache.StepLocalCache`), so step boundaries need
     no signal of their own.  ``gather`` returns exactly the requested
     bytes, concatenated in request order, and prices nothing.
@@ -160,9 +160,9 @@ class ExternalMemoryBackend:
 
     def _account(self, starts: np.ndarray, lengths: np.ndarray) -> None:
         """Add this batch's link requests under the method's rules."""
-        sizes = self._method.request_sizes(starts, lengths)
-        self.stats.requests += int(sizes.size)
-        self.stats.fetched_bytes += int(sizes.sum())
+        step = self._method.step_input(starts, lengths)
+        self.stats.requests += step.requests
+        self.stats.fetched_bytes += step.link_bytes
 
     def _gather(self, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         word = _word_bytes(starts, lengths, self._data.size)

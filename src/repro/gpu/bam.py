@@ -15,6 +15,7 @@ import numpy as np
 from ..config import BAM_CACHELINE_BYTES
 from ..errors import ModelError
 from ..memsim.cache import CacheModel, StepLocalCache
+from ..sim.fluid import StepInput
 from .base import AccessMethod
 
 __all__ = ["BaMMethod"]
@@ -44,5 +45,5 @@ class BaMMethod(AccessMethod):
             raise ModelError("cacheline_bytes must be >= 1")
         self.name = f"bam-{self.cacheline_bytes}B"
 
-    def request_sizes(self, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        return self._cache_line_sizes(starts, lengths, self.cacheline_bytes, self.cache)
+    def step_input(self, starts: np.ndarray, lengths: np.ndarray) -> StepInput:
+        return self._cache_line_step(starts, lengths, self.cacheline_bytes, self.cache)

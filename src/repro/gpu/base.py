@@ -2,8 +2,11 @@
 
 An :class:`AccessMethod` encodes *how* the GPU reaches external memory —
 alignment, caching, transfer-size rules — in one per-batch kernel,
-:meth:`AccessMethod.request_sizes`: the link-request sizes one batch of
-byte-range reads turns into.  Everything that accounts reads calls it:
+:meth:`AccessMethod.step_input`: the :class:`~repro.sim.fluid.StepInput`
+one batch of byte-range reads costs (requests, link bytes, device ops,
+device bytes — the ``N`` and ``D`` of Eq. 1–2).  Each method computes
+those four numbers from per-read span arithmetic; no per-request size
+array is built.  Everything that accounts reads calls it:
 
 * :meth:`AccessMethod.physical_trace` converts an algorithm's
   :class:`~repro.traversal.trace.AccessTrace` into a
@@ -14,7 +17,7 @@ byte-range reads turns into.  Everything that accounts reads calls it:
   read batch, so engine bytes equal model bytes by construction.
 
 The cache-bearing methods (BaM cache lines, UVM pages) share one kernel,
-``_cache_line_sizes``: each read references the span of lines it touches,
+``_cache_line_step``: each read references the span of lines it touches,
 the batch's spans go to the cache model in one
 :meth:`~repro.memsim.cache.CacheModel.access_spans` call, and every miss
 costs one line.  No per-line id is materialised on the way.
@@ -30,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..interconnect.cxl_proto import flits_per_request
 from ..memsim.alignment import blocks_per_request
 from ..memsim.cache import CacheModel
 from ..sim.fluid import StepInput
@@ -91,8 +93,8 @@ class AccessMethod(ABC):
     device_flit_bytes: int | None = None
 
     @abstractmethod
-    def request_sizes(self, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """Link-request sizes of one batch of byte-range reads.
+    def step_input(self, starts: np.ndarray, lengths: np.ndarray) -> StepInput:
+        """Traffic of one batch of byte-range reads.
 
         A batch is one traversal step's parallel reads; a cache-bearing
         method updates :attr:`cache` as it goes.
@@ -106,44 +108,31 @@ class AccessMethod(ABC):
     def physical_trace(self, trace: AccessTrace) -> PhysicalTrace:
         """Convert a logical trace into its physical request stream."""
         self.reset()
-        steps = [
-            self._sizes_to_step(
-                self.request_sizes(step.starts, step.lengths),
-                device_flit_bytes=self.device_flit_bytes,
-            )
-            for step in trace
-        ]
+        steps = [self.step_input(step.starts, step.lengths) for step in trace]
         return PhysicalTrace(
             method_name=self.name, useful_bytes=trace.useful_bytes, steps=steps
         )
 
-    @staticmethod
-    def _cache_line_sizes(
-        starts: np.ndarray, lengths: np.ndarray, line_bytes: int, cache: CacheModel
-    ) -> np.ndarray:
+    def _cache_line_step(
+        self,
+        starts: np.ndarray,
+        lengths: np.ndarray,
+        line_bytes: int,
+        cache: CacheModel,
+    ) -> StepInput:
         """One ``line_bytes`` request per cache miss (BaM lines, UVM pages).
 
         Each read references the span of lines it touches, so the cache
         sees one span per read, not one id per line.
         """
-        misses = cache.access_spans(
-            starts // line_bytes, blocks_per_request(starts, lengths, line_bytes)
+        misses = int(
+            cache.access_spans(
+                starts // line_bytes, blocks_per_request(starts, lengths, line_bytes)
+            )
         )
-        return np.full(misses, line_bytes, dtype=np.int64)
-
-    @staticmethod
-    def _sizes_to_step(
-        sizes: np.ndarray, *, device_flit_bytes: int | None = None
-    ) -> StepInput:
-        """Build a step's :class:`StepInput` from link-request sizes.
-
-        With ``device_flit_bytes`` set (CXL), each request is split into
-        flits device-side: ops multiply and bytes round up to whole flits.
-        """
-        sizes = np.asarray(sizes, dtype=np.int64)
-        requests, link_bytes = int(sizes.size), int(sizes.sum())
-        device_ops, device_bytes = requests, link_bytes
-        if device_flit_bytes is not None:
-            device_ops = int(flits_per_request(sizes, device_flit_bytes).sum())
-            device_bytes = device_ops * device_flit_bytes
-        return StepInput(requests, link_bytes, device_ops, device_bytes)
+        link_bytes = misses * line_bytes
+        flit = self.device_flit_bytes
+        if flit is None:
+            return StepInput(misses, link_bytes, misses, link_bytes)
+        ops = misses * -(-line_bytes // flit)
+        return StepInput(misses, link_bytes, ops, ops * flit)

@@ -23,6 +23,7 @@ import numpy as np
 
 from ..errors import ModelError
 from ..memsim.cache import CacheModel, LRUCache
+from ..sim.fluid import StepInput
 from ..units import KIB
 from .base import AccessMethod
 
@@ -70,5 +71,5 @@ class UVMMethod(AccessMethod):
             return 2**40
         return max(1, self.pool_bytes // self.page_bytes)
 
-    def request_sizes(self, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        return self._cache_line_sizes(starts, lengths, self.page_bytes, self.cache)
+    def step_input(self, starts: np.ndarray, lengths: np.ndarray) -> StepInput:
+        return self._cache_line_step(starts, lengths, self.page_bytes, self.cache)

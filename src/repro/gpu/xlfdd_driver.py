@@ -21,7 +21,8 @@ import numpy as np
 
 from ..config import XLFDD_ALIGNMENT_BYTES, XLFDD_MAX_TRANSFER_BYTES
 from ..errors import ModelError
-from ..memsim.alignment import direct_requests
+from ..memsim.alignment import aligned_span
+from ..sim.fluid import StepInput
 from .base import AccessMethod
 
 __all__ = ["XLFDDMethod"]
@@ -56,8 +57,19 @@ class XLFDDMethod(AccessMethod):
             )
         self.name = f"xlfdd-{self.alignment_bytes}B"
 
-    def request_sizes(self, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        _, sizes = direct_requests(
-            starts, lengths, self.alignment_bytes, self.effective_max_transfer
-        )
-        return sizes
+    def step_input(self, starts: np.ndarray, lengths: np.ndarray) -> StepInput:
+        # Each read's aligned span goes out as whole ``ceiling`` pieces
+        # plus one shorter remainder piece.
+        _, sizes = aligned_span(starts, lengths, self.alignment_bytes)
+        ceiling = self.effective_max_transfer
+        full, rest = 0, sizes
+        if ceiling is not None:
+            full, rest = int((sizes // ceiling).sum()), sizes % ceiling
+        requests, link_bytes = full + int(np.count_nonzero(rest)), int(sizes.sum())
+        flit = self.device_flit_bytes
+        if flit is None:
+            return StepInput(requests, link_bytes, requests, link_bytes)
+        ops = int((-(-rest // flit)).sum())
+        if ceiling is not None:
+            ops += full * -(-ceiling // flit)
+        return StepInput(requests, link_bytes, ops, ops * flit)

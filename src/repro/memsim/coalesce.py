@@ -79,6 +79,9 @@ def coalesced_sizes(
     of touched sectors times ``sector_bytes``).  Reads are independent —
     coalescing happens within a warp's access, not across frontier
     vertices.  Empty reads yield no transaction.
+    :meth:`~repro.gpu.zerocopy.ZeroCopyMethod.step_input` prices the
+    same transactions from each read's first and last line, without
+    listing them.
     """
     if sector_bytes < 1 or line_bytes < 1 or line_bytes % sector_bytes != 0:
         raise ModelError(

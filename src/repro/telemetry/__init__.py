@@ -1,9 +1,9 @@
 """Zero-dependency tracing for the repro package.
 
 A :class:`Tracer` (:mod:`~repro.telemetry.tracer`) records nestable
-spans, instant events and counter samples on a timeline read from a
-pluggable clock — monotonic wall time by default, the DES's virtual
-clock inside simulations.  The process-wide default is the no-op
+spans and counter samples on a timeline read from a pluggable clock —
+monotonic wall time by default, the DES's virtual clock inside
+simulations.  The process-wide default is the no-op
 :data:`NULL_TRACER`, so instrumentation costs ~nothing unless a caller
 installs a real tracer (:func:`use_tracer`).  Counts travel as span
 attributes and counter samples.

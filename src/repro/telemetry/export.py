@@ -39,9 +39,9 @@ __all__ = [
     "render_flamegraph",
 ]
 
-#: Chrome trace-event phases we emit: complete spans, instants, counters,
-#: and metadata (thread names).
-_CHROME_PHASES = {"X", "i", "C", "M"}
+#: Chrome trace-event phases we emit: complete spans, counters, and
+#: metadata (thread names).
+_CHROME_PHASES = {"X", "C", "M"}
 
 #: Stable lane ids per timeline; unknown timelines get lanes above these.
 _TIMELINE_TIDS = {"wall": 0, "sim": 1}
@@ -84,8 +84,8 @@ def write_jsonl(records: Iterable[TraceRecord], path: str | Path) -> Path:
 def to_chrome_trace(records: Sequence[TraceRecord]) -> dict[str, object]:
     """The records as a Chrome trace-event JSON object.
 
-    Spans become complete (``"ph": "X"``) events, instant events thread-
-    scoped instants (``"i"``), counter samples counter events (``"C"``).
+    Spans become complete (``"ph": "X"``) events, counter samples counter
+    events (``"C"``).
     Wall-clock and simulated-time records land on separate named lanes so
     the two time bases never overlap in the viewer.
     """
@@ -109,10 +109,6 @@ def to_chrome_trace(records: Sequence[TraceRecord]) -> dict[str, object]:
         if record.kind == "span":
             base["ph"] = "X"
             base["dur"] = to_usec(record.duration)
-            base["args"] = dict(record.attrs)
-        elif record.kind == "event":
-            base["ph"] = "i"
-            base["s"] = "t"
             base["args"] = dict(record.attrs)
         elif record.kind == "counter":
             base["ph"] = "C"
@@ -181,8 +177,6 @@ def validate_chrome_trace(data: object) -> None:
             dur = event.get("dur")
             if not isinstance(dur, (int, float)) or dur < 0:
                 raise TelemetryError(f"{where}: 'dur' must be a number >= 0")
-        if phase == "i" and event.get("s") not in ("t", "p", "g"):
-            raise TelemetryError(f"{where}: instant scope 's' must be t/p/g")
         if phase == "C" and not isinstance(event.get("args"), dict):
             raise TelemetryError(f"{where}: counter needs an 'args' object")
 

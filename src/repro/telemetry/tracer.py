@@ -1,14 +1,13 @@
-"""The tracer: nestable spans, instant events, counter samples.
+"""The tracer: nestable spans and counter samples.
 
 A :class:`Tracer` collects :class:`TraceRecord` objects on a single
 timeline read from its clock (wall by default; :meth:`Tracer.with_clock`
-rebinds a view onto simulated time for DES runs).  Three record kinds:
+rebinds a view onto simulated time for DES runs).  Two record kinds:
 
 * **span** — a named interval with attributes, opened with
   ``with tracer.span("engine.step", frontier_size=n) as sp:`` and closed
   on exit; spans nest, and each records both inclusive duration and self
   time (inclusive minus child spans);
-* **event** — an instant marker (``tracer.event("checkpoint", step=n)``);
 * **counter** — a sampled series value
   (``tracer.counter_sample("des.dev0.queue_depth", depth)``).
 
@@ -43,10 +42,9 @@ __all__ = [
 class TraceRecord:
     """One telemetry record on the tracer's timeline.
 
-    ``kind`` is ``"span"``, ``"event"`` or ``"counter"``; times are
-    seconds on the emitting tracer's clock.  ``duration`` and
-    ``self_duration`` are 0.0 for non-spans; ``value`` is None for
-    non-counters.  ``stack`` is the enclosing span-name chain including
+    ``kind`` is ``"span"`` or ``"counter"``; times are seconds on the
+    emitting tracer's clock.  ``duration`` and ``self_duration`` are 0.0
+    for counters; ``value`` is None for spans.  ``stack`` is the enclosing span-name chain including
     the record's own name for spans (the flamegraph path).
     """
 
@@ -62,7 +60,7 @@ class TraceRecord:
 
     @property
     def end(self) -> float:
-        """The record's end time (== start for instants and counters)."""
+        """The record's end time (== start for counters)."""
         return self.start + self.duration
 
 
@@ -88,7 +86,7 @@ class SpanHandle:
 
 
 class Tracer:
-    """Collects spans, events and counter samples on one timeline.
+    """Collects spans and counter samples on one timeline.
 
     Parameters
     ----------
@@ -141,19 +139,6 @@ class Tracer:
                 )
             )
 
-    def event(self, name: str, **attrs: Any) -> None:
-        """Record an instant event at the current time."""
-        self.records.append(
-            TraceRecord(
-                kind="event",
-                name=name,
-                start=self.clock.now(),
-                stack=self._stack_names(),
-                attrs=attrs,
-                timeline=self.timeline,
-            )
-        )
-
     def counter_sample(self, name: str, value: float, **attrs: Any) -> None:
         """Record one sample of a counter series at the current time."""
         self.records.append(
@@ -199,14 +184,6 @@ class Tracer:
             if r.kind == "span" and (name is None or r.name == name)
         ]
 
-    def events(self, name: str | None = None) -> list[TraceRecord]:
-        """All event records (optionally only those called ``name``)."""
-        return [
-            r
-            for r in self.records
-            if r.kind == "event" and (name is None or r.name == name)
-        ]
-
     def counters(self, name: str | None = None) -> list[TraceRecord]:
         """All counter samples (optionally only the series ``name``)."""
         return [
@@ -238,8 +215,8 @@ _NULL_SPAN = _NullSpan()
 class NullTracer(Tracer):
     """A tracer that records nothing — the zero-overhead default.
 
-    ``span`` returns one cached no-op context manager; ``event`` and
-    ``counter_sample`` discard their inputs.  ``records`` stays empty, so
+    ``span`` returns one cached no-op context manager; ``counter_sample``
+    discards its inputs.  ``records`` stays empty, so
     the overhead-guard tests can assert "tracing off emits zero records"
     directly.
     """
@@ -252,9 +229,6 @@ class NullTracer(Tracer):
     def span(self, name: str, **attrs: Any) -> _NullSpan:  # type: ignore[override]
         """Return the shared no-op span; nothing is recorded."""
         return _NULL_SPAN
-
-    def event(self, name: str, **attrs: Any) -> None:
-        """Discard the event."""
 
     def counter_sample(self, name: str, value: float, **attrs: Any) -> None:
         """Discard the sample."""

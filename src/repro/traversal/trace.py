@@ -133,13 +133,6 @@ class AccessTrace:
         total = self.total_requests
         return self.useful_bytes / total if total else 0.0
 
-    def request_sizes(self) -> np.ndarray:
-        """All non-empty request sizes concatenated (for distributions)."""
-        sizes = [s.lengths[s.lengths > 0] for s in self.steps]
-        if not sizes:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(sizes)
-
     # -- persistence -----------------------------------------------------------
 
     def save(self, path: str | os.PathLike) -> None:

@@ -144,4 +144,4 @@ class TestCLIErrorPaths:
         monkeypatch.setattr(suite, "run_evaluation", fake_eval)
         code = main(["evaluate", "--scale", "10", "--check"])
         assert code == 1
-        assert "FAIL" in capsys.readouterr().err or True  # stderr carries the error
+        assert "[FAIL] observation1_xlfdd_near_dram" in capsys.readouterr().out

@@ -65,16 +65,14 @@ class TestTracer:
         assert outer.self_duration == pytest.approx(0.2)
         assert inner.self_duration == pytest.approx(0.3)
 
-    def test_events_and_counters_carry_enclosing_stack(self):
+    def test_counters_carry_enclosing_stack(self):
         tracer, clock = frozen_tracer()
         with tracer.span("step"):
             clock.advance(0.01)
-            tracer.event("retry", attempt=2)
-            tracer.counter_sample("queue", 5)
-        [event] = tracer.events("retry")
+            tracer.counter_sample("queue", 5, device=2)
         [counter] = tracer.counters("queue")
-        assert event.stack == ("step",)
-        assert event.attrs == {"attempt": 2}
+        assert counter.stack == ("step",)
+        assert counter.attrs == {"device": 2}
         assert counter.value == 5.0
         assert counter.start == pytest.approx(0.01)
 
@@ -104,8 +102,8 @@ class TestTracer:
             now = 2.5
 
         view = tracer.with_clock(SimClock(FakeSim()))
-        view.event("des.tick")
-        [record] = tracer.events("des.tick")
+        view.counter_sample("des.tick", 1)
+        [record] = tracer.counters("des.tick")
         assert record.start == 2.5
         assert record.timeline == "sim"
         assert tracer.records is view.records
@@ -128,7 +126,6 @@ class TestNullTracer:
         tracer = NullTracer()
         with tracer.span("a", k=1) as span:
             span.set(more=2)
-            tracer.event("e")
             tracer.counter_sample("c", 1.0)
         assert tracer.records == []
         assert not tracer.enabled
@@ -181,7 +178,6 @@ def _golden_tracer():
         clock.advance(0.001)
         with tracer.span("step"):
             clock.advance(0.002)
-        tracer.event("retry", attempt=1)
         tracer.counter_sample("queue", 3)
         span.set(steps=1)
         clock.advance(0.001)
@@ -205,14 +201,6 @@ class TestExporters:
                 "dur": 0.002,
                 "self_dur": 0.002,
                 "stack": ["run", "step"],
-            },
-            {
-                "kind": "event",
-                "name": "retry",
-                "ts": 0.003,
-                "timeline": "wall",
-                "stack": ["run"],
-                "attrs": {"attempt": 1},
             },
             {
                 "kind": "counter",
@@ -244,7 +232,7 @@ class TestExporters:
     def test_write_jsonl_roundtrip(self, tmp_path):
         path = write_jsonl(_golden_tracer().records, tmp_path / "t.jsonl")
         lines = path.read_text().strip().splitlines()
-        assert len(lines) == 5
+        assert len(lines) == 4
         assert all(json.loads(line)["name"] for line in lines)
 
     def test_chrome_trace_golden(self):
@@ -279,7 +267,7 @@ class TestExporters:
             {"traceEvents": [{"ph": "Z", "name": "x", "pid": 0, "tid": 0}]},
             {"traceEvents": [{"ph": "X", "name": "x", "pid": 0, "tid": 0, "ts": -1.0, "dur": 0.0}]},
             {"traceEvents": [{"ph": "X", "name": 3, "pid": 0, "tid": 0, "ts": 0.0, "dur": 0.0}]},
-            {"traceEvents": [{"ph": "i", "name": "x", "pid": 0, "tid": 0, "ts": 0.0, "s": "q"}]},
+            {"traceEvents": [{"ph": "C", "name": "x", "pid": 0, "tid": 0, "ts": 0.0}]},
         ],
     )
     def test_validate_rejects_malformed(self, broken):

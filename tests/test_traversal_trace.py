@@ -60,11 +60,6 @@ class TestAccessTrace:
     def test_average_sublist_bytes(self):
         assert self.make_trace().average_sublist_bytes() == pytest.approx(60.0)
 
-    def test_request_sizes_concatenates_nonzero(self):
-        trace = self.make_trace()
-        trace.append(make_step(lengths=(0, 0)))
-        assert sorted(trace.request_sizes().tolist()) == [30, 50, 100]
-
     def test_append_validates_bounds(self):
         trace = AccessTrace(algorithm="bfs", graph_name="t", edge_list_bytes=100)
         with pytest.raises(TraceError, match="past the edge list"):
@@ -77,7 +72,6 @@ class TestAccessTrace:
         trace = AccessTrace(algorithm="x", graph_name="t", edge_list_bytes=10)
         assert trace.useful_bytes == 0
         assert trace.average_sublist_bytes() == 0.0
-        assert trace.request_sizes().size == 0
 
     def test_save_load_roundtrip(self, tmp_path):
         trace = self.make_trace()

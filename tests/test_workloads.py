@@ -24,6 +24,7 @@ from repro.engine.engine import (
 from repro.errors import ConfigError, ModelError, WorkloadError
 from repro.gpu import AccessMethod, BaMMethod, UVMMethod, XLFDDMethod, ZeroCopyMethod
 from repro.memsim.cache import IdealCache, LRUCache
+from repro.sim.fluid import StepInput
 from repro.traversal import bfs, connected_components, pagerank
 from repro.traversal.kcore import kcore
 from repro.traversal.labelprop import label_propagation
@@ -272,7 +273,8 @@ class TestEverySystemEngineEqualsModel:
         ):
             backend = ExternalMemoryBackend(b"\x00" * 512, method)
             backend.read(starts, lengths)
-            assert method.request_sizes(starts, lengths).tolist() == sizes
+            step = method.step_input(starts, lengths)
+            assert (step.requests, step.link_bytes) == (len(sizes), sum(sizes))
             assert (backend.stats.requests, backend.stats.fetched_bytes) == (
                 len(sizes),
                 sum(sizes),
@@ -284,8 +286,9 @@ class TestEverySystemEngineEqualsModel:
 
             name = "exact"
 
-            def request_sizes(self, starts, lengths):
-                return lengths[lengths > 0]
+            def step_input(self, starts, lengths):
+                n, size = int(np.count_nonzero(lengths)), int(lengths.sum())
+                return StepInput(n, size, n, size)
 
         system = replace(systems.get("emogi"), method=Exact())
         wl = workloads.get("bfs")
