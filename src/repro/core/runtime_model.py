@@ -159,9 +159,14 @@ def predict_runtime_des(
     physical trace stores aggregates; for the paper's workloads the size
     spread within a step is small (32-128 B transactions).
 
-    ``max_requests_per_step`` subsamples huge steps — the simulated time
-    is scaled back up linearly, exact in the rate-bound regimes that
-    dominate large steps.  Returns the total runtime in seconds.
+    ``max_requests_per_step`` subsamples huge steps: the simulated time
+    of the first ``max_requests_per_step`` requests is scaled back up
+    linearly, which stretches the step's fill transient along with its
+    steady part.  Capped at 4,000 requests, the DES reads 3.0–4.9 % high
+    against the uncapped DES on all 24 Figure 11 points (scale 14, seed
+    0), and the fluid model's largest relative gap to it (perfbench's
+    ``err.fluid_vs_des``) is 0.057 capped against 0.012 uncapped.
+    Returns the total runtime in seconds.
 
     A step's simulated time is then a pure function of its (capped)
     request count, its request size and the

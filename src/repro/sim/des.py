@@ -15,16 +15,23 @@ nothing to say.  :func:`simulate_step` is the one step-level simulator.
 Fast-path notes (benchmarked by the ``des`` family, docs/PERFORMANCE.md):
 a step first runs :func:`_index_order_step`, a heap-free
 recurrence that is exact while requests complete in index order; it
-checks that order as it goes and hands the step to the event loop on
-the first break.  The loop is scalar float arithmetic over four feeds:
+checks that order and hands the step to the event loop if it breaks.
+For general steps it is a scalar loop over tables built before it:
 each request's device, its media and link service times, and the
-earlier request whose completion gates its grant, with no per-device
-lists of completions.  For general steps the feeds are tables built
-before the loop.  A uniform round-robin step (one request size, no
-``devices`` map) needs no tables: the service times are constants, the
-devices cycle ``0..D-1``, and the gate lags a constant
-``min(G, L, D·d)`` requests behind, so the same loop body reads
-``itertools.repeat``/``cycle``/``range`` iterators instead.
+earlier request whose completion gates its grant.  A uniform
+round-robin step (one request size, no ``devices`` map) runs in blocks
+instead (:func:`_uniform_step`): the gate lags a constant
+``lag = min(G, L, D·d)`` requests behind, so every grant of a block of
+``lag`` requests is a completion of the block before, and each FIFO
+stage of the block (admission, media, link) is one array scan,
+:func:`_fifo_scan`.  A stage whose every server is one reset run or
+one busy run is a single vectorized pass with the loop's own float
+additions.  A server whose runs alternate is, over a long block, an
+integer max-plus scan in units of its binade's ulp
+(:func:`_one_binade_scan`), exact while its departures stay in that
+binade; whatever that leaves, and short blocks after one retry, runs
+a scalar tail.  The order checks are whole-array comparisons at the
+end of the step.
 
 The event loop is the general path: it runs every step whose order
 breaks, every step with an event budget (``max_events``) and every step
@@ -44,7 +51,6 @@ equals event order).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, cycle, repeat
 
 import numpy as np
 
@@ -129,7 +135,7 @@ class DESResult:
     link_busy_time: float
     max_link_tags: int
     max_warps: int
-    completion_times: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
+    completion_times: np.ndarray = field(repr=False)
 
     @property
     def link_utilization(self) -> float:
@@ -140,41 +146,238 @@ class DESResult:
 #: Requests :func:`_index_order_step` checks before a whole step's tables.
 _ORDER_PREFIX = 32
 
+#: Rounds of a block beyond which :func:`_fifo_scan` solves alternating
+#: servers with :func:`_one_binade_scan`, whose dozen numpy calls cost
+#: about as much as 100 scalar bookings; up to it, it retries the block
+#: after each server's first request instead.
+_CLOSED_FORM_ROWS = 128
+
+
+def _one_run(queue: np.ndarray, arrivals: np.ndarray, service: float) -> bool:
+    """Book the block if each server is one reset run or one busy run.
+
+    Each column is one server: ``queue[0]`` is when it frees up and
+    ``arrivals[r]`` its ``r``-th request's arrival, and the departures
+    are ``queue[r + 1] = max(arrivals[r], queue[r]) + service``, the
+    float expression of :meth:`~repro.sim.resources.FifoServer.book`.
+    This books every request as if it found its server free (one reset
+    run, ``arrivals + service``).  Only a request that arrives after
+    that guess of its predecessor's departure can find the server free,
+    since the true departure is never earlier.  So if every request
+    does, the guess is exact, and if none does, each server is one busy
+    run: ``np.add.accumulate`` over ``service`` from ``queue[0]``, the
+    loop's own additions in its order.  Otherwise it returns ``False``
+    with the guess, the drafts ``arrivals + service``, in ``queue[1:]``.
+    """
+    np.add(arrivals, service, out=queue[1:])
+    resets = arrivals > queue[:-1]
+    count = np.count_nonzero(resets)
+    if count == resets.size:
+        return True
+    if count:
+        return False
+    queue[1:] = service
+    np.add.accumulate(queue, axis=0, out=queue)
+    return True
+
+
+def _busy_run(queue: np.ndarray, arrivals: np.ndarray, service: float) -> bool:
+    """Book the block as one busy run per server if no request finds its
+    server free, checked against the busy departures themselves."""
+    busy = np.full(queue.shape, service, dtype=np.float64)
+    busy[0] = queue[0]
+    np.add.accumulate(busy, axis=0, out=busy)
+    if np.count_nonzero(arrivals > busy[:-1]):
+        return False
+    queue[1:] = busy[1:]
+    return True
+
+
+def _fifo_scan(queue: np.ndarray, arrivals: np.ndarray, service: float) -> None:
+    """Book a block of requests on FIFO servers of one service time.
+
+    The layout is :func:`_one_run`'s, which books most blocks.  In a
+    block of few rounds a server is often one run after its first
+    request, so that request is booked elementwise and the rest tried
+    again.  A server whose runs alternate is solved by
+    :func:`_one_binade_scan` if it has many requests, and whatever that
+    leaves by the scalar loop.
+    """
+    if _one_run(queue, arrivals, service):
+        return
+    rows = arrivals.shape[0]
+    if rows <= _CLOSED_FORM_ROWS:
+        if _busy_run(queue, arrivals, service):
+            return
+        np.maximum(queue[1], queue[0] + service, out=queue[1])
+        rest, later = queue[1:], arrivals[1:]
+        if rows == 1 or _one_run(rest, later, service):
+            return
+        if _busy_run(rest, later, service):
+            return
+    for column in range(queue.shape[1]):
+        departures = queue[:, column]
+        start = 0
+        if rows > _CLOSED_FORM_ROWS:
+            start = _one_binade_scan(departures, service)
+        # ``max(a, x) + s`` rounds to ``max(a + s, x + s)``: rounding is
+        # monotone, so the drafts ``a + s`` stand in for the arrivals.
+        free = float(departures[start])
+        booked = []
+        for draft in departures[start + 1 :].tolist():
+            free += service
+            if draft > free:
+                free = draft
+            booked.append(free)
+        departures[start + 1 :] = booked
+
+
+def _one_binade_scan(departures: np.ndarray, service: float) -> int:
+    """Book one server's departures in closed form while they are exact.
+
+    ``departures[0]`` is when the server frees up and ``departures[1:]``
+    the drafts ``arrival + service``; the departures are ``x[r] =
+    max(draft[r], x[r - 1] + service)``.  While every ``x`` lies in the
+    binade ``[2**e, 2**(e + 1))`` of the first one, its floats are the
+    integer multiples of one ulp ``u``, and adding ``service`` adds
+    exactly ``k * u``, ``k`` the nearest integer to ``service / u``
+    (unless ``service / u`` ends in exactly one half, when ties-to-even
+    makes the step depend on parity).  In units of ``u`` the recurrence
+    is then integer max-plus, ``x[j] = j * k + max(x[0], max over 0 < i
+    <= j of draft[i] - i * k)``: one running maximum, exact in float64
+    below ``2**53`` units, the top of the binade.  A draft below the
+    binade cannot beat ``x[0]``, even rounded.  Books the departures
+    that stay in the binade and returns how many it booked.
+    """
+    first = max(float(departures[1]), float(departures[0]) + service)
+    departures[1] = first
+    scale = 1.0 / float(np.spacing(first))
+    step = service * scale
+    twice = 2.0 * step
+    if twice.is_integer() and int(twice) % 2:
+        return 1
+    units = departures[1:] * scale
+    ramp = np.arange(units.size, dtype=np.float64) * float(round(step))
+    units -= ramp
+    np.maximum.accumulate(units, out=units)
+    units += ramp
+    booked = int(np.searchsorted(units, 2.0**53))
+    np.divide(units[:booked], scale, out=departures[1 : booked + 1])
+    return booked
+
+
+def _uniform_step(
+    n: int, size: int, config: DESConfig, window: int
+) -> DESResult | None:
+    """:func:`_index_order_step` of ``n`` round-robin requests of one size.
+
+    The gate lags ``lag = min(window, num_devices * device_outstanding,
+    n)`` requests behind, so the grants of a block of at most ``lag``
+    requests are completions of earlier blocks, and the block's
+    admission, media and link stages are three :func:`_fifo_scan` calls.
+    A block is whole rounds of the devices (one row each, one column per
+    device), so a request's same-device predecessor is the one a row
+    up.  A block shorter than one round (``lag < num_devices``) and the
+    last block's partial round are padded to a whole round; a padded
+    slot is booked again by the block that owns it.  Each stage keeps
+    one flat array over the step, request ``j`` behind a prefix of
+    idle-server zeros: at ``num_devices + j`` for admission and media,
+    and at ``lag + j`` for completions, so request ``j``'s grant is
+    ``done[j]``.
+    """
+    devices = config.num_devices
+    lag = window
+    if config.device_outstanding is not None:
+        lag = min(lag, devices * config.device_outstanding)
+    lag = min(lag, n)
+    block = lag - lag % devices if lag >= devices else lag
+    op_time = 1.0 / config.device_iops
+    media_time = size / config.device_internal_bandwidth
+    service = size / config.link_bandwidth
+    admitted = np.zeros(n + 2 * devices, dtype=np.float64)
+    media = np.zeros(n + 2 * devices, dtype=np.float64)
+    done = np.zeros(lag + n + devices, dtype=np.float64)
+    for start in range(0, n, block):
+        m = min(block, n - start)
+        rows = -(-m // devices)
+        span = (rows + 1) * devices
+        admit = admitted[start : start + span].reshape(rows + 1, devices)
+        grants = done[start : start + rows * devices].reshape(rows, devices)
+        _fifo_scan(admit, grants, op_time)
+        channel = media[start : start + span].reshape(rows + 1, devices)
+        _fifo_scan(channel, admit[1:], media_time)
+        arrivals = (channel[1:] + config.latency).reshape(-1, 1)[:m]
+        link = done[lag + start - 1 : lag + start + m].reshape(m + 1, 1)
+        _fifo_scan(link, arrivals, service)
+    # The loop's per-request order checks, over the whole step.
+    arrival = media[devices : devices + n] + config.latency
+    grant = done[:n]
+    completion = done[lag : lag + n]
+    later, earlier = slice(1, None), slice(None, -1)
+    if (
+        (arrival[later] < arrival[earlier])
+        | ((arrival[later] == arrival[earlier]) & (grant[later] < grant[earlier]))
+        | (completion[later] <= completion[earlier])
+    ).any():
+        return None
+    # ``link_busy`` sums the services one by one, as the loop does.
+    busy = np.full(n, service, dtype=np.float64)
+    np.add.accumulate(busy, out=busy)
+    return DESResult(
+        time=float(completion[-1]),
+        requests=n,
+        link_busy_time=float(busy[-1]),
+        max_link_tags=min(n, window),
+        max_warps=min(n, config.gpu_concurrency),
+        completion_times=completion,
+    )
+
 
 def _index_order_step(
     sizes: np.ndarray,
     config: DESConfig,
-    devices: np.ndarray,
+    devices: np.ndarray | None,
     *,
     round_robin: bool = False,
 ) -> DESResult | None:
     """The step as a recurrence, or ``None`` if order breaks.
 
     ``sizes`` are positive and ``devices`` validated, one per request;
-    ``round_robin`` says ``devices`` is ``arange(n) % num_devices``.
+    ``round_robin`` says ``devices`` is ``arange(n) % num_devices``, and
+    then ``devices`` may be ``None`` (it is built only for the tables).
     Valid while requests complete in index order: then every semaphore's
     waiters arrive and leave in index order, so request ``i``'s device
     tag is granted at ``max(completion[i - min(G, L)], completion of the
     request D earlier on its device)`` (a ``None`` capacity drops its
     term), and it books admission, media and the link exactly as the
     event loop would.  Completions then increase with the index, so the
-    grant is the completion of the later of those two requests, and that
-    index is precomputed: ``i - min(G, L)`` by index, the same-device one
-    by a stable argsort of ``devices``.  On a round-robin step of one
-    request size both are constant lags (the same-device request is
-    ``num_devices * device_outstanding`` earlier), so nothing is
-    precomputed.  Two conditions make the event loop book the link in
-    index order too, and both are checked per request: link arrivals
-    never decrease, and equal arrivals come with non-decreasing grants
-    (same-time events fire in scheduling order, which is grant order).
-    Completions must strictly increase.  The first violation returns
-    ``None`` and the caller runs the event loop from scratch.  A step
+    grant is the completion of the later of those two requests.  Two
+    conditions make the event loop book the link in index order too:
+    link arrivals never decrease, and equal arrivals come with
+    non-decreasing grants (same-time events fire in scheduling order,
+    which is grant order).  Completions must strictly increase.  If any
+    condition fails the result is ``None`` and the caller runs the event
+    loop from scratch.
+
+    A round-robin step of one request size runs in blocks of the
+    constant gate lag (:func:`_uniform_step`) and checks the conditions
+    on whole arrays.  Any other step runs a scalar loop over tables: the
+    gating request, ``i - min(G, L)`` by index or the same-device one by
+    a stable argsort of ``devices``, is precomputed, and the conditions
+    are checked per request, returning at the first violation.  A step
     that breaks order does so within its first few requests, so a long
     step first runs its first :data:`_ORDER_PREFIX` requests alone (the
     recurrence of a prefix is the prefix of the recurrence) and hands
     off without building its own tables if they break order.
     """
     n = sizes.size
+    window = config.gpu_concurrency
+    if config.link_outstanding is not None:
+        window = min(window, config.link_outstanding)
+    if round_robin and (sizes == sizes[0]).all():
+        return _uniform_step(n, int(sizes[0]), config, window)
+    if devices is None:
+        devices = np.arange(n, dtype=np.int64) % config.num_devices
     if n > _ORDER_PREFIX and (
         _index_order_step(
             sizes[:_ORDER_PREFIX],
@@ -185,9 +388,6 @@ def _index_order_step(
         is None
     ):
         return None
-    window = config.gpu_concurrency
-    if config.link_outstanding is not None:
-        window = min(window, config.link_outstanding)
     device_window = config.device_outstanding
     # The loop's feeds: each request's device, its service times (the
     # same IEEE divisions the scalar expressions make) and the request
@@ -197,28 +397,17 @@ def _index_order_step(
     # the recurrence holds.  ``completion`` is offset by one behind a
     # sentinel slot 0 that stays 0.0, the gate of a request that neither
     # candidate holds back.
-    if round_robin and (sizes == sizes[0]).all():
-        size = int(sizes[0])
-        lag = window
-        if device_window is not None:
-            lag = min(lag, config.num_devices * device_window)
-        lag = min(lag, n)
-        device_feed = cycle(range(config.num_devices))
-        media_times = repeat(size / config.device_internal_bandwidth)
-        link_times = repeat(size / config.link_bandwidth)
-        gate = chain(repeat(0, lag), range(1, n - lag + 1))
-    else:
-        device_feed = devices.tolist()
-        media_times = (sizes / config.device_internal_bandwidth).tolist()
-        link_times = (sizes / config.link_bandwidth).tolist()
-        table = np.maximum(np.arange(1 - window, n + 1 - window, dtype=np.int64), 0)
-        if device_window is not None and device_window < n:
-            by_device = np.argsort(devices, kind="stable")
-            later, earlier = by_device[device_window:], by_device[:-device_window]
-            same = devices[later] == devices[earlier]
-            later, earlier = later[same], earlier[same]
-            table[later] = np.maximum(table[later], earlier + 1)
-        gate = table.tolist()
+    device_feed = devices.tolist()
+    media_times = (sizes / config.device_internal_bandwidth).tolist()
+    link_times = (sizes / config.link_bandwidth).tolist()
+    table = np.maximum(np.arange(1 - window, n + 1 - window, dtype=np.int64), 0)
+    if device_window is not None and device_window < n:
+        by_device = np.argsort(devices, kind="stable")
+        later, earlier = by_device[device_window:], by_device[:-device_window]
+        same = devices[later] == devices[earlier]
+        later, earlier = later[same], earlier[same]
+        table[later] = np.maximum(table[later], earlier + 1)
+    gate = table.tolist()
     op_time = 1.0 / config.device_iops
     latency = config.latency
     admit_free = [0.0] * config.num_devices
@@ -227,7 +416,6 @@ def _index_order_step(
     append = completion.append
     link_free = link_busy = 0.0
     last_arrival = last_grant = 0.0
-    # ``gate`` holds exactly n entries; the other feeds may be endless.
     for gated_by, dev, media_time, service in zip(
         gate, device_feed, media_times, link_times
     ):
@@ -297,9 +485,7 @@ def simulate_step(
             completion_times=np.empty(0, dtype=np.float64),
         )
     round_robin = devices is None
-    if round_robin:
-        devices = np.arange(n, dtype=np.int64) % config.num_devices
-    elif devices.min() < 0 or devices.max() >= config.num_devices:
+    if not round_robin and (devices.min() < 0 or devices.max() >= config.num_devices):
         raise SimulationError("device index out of range")
     tracer = get_tracer()
     traced = tracer.enabled
@@ -311,6 +497,8 @@ def simulate_step(
         if result is not None:
             result.time += overhead
             return result
+    if devices is None:
+        devices = np.arange(n, dtype=np.int64) % config.num_devices
 
     sim = Simulator()
     warps = Semaphore(sim, config.gpu_concurrency, "warps")

@@ -236,6 +236,38 @@ class TestFigure11Replay:
             assert got.max_warps == loop.max_warps
 
 
+    def test_uncapped_steps_match_the_tables(self, cold_caches, monkeypatch):
+        # Uncapped, the steps run to 16k requests and many blocks of the
+        # gate lag; the table-fed loop is the same recurrence without
+        # the block scans (the event loop would take far longer).
+        steps = {}
+        simulate = des.simulate_step
+
+        def record(sizes, config, *args, **kwargs):
+            steps[(sizes.size, int(sizes[0]), config)] = sizes
+            return simulate(sizes, config, *args, **kwargs)
+
+        monkeypatch.setattr(des, "simulate_step", record)
+        for dataset in ("urand", "kron", "friendster"):
+            graph = load_dataset(dataset, scale=12, seed=0)
+            for algorithm in ("bfs", "sssp"):
+                trace = registry.get(algorithm).trace(graph)
+                for system in figure11_systems():
+                    predict_runtime_des(trace, system)
+        monkeypatch.undo()
+        assert len(steps) > 100
+        assert max(n for n, _, _ in steps) > 4_000
+        for (n, _, config), sizes in steps.items():
+            devices = np.arange(n, dtype=np.int64) % config.num_devices
+            got = simulate_step(sizes, config)
+            tables = des._index_order_step(sizes, config, devices)
+            assert tables is not None
+            assert got.time == tables.time
+            assert got.link_busy_time == tables.link_busy_time
+            assert np.array_equal(got.completion_times, tables.completion_times)
+            assert got.max_link_tags == tables.max_link_tags
+            assert got.max_warps == tables.max_warps
+
 class TestFlashCXL:
     def test_today_flash_exceeds_budget(self, paper_bfs_trace):
         """4 us flash + CXL + path > 2.87 us allowance: visibly slower."""

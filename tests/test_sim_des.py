@@ -8,7 +8,9 @@ from repro.errors import SimulationError
 from repro.sim.des import (
     _ORDER_PREFIX,
     DESConfig,
+    _fifo_scan,
     _index_order_step,
+    _one_binade_scan,
     simulate_step,
     simulate_trace,
 )
@@ -518,3 +520,243 @@ class TestUniformRoundRobin:
         got = simulate_step(sizes, config)
         assert got.completion_times[1] == got.completion_times[0]
         assert_same_result(got, oracle(sizes, config))
+
+
+# The block path of a uniform round-robin step (``_uniform_step``), fuzzed
+# per binding resource against the table-fed loop and the event loop.
+
+#: Per-request service times that make each named resource bind.
+_REGIMES = {
+    # (op time, media time, link time, latency), seconds per request
+    "iops": (1e-6, 1e-9, 1e-9, 1e-6),
+    "media": (1e-8, 1e-6, 1e-9, 1e-6),
+    "link": (1e-8, 1e-9, 1e-6, 1e-6),
+    "latency": (1e-8, 1e-9, 1e-9, 10e-6),
+}
+
+
+def _regime_config(regime, num_devices, rng):
+    op_time, media_time, link_time, latency = _REGIMES[regime]
+    size = int(rng.choice([64, 512, 4_096]))
+    if regime == "latency":
+        # A small window: ``lag`` requests per latency sets the rate.
+        gpu = int(rng.choice([8, 16]))
+        device_outstanding = rng.choice([None, 1, 2])
+        link_outstanding = None
+    else:
+        gpu = 2_048
+        device_outstanding = rng.choice([None, 64])
+        link_outstanding = rng.choice([None, 48, 768])
+    jitter = float(rng.uniform(0.9, 1.1))
+    config = make_config(
+        link_bandwidth=size / (link_time * jitter),
+        latency=latency * jitter,
+        device_iops=1.0 / op_time,
+        device_internal_bandwidth=size / media_time,
+        num_devices=num_devices,
+        link_outstanding=link_outstanding,
+        device_outstanding=device_outstanding,
+        gpu_concurrency=gpu,
+    )
+    return config, size
+
+
+def _gate_lag(config):
+    return _binding_window(
+        config.num_devices,
+        config.device_outstanding,
+        config.gpu_concurrency,
+        config.link_outstanding,
+    )[0]
+
+
+def _rate_bounds(config, size):
+    """Seconds per request each resource allows on a long step."""
+    devices = config.num_devices
+    return {
+        "iops": 1.0 / (devices * config.device_iops),
+        "media": size / (devices * config.device_internal_bandwidth),
+        "link": size / config.link_bandwidth,
+        "latency": config.latency / _gate_lag(config),
+    }
+
+
+def _scalar_scan(free, arrivals, service):
+    booked = []
+    for arrival in arrivals:
+        free = (arrival if arrival > free else free) + service
+        booked.append(free)
+    return booked
+
+
+class TestUniformBlocks:
+    """``_index_order_step(..., round_robin=True)`` on one request size
+    runs in lag-sized blocks of array scans; it equals the table-fed loop
+    (the same recurrence without ``round_robin``) bit for bit."""
+
+    @pytest.mark.parametrize("num_devices", range(1, 9))
+    @pytest.mark.parametrize("regime", list(_REGIMES))
+    def test_matches_tables_and_event_loop(self, regime, num_devices):
+        rng = np.random.default_rng([list(_REGIMES).index(regime), num_devices])
+        config, size = _regime_config(regime, num_devices, rng)
+        bounds = _rate_bounds(config, size)
+        assert max(bounds, key=bounds.get) == regime
+        lag = _gate_lag(config)
+        for n in sorted({lag - 1, lag, lag + 1, 3 * lag + 5} - {0}):
+            sizes = np.full(n, size, dtype=np.int64)
+            devices = round_robin(n, num_devices)
+            fast = _index_order_step(sizes, config, devices, round_robin=True)
+            assert fast is not None
+            assert_same_result(fast, _index_order_step(sizes, config, devices))
+            if n <= 2_000:
+                assert_same_result(fast, oracle(sizes, config))
+
+    def test_first_block_queues_on_zero_grants(self):
+        # Every grant of the first block is 0.0, so each device's
+        # admissions queue back to back at the op rate.
+        config = make_config(num_devices=3, device_iops=1 * MIOPS)
+        n = 3 * 40
+        sizes = np.full(n, 512, dtype=np.int64)
+        devices = round_robin(n, 3)
+        fast = _index_order_step(sizes, config, devices, round_robin=True)
+        assert n <= _gate_lag(config)
+        assert_same_result(fast, _index_order_step(sizes, config, devices))
+        assert_same_result(fast, oracle(sizes, config))
+        spacing = np.diff(fast.completion_times[::3])
+        assert np.allclose(spacing, 1.0 / config.device_iops)
+
+    def test_alternating_runs_take_the_scalar_tail(self):
+        # Column 0 alternates between finding its server free and
+        # queueing; column 1 queues throughout: neither single-run pass
+        # applies, and the scan must equal the scalar loop per column.
+        service = 1.0
+        arrivals = np.array(
+            [[0.5, 0.0], [3.0, 0.0], [3.5, 0.0], [9.0, 0.0], [9.2, 0.0]]
+        )
+        queue = np.zeros((6, 2))
+        queue[0] = [0.0, 2.0]
+        _fifo_scan(queue, arrivals, service)
+        for column in range(2):
+            expected = _scalar_scan(queue[0, column], arrivals[:, column], service)
+            assert queue[1:, column].tolist() == expected
+        assert queue[1:, 0].tolist() == [1.5, 4.0, 5.0, 10.0, 11.0]
+
+    def test_alternating_link_step_matches_tables(self):
+        # A Figure 11 step whose link alternates between idle and busy
+        # within each block: its link scans run the scalar tail.
+        config = DESConfig(
+            link_bandwidth=12e9,
+            latency=3.82e-06,
+            device_iops=89_062_500.0 / 5,
+            device_internal_bandwidth=5.7e9 / 5,
+            num_devices=5,
+            link_outstanding=256,
+            device_outstanding=64,
+            gpu_concurrency=2_048,
+        )
+        n = 4_000
+        sizes = np.full(n, 117, dtype=np.int64)
+        devices = round_robin(n, 5)
+        fast = _index_order_step(sizes, config, devices, round_robin=True)
+        tables = _index_order_step(sizes, config, devices)
+        assert tables is not None
+        assert_same_result(fast, tables)
+        # The link is idle before some requests and busy before others.
+        gaps = np.diff(fast.completion_times)
+        service = 117 / config.link_bandwidth
+        assert (gaps > service * (1 + 1e-9)).any()
+        assert (gaps <= service * (1 + 1e-9)).any()
+
+    def test_link_busy_time_sums_in_request_order(self):
+        # Past 8,192 terms a pairwise sum (np.sum) rounds differently
+        # from the loop's one-by-one sum; only the sequential one matches.
+        n = 10_000
+        config = make_config()
+        sizes = np.full(n, 64, dtype=np.int64)
+        fast = _index_order_step(sizes, config, round_robin(n, 1), round_robin=True)
+        service = 64 / config.link_bandwidth
+        one_by_one = 0.0
+        for _ in range(n):
+            one_by_one += service
+        assert fast.link_busy_time == one_by_one
+        assert np.sum(np.full(n, service)) != one_by_one
+        tables = _index_order_step(sizes, config, round_robin(n, 1))
+        assert_same_result(fast, tables)
+
+
+class TestFifoScan:
+    """One block of one stage: ``_fifo_scan`` equals the scalar loop on
+    servers whose runs alternate, through each of its paths."""
+
+    @staticmethod
+    def alternating(first_arrival, rows, service, seed):
+        # Gaps around the service time: the server idles before some
+        # requests and queues others.
+        rng = np.random.default_rng(seed)
+        gaps = service * rng.uniform(0.3, 1.7, size=rows)
+        return first_arrival + np.cumsum(gaps)
+
+    @staticmethod
+    def drafts(free, arrivals, service):
+        departures = np.empty(arrivals.size + 1)
+        departures[0] = free
+        departures[1:] = arrivals + service
+        return departures
+
+    def scan(self, free, arrivals, service):
+        queue = np.empty((arrivals.size + 1, 1))
+        queue[0] = free
+        _fifo_scan(queue, arrivals.reshape(-1, 1), service)
+        assert queue[1:, 0].tolist() == _scalar_scan(free, arrivals.tolist(), service)
+        return queue
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_alternating_server_within_one_binade(self, seed):
+        # 1.1e-5 s plus 300 services stays below 2**-16 s.
+        service = 7.9e-9
+        arrivals = self.alternating(1.1e-5, 300, service, seed)
+        self.scan(1.1e-5, arrivals, service)
+        departures = self.drafts(1.1e-5, arrivals, service)
+        assert _one_binade_scan(departures, service) == 300
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_departures_that_leave_the_binade_finish_scalar(self, seed):
+        # From 1.45e-5 s the departures cross 2**-16 s part way through.
+        service = 7.9e-9
+        arrivals = self.alternating(1.45e-5, 300, service, seed)
+        self.scan(1.45e-5, arrivals, service)
+        departures = self.drafts(1.45e-5, arrivals, service)
+        booked = _one_binade_scan(departures, service)
+        assert 1 < booked < 300
+        assert departures[booked] < 2.0**-16
+
+    def test_half_ulp_service_finishes_scalar(self):
+        # A service of k + 1/2 ulps rounds half to even.  The server frees
+        # up just below 2**-17 s, so its first departure crosses into the
+        # next binade on an odd multiple of the ulp, and adding the
+        # service there rounds up to k + 1 ulps, not the even k.
+        binade = 2.0**-17
+        unit = float(np.spacing(binade))
+        service = (2**19 + 0.5) * unit
+        free = binade - unit - 2**19 * unit
+        gaps = service * np.where(np.arange(300) % 3, 0.25, 1.9)
+        arrivals = free - service + np.cumsum(gaps)
+        queue = self.scan(free, arrivals, service)
+        assert queue[1, 0] >= binade
+        assert (queue[1, 0] / unit) % 2 == 1
+        departures = self.drafts(free, arrivals, service)
+        assert _one_binade_scan(departures, service) == 1
+
+    def test_short_block_retries_after_the_first_request(self):
+        # Three servers: each finds its server free at its first request
+        # and queues from then on, a busy run only after the first row.
+        service = 1.0
+        queue = np.zeros((5, 3))
+        arrivals = np.array([[5.0, 6.0, 7.0]] + [[5.5, 6.5, 7.5]] * 3)
+        expected = [
+            _scalar_scan(0.0, arrivals[:, column].tolist(), service)
+            for column in range(3)
+        ]
+        _fifo_scan(queue, arrivals, service)
+        assert queue[1:].T.tolist() == expected
+        assert queue[1:, 0].tolist() == [6.0, 7.0, 8.0, 9.0]
