@@ -64,9 +64,6 @@ Subpackages
     Declarative :class:`ExperimentSpec` (YAML-loadable, ``extend:`` +
     dotted overrides) and the serial/process-pool sweep executors
     (docs/SCALING.md).
-``planner``
-    Capacity planner: precomputed model surfaces + sub-ms SLO queries
-    (``repro plan``, docs/SCALING.md).
 """
 
 import importlib

@@ -25,13 +25,6 @@ Families
 ``workloads``
     BFS through the registry's engine in both memory modes (the
     semi-vs-fully fetched-bytes ratio is pinned in ``verify``).
-``sweep_parallel``
-    Executor scaling on the planner's config-grid surface: the same
-    build through ``SerialExecutor`` and ``ProcessPoolExecutor(4)``
-    (their verify digests must match — byte-identical results), plus
-    query throughput against the precomputed surface.  On a single-CPU
-    host the worker pool cannot beat serial; the committed baseline
-    reports whatever the hardware honestly delivers (docs/SCALING.md).
 """
 
 from __future__ import annotations
@@ -47,10 +40,7 @@ from ..core.suite import run_evaluation
 from ..core.sweep import alignment_grid, cxl_latency_grid, sweep_trace
 from ..errors import BenchError
 from ..graph.datasets import CSRGraph, load_dataset
-from ..exec.executor import ProcessPoolExecutor
 from ..interconnect.pcie import PCIeLink
-from ..planner.query import plan_query
-from ..planner.surface import build_surface, default_grid
 from ..memsim.cache import IdealCache, LRUCache
 from ..memsim.raf import direct_access_amplification, read_amplification
 from ..sim.des import DESConfig, simulate_step, simulate_trace
@@ -59,7 +49,7 @@ from ..traversal.cc import connected_components
 from ..traversal.sssp import sssp_bellman_ford
 from ..traversal.trace import AccessTrace
 from ..units import MB, MB_PER_S, MIOPS, USEC
-from .schema import KNOWN_FAMILIES, array_digest, canonical_json
+from .schema import KNOWN_FAMILIES, array_digest
 
 __all__ = ["Prepared", "prepare_family", "scenario_catalog"]
 
@@ -419,109 +409,6 @@ def _prep_trajectory_sweeps(quick: bool) -> Prepared:
 
 
 # --------------------------------------------------------------------------
-# sweep_parallel family
-# --------------------------------------------------------------------------
-
-
-def _surface_digest(surface: Mapping[str, Any]) -> str:
-    """Content fingerprint of a planner surface (canonical JSON bytes)."""
-    import hashlib
-
-    return hashlib.sha256(canonical_json(surface).encode()).hexdigest()[:16]
-
-
-def _surface_verify(surface: Mapping[str, Any]) -> dict[str, Any]:
-    # The serial and workers4 scenarios share this digest: equal values
-    # in the two baselines pin the byte-identical-results guarantee.
-    return {
-        "configs": len(surface["configs"]),
-        "digest": _surface_digest(surface),
-    }
-
-
-def _prep_surface_serial(quick: bool) -> Prepared:
-    grid = default_grid(quick=quick)
-
-    def run() -> dict[str, Any]:
-        clear_evaluation_cache()
-        return _surface_verify(build_surface(grid=grid))
-
-    return Prepared(
-        name="surface_serial",
-        family="sweep_parallel",
-        params={
-            "grid": "quick" if quick else "full",
-            "configs": len(grid),
-            "executor": "serial",
-        },
-        run=run,
-        work_unit="configs/s",
-        work_amount=float(len(grid)),
-    )
-
-
-def _prep_surface_workers4(quick: bool) -> Prepared:
-    grid = default_grid(quick=quick)
-
-    def run() -> dict[str, Any]:
-        clear_evaluation_cache()
-        # Pool startup is inside the timed region on purpose: it is part
-        # of the real cost of choosing the process executor.
-        with ProcessPoolExecutor(4) as executor:
-            return _surface_verify(build_surface(grid=grid, executor=executor))
-
-    return Prepared(
-        name="surface_workers4",
-        family="sweep_parallel",
-        params={
-            "grid": "quick" if quick else "full",
-            "configs": len(grid),
-            "executor": "process",
-            "workers": 4,
-        },
-        run=run,
-        work_unit="configs/s",
-        work_amount=float(len(grid)),
-    )
-
-
-def _prep_plan_queries(quick: bool) -> Prepared:
-    surface = build_surface(grid=default_grid(quick=quick))
-    queries = 200 if quick else 500
-    ref_bytes = int(surface["workload"]["edge_list_bytes"])
-    sizes = [ref_bytes * (i + 1) for i in range(queries)]
-
-    def run() -> dict[str, Any]:
-        total = 0
-        sample: list[Any] = []
-        for size in sizes:
-            rows = plan_query(surface, edge_bytes=size, top=5)
-            total += len(rows)
-            if size in (sizes[0], sizes[-1]):
-                sample.append(rows)
-        import hashlib
-        import json
-
-        digest = hashlib.sha256(
-            json.dumps(sample, sort_keys=True).encode()
-        ).hexdigest()[:16]
-        return {"queries": queries, "results_total": total, "digest": digest}
-
-    return Prepared(
-        name="plan_queries",
-        family="sweep_parallel",
-        params={
-            "grid": "quick" if quick else "full",
-            "configs": len(surface["configs"]),
-            "queries": queries,
-        },
-        run=run,
-        work_unit="queries/s",
-        work_amount=float(queries),
-    )
-
-
-# --------------------------------------------------------------------------
 # workloads family
 # --------------------------------------------------------------------------
 
@@ -578,11 +465,6 @@ _FAMILIES: dict[str, list[Callable[[bool], Prepared]]] = {
         _prep_direct_curve,
     ],
     "sweep": [_prep_evaluation_matrix, _prep_trajectory_sweeps],
-    "sweep_parallel": [
-        _prep_surface_serial,
-        _prep_surface_workers4,
-        _prep_plan_queries,
-    ],
     "workloads": [_prep_semi_vs_fully],
 }
 

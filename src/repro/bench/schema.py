@@ -57,7 +57,6 @@ KNOWN_FAMILIES = (
     "traversal",
     "memsim",
     "sweep",
-    "sweep_parallel",
     "workloads",
 )
 

@@ -18,11 +18,6 @@ Subcommands
     support ``extend:`` chaining and ``--set`` dotted overrides, and
     ``--executor process`` fans points out to a worker pool with
     bit-identical results (docs/SCALING.md).
-``plan``
-    Capacity planner: ``--build`` prices the device/alignment/link/
-    striping grid into a surface file, then queries answer "which
-    configs meet this size + SLO?" from the surface without re-running
-    the model.
 ``chase``
     Run the pointer-chase latency microbenchmark for a target.
 ``lint``
@@ -55,7 +50,7 @@ from .errors import ReproError
 from .exec.spec import KNOWN_ALGORITHMS
 from .graph.datasets import DEFAULT_SCALE, load_dataset
 from .interconnect.pcie import PCIeLink
-from .units import MSEC, USEC, to_usec
+from .units import USEC, to_usec
 
 __all__ = ["main", "build_parser"]
 
@@ -155,53 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the sweep result as canonical JSON",
     )
     _add_executor_args(sweep)
-
-    plan = sub.add_parser(
-        "plan",
-        help="capacity planner: precompute / query model surfaces "
-        "(docs/SCALING.md)",
-    )
-    plan.add_argument(
-        "--surface", required=True, metavar="PATH",
-        help="surface file: the --build target, or the query source",
-    )
-    plan.add_argument(
-        "--build", action="store_true",
-        help="precompute the config-grid surface (parallelizable with "
-        "--executor process)",
-    )
-    plan.add_argument(
-        "--quick", action="store_true",
-        help="with --build: the thinned quick grid (tests/benchmarks)",
-    )
-    plan.add_argument(
-        "--edge-bytes", type=float, default=None, metavar="N",
-        help="graph edge-list size to plan for, in bytes",
-    )
-    plan.add_argument(
-        "--dataset", default=None, choices=["urand", "kron", "friendster"],
-        help="derive --edge-bytes from a dataset instead",
-    )
-    plan.add_argument("--scale", type=int, default=DEFAULT_SCALE)
-    plan.add_argument("--seed", type=int, default=0)
-    plan.add_argument(
-        "--slo-ms", type=float, default=None, metavar="MS",
-        help="runtime SLO in milliseconds (omit for no SLO filter)",
-    )
-    plan.add_argument(
-        "--link", default=None, choices=["gen3", "gen4", "gen5"],
-        help="restrict candidates to one PCIe generation",
-    )
-    plan.add_argument(
-        "--top", type=int, default=5, metavar="K",
-        help="how many Pareto-ranked candidates to print (default 5)",
-    )
-    plan.add_argument(
-        "--workload", default=None, choices=list(KNOWN_ALGORITHMS),
-        help="scale the surface's reference runtimes by this workload's "
-        "access-signature traffic multiplier",
-    )
-    _add_executor_args(plan)
 
     chase = sub.add_parser("chase", help="pointer-chase latency microbenchmark")
     chase.add_argument(
@@ -552,63 +500,6 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
     return "\n".join(parts)
 
 
-def _cmd_plan(args: argparse.Namespace):
-    from .errors import PlannerError
-    from .planner.query import plan_query
-    from .planner.surface import build_surface, load_surface, save_surface
-
-    if args.build:
-        with _make_executor(args) as executor:
-            surface = build_surface(executor=executor, quick=args.quick)
-        path = save_surface(surface, args.surface)
-        return (
-            f"wrote surface with {len(surface['configs'])} configs "
-            f"({'quick' if args.quick else 'full'} grid) to {path}"
-        )
-    surface = load_surface(args.surface)
-    if args.edge_bytes is not None:
-        edge_bytes = args.edge_bytes
-    elif args.dataset is not None:
-        graph = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
-        edge_bytes = float(graph.edge_list_bytes)
-    else:
-        raise PlannerError(
-            "plan query needs --edge-bytes N or --dataset NAME [--scale S]"
-        )
-    slo_s = args.slo_ms * MSEC if args.slo_ms is not None else None
-    rows = plan_query(
-        surface,
-        edge_bytes=edge_bytes,
-        slo_runtime_s=slo_s,
-        link=args.link,
-        top=args.top,
-        workload=args.workload,
-    )
-    slo_text = f", SLO {args.slo_ms:g} ms" if slo_s is not None else ""
-    if not rows:
-        return (
-            f"no config meets the query ({edge_bytes:.3g} B{slo_text})",
-            1,
-        )
-    display = [
-        {
-            "rank": row["pareto_rank"],
-            "system": row["system"],
-            "link": row["link"],
-            "est_runtime_ms": row["est_runtime_s"] / MSEC,
-            "cost_usd": row["cost_usd"],
-            "devices": row["devices"],
-            "bound": row["bound"],
-        }
-        for row in rows
-    ]
-    return format_table(
-        display,
-        title=f"plan: top {len(rows)} configs for {edge_bytes:.3g} B"
-        f"{slo_text}",
-    )
-
-
 def _cmd_evaluate(args: argparse.Namespace) -> tuple[str, int]:
     from .core.suite import run_evaluation
 
@@ -776,7 +667,6 @@ _COMMANDS = {
     "requirements": _cmd_requirements,
     "evaluate": _cmd_evaluate,
     "sweep": _cmd_sweep,
-    "plan": _cmd_plan,
     "chase": _cmd_chase,
     "lint": _cmd_lint,
     "profile": _cmd_profile,

@@ -102,12 +102,7 @@ _SYSTEM_MEDIA = {
 
 
 def media_for(system: SystemModel) -> MediaCost:
-    """The media pricing class backing ``system`` (by name prefix).
-
-    Public so the capacity planner can record which pricing applies to
-    each surface config and re-price it at query time for arbitrary
-    data sizes without re-resolving the system.
-    """
+    """The media pricing class backing ``system`` (by name prefix)."""
     for prefix, media in _SYSTEM_MEDIA.items():
         if system.name.startswith(prefix):
             return MEDIA_COSTS[media]
@@ -122,16 +117,13 @@ def system_memory_cost(
 ) -> float:
     """Cost of the external memory ``system`` needs to host ``data_bytes``.
 
-    Uses the pool's device count for fixed costs; capacity is the larger
-    of the data and what the configured pool already provides (you cannot
-    buy less than the configuration in use).
+    Prices exactly ``data_bytes`` of media plus the fixed cost of the
+    pool's device count.
     """
     if data_bytes < 0:
         raise ModelError("data_bytes must be >= 0")
     media = media or media_for(system)
-    pool_capacity = system.pool.capacity_bytes
-    capacity = data_bytes if pool_capacity is None else max(data_bytes, 0)
-    return media.cost(capacity, devices=system.pool.count)
+    return media.cost(data_bytes, devices=system.pool.count)
 
 
 def cost_performance(

@@ -17,9 +17,8 @@ Everything else prices through it:
   :class:`~repro.exec.SweepConfig` grid of dotted-key overrides.  The
   parent resolves every grid point, builds each distinct workload once
   and prices its points with :func:`sweep_trace`.
-* ``repro evaluate`` (:func:`~repro.exec.tasks.evaluate_workload`),
-  :mod:`repro.figures` and the planner's surfaces
-  (:func:`~repro.planner.build_surface`).
+* ``repro evaluate`` (:func:`~repro.exec.tasks.evaluate_workload`)
+  and :mod:`repro.figures`.
 
 The trace is bound into the pricing task with ``functools.partial``, so
 any :class:`~repro.exec.Executor` (serial or process pool) ships it once

@@ -22,7 +22,6 @@ __all__ = [
     "BenchError",
     "SpecError",
     "ExecError",
-    "PlannerError",
 ]
 
 
@@ -96,12 +95,4 @@ class ExecError(ReproError, RuntimeError):
 
     Covers unpicklable task functions/payloads, worker crashes, and
     misconfigured worker/chunking parameters.
-    """
-
-
-class PlannerError(ReproError, ValueError):
-    """A capacity-planner surface or query is invalid.
-
-    Raised for malformed surface files, schema mismatches, and queries
-    whose inputs (edge bytes, SLO) are not positive finite numbers.
     """

@@ -4,8 +4,7 @@
 
 * :class:`ExperimentSpec` (and its sections :class:`GraphSpec` and
   :class:`SystemSpec`) is the declarative input type of ``repro sweep``
-  and the capacity planner's surfaces — plain data that round-trips
-  through canonical JSON and pickle.
+  — plain data that round-trips through canonical JSON and pickle.
 * :func:`load_spec` reads specs from YAML with ``extend:`` chaining and
   dotted-key overrides.
 * :class:`SerialExecutor` / :class:`ProcessPoolExecutor` run pure

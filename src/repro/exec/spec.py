@@ -4,8 +4,7 @@ One frozen dataclass names everything a priced experiment needs — the
 graph (dataset/scale/seed), the system configuration (a
 :mod:`repro.systems` registry name plus factory options), the algorithm
 and its source vertex.  ``repro sweep`` (:func:`repro.core.run_sweep`)
-and the capacity planner's surfaces (:func:`repro.planner.build_surface`)
-take it as their input type.  Because a spec is plain data it
+takes it as its input type.  Because a spec is plain data it
 round-trips through ``to_dict``/``from_dict`` (canonical JSON) and
 pickles across process boundaries.
 
@@ -143,7 +142,7 @@ class SystemSpec:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """The one declarative input type for sweeps, suites, and the planner.
+    """The one declarative input type for declarative sweeps.
 
     Construction validates locally checkable facts (shapes, ranges,
     enum-like names); registry names (``system.name``) are validated on

@@ -11,8 +11,8 @@ ships once per chunk).
 :func:`workload_for` builds a ``(graph, trace)`` pair from
 ``(dataset, scale, seed, algorithm, source)`` through the per-process
 :data:`repro.core.evalcache.workload_memo`, so every caller — the
-declarative sweeps, the planner's surfaces and the evaluation suite's
-workers — pays each traversal once.  All heavy imports
+declarative sweeps and the evaluation suite's workers — pays each
+traversal once.  All heavy imports
 (:mod:`repro.core`, :mod:`repro.systems`) stay inside function bodies:
 ``repro.core.sweep`` imports this module at its top, so a top-level
 import back would cycle, and the rest load only for the task that

@@ -5,11 +5,9 @@ paper's own Section 2.1 characterisation of BFS as fine-grained,
 random, on-demand), every registered workload carries an
 :class:`AccessSignature`: the fractions of its traffic that are
 sequential reads and writes, plus a qualitative frontier-density
-profile and reuse class.  The signature is *descriptive* — kernels do
-not consult it — but the capacity planner uses its
-:attr:`~AccessSignature.traffic_multiplier` to scale surface estimates
-between workload classes, and the docs table in ``docs/WORKLOADS.md``
-is generated from these values.
+profile and reuse class.  The signature is *descriptive*: kernels do
+not consult it, and the docs table in ``docs/WORKLOADS.md`` lists
+these values.
 """
 
 from __future__ import annotations
@@ -66,19 +64,6 @@ class AccessSignature:
                 f"choose from {', '.join(REUSE_CLASSES)}"
             )
 
-    @property
-    def traffic_multiplier(self) -> float:
-        """Relative traffic cost versus a pure random-read workload.
-
-        Writes add read-modify-write style traffic (``1 + w``) while
-        sequential reads coalesce and amortise read amplification (up
-        to a 25% discount at fully sequential).  The scalar is a
-        planning heuristic, always in ``(0.75, 2.0]``.
-        """
-        return (1.0 + self.write_fraction) * (
-            1.0 - 0.25 * self.sequential_read_fraction
-        )
-
     def as_dict(self) -> dict[str, float | str]:
         """Flat dict for docs tables and canonical-JSON reports."""
         return {
@@ -86,5 +71,4 @@ class AccessSignature:
             "write_fraction": self.write_fraction,
             "frontier_profile": self.frontier_profile,
             "reuse": self.reuse,
-            "traffic_multiplier": round(self.traffic_multiplier, 6),
         }

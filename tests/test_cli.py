@@ -13,8 +13,8 @@ def run_cli(capsys, *argv):
 
 @pytest.mark.parametrize(
     "argv",
-    [[], ["serve"], ["plan", "--surface", "s.json", "--serve"]],
-    ids=["no-command", "serve", "plan-serve"],
+    [[], ["serve"], ["plan", "--surface", "s.json"]],
+    ids=["no-command", "serve", "plan"],
 )
 def test_parser_requires_subcommand(argv):
     with pytest.raises(SystemExit):
@@ -251,48 +251,3 @@ class TestSweepCommand:
         )
         assert code == 1
         assert "KEY=VALUE" in err
-
-
-class TestPlanCommand:
-    @pytest.fixture()
-    def surface_path(self, capsys, tmp_path):
-        path = tmp_path / "surface.json"
-        code, out, _ = run_cli(
-            capsys, "plan", "--surface", str(path), "--build", "--quick"
-        )
-        assert code == 0
-        assert "10 configs" in out
-        return str(path)
-
-    def test_query_by_dataset(self, capsys, surface_path):
-        code, out, _ = run_cli(
-            capsys,
-            "plan", "--surface", surface_path,
-            "--dataset", "urand", "--scale", "10", "--top", "3",
-        )
-        assert code == 0
-        assert "rank" in out
-        assert "emogi" in out
-
-    def test_query_no_match_exits_nonzero(self, capsys, surface_path):
-        code, out, _ = run_cli(
-            capsys,
-            "plan", "--surface", surface_path,
-            "--edge-bytes", "1", "--slo-ms", "1e-9",
-        )
-        assert code == 1
-        assert "no config meets" in out
-
-    def test_query_needs_a_size(self, capsys, surface_path):
-        code, _, err = run_cli(capsys, "plan", "--surface", surface_path)
-        assert code == 1
-        assert "--edge-bytes" in err
-
-    def test_missing_surface_fails_typed(self, capsys, tmp_path):
-        code, _, err = run_cli(
-            capsys,
-            "plan", "--surface", str(tmp_path / "nope.json"),
-            "--edge-bytes", "1e6",
-        )
-        assert code == 1
-        assert "cannot read" in err

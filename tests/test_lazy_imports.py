@@ -24,7 +24,6 @@ SRC = str(Path(repro.__file__).resolve().parents[1])
 
 #: Subsystems the evaluation and its CLI never use.
 UNUSED_BY_EVALUATION = (
-    "repro.planner",
     "repro.bench",
     "repro.analysis",
     "yaml",

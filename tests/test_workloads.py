@@ -105,15 +105,6 @@ class TestRegistry:
                 frontier_profile="dense",
             )
 
-    def test_traffic_multiplier(self):
-        sig = AccessSignature(
-            sequential_read_fraction=0.8,
-            write_fraction=0.1,
-            frontier_profile="dense",
-        )
-        assert sig.traffic_multiplier == pytest.approx(1.1 * 0.8)
-
-
 class TestKernelGolden:
     """Engine runs must equal the in-memory runs of the same step loop."""
 
@@ -347,21 +338,6 @@ class TestStreaming:
         expected = bfs(base, default_source(base)).depths
         run = workloads.get("bfs").run(make_engine(base))
         np.testing.assert_array_equal(run.values, expected)
-
-
-class TestPlannerWorkloadScaling:
-    def test_workload_scales_reference_runtimes(self):
-        from repro.exec import SerialExecutor
-        from repro.planner import build_surface, plan_query
-
-        with SerialExecutor() as executor:
-            surface = build_surface(executor=executor, quick=True)
-        base = plan_query(surface, edge_bytes=1e9, top=1)
-        scaled = plan_query(surface, edge_bytes=1e9, top=1, workload="pagerank")
-        multiplier = workloads.get("pagerank").signature.traffic_multiplier
-        assert scaled[0]["est_runtime_s"] == pytest.approx(
-            base[0]["est_runtime_s"] * multiplier
-        )
 
 
 class TestBenchWorkloads:
