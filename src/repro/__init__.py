@@ -62,8 +62,7 @@ Subpackages
     access signature) (docs/WORKLOADS.md).
 ``exec``
     Declarative :class:`ExperimentSpec` (YAML-loadable, ``extend:`` +
-    dotted overrides) and the serial/process-pool sweep executors
-    (docs/SCALING.md).
+    dotted overrides) and the serial sweep executor (docs/SCALING.md).
 """
 
 import importlib
@@ -107,7 +106,6 @@ __all__ = [
     "SweepConfig",
     "SweepResult",
     "SerialExecutor",
-    "ProcessPoolExecutor",
     "load_spec",
     "run_sweep",
     "__version__",
@@ -166,7 +164,7 @@ __getattr__, __dir__ = _attach(
         ".workloads": ("workloads",),
         ".exec": (
             "ExperimentSpec", "GraphSpec", "SystemSpec", "SweepConfig",
-            "SerialExecutor", "ProcessPoolExecutor", "load_spec",
+            "SerialExecutor", "load_spec",
         ),
         ".core.sweep": ("SweepResult", "run_sweep"),
     },

@@ -15,9 +15,8 @@ Subcommands
 ``sweep``
     Run a declarative sweep from a YAML ``ExperimentSpec`` file
     (``repro sweep --config examples/sweep_config.yaml``); specs
-    support ``extend:`` chaining and ``--set`` dotted overrides, and
-    ``--executor process`` fans points out to a worker pool with
-    bit-identical results (docs/SCALING.md).
+    support ``extend:`` chaining and ``--set`` dotted overrides
+    (docs/SCALING.md).
 ``chase``
     Run the pointer-chase latency microbenchmark for a target.
 ``lint``
@@ -128,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--check", action="store_true",
         help="exit non-zero unless the paper's headline claims hold",
     )
-    _add_executor_args(evaluate)
 
     sweep = sub.add_parser(
         "sweep",
@@ -149,7 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=None, metavar="PATH",
         help="also write the sweep result as canonical JSON",
     )
-    _add_executor_args(sweep)
 
     chase = sub.add_parser("chase", help="pointer-chase latency microbenchmark")
     chase.add_argument(
@@ -264,18 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_trace_args(profile)
     return parser
-
-
-def _add_executor_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--executor", default="serial", choices=["serial", "process"],
-        help="how to run the points: in-process, or a worker pool "
-        "(bit-identical results either way; docs/SCALING.md)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="process-pool size (default: CPU count, capped at 8)",
-    )
 
 
 def _add_trace_args(parser: argparse.ArgumentParser) -> None:
@@ -430,13 +415,6 @@ def _cmd_chase(args: argparse.Namespace) -> str:
     )
 
 
-def _make_executor(args: argparse.Namespace):
-    """Build the sweep executor the ``--executor/--workers`` flags name."""
-    from .exec.executor import make_executor
-
-    return make_executor(args.executor, workers=args.workers)
-
-
 def _parse_override_value(text: str):
     """``--set`` values: JSON scalars where they parse, strings otherwise."""
     import json
@@ -469,8 +447,7 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
         overrides[key.strip()] = _parse_override_value(value)
     if overrides:
         spec = spec.with_overrides(overrides)
-    with _make_executor(args) as executor:
-        result = run_sweep(spec, loaded.sweep, executor=executor)
+    result = run_sweep(spec, loaded.sweep)
     rows = []
     for row in result.rows:
         out_row = dict(row["overrides"])
@@ -485,7 +462,7 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
             rows,
             title=f"sweep: {result.spec.graph.dataset}/"
             f"{result.spec.algorithm} over {' x '.join(result.axes)} "
-            f"({len(rows)} points, {args.executor} executor)",
+            f"({len(rows)} points)",
         )
     ]
     if args.out:
@@ -503,10 +480,7 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
 def _cmd_evaluate(args: argparse.Namespace) -> tuple[str, int]:
     from .core.suite import run_evaluation
 
-    with _make_executor(args) as executor:
-        report = run_evaluation(
-            scale=args.scale, seed=args.seed, executor=executor
-        )
+    report = run_evaluation(scale=args.scale, seed=args.seed)
     output = report.render()
     if not args.check:
         return output, 0

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..errors import ModelError
-from ..graph.csr import CSRGraph
 from ..traversal.trace import AccessTrace
 from ..units import GB
 from .runtime_model import SystemModel, predict_runtime
@@ -112,9 +111,7 @@ def media_for(system: SystemModel) -> MediaCost:
     )
 
 
-def system_memory_cost(
-    system: SystemModel, data_bytes: int, *, media: MediaCost | None = None
-) -> float:
+def system_memory_cost(system: SystemModel, data_bytes: int) -> float:
     """Cost of the external memory ``system`` needs to host ``data_bytes``.
 
     Prices exactly ``data_bytes`` of media plus the fixed cost of the
@@ -122,8 +119,7 @@ def system_memory_cost(
     """
     if data_bytes < 0:
         raise ModelError("data_bytes must be >= 0")
-    media = media or media_for(system)
-    return media.cost(data_bytes, devices=system.pool.count)
+    return media_for(system).cost(data_bytes, devices=system.pool.count)
 
 
 def cost_performance(

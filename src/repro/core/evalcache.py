@@ -21,7 +21,7 @@ cache keyed by two content fingerprints:
 
 Every memo in the process is a :class:`Memo` (bounded, FIFO eviction).
 Three live here: physical traces (:func:`cached_physical_trace`), built
-workloads (:func:`repro.exec.tasks.workload_for`) and built dataset graphs
+workloads (:func:`repro.core.sweep.workload_for`) and built dataset graphs
 (:func:`repro.graph.datasets.load_dataset`).  A fourth, the DES step
 times of :func:`repro.core.runtime_model.predict_runtime_des`, lives
 beside its one user as :data:`repro.core.runtime_model.des_step_memo`.
@@ -107,7 +107,7 @@ class Memo:
 #: this is generous while still capping memory for long-lived processes.
 physical_trace_memo = Memo(capacity=256)
 #: (dataset, scale, seed, algorithm, source) -> (graph, trace) built by
-#: :func:`repro.exec.tasks.workload_for`; one build per workload per process.
+#: :func:`repro.core.sweep.workload_for`; one build per workload per process.
 workload_memo = Memo(capacity=8)
 #: (dataset key, scale, seed) -> CSRGraph built by
 #: :func:`repro.graph.datasets.load_dataset`; the BFS and SSSP workloads of

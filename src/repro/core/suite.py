@@ -6,13 +6,10 @@ and returns a single structured report.  This is the programmatic
 equivalent of "reproduce the evaluation section", used by the
 ``repro evaluate`` CLI command and the release smoke test.
 
-Each (dataset, algorithm) workload is one pure
-:func:`~repro.exec.tasks.evaluate_workload` task, so the matrix fans
-out across a :class:`~repro.exec.Executor` — workloads are independent
-(they share only deterministic inputs), and the report aggregates rows
-in fixed workload order, making the result bit-identical for any
-executor.  Each task prices its cell through
-:func:`~repro.core.sweep.sweep_trace` over
+Each (dataset, algorithm) workload is one :func:`evaluate_workload`
+task, run through :meth:`~repro.exec.Executor.map`; the report
+aggregates rows in fixed workload order.  Each task prices its cell
+through :func:`~repro.core.sweep.sweep_trace` over
 :func:`~repro.core.sweep.comparison_grid` and
 :func:`~repro.core.sweep.cxl_latency_grid`, the same path as
 :func:`repro.figures.figure6` and :func:`repro.figures.figure11`, so
@@ -22,14 +19,17 @@ the report's rows equal the figures' rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Mapping, Sequence
 
 from ..errors import ModelError
 from ..exec.executor import Executor, SerialExecutor
-from ..exec.tasks import evaluate_workload
+from ..interconnect.pcie import PCIeLink
+from ..telemetry.tracer import get_tracer
+from ..units import USEC
 from .report import format_table, system_geomean
+from .sweep import comparison_grid, cxl_latency_grid, sweep_trace, workload_for
 
-__all__ = ["EvaluationReport", "run_evaluation"]
+__all__ = ["EvaluationReport", "evaluate_workload", "run_evaluation"]
 
 
 @dataclass
@@ -74,6 +74,43 @@ class EvaluationReport:
         }
 
 
+def evaluate_workload(item: Mapping[str, Any]) -> dict[str, Any]:
+    """One evaluation-suite cell: a (dataset, algorithm) workload.
+
+    Payload: ``{"dataset", "scale", "seed", "algorithm",
+    "added_latencies_us"}``.  Prices the Figure 6 comparison on Gen4 and
+    the Figure 11 latency sweep on Gen3 through
+    :func:`~repro.core.sweep.sweep_trace`, the same path the figure
+    functions take, and returns ``{"comparison_rows", "latency_rows"}``;
+    :func:`run_evaluation` aggregates geomeans across workloads in
+    payload order.
+    """
+    cell = {"dataset": item["dataset"], "algorithm": item["algorithm"]}
+    added_us = item["added_latencies_us"]
+    with get_tracer().span("evaluate.workload", **cell):
+        _, trace = workload_for(
+            cell["dataset"], item["scale"], item["seed"], cell["algorithm"]
+        )
+        comparison = sweep_trace(
+            trace, comparison_grid(), PCIeLink.from_name("gen4")
+        )
+        latency = sweep_trace(
+            trace,
+            cxl_latency_grid([u * USEC for u in added_us]),
+            PCIeLink.from_name("gen3"),
+        )
+    return {
+        "comparison_rows": [
+            {**cell, "system": p.system, "normalized_runtime": p.normalized_runtime}
+            for p in comparison
+        ],
+        "latency_rows": [
+            {**cell, "added_latency_us": u, "normalized_runtime": p.normalized_runtime}
+            for u, p in zip(added_us, latency)
+        ],
+    }
+
+
 def run_evaluation(
     scale: int = 13,
     seed: int = 0,
@@ -85,10 +122,9 @@ def run_evaluation(
 ) -> EvaluationReport:
     """Run the complete evaluation matrix at ``scale``.
 
-    One executor task per (dataset, algorithm) workload; rows are
-    aggregated in workload order and the headline numbers are computed
-    from them, so the report is identical whether the matrix ran
-    serially or across a process pool.  ``added_latencies_us`` must
+    One :func:`evaluate_workload` task per (dataset, algorithm)
+    workload; rows are aggregated in workload order and the headline
+    numbers are computed from them.  ``added_latencies_us`` must
     include 0: ``cxl_flat_worst`` is the worst runtime at zero added
     latency.
     """

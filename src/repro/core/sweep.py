@@ -1,4 +1,4 @@
-"""Parameter sweeps behind the paper's figures, on the executor API.
+"""Parameter sweeps behind the paper's figures.
 
 Every runtime figure in the paper is "sweep one knob, normalise by the
 EMOGI/host-DRAM runtime on the identical workload": alignment size for
@@ -14,15 +14,14 @@ Everything else prices through it:
 
 * :func:`run_sweep` — the declarative path behind ``repro sweep``: an
   :class:`~repro.exec.ExperimentSpec` plus a
-  :class:`~repro.exec.SweepConfig` grid of dotted-key overrides.  The
-  parent resolves every grid point, builds each distinct workload once
-  and prices its points with :func:`sweep_trace`.
-* ``repro evaluate`` (:func:`~repro.exec.tasks.evaluate_workload`)
+  :class:`~repro.exec.SweepConfig` grid of dotted-key overrides.  It
+  resolves every grid point, builds each distinct workload once through
+  :func:`workload_for` and prices its points with :func:`sweep_trace`.
+* ``repro evaluate`` (:func:`~repro.core.suite.evaluate_workload`)
   and :mod:`repro.figures`.
 
-The trace is bound into the pricing task with ``functools.partial``, so
-any :class:`~repro.exec.Executor` (serial or process pool) ships it once
-per chunk and produces bit-identical results.
+Each point is one :func:`price_trace_point` call over the shared trace,
+run through :meth:`~repro.exec.Executor.map`.
 """
 
 from __future__ import annotations
@@ -31,13 +30,18 @@ import functools
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
+from .. import systems as systems_registry
 from ..errors import ModelError
 from ..exec.executor import Executor, SerialExecutor
 from ..exec.spec import ExperimentSpec, SweepConfig
-from ..exec.tasks import price_trace_point, workload_for
+from ..graph import datasets
+from ..graph.csr import CSRGraph
 from ..interconnect.pcie import PCIeLink
 from ..telemetry.tracer import get_tracer
 from ..traversal.trace import AccessTrace
+from .evalcache import workload_memo
+from .experiment import run_algorithm
+from .runtime_model import predict_runtime
 
 __all__ = [
     "SweepPoint",
@@ -45,6 +49,8 @@ __all__ = [
     "normalized",
     "run_sweep",
     "sweep_trace",
+    "workload_for",
+    "price_trace_point",
     "alignment_grid",
     "comparison_grid",
     "cxl_latency_grid",
@@ -57,10 +63,10 @@ class SweepPoint:
     the baseline system's runtime on the identical workload.
 
     Fields are coerced to built-in ``float``/``str`` on construction so
-    points round-trip through pickle (process-pool transport) and
-    canonical JSON unchanged — NumPy scalars sneaking in through sweep
-    axes (``np.float64`` latencies, ``np.int64`` alignments) used to
-    make ``json.dumps`` fail and pickles non-canonical.
+    points round-trip through pickle and canonical JSON unchanged —
+    NumPy scalars sneaking in through sweep axes (``np.float64``
+    latencies, ``np.int64`` alignments) used to make ``json.dumps`` fail
+    and pickles non-canonical.
     """
 
     x: float
@@ -101,6 +107,65 @@ def normalized(runtimes: Sequence[float], baseline: float) -> list[float]:
     return [r / baseline for r in runtimes]
 
 
+def workload_for(
+    dataset: str,
+    scale: int,
+    seed: int,
+    algorithm: str,
+    source: int | None = None,
+) -> tuple[CSRGraph, AccessTrace]:
+    """``(graph, trace)`` for a workload key, memoized per process.
+
+    Graphs and traces are deterministic in their key, so every caller
+    pricing the same workload — the declarative sweeps and the
+    evaluation suite — shares them through
+    :data:`~repro.core.evalcache.workload_memo`.
+    """
+
+    def build() -> tuple[CSRGraph, AccessTrace]:
+        # Looked up on the module at call time, so a wrapper installed
+        # on ``datasets.load_dataset`` sees every build.
+        graph = datasets.load_dataset(dataset, scale=scale, seed=seed)
+        return graph, run_algorithm(graph, algorithm, source)
+
+    return workload_memo.get_or_compute(
+        (dataset, scale, seed, algorithm, source), build
+    )
+
+
+def price_trace_point(
+    trace: AccessTrace, item: Mapping[str, Any]
+) -> dict[str, Any]:
+    """Price one system configuration against an already-built trace.
+
+    Bind the trace with ``functools.partial(price_trace_point, trace)``.
+    Payload::
+
+        {"x": <knob value>, "system": <registry name>,
+         "link": <PCIeLink | None>, "options": {...},
+         "span": (<name>, {attrs}) | None}
+
+    ``span`` wraps the pricing in a per-point telemetry span
+    (``sweep.alignment.point`` etc.).
+    """
+    system = systems_registry.get(
+        item["system"], item.get("link"), **dict(item.get("options") or {})
+    )
+    span = item.get("span")
+    if span is not None:
+        name, attrs = span
+        with get_tracer().span(name, **attrs):
+            result = predict_runtime(trace, system)
+    else:
+        result = predict_runtime(trace, system)
+    return {
+        "x": float(item["x"]),
+        "runtime": float(result.runtime),
+        "system": str(result.system),
+        "bound": str(result.dominant_bound()),
+    }
+
+
 # ---------------------------------------------------------------------------
 # Spec-based sweeps (the declarative path)
 # ---------------------------------------------------------------------------
@@ -113,7 +178,7 @@ class SweepResult:
     Rows are plain dicts (``overrides``, ``runtime``, ``system``,
     ``bound``, and ``normalized_runtime`` when the sweep declared a
     baseline) so the whole result serialises to canonical JSON and
-    pickles across processes unchanged.
+    pickles unchanged.
     """
 
     spec: ExperimentSpec
@@ -173,27 +238,20 @@ def _system_config(spec: ExperimentSpec) -> dict[str, Any]:
 
 
 def _workload_key(spec: ExperimentSpec) -> tuple[Any, ...]:
-    """The :func:`~repro.exec.tasks.workload_for` key of a spec."""
+    """The :func:`workload_for` key of a spec."""
     graph = spec.graph
     return (graph.dataset, graph.scale, graph.seed, spec.algorithm, spec.source)
 
 
-def run_sweep(
-    spec: ExperimentSpec,
-    config: SweepConfig,
-    *,
-    executor: Executor | None = None,
-) -> SweepResult:
+def run_sweep(spec: ExperimentSpec, config: SweepConfig) -> SweepResult:
     """Price the spec's cartesian sweep grid through :func:`sweep_trace`.
 
-    The parent resolves every grid point and builds each distinct
-    workload once; each workload's points are priced against its trace
-    by ``executor``, so results are bit-identical for any executor.
-    Each row is normalised by the baseline (``config.baseline``
-    overrides, typically EMOGI on host DRAM) priced on *its own*
-    workload; ``baseline_runtime`` is the base spec's.
+    Every grid point is resolved and each distinct workload built once;
+    each workload's points are priced against its trace.  Each row is
+    normalised by the baseline (``config.baseline`` overrides, typically
+    EMOGI on host DRAM) priced on *its own* workload;
+    ``baseline_runtime`` is the base spec's.
     """
-    executor = executor or SerialExecutor()
     grid = list(config.points())
     specs = [spec.with_overrides(overrides) for overrides in grid]
     baseline = None
@@ -203,9 +261,7 @@ def run_sweep(
     for i, point in enumerate(specs):
         groups.setdefault(_workload_key(point), []).append(i)
     rows: list[dict[str, Any]] = [{} for _ in grid]
-    with get_tracer().span(
-        "sweep.run", points=len(grid), executor=executor.name
-    ):
+    with get_tracer().span("sweep.run", points=len(grid)):
         baseline_runtime = None
         if baseline is not None:
             _, trace = workload_for(*_workload_key(spec))
@@ -214,13 +270,11 @@ def run_sweep(
             _, trace = workload_for(*key)
             configs = [_system_config(specs[i]) for i in indices]
             if baseline is None:
-                priced = _price(trace, configs, None, executor)
+                priced = _price(trace, configs, None, SerialExecutor())
             else:
                 priced = [
                     p.as_dict()
-                    for p in sweep_trace(
-                        trace, configs, baseline=baseline, executor=executor
-                    )
+                    for p in sweep_trace(trace, configs, baseline=baseline)
                 ]
             for i, result in zip(indices, priced):
                 result.pop("x")
@@ -284,7 +338,7 @@ def cxl_latency_grid(
 
 
 def _item(config: Mapping[str, Any], link: PCIeLink | None = None) -> dict[str, Any]:
-    """A :func:`~repro.exec.tasks.price_trace_point` payload for ``config``.
+    """A :func:`price_trace_point` payload for ``config``.
 
     The config's own ``"link"`` (``None`` = the factory default) wins
     over the sweep's ``link``.
@@ -323,10 +377,8 @@ def sweep_trace(
     factory kwargs, "link": optional PCIeLink (default: ``link``),
     "span": optional telemetry span}``; ``baseline`` has the same shape
     and defaults to EMOGI at ``link``.  The trace is bound into the task
-    with ``functools.partial`` so a process pool ships it once per
-    chunk, and the baseline runtime is priced parent-side — the one
-    division producing ``normalized_runtime`` always happens in the
-    parent, keeping results bit-identical across executors.
+    with ``functools.partial``; :func:`normalized` divides every runtime
+    by the baseline's, in config order.
     """
     link = link or PCIeLink.from_name("gen4")
     executor = executor or SerialExecutor()

@@ -21,7 +21,6 @@ __all__ = [
     "TelemetryError",
     "BenchError",
     "SpecError",
-    "ExecError",
 ]
 
 
@@ -87,12 +86,4 @@ class SpecError(ConfigError):
     the offending key *and* the valid alternatives, because specs are
     written by hand and "unknown key" without a field list is a
     guessing game.
-    """
-
-
-class ExecError(ReproError, RuntimeError):
-    """A sweep executor could not run or transport its tasks.
-
-    Covers unpicklable task functions/payloads, worker crashes, and
-    misconfigured worker/chunking parameters.
     """

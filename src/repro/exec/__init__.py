@@ -7,11 +7,11 @@
   — plain data that round-trips through canonical JSON and pickle.
 * :func:`load_spec` reads specs from YAML with ``extend:`` chaining and
   dotted-key overrides.
-* :class:`SerialExecutor` / :class:`ProcessPoolExecutor` run pure
-  sweep tasks with bit-identical results regardless of executor.
+* :class:`SerialExecutor` runs sweep tasks in order, inside the
+  ``exec.map`` telemetry span of :meth:`Executor.map`.
 
-Submodules defer their :mod:`repro.core` imports to call time, so this
-package imports before (and is imported by) ``repro.core.sweep``.
+No submodule imports :mod:`repro.core`, so ``repro.core.sweep`` can
+import this package at its top.
 """
 
 from __future__ import annotations
@@ -30,18 +30,12 @@ __all__ = [
     "deep_merge",
     "Executor",
     "SerialExecutor",
-    "ProcessPoolExecutor",
-    "default_chunk_size",
-    "make_executor",
 ]
 
 __getattr__, __dir__ = _attach(
     __name__,
     {
-        ".executor": (
-            "Executor", "ProcessPoolExecutor", "SerialExecutor",
-            "default_chunk_size", "make_executor",
-        ),
+        ".executor": ("Executor", "SerialExecutor"),
         ".spec": (
             "ExperimentSpec", "GraphSpec", "SweepAxis", "SweepConfig",
             "SystemSpec",

@@ -273,9 +273,9 @@ class TestSPAN001:
         )
 
     def test_catches_unentered_evaluate_workload_span(self):
-        # The evaluate.workload span in exec/tasks.py, bound instead of
+        # The evaluate.workload span in core/suite.py, bound instead of
         # entered: no tier-1 test notices the span going missing.
-        path = SRC / "repro" / "exec" / "tasks.py"
+        path = SRC / "repro" / "core" / "suite.py"
         header = '    with get_tracer().span("evaluate.workload", **cell):\n'
         source = path.read_text(encoding="utf-8")
         assert source.count(header) == 1

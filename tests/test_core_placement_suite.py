@@ -7,7 +7,7 @@ from repro import figures
 from repro.core.placement import placement_report, stripe_size_sweep
 from repro.core.suite import run_evaluation
 from repro.errors import ModelError
-from repro.exec.executor import ProcessPoolExecutor, SerialExecutor
+from repro.exec.executor import SerialExecutor
 from repro.graph.partition import StripedLayout
 from repro.traversal.trace import AccessTrace, TraceStep
 
@@ -126,14 +126,3 @@ class TestEvaluationMatchesFigures:
             )
             assert ours["added_latency_us"] == pytest.approx(theirs["added_latency_us"])
             assert ours["normalized_runtime"] == theirs["normalized_runtime"]
-
-    def test_process_pool_matches_serial(self, report):
-        with ProcessPoolExecutor(workers=2) as pool:
-            pooled = run_evaluation(scale=8, executor=pool)
-        assert pooled.comparison_rows == report.comparison_rows
-        assert pooled.latency_rows == report.latency_rows
-        assert (pooled.xlfdd_geomean, pooled.bam_geomean, pooled.cxl_flat_worst) == (
-            report.xlfdd_geomean,
-            report.bam_geomean,
-            report.cxl_flat_worst,
-        )

@@ -1,29 +1,20 @@
-"""Executors: determinism across transports, round-trips.
-
-The load-bearing property test here pins the repo's central executor
-guarantee: a sweep priced through ``ProcessPoolExecutor(workers=4)`` is
-*byte-identical* (canonical JSON) to the same sweep priced serially.
-"""
+"""The serial executor's order contract and sweep-result round-trips."""
 
 import json
 import pickle
 
 import numpy as np
-import pytest
 
 from repro.bench.schema import canonical_json
 from repro.core.evalcache import clear_evaluation_cache
 from repro.core.sweep import SweepPoint, run_sweep
-from repro.errors import ExecError
 from repro.exec import (
     ExperimentSpec,
     GraphSpec,
-    ProcessPoolExecutor,
     SerialExecutor,
     SweepConfig,
     SystemSpec,
 )
-from repro.exec.executor import default_chunk_size, make_executor
 from repro.exec.spec import SweepAxis
 
 
@@ -48,46 +39,6 @@ def _quick_sweep():
 class TestExecutorContract:
     def test_serial_preserves_order(self):
         assert SerialExecutor().map(abs, [-3, 1, -2]) == [3, 1, 2]
-
-    def test_make_executor_names(self):
-        assert make_executor("serial").name == "serial"
-        ex = make_executor("process", workers=2)
-        assert ex.name == "process" and ex.workers == 2
-        with pytest.raises(ExecError, match="unknown executor"):
-            make_executor("threads")
-
-    def test_default_chunk_size(self):
-        # ~4 chunks per worker, never below 1.
-        assert default_chunk_size(0, 4) == 1
-        assert default_chunk_size(3, 4) == 1
-        assert default_chunk_size(100, 4) == 7  # ceil(100 / 16)
-        assert default_chunk_size(16, 1) == 4
-
-    def test_process_pool_rejects_unpicklable_fn(self):
-        # The pickle pre-check fires before any worker spawns, so a
-        # closure fails fast with a typed, self-explanatory error.
-        ex = ProcessPoolExecutor(workers=2)
-        with pytest.raises(ExecError, match="not picklable"):
-            ex.map(lambda p: p, [1, 2])
-
-    def test_process_pool_invalid_shapes(self):
-        with pytest.raises(ExecError):
-            ProcessPoolExecutor(workers=0)
-        with pytest.raises(ExecError):
-            ProcessPoolExecutor(workers=2, chunk_size=0)
-
-
-class TestExecutorEquivalence:
-    """Satellite: serial and 4-worker process results are byte-identical."""
-
-    def test_process_pool_byte_identical_to_serial(self):
-        spec, config = _quick_sweep()
-        clear_evaluation_cache()
-        serial = run_sweep(spec, config, executor=SerialExecutor())
-        clear_evaluation_cache()
-        with ProcessPoolExecutor(workers=4) as ex:
-            pooled = run_sweep(spec, config, executor=ex)
-        assert canonical_json(serial.as_dict()) == canonical_json(pooled.as_dict())
 
 
 class TestSweepPointRoundTrip:
